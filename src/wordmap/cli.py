@@ -9,9 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 
-from .errors import WordmapError
+from .errors import InvalidType, WordmapError
 from .evaluate import (
     check_restriction_identities,
     chi_probe,
@@ -312,11 +313,23 @@ def _cmd_lemma_check(args, ring, rng):
     return report, EXIT_OK if rep.ok else EXIT_PROPERTY_FAILED
 
 
+_ROOT_LABEL = re.compile(r"([A-Ga-g])([1-9][0-9]*)")
+
+
+def _parse_root_label(text: str):
+    """'B3' -> ('B', 3): a type letter A-G followed by a positive rank."""
+    m = _ROOT_LABEL.fullmatch(text.strip())
+    if not m:
+        raise InvalidType(
+            f"bad root-system label {text!r}: expected a type letter A-G "
+            f"followed by a positive rank, e.g. B3"
+        )
+    return m.group(1), int(m.group(2))
+
+
 def _cmd_roots(args, ring, rng):
     if args.roots_command == "check":
-        label = args.system.strip()
-        t, r = label[0], int(label[1:])
-        system = build(t, r)
+        system = build(*_parse_root_label(args.system))
         result = star_search(system)
         ok = not result.holds or verify_witness(system, result.witness)
         report = {

@@ -22,13 +22,6 @@ from .rings import DualNumbers, RingDescriptor, Scalar
 from .words import Word, WordWithConstants, exponent_data
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    value: SquareMatrix
-    ring: RingDescriptor
-    word_length: int
-
-
 def _check_tuple(w: WordWithConstants, tup):
     if not tup:
         raise DimensionMismatch("empty matrix tuple")
@@ -95,11 +88,6 @@ def eval_adjugate_extension(w: WordWithConstants, tup) -> SquareMatrix:
         constant_inverse=lambda m: m.inverse(),
         check_central=False,
     )
-
-
-def eval_report(w: WordWithConstants, tup) -> EvalReport:
-    value = eval_group(w, tup)
-    return EvalReport(value=value, ring=value.ring, word_length=w.total_length())
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,19 @@
 """Exact coefficient domains: Q, F_p, single quadratic extensions, dual numbers.
 
-Every element is a :class:`Scalar` wrapping a ring descriptor and a canonical
-raw value, so equality is bit-exact.  Raw representations:
+A :class:`RingDescriptor` does all arithmetic on canonical raw values, so
+equality is bit-exact.  Raw representations:
 
 * ``Rationals``      -- :class:`fractions.Fraction` (always reduced)
 * ``PrimeField(p)``  -- ``int`` residue in ``[0, p)``
 * ``QuadraticExt``   -- pair ``(a, b)`` of base raws, meaning ``a + b*sqrt(d)``
 * ``DualNumbers``    -- pair ``(a, b)`` of base raws, meaning ``a + b*eps`` with ``eps**2 = 0``
+
+The raw protocol is ``radd``, ``rmul``, ``rneg``, ``rinv``, ``is_zero_raw`` and
+the fused dot product ``rdot``: one reduction mod p per dot product over F_p,
+one :class:`~fractions.Fraction` (one reduction) per dot product over Q, and
+for the pair rings a combination of the base ring's ``rdot``.  The matrix kernel works on raw values
+only.  A :class:`Scalar` (descriptor plus raw value) is the API-boundary form
+of an element, with ring-checked operators.
 """
 
 from __future__ import annotations
@@ -15,8 +22,9 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from sympy import isprime
+from sympy import isprime, primefactors
 
 from .errors import NotInvertible, RingMismatch, RingLacksRoots, WordmapError
 
@@ -61,6 +69,10 @@ class RingDescriptor:
     def rinv(self, x):
         raise NotImplementedError
 
+    def rdot(self, xs, ys):
+        """sum(x * y for x, y in zip(xs, ys)) on raw values."""
+        raise NotImplementedError
+
     def is_zero_raw(self, x) -> bool:
         return x == self.raw_from_int(0)
 
@@ -90,6 +102,18 @@ class Rationals(RingDescriptor):
         if x == 0:
             raise NotInvertible("0 has no inverse in Q")
         return 1 / x
+
+    def rdot(self, xs, ys):
+        # one Fraction built (and reduced) per dot product
+        num, den = 0, 1
+        for x, y in zip(xs, ys):
+            d = x.denominator * y.denominator
+            num = num * d + x.numerator * y.numerator * den
+            den *= d
+        return Fraction(num, den)
+
+    def is_zero_raw(self, x):
+        return x == 0
 
     def random(self, rng):
         return self.scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
@@ -126,6 +150,12 @@ class PrimeField(RingDescriptor):
             raise NotInvertible(f"0 has no inverse in F_{self.p}")
         return pow(x, self.p - 2, self.p)
 
+    def rdot(self, xs, ys):
+        return sum(map(mul, xs, ys)) % self.p
+
+    def is_zero_raw(self, x):
+        return x == 0
+
     def random(self, rng):
         return self.scalar(rng.randrange(self.p))
 
@@ -134,9 +164,9 @@ class PrimeField(RingDescriptor):
 
 
 def _has_sqrt(base: RingDescriptor, d) -> bool:
-    """Does d have a square root in base?  Exhaustive for F_p, exact for Q."""
+    """Does d have a square root in base?  Euler's criterion for F_p, exact for Q."""
     if isinstance(base, PrimeField):
-        return any(base.rmul(x, x) == d for x in range(base.p))
+        return d == 0 or base.p == 2 or pow(d, (base.p - 1) // 2, base.p) == 1
     if isinstance(base, Rationals):
         f = Fraction(d)
         if f < 0:
@@ -144,6 +174,11 @@ def _has_sqrt(base: RingDescriptor, d) -> bool:
         num, den = f.numerator, f.denominator
         return math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den
     raise WordmapError("quadratic extensions are single-level only")
+
+
+def _split(pairs):
+    """Two lists: the first and the second components of raw pairs."""
+    return [x[0] for x in pairs], [x[1] for x in pairs]
 
 
 @dataclass(frozen=True)
@@ -177,6 +212,16 @@ class QuadraticExt(RingDescriptor):
         return (
             base.radd(base.rmul(a, c), base.rmul(self.d, base.rmul(b, e))),
             base.radd(base.rmul(a, e), base.rmul(b, c)),
+        )
+
+    def rdot(self, xs, ys):
+        # sum (a + b r)(c + e r) = (a.c + d b.e) + (a.e + b.c) r
+        base = self.base
+        a, b = _split(xs)
+        c, e = _split(ys)
+        return (
+            base.radd(base.rdot(a, c), base.rmul(self.d, base.rdot(b, e))),
+            base.rdot(a + b, e + c),
         )
 
     def rneg(self, x):
@@ -217,11 +262,8 @@ class DualNumbers(RingDescriptor):
         return False
 
     def canon(self, raw):
-        if isinstance(raw, tuple) and len(raw) == 2 and not isinstance(self.base, QuadraticExt):
-            a, b = raw
-            return (self.base.canon(a), self.base.canon(b))
-        if isinstance(raw, tuple) and len(raw) == 2 and isinstance(self.base, QuadraticExt):
-            # ambiguous: treat a pair as (real, eps) parts
+        # over a quadratic base a pair is read as (real, eps) parts
+        if isinstance(raw, tuple) and len(raw) == 2:
             a, b = raw
             return (self.base.canon(a), self.base.canon(b))
         return (self.base.canon(raw), self.base.raw_from_int(0))
@@ -240,6 +282,13 @@ class DualNumbers(RingDescriptor):
             base.rmul(a, c),
             base.radd(base.rmul(a, e), base.rmul(b, c)),
         )
+
+    def rdot(self, xs, ys):
+        # sum (a + b eps)(c + e eps) = a.c + (a.e + b.c) eps
+        base = self.base
+        a, b = _split(xs)
+        c, e = _split(ys)
+        return (base.rdot(a, c), base.rdot(a + b, e + c))
 
     def rneg(self, x):
         return (self.base.rneg(x[0]), self.base.rneg(x[1]))
@@ -371,16 +420,36 @@ class Scalar:
 # roots of unity and -1
 
 
+def _sqrt_mod(n: int, p: int):
+    """The least r in [0, p) with r*r = n mod p, or None (Tonelli-Shanks)."""
+    n %= p
+    if n == 0 or p == 2:
+        return n
+    if pow(n, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return min(r, p - r)
+
+
 def sqrt_minus_one(ring: RingDescriptor):
     """A scalar s with s*s = -1 in the ring, or None if no such s exists."""
     if isinstance(ring, Rationals):
         return None
     if isinstance(ring, PrimeField):
-        m1 = ring.raw_from_int(-1)
-        for x in range(ring.p):
-            if ring.rmul(x, x) == m1:
-                return ring.scalar(x)
-        return None
+        r = _sqrt_mod(-1, ring.p)
+        return None if r is None else ring.scalar(r)
     if isinstance(ring, QuadraticExt):
         s = sqrt_minus_one(ring.base)
         if s is not None:
@@ -389,10 +458,8 @@ def sqrt_minus_one(ring: RingDescriptor):
         base = ring.base
         target = base.rneg(base.rinv(ring.d))
         if isinstance(base, PrimeField):
-            for b in range(base.p):
-                if base.rmul(b, b) == target:
-                    return ring.scalar((base.raw_from_int(0), b))
-            return None
+            b = _sqrt_mod(target, base.p)
+            return None if b is None else ring.scalar((base.raw_from_int(0), b))
         if isinstance(base, Rationals):
             f = Fraction(target)
             if f >= 0 and _has_sqrt(base, f):
@@ -406,11 +473,8 @@ def sqrt_minus_one(ring: RingDescriptor):
 def sqrt_in_ring(ring: RingDescriptor, n: int):
     """A scalar s with s*s = n, or None.  Used for sqrt(2) in Lemma-101 style checks."""
     if isinstance(ring, PrimeField):
-        target = ring.raw_from_int(n)
-        for x in range(ring.p):
-            if ring.rmul(x, x) == target:
-                return ring.scalar(x)
-        return None
+        r = _sqrt_mod(n, ring.p)
+        return None if r is None else ring.scalar(r)
     if isinstance(ring, Rationals):
         if n >= 0 and _has_sqrt(ring, Fraction(n)):
             return ring.scalar(Fraction(math.isqrt(n)))
@@ -426,24 +490,31 @@ def sqrt_in_ring(ring: RingDescriptor, n: int):
 
 
 def primitive_root_of_unity(ring: PrimeField, k: int):
-    """The least element of F_p of multiplicative order exactly k, or None."""
+    """The least element of F_p of multiplicative order exactly k, or None.
+
+    h = x^((p-1)/k) has exact order k when h^(k/q) != 1 for every prime q | k;
+    the elements of order k are then the h^j with gcd(j, k) = 1.
+    """
     if not isinstance(ring, PrimeField):
         raise WordmapError("primitive_root_of_unity needs a prime field")
     if k < 1:
         raise WordmapError("order must be positive")
-    if (ring.p - 1) % k != 0:
+    p = ring.p
+    if (p - 1) % k != 0:
         return None
-    for x in range(1, ring.p):
-        order = 1
-        y = x
-        while y != 1:
-            y = (y * x) % ring.p
-            order += 1
-            if order > k:
-                break
-        if order == k:
-            return ring.scalar(x)
-    return None
+    qs = primefactors(k)
+    x = 1
+    while True:
+        h = pow(x, (p - 1) // k, p)
+        if all(pow(h, k // q, p) != 1 for q in qs):
+            break
+        x += 1
+    least, power = h, h
+    for j in range(2, k):
+        power = power * h % p
+        if power < least and math.gcd(j, k) == 1:
+            least = power
+    return ring.scalar(least)
 
 
 # ---------------------------------------------------------------------------
@@ -467,12 +538,16 @@ def parse_ring(spec: str) -> RingDescriptor:
 
 
 _TERM_RE = re.compile(
-    r"\s*([+-])?\s*(?:(\d+(?:/\d+)?)\s*\*?\s*(i|sqrt\((-?\d+)\))?|(i|sqrt\((-?\d+)\)))\s*"
+    r"\s*([+-])?\s*(?:(-?\d+(?:/\d+)?)\s*\*?\s*(i|sqrt\((-?\d+)\))?|(i|sqrt\((-?\d+)\)))\s*"
 )
 
 
 def parse_scalar(ring: RingDescriptor, text: str) -> Scalar:
-    """Parse a scalar literal: integers, ``a/b``, ``i``, ``sqrt(d)`` and sums thereof."""
+    """Parse a scalar literal: integers, ``a/b``, ``i``, ``sqrt(d)`` and sums thereof.
+
+    A term's coefficient may carry its own sign, so rendered literals such as
+    ``1+-2*i`` parse back.
+    """
     text = text.strip()
     if not text:
         raise WordmapError("empty scalar literal")

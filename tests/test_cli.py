@@ -218,6 +218,15 @@ def test_usage_errors(capsys):
     assert main(["--ring", "Fp:101", "eval", "--word", "x", "--at", "/no/such/file"]) == 2
 
 
+@pytest.mark.parametrize("label", ["B", "Bx", "3B"])
+def test_roots_check_bad_label(capsys, label):
+    assert main(["roots", "check", label]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected a type letter A-G followed by a positive rank, e.g. B3" in captured.err
+    assert "invalid literal" not in captured.err
+
+
 def test_property_failure_exit_code(capsys):
     # a = 2 forces p = 0, so gamma = 0 and the hit still lands: stays 0
     assert main(["--ring", "Fp:101", "preimage", "--a", "2"]) == 0

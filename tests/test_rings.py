@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from sympy import isprime
+from sympy import divisors, isprime, primerange
 
 from wordmap import (
     DualNumbers,
@@ -115,6 +115,52 @@ def test_primitive_root_of_unity():
     assert z ** 5 == F11.one and z != F11.one
     assert primitive_root_of_unity(F11, 7) is None
     assert primitive_root_of_unity(F101, 5) is not None
+
+
+def _least_square_root(n, p):
+    return next((x for x in range(p) if (x * x - n) % p == 0), None)
+
+
+def test_square_roots_match_scan_below_500():
+    for p in primerange(2, 500):
+        f = PrimeField(p)
+        for n in (-1, 2, 3, 5, 7):
+            s = sqrt_in_ring(f, n)
+            expected = _least_square_root(n, p)
+            assert (s is None) == (expected is None) and (s is None or s.value == expected)
+        s = sqrt_minus_one(f)
+        expected = _least_square_root(-1, p)
+        assert (s is None) == (expected is None) and (s is None or s.value == expected)
+        if p % 4 == 3:
+            # no i in F_p: i = b*sqrt(d) with b^2 = -1/d for the least non-square d
+            d = next(x for x in range(2, p) if _least_square_root(x, p) is None)
+            ext = QuadraticExt(f, d)
+            target = (-pow(d, p - 2, p)) % p
+            assert sqrt_minus_one(ext).value == (0, _least_square_root(target, p))
+
+
+def test_primitive_roots_match_scan_below_500():
+    for p in primerange(2, 500):
+        f = PrimeField(p)
+        order = {}
+        for x in range(1, p):
+            order.setdefault(min(d for d in divisors(p - 1) if pow(x, d, p) == 1), x)
+        for k in divisors(p - 1):
+            assert primitive_root_of_unity(f, k).value == order[k]
+        assert primitive_root_of_unity(f, p) is None
+
+
+def test_roots_for_a_prime_above_10_12():
+    p = 1000000000061  # p = 1 mod 4; p - 1 = 2^2 * 5 * 3947 * 12667849
+    f = PrimeField(p)
+    i = sqrt_minus_one(f)
+    assert (i.value * i.value + 1) % p == 0 and i.value <= p - i.value
+    r = sqrt_in_ring(f, 5)
+    assert r is not None and (r.value * r.value - 5) % p == 0 and r.value <= p - r.value
+    for k, primes in ((4, (2,)), (3947, (3947,)), (20, (2, 5))):
+        z = primitive_root_of_unity(f, k).value
+        assert pow(z, k, p) == 1 and all(pow(z, k // q, p) != 1 for q in primes)
+    assert str(parse_ring("Fp:1000000000039[i]")) == "Fp:1000000000039[i]"  # p = 3 mod 4
 
 
 def test_single_level_extension_only():
