@@ -21,6 +21,27 @@ CORPUS = os.path.join(os.path.dirname(__file__), "golden", "cli.jsonl")
 
 GL5_A = '[["2","1","0","0","1"],["0","1","3","0","0"],["1","0","1","2","0"],["0","0","1","1","4"],["3","0","0","1","1"]]'
 GL5_B = '[["1","0","2","0","0"],["1","1","0","0","3"],["0","2","1","1","0"],["0","0","0","1","1"],["2","0","1","0","1"]]'
+
+
+def _gl(n, entry):
+    """An n x n JSON matrix argument with entries entry(i, j)."""
+    return json.dumps([[entry(i, j) for j in range(n)] for i in range(n)])
+
+
+def _a(i, j):
+    return (7 * i + 3 * j + i * j) ** 2 % 11 - 5
+
+
+def _b(i, j):
+    return (5 * i + 2 * j + 1) ** 3 % 13 - 6
+
+
+# invertible pairs for n = 3, 6 and 7: the sizes on either side of the
+# former det-algorithm switch at n = 3, over Q and over a quadratic extension
+GL3_Q = [_gl(3, lambda i, j: str(_a(i, j))), _gl(3, lambda i, j: str(_b(i, j)))]
+GL6_FP103I = [_gl(6, lambda i, j: f"{_a(i, j)}+{_b(i, j)}*i"),
+              _gl(6, lambda i, j: f"{_b(i, j)}+{_a(j, i)}*i")]
+GL7_Q = [_gl(7, lambda i, j: str(_a(i, j))), _gl(7, lambda i, j: str(_b(i, j)))]
 Q8_PAIR = ['[["5","0"],["0","8"]]', '[["0","1"],["12","0"]]']
 
 _DIMCERT_FLAGS = {"ex2.Wj": ["--j", "4"], "ex4.Tj": ["--p", "5", "--j", "2"]}
@@ -46,6 +67,10 @@ CASES = [
     # adjugate extension on GL_5
     ["--ring", "Q", "extend", "--word", "x^2 y^-1 x^-1 y^-2", "--at", GL5_A, GL5_B],
     ["--ring", "Fp:101", "extend", "--word", "x^2 y^-1 x^-1 y^-2", "--at", GL5_A, GL5_B],
+    # adjugate extension on GL_3 and GL_7 over Q, GL_6 over F_103[i]
+    ["--ring", "Q", "extend", "--word", "x^2 y^-1 x^-1 y^-2", "--at", *GL3_Q],
+    ["--ring", "Fp:103[i]", "extend", "--word", "x^2 y^-1 x^-1 y^-2", "--at", *GL6_FP103I],
+    ["--ring", "Q", "extend", "--word", "x^2 y^-1 x^-1 y^-2", "--at", *GL7_Q],
     # dominance over Q and F_101
     ["--ring", "Q", "dominance", "--word", "[[x,y],y]", "--seed", "4"],
     ["--ring", "Fp:101", "dominance", "--word", "[x,y]^2", "--seed", "9"],
@@ -56,6 +81,7 @@ CASES = [
     ["--ring", "Q[i]", "dimcert", "--example", "ex2.Wj", "--j", "4"],
     # chi-probe of a determinant over Q
     ["chi-probe", "--ring", "Q", "--word", "[x,y] x", "--index", "2", "--seed", "3", "--samples", "20"],
+    ["chi-probe", "--ring", "Fp:101", "--word", "[x,y] y", "--index", "2", "--seed", "5", "--samples", "40"],
     # usage errors
     ["eval", "--at", '[["1","0"],["0","1"]]'],
     ["--ring", "Fp:12", "eval", "--word", "x", "--at", '[["1","0"],["0","1"]]'],
