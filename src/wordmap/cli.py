@@ -17,7 +17,6 @@ from .evaluate import (
     check_restriction_identities,
     chi_probe,
     dominance_probe,
-    eval_adjugate_extension,
     eval_group,
 )
 from .geometry import (
@@ -186,10 +185,9 @@ def _cmd_extend(args, ring, rng):
     if args.sigma:
         w = w.with_binding(_load_sigma(ring, args.sigma))
     tup = [_load_matrix(ring, t) for t in args.at]
-    extended = eval_adjugate_extension(w, tup)
     check = check_restriction_identities(w, tup)
     report = {
-        "extended": matrix_to_json(extended),
+        "extended": matrix_to_json(check.extended),
         "delta": render_scalar(check.delta),
         "restriction_identity_holds": check.holds,
     }

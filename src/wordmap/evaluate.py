@@ -92,6 +92,7 @@ def eval_adjugate_extension(w: WordWithConstants, tup) -> SquareMatrix:
 
 @dataclass(frozen=True)
 class RestrictionCheck:
+    extended: SquareMatrix
     delta: Scalar
     holds: bool
 
@@ -106,7 +107,7 @@ def check_restriction_identities(w: WordWithConstants, tup) -> RestrictionCheck:
     extended = eval_adjugate_extension(w, tup)
     plain = eval_group(w, tup)
     holds = extended == plain.scaled(delta)
-    return RestrictionCheck(delta=delta, holds=holds)
+    return RestrictionCheck(extended=extended, delta=delta, holds=holds)
 
 
 def homogeneity_check(w: WordWithConstants, tup, r: int, c: Scalar) -> bool:

@@ -8,15 +8,21 @@ descriptor's ``rdot``/``radd``/``rmul``/``rneg``/``rinv``; a product takes one
 fused ``rdot`` per entry.  :class:`~wordmap.rings.Scalar` objects are built only
 at the API boundary: ``entries``, ``m[i, j]``, ``trace()``, ``det()``,
 ``charpoly()`` and :func:`matrix_to_json`.
+
+Determinant, adjugate, characteristic polynomial and inverse share one kernel,
+Berkowitz's division-free algorithm, which is valid over every commutative
+ring (fields, quadratic extensions, dual numbers) and never branches on the
+ring.  For n <= 2, det and adjugate take their closed forms; for n >= 3 the
+adjugate follows from the characteristic polynomial by Cayley-Hamilton, and
+``inverse()`` takes det and adjugate from a single Berkowitz pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 from .errors import DimensionMismatch, NotInvertible, RingMismatch, WordmapError
-from .rings import DualNumbers, PrimeField, Rationals, RingDescriptor, Scalar, parse_scalar, render_scalar
+from .rings import DualNumbers, RingDescriptor, Scalar, parse_scalar, render_scalar
 
 _set = object.__setattr__
 
@@ -156,11 +162,12 @@ class SquareMatrix:
 
     def inverse(self) -> "SquareMatrix":
         ring = self.ring
+        d, adj = _det_adjugate(ring, self.rows)
         try:
-            dinv = ring.rinv(_det(ring, self.rows))
+            dinv = ring.rinv(d)
         except NotInvertible:
             raise NotInvertible("matrix determinant is not a unit") from None
-        return SquareMatrix._raw(ring, _adjugate(ring, self.rows))._scaled_raw(dinv)
+        return SquareMatrix._raw(ring, adj)._scaled_raw(dinv)
 
     def map_entries(self, fn, new_ring: RingDescriptor) -> "SquareMatrix":
         """Apply a Scalar -> Scalar function entrywise; the results must lie in new_ring."""
@@ -194,123 +201,80 @@ def _identity_rows(ring: RingDescriptor, n: int) -> tuple:
 # determinant / adjugate / charpoly, on raw rows
 
 
-def _det_cofactor(ring: RingDescriptor, rows):
-    n = len(rows)
+def _berkowitz(ring: RingDescriptor, rows) -> list:
+    """[1, c_1, ..., c_n] with det(lambda I - M) = sum c_k lambda^(n-k).
+
+    Berkowitz's division-free algorithm (IPL 18, 1984), valid over every
+    commutative ring.  Step r borders the leading r x r submatrix A with the
+    column s, the row t and the corner a; the bordered charpoly is the
+    Toeplitz matrix of (1, -a, -t.s, -t.A s, ..., -t.A^(r-1) s) times the
+    charpoly of A.  Every inner product is one ``rdot``.
+    """
     dot, neg = ring.rdot, ring.rneg
+    zero, one = ring.raw_from_int(0), ring.raw_from_int(1)
+    coeffs = [one]
+    for r, row in enumerate(rows):
+        a_rows = [above[:r] for above in rows[:r]]
+        t = row[:r]
+        v = [above[r] for above in rows[:r]]
+        toeplitz = [one, neg(row[r])]
+        for k in range(r):
+            if k:
+                v = [dot(a_row, v) for a_row in a_rows]
+            toeplitz.append(neg(dot(t, v)))
+        q = coeffs + [zero]
+        coeffs = [dot(toeplitz[i::-1], q[:i + 1]) for i in range(r + 2)]
+    return coeffs
+
+
+def _det_from(ring: RingDescriptor, coeffs):
+    """det M = (-1)^n c_n."""
+    c = coeffs[-1]
+    return c if len(coeffs) % 2 else ring.rneg(c)
+
+
+def _det_adjugate(ring: RingDescriptor, rows) -> tuple:
+    """(det M, adj M) on raw rows: closed forms for n <= 2, else one Berkowitz pass.
+
+    By Cayley-Hamilton, adj M = (-1)^(n-1) (M^(n-1) + c_1 M^(n-2) + ... + c_(n-1) I),
+    taken by Horner with n - 2 fused products.
+    """
+    n = len(rows)
+    neg = ring.rneg
     if n == 1:
-        return rows[0][0]
+        return rows[0][0], ((ring.raw_from_int(1),),)
     if n == 2:
         (a, b), (c, d) = rows
-        return dot((a, b), (d, neg(c)))
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return dot(
-            (a, b, c),
-            (dot((e, f), (i, neg(h))), dot((f, d), (g, neg(i))), dot((d, e), (h, neg(g)))),
-        )
-    raise ValueError("cofactor path is for n <= 3")
-
-
-def _det_leibniz(ring: RingDescriptor, rows):
-    """Permutation-sum determinant; valid over any commutative ring."""
-    n = len(rows)
-    mul = ring.rmul
-    acc = ring.raw_from_int(0)
-    for perm in permutations(range(n)):
-        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-        term = rows[0][perm[0]]
-        for i in range(1, n):
-            term = mul(term, rows[i][perm[i]])
-        acc = ring.radd(acc, ring.rneg(term) if inversions % 2 else term)
-    return acc
-
-
-def _det_bareiss(ring: RingDescriptor, rows):
-    """Fraction-free elimination; exact division keeps entries small over Q."""
-    n = len(rows)
-    a = [list(row) for row in rows]
-    mul, is_zero = ring.rmul, ring.is_zero_raw
-    sign = 1
-    prev_inv = ring.raw_from_int(1)
-    for k in range(n - 1):
-        if is_zero(a[k][k]):
-            pivot_row = next((i for i in range(k + 1, n) if not is_zero(a[i][k])), None)
-            if pivot_row is None:
-                return ring.raw_from_int(0)
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        akk = a[k][k]
-        for i in range(k + 1, n):
-            neg_aik = ring.rneg(a[i][k])
-            for j in range(k + 1, n):
-                a[i][j] = mul(ring.rdot((akk, neg_aik), (a[i][j], a[k][j])), prev_inv)
-        prev_inv = ring.rinv(akk)
-    d = a[n - 1][n - 1]
-    return d if sign > 0 else ring.rneg(d)
-
-
-def _det_elimination(ring: RingDescriptor, rows):
-    """Plain Gaussian elimination over a field."""
-    n = len(rows)
-    a = [list(row) for row in rows]
-    mul, is_zero = ring.rmul, ring.is_zero_raw
-    d = ring.raw_from_int(1)
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if not is_zero(a[i][k])), None)
-        if pivot_row is None:
-            return ring.raw_from_int(0)
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            d = ring.rneg(d)
-        d = mul(d, a[k][k])
-        inv = ring.rinv(a[k][k])
-        for i in range(k + 1, n):
-            neg_factor = ring.rneg(mul(a[i][k], inv))
-            ai, ak = a[i], a[k]
-            for j in range(k, n):
-                ai[j] = ring.radd(ai[j], mul(neg_factor, ak[j]))
-    return d
+        nb, nc = neg(b), neg(c)
+        return ring.rdot((a, b), (d, nc)), ((d, nb), (nc, a))
+    coeffs = _berkowitz(ring, rows)
+    dot, add = ring.rdot, ring.radd
+    if n % 2 == 0:  # fold the sign (-1)^(n-1) into M and the coefficients
+        signed, acc = [neg(c) for c in coeffs], [[neg(e) for e in row] for row in rows]
+    else:
+        signed, acc = coeffs, [list(row) for row in rows]
+    cols = list(zip(*rows))
+    for k in range(1, n):
+        if k > 1:
+            acc = [[dot(row, col) for col in cols] for row in acc]
+        for i in range(n):
+            acc[i][i] = add(acc[i][i], signed[k])
+    return _det_from(ring, coeffs), tuple(map(tuple, acc))
 
 
 def _det(ring: RingDescriptor, rows):
-    n = len(rows)
-    if n <= 3:
-        return _det_cofactor(ring, rows)
-    if isinstance(ring, PrimeField):
-        return _det_elimination(ring, rows)
-    if isinstance(ring, Rationals):
-        return _det_bareiss(ring, rows)
-    if ring.is_field():
-        return _det_elimination(ring, rows)
-    return _det_leibniz(ring, rows)  # dual numbers have zero divisors
+    if len(rows) <= 2:
+        return _det_adjugate(ring, rows)[0]
+    return _det_from(ring, _berkowitz(ring, rows))
 
 
 def det(m: SquareMatrix) -> Scalar:
     return Scalar(m.ring, _det(m.ring, m.rows))
 
 
-def _minor(rows, i: int, j: int) -> tuple:
-    return tuple(row[:j] + row[j + 1:] for ii, row in enumerate(rows) if ii != i)
-
-
-def _adjugate(ring: RingDescriptor, rows) -> tuple:
-    n = len(rows)
-    if n == 1:
-        return _identity_rows(ring, 1)
-    neg = ring.rneg
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            c = _det(ring, _minor(rows, j, i))  # transposed cofactor
-            row.append(neg(c) if (i + j) % 2 else c)
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def adjugate(m: SquareMatrix) -> SquareMatrix:
-    """The matrix M* with M M* = M* M = det(M) I.  Entries are (n-1)-minors."""
-    return SquareMatrix._raw(m.ring, _adjugate(m.ring, m.rows))
+    """The matrix M* with M M* = M* M = det(M) I, by Cayley-Hamilton for n >= 3."""
+    return SquareMatrix._raw(m.ring, _det_adjugate(m.ring, m.rows)[1])
 
 
 @dataclass(frozen=True)
@@ -320,53 +284,13 @@ class CharPolyCoeffs:
     chi: tuple
 
 
-def _poly_mul(p, q, ring):
-    out = [ring.raw_from_int(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] = ring.radd(out[i + j], ring.rmul(a, b))
-    return out
-
-
-def _poly_add(p, q, ring):
-    if len(p) < len(q):
-        p, q = q, p
-    return [ring.radd(a, q[i]) if i < len(q) else a for i, a in enumerate(p)]
-
-
-def _poly_det(rows, ring):
-    """Determinant of a matrix of polynomials (raw coeff lists, low degree first)."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = [ring.raw_from_int(0)]
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
-        term = _poly_mul(rows[0][j], _poly_det(minor, ring), ring)
-        if j % 2 == 1:
-            term = [ring.rneg(c) for c in term]
-        acc = _poly_add(acc, term, ring)
-    return acc
-
-
 def charpoly(m: SquareMatrix) -> CharPolyCoeffs:
-    """chi_i as signed elementary symmetric functions, so chi_1 = trace, chi_n = det."""
+    """chi_i = (-1)^i c_i, so chi_1 = trace and chi_n = det."""
     ring = m.ring
-    n = m.n
-    neg = ring.rneg
-    one = ring.raw_from_int(1)
-    # det(lambda I - M), monic of degree n
-    rows = [
-        [[neg(e), one] if i == j else [neg(e)] for j, e in enumerate(row)]
-        for i, row in enumerate(m.rows)
-    ]
-    p = _poly_det(rows, ring)
-    p = p + [ring.raw_from_int(0)] * (n + 1 - len(p))
-    chi = []
-    for i in range(1, n + 1):
-        c = p[n - i]  # coefficient of lambda^(n-i)
-        chi.append(Scalar(ring, neg(c) if i % 2 == 1 else c))
-    return CharPolyCoeffs(tuple(chi))
+    coeffs = _berkowitz(ring, m.rows)
+    return CharPolyCoeffs(
+        tuple(Scalar(ring, ring.rneg(c) if i % 2 else c) for i, c in enumerate(coeffs) if i)
+    )
 
 
 # ---------------------------------------------------------------------------

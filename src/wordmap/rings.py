@@ -46,9 +46,6 @@ class RingDescriptor:
     def one(self) -> "Scalar":
         return self.from_int(1)
 
-    def is_field(self) -> bool:
-        return True
-
     # -- raw-value protocol --------------------------------------------------
 
     def canon(self, raw):
@@ -257,9 +254,6 @@ class DualNumbers(RingDescriptor):
     def __post_init__(self):
         if isinstance(self.base, DualNumbers):
             raise WordmapError("dual numbers do not nest")
-
-    def is_field(self) -> bool:
-        return False
 
     def canon(self, raw):
         # over a quadratic base a pair is read as (real, eps) parts

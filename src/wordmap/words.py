@@ -176,12 +176,12 @@ def from_items(items) -> WordWithConstants:
     current = []
     for item in items:
         if isinstance(item, Letter):
-            current.append((item.gen, item.exp))
+            current.append(item)
         else:
-            segments.append(word(current))
+            segments.append(word((l.gen, l.exp) for l in current))
             segments.append(item)
             current = []
-    segments.append(word(current))
+    segments.append(word((l.gen, l.exp) for l in current))
     return WordWithConstants(tuple(segments))
 
 
@@ -191,6 +191,15 @@ def from_items(items) -> WordWithConstants:
 _TOKEN_RE = re.compile(r"\s*(?:(\[)|(\])|(\()|(\))|(,)|(\^)|(-?\d+)|([A-Za-z_][A-Za-z0-9_]*))")
 
 _VAR_MAP = {"x": 1, "y": 2, "z": 3}
+
+# Powers, commutators and products are expanded letter by letter while parsing,
+# so the expanded length bounds the parser's time and memory.
+_MAX_LETTERS = 10**7
+
+
+def _check_letters(count: int, pos: int) -> None:
+    if count > _MAX_LETTERS:
+        raise WordSyntaxError(f"word expands to more than {_MAX_LETTERS} letters", pos)
 
 
 def _tokenize(text: str):
@@ -239,7 +248,10 @@ class _Parser:
         """Returns a flat list of Letter / ConstLetter items."""
         items = self.parse_term()
         while self.peek()[0] in ("lbrack", "lparen", "ident"):
-            items += self.parse_term()
+            pos = self.peek()[2]
+            term = self.parse_term()
+            _check_letters(len(items) + len(term), pos)
+            items += term
         return items
 
     def parse_term(self):
@@ -250,6 +262,7 @@ class _Parser:
             k = int(tok[1])
             if k == 0:
                 raise ZeroExponent(f"zero exponent at position {tok[2]}")
+            _check_letters(len(items) * abs(k), tok[2])
             items = _items_power(items, k)
         return items
 
@@ -261,6 +274,7 @@ class _Parser:
             self.expect("comma")
             v = self.parse_word()
             self.expect("rbrack")
+            _check_letters(2 * (len(u) + len(v)), pos)
             return u + v + _items_invert(u) + _items_invert(v)
         if kind == "lparen":
             self.next()
@@ -300,7 +314,10 @@ def _items_power(items, k: int):
 def parse(text: str) -> WordWithConstants:
     """Parse word text into a reduced, normalized word with constants."""
     parser = _Parser(text)
-    items = parser.parse_word()
+    try:
+        items = parser.parse_word()
+    except RecursionError:
+        raise WordSyntaxError("parentheses nested too deeply", parser.peek()[2]) from None
     if parser.peek()[0] != "eof":
         tok = parser.peek()
         raise WordSyntaxError(f"trailing input {tok[1]!r}", tok[2])

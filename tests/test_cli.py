@@ -218,6 +218,22 @@ def test_usage_errors(capsys):
     assert main(["--ring", "Fp:101", "eval", "--word", "x", "--at", "/no/such/file"]) == 2
 
 
+def test_huge_power_is_a_usage_error(capsys):
+    code = main(["--ring", "Fp:101", "eval", "--word", "x^100000000000", "--at", G2])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "word expands to more than 10000000 letters" in captured.err
+
+
+def test_deep_nesting_is_a_usage_error(capsys):
+    text = "(" * 3000 + "x" + ")" * 3000
+    assert main(["--ring", "Fp:101", "eval", "--word", text, "--at", G2]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "parentheses nested too deeply" in captured.err
+
+
 @pytest.mark.parametrize("label", ["B", "Bx", "3B"])
 def test_roots_check_bad_label(capsys, label):
     assert main(["roots", "check", label]) == 2

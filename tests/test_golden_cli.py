@@ -36,8 +36,8 @@ def _b(i, j):
     return (5 * i + 2 * j + 1) ** 3 % 13 - 6
 
 
-# invertible pairs for n = 3, 6 and 7: the sizes on either side of the
-# former det-algorithm switch at n = 3, over Q and over a quadratic extension
+# invertible pairs for n = 3, 6 and 7, over Q and over a quadratic extension:
+# det and adjugate beyond the 2 x 2 closed forms
 GL3_Q = [_gl(3, lambda i, j: str(_a(i, j))), _gl(3, lambda i, j: str(_b(i, j)))]
 GL6_FP103I = [_gl(6, lambda i, j: f"{_a(i, j)}+{_b(i, j)}*i"),
               _gl(6, lambda i, j: f"{_b(i, j)}+{_a(j, i)}*i")]

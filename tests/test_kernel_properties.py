@@ -15,6 +15,7 @@ from wordmap import (
     RingMismatch,
     SquareMatrix,
     adjugate,
+    charpoly,
     det,
     matrix_from_json,
     matrix_to_json,
@@ -87,6 +88,20 @@ def test_adjugate_law(case):
     adj = adjugate(m)
     assert m * adj == d_identity
     assert adj * m == d_identity
+
+
+@deterministic
+@given(ring_and_matrices(1))
+def test_cayley_hamilton_and_inverse(case):
+    ring, (m,) = case
+    n = m.n
+    # chi_M(M) = sum_k (-1)^k chi_k M^(n-k), with chi_0 = 1
+    value = m ** n
+    for k, chi_k in enumerate(charpoly(m).chi, start=1):
+        value = value + (m ** (n - k)).scaled(-chi_k if k % 2 else chi_k)
+    assert value == SquareMatrix.zero(ring, n)
+    if det(m).is_invertible():
+        assert m * m.inverse() == SquareMatrix.identity(ring, n)
 
 
 @deterministic

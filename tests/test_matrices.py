@@ -19,12 +19,15 @@ from wordmap import (
     is_unipotent,
     matrix_from_json,
     matrix_to_json,
+    parse_ring,
     random_sl2,
     rank,
 )
 
 Q = Rationals()
 F101 = PrimeField(101)
+# quadratic extensions and dual numbers (which have zero divisors)
+OTHER_RINGS = [parse_ring("Fp:7[i]"), parse_ring("Q[sqrt(2)]"), DualNumbers(PrimeField(5)), DualNumbers(Q)]
 
 
 def leibniz_oracle(m):
@@ -48,7 +51,7 @@ def random_matrix(ring, n, rng):
     )
 
 
-@pytest.mark.parametrize("ring", [Q, F101], ids=str)
+@pytest.mark.parametrize("ring", [Q, F101, *OTHER_RINGS], ids=str)
 def test_det_matches_leibniz_oracle(ring):
     rng = random.Random(7)
     for n in (1, 2, 3, 4, 5):
@@ -122,7 +125,7 @@ def charpoly_oracle(m):
 
 def test_charpoly_against_minor_oracle():
     rng = random.Random(11)
-    for ring in (Q, F101):
+    for ring in (Q, F101, *OTHER_RINGS):
         for n in (2, 3, 4):
             for _ in range(25):
                 m = random_matrix(ring, n, rng)

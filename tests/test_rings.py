@@ -55,8 +55,16 @@ def test_ring_axioms_random(ring):
 
 
 def test_field_vs_non_field():
-    assert Q.is_field() and F13.is_field() and QI.is_field()
-    assert not DQ.is_field()
+    rng = random.Random(57)
+    for ring in (Q, F13, QI):
+        for _ in range(50):
+            a = ring.random(rng)
+            if not a.is_zero():
+                assert a * a.inv() == ring.one
+    # eps is a nonzero zero divisor, so Dual(Q) is not a field
+    assert not DQ.eps.is_zero() and (DQ.eps * DQ.eps).is_zero()
+    with pytest.raises(NotInvertible):
+        DQ.eps.inv()
 
 
 def test_dual_number_law():

@@ -76,6 +76,16 @@ def test_parse_errors():
         parse("x ^")
 
 
+def test_expanded_letter_cap(monkeypatch):
+    monkeypatch.setattr("wordmap.words._MAX_LETTERS", 12)
+    assert parse("x^12") == pure(word([(1, 12)]))
+    assert parse("(x y)^6").word.length() == 12
+    assert parse("[x^3, y^3]").word.length() == 12
+    for text in ("x^13", "(x y)^-7", "[x^3, y^4]", "x^12 y", "(x^6 y^6) x"):
+        with pytest.raises(WordSyntaxError, match="more than 12 letters"):
+            parse(text)
+
+
 def test_empty_inner_word_rejected():
     with pytest.raises(EmptyInnerWord):
         parse("s1 s2")
