@@ -42,6 +42,8 @@ GL3_Q = [_gl(3, lambda i, j: str(_a(i, j))), _gl(3, lambda i, j: str(_b(i, j)))]
 GL6_FP103I = [_gl(6, lambda i, j: f"{_a(i, j)}+{_b(i, j)}*i"),
               _gl(6, lambda i, j: f"{_b(i, j)}+{_a(j, i)}*i")]
 GL7_Q = [_gl(7, lambda i, j: str(_a(i, j))), _gl(7, lambda i, j: str(_b(i, j)))]
+GL4_Q = [_gl(4, lambda i, j: str(_a(i, j))), _gl(4, lambda i, j: str(_b(i, j)))]
+SL2_PAIR = ['[["3","5"],["1","2"]]', '[["2","1"],["7","4"]]']
 Q8_PAIR = ['[["5","0"],["0","8"]]', '[["0","1"],["12","0"]]']
 
 _DIMCERT_FLAGS = {"ex2.Wj": ["--j", "4"], "ex4.Tj": ["--p", "5", "--j", "2"]}
@@ -85,13 +87,29 @@ CASES = [
     # usage errors
     ["eval", "--at", '[["1","0"],["0","1"]]'],
     ["--ring", "Fp:12", "eval", "--word", "x", "--at", '[["1","0"],["0","1"]]'],
+    # long words: huge exponents, a long cyclically reduced power, a power whose
+    # base has the same generator at both ends, a negative power through a constant
+    ["--ring", "Fp:10007", "eval", "--word", "x^300123 y^-300456", "--at", *SL2_PAIR],
+    ["--ring", "Fp:101", "eval", "--word", "(x y^-1 x^-1 y x y x^-1 y^-1)^75", "--at", *SL2_PAIR],
+    ["--ring", "Fp:101", "eval", "--word", "(x^2 y x^3)^4", "--at", *SL2_PAIR],
+    ["--ring", "Fp:101", "eval", "--word", "(x s1 y^-1)^-3", "--sigma", "golden/sigma_s1.json",
+     "--at", *SL2_PAIR],
+    # adjugate extension with several negative powers on GL_4 over Q
+    ["--ring", "Q", "extend", "--word", "x^2 y^-1 x^-1 y^-2 x^-1 y^-1", "--at", *GL4_Q],
 ]
 
 
 def run(argv):
+    """Run the CLI from this directory, so that file arguments such as
+    ``golden/sigma_s1.json`` resolve wherever the tests are started."""
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(list(argv))
+    cwd = os.getcwd()
+    os.chdir(os.path.dirname(os.path.abspath(__file__)))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(list(argv))
+    finally:
+        os.chdir(cwd)
     return code, out.getvalue()
 
 
