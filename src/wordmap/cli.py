@@ -30,6 +30,7 @@ from .geometry import (
     relation_scan,
     separation_witness,
     trace_preimage_commutator,
+    value_fiber_membership,
 )
 from .matrices import (
     SquareMatrix,
@@ -174,7 +175,7 @@ def _cmd_eval(args, ring, rng):
     value = eval_group(w, tup)
     report = {"value": matrix_to_json(value), "word": render(w)}
     if value.n == 2:
-        fm = fiber_membership(w, tup)
+        fm = value_fiber_membership(value)
         report["in_W"] = fm.in_W
         report["in_T"] = fm.in_T
     return report, EXIT_OK

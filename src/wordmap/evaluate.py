@@ -8,9 +8,10 @@ from enum import Enum
 from .errors import CentralConstant, DimensionMismatch, UnboundConstant
 from .matrices import (
     SquareMatrix,
+    _det_adjugate,
+    _inverse_from,
     adjugate,
     charpoly,
-    det,
     eps_part_matrix,
     is_scalar_matrix,
     lift_matrix,
@@ -43,36 +44,39 @@ def _check_tuple(w: WordWithConstants, tup):
     return n, ring
 
 
-def _eval(w: WordWithConstants, tup, negative_power, constant_inverse, check_central):
+def _eval(w: WordWithConstants, tup, negative_power, check_central=False):
+    """The product of the word's factors.  ``negative_power(g)`` stands in for
+    x_g^-1 and is taken once per generator, as is each constant's inverse."""
     n, ring = _check_tuple(w, tup)
-    acc = SquareMatrix.identity(ring, n)
+    inverses = {}
+    acc = None
     for i, seg in enumerate(w.segments):
         if i % 2 == 0:
             for l in seg.letters:
-                m = tup[l.gen - 1]
                 if l.exp > 0:
-                    acc = acc * (m ** l.exp)
+                    factor = tup[l.gen - 1] ** l.exp
                 else:
-                    acc = acc * (negative_power(m) ** (-l.exp))
+                    if l.gen not in inverses:
+                        inverses[l.gen] = negative_power(l.gen)
+                    factor = inverses[l.gen] ** -l.exp
+                acc = factor if acc is None else acc * factor
         else:
             sigma = w.binding[seg.name]
             if check_central and is_scalar_matrix(sigma):
                 raise CentralConstant(
                     f"constant {seg.name} is central; pass allow_central=True to permit it"
                 )
-            acc = acc * (constant_inverse(sigma) if seg.inv else sigma)
-    return acc
+            if seg.inv:
+                if seg.name not in inverses:
+                    inverses[seg.name] = sigma.inverse()
+                sigma = inverses[seg.name]
+            acc = sigma if acc is None else acc * sigma
+    return SquareMatrix.identity(ring, n) if acc is None else acc
 
 
 def eval_group(w: WordWithConstants, tup, allow_central: bool = True) -> SquareMatrix:
     """Literal group evaluation with true inverses; inputs must be invertible."""
-    return _eval(
-        w,
-        tup,
-        negative_power=lambda m: m.inverse(),
-        constant_inverse=lambda m: m.inverse(),
-        check_central=not allow_central,
-    )
+    return _eval(w, tup, lambda g: tup[g - 1].inverse(), check_central=not allow_central)
 
 
 def eval_adjugate_extension(w: WordWithConstants, tup) -> SquareMatrix:
@@ -81,13 +85,7 @@ def eval_adjugate_extension(w: WordWithConstants, tup) -> SquareMatrix:
     Constants are fixed invertible matrices, so an inverted constant stays a
     true inverse; only variable letters are replaced by adjugate powers.
     """
-    return _eval(
-        w,
-        tup,
-        negative_power=adjugate,
-        constant_inverse=lambda m: m.inverse(),
-        check_central=False,
-    )
+    return _eval(w, tup, lambda g: adjugate(tup[g - 1]))
 
 
 @dataclass(frozen=True)
@@ -98,14 +96,22 @@ class RestrictionCheck:
 
 
 def check_restriction_identities(w: WordWithConstants, tup) -> RestrictionCheck:
-    """Verify w~ = Delta * w^ on an invertible tuple, Delta = prod det(mu_r)^{b_r}."""
+    """Verify w~ = Delta * w^ on an invertible tuple, Delta = prod det(mu_r)^{b_r}.
+
+    One det/adjugate pass per inverted generator gives its factor of Delta,
+    its adjugate for w~ and its inverse adj / det for w^.
+    """
     n, ring = _check_tuple(w, tup)
     data = exponent_data(w, n)
     delta = ring.one
+    adjugates, inverses = {}, {}
     for g, b_r in data.b_neg.items():
-        delta = delta * det(tup[g - 1]) ** b_r
-    extended = eval_adjugate_extension(w, tup)
-    plain = eval_group(w, tup)
+        d, adj = _det_adjugate(ring, tup[g - 1].rows)
+        delta = delta * Scalar(ring, d) ** b_r
+        adjugates[g] = SquareMatrix._raw(ring, adj)
+        inverses[g] = _inverse_from(ring, d, adjugates[g])
+    extended = _eval(w, tup, adjugates.__getitem__)
+    plain = _eval(w, tup, inverses.__getitem__)
     holds = extended == plain.scaled(delta)
     return RestrictionCheck(extended=extended, delta=delta, holds=holds)
 

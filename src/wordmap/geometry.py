@@ -158,7 +158,11 @@ class FiberMembership:
 
 
 def fiber_membership(w: WordWithConstants, tup) -> FiberMembership:
-    value = eval_group(w, list(tup))
+    return value_fiber_membership(eval_group(w, list(tup)))
+
+
+def value_fiber_membership(value: SquareMatrix) -> FiberMembership:
+    """Membership in W (value = 1) and T (trace = 2) of an already computed word value."""
     if value.n != 2:
         raise DimensionMismatch("fiber membership is defined for SL2")
     in_w = value == SquareMatrix.identity(value.ring, 2)

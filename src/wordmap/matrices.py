@@ -139,16 +139,20 @@ class SquareMatrix:
         )
 
     def __pow__(self, k: int) -> "SquareMatrix":
+        """Repeated squaring from the base itself: M**1 costs no product."""
         if k < 0:
             return self.inverse() ** (-k)
-        result = SquareMatrix.identity(self.ring, self.n)
+        if k == 0:
+            return SquareMatrix.identity(self.ring, self.n)
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def trace(self) -> Scalar:
         ring = self.ring
@@ -161,13 +165,8 @@ class SquareMatrix:
         return SquareMatrix._raw(self.ring, tuple(zip(*self.rows)))
 
     def inverse(self) -> "SquareMatrix":
-        ring = self.ring
-        d, adj = _det_adjugate(ring, self.rows)
-        try:
-            dinv = ring.rinv(d)
-        except NotInvertible:
-            raise NotInvertible("matrix determinant is not a unit") from None
-        return SquareMatrix._raw(ring, adj)._scaled_raw(dinv)
+        d, adj = _det_adjugate(self.ring, self.rows)
+        return _inverse_from(self.ring, d, SquareMatrix._raw(self.ring, adj))
 
     def map_entries(self, fn, new_ring: RingDescriptor) -> "SquareMatrix":
         """Apply a Scalar -> Scalar function entrywise; the results must lie in new_ring."""
@@ -260,6 +259,15 @@ def _det_adjugate(ring: RingDescriptor, rows) -> tuple:
         for i in range(n):
             acc[i][i] = add(acc[i][i], signed[k])
     return _det_from(ring, coeffs), tuple(map(tuple, acc))
+
+
+def _inverse_from(ring: RingDescriptor, d, adj: SquareMatrix) -> SquareMatrix:
+    """M^-1 = det(M)^-1 adj(M), from a raw det and the adjugate matrix."""
+    try:
+        dinv = ring.rinv(d)
+    except NotInvertible:
+        raise NotInvertible("matrix determinant is not a unit") from None
+    return adj._scaled_raw(dinv)
 
 
 def _det(ring: RingDescriptor, rows):

@@ -55,49 +55,118 @@ class Word:
         return max((l.gen for l in self.letters), default=0)
 
 
-def _reduce_pairs(pairs):
-    out = []
-    for gen, exp in pairs:
-        if exp == 0:
-            continue
-        if out and out[-1][0] == gen:
-            merged = out[-1][1] + exp
-            out.pop()
-            if merged != 0:
-                out.append((gen, merged))
-        else:
-            out.append((gen, exp))
+# Syllable lists: the word algebra and the parser work on lists of
+# (generator, exponent) pairs and ConstLetters, and build Letters only when
+# they return a Word.
+
+
+def _append(out: list, items) -> list:
+    """Append (gen, exp) pairs and ConstLetters to the reduced syllable list ``out``.
+
+    A stack: a pair merges with, or cancels, the pair on top, and a
+    cancellation exposes the next one.  Constants are barriers and zero
+    exponents vanish.  For reduced items only the junction can cancel.
+    """
+    for item in items:
+        if type(item) is ConstLetter:
+            out.append(item)
+        elif out and type(out[-1]) is not ConstLetter and out[-1][0] == item[0]:
+            exp = out[-1][1] + item[1]
+            if exp:
+                out[-1] = (item[0], exp)
+            else:
+                out.pop()
+        elif item[1]:
+            out.append(item)
     return out
+
+
+def _invert(syllables) -> list:
+    return [
+        ConstLetter(s.name, not s.inv) if type(s) is ConstLetter else (s[0], -s[1])
+        for s in reversed(syllables)
+    ]
+
+
+def _power(syllables, k: int) -> list:
+    """The reduced k-th power of a reduced syllable list, built in time linear
+    in the result rather than in k times the input.
+
+    Write the word as u c u^-1 with c cyclically reduced (u is peeled off the
+    ends while the end syllables are mutual inverses, never across a
+    constant); then w^k = u c^k u^-1.  A one-letter core becomes one letter;
+    a core a m b whose ends share a generator becomes a (m (ba))^(k-1) m b;
+    any other core repeats unchanged.
+    """
+    if k == 0:
+        return []
+    if k < 0:
+        syllables, k = _invert(syllables), -k
+    i, j = 0, len(syllables) - 1
+    while i < j and type(syllables[i]) is not ConstLetter and syllables[j] == (
+        syllables[i][0], -syllables[i][1]
+    ):
+        i, j = i + 1, j - 1
+    core = syllables[i:j + 1]
+    if not core:
+        return []
+    first, last = core[0], core[-1]
+    if ConstLetter not in (type(first), type(last)) and first[0] == last[0]:
+        if len(core) == 1:
+            core_k = [(first[0], first[1] * k)]
+        else:
+            middle = core[1:-1]
+            joint = (first[0], first[1] + last[1])
+            core_k = [first] + (middle + [joint]) * (k - 1) + middle + [last]
+    else:
+        core_k = core * k
+    return syllables[:i] + core_k + syllables[j + 1:]
+
+
+def _commutator(u: list, v: list) -> list:
+    return _append(_append(_append(list(u), v), _invert(u)), _invert(v))
+
+
+def _pairs(w: Word) -> list:
+    return [(l.gen, l.exp) for l in w.letters]
+
+
+def _word(pairs) -> Word:
+    """One Letter object per distinct syllable: a long power repeats a few, and
+    millions of distinct objects would cost the garbage collector dearly."""
+    letters = {}
+    out = []
+    for g, e in pairs:
+        letter = letters.get((g, e))
+        if letter is None:
+            letter = letters[g, e] = Letter(g, e)
+        out.append(letter)
+    return Word(tuple(out))
 
 
 def word(pairs) -> Word:
     """Build a reduced Word from (generator, exponent) pairs."""
-    return Word(tuple(Letter(g, e) for g, e in _reduce_pairs(pairs)))
+    return _word(_append([], pairs))
 
 
 def reduce(w: Word) -> Word:
-    return word((l.gen, l.exp) for l in w.letters)
+    return _word(_append([], _pairs(w)))
 
 
 def concat(u: Word, v: Word) -> Word:
-    return word([(l.gen, l.exp) for l in u.letters] + [(l.gen, l.exp) for l in v.letters])
+    return _word(_append(_pairs(u), _pairs(v)))
 
 
 def invert(w: Word) -> Word:
-    return word((l.gen, -l.exp) for l in reversed(w.letters))
+    return _word(_invert(_pairs(w)))
 
 
 def power(w: Word, k: int) -> Word:
-    if k < 0:
-        return power(invert(w), -k)
-    out = Word()
-    for _ in range(k):
-        out = concat(out, w)
-    return out
+    return _word(_power(_pairs(w), k))
 
 
 def commutator(u: Word, v: Word) -> Word:
-    return concat(concat(u, v), concat(invert(u), invert(v)))
+    return _word(_commutator(_pairs(u), _pairs(v)))
 
 
 def zero_exponent_sum_in_y(w: Word, y_gen: int = 2) -> bool:
@@ -172,16 +241,22 @@ def pure(w: Word) -> WordWithConstants:
 
 def from_items(items) -> WordWithConstants:
     """Normalize a flat stream of Letter / ConstLetter into the alternating shape."""
+    return _segments(
+        _append([], ((i.gen, i.exp) if isinstance(i, Letter) else i for i in items))
+    )
+
+
+def _segments(syllables) -> WordWithConstants:
+    """Split a reduced syllable list at its constants."""
     segments = []
     current = []
-    for item in items:
-        if isinstance(item, Letter):
-            current.append(item)
-        else:
-            segments.append(word((l.gen, l.exp) for l in current))
-            segments.append(item)
+    for s in syllables:
+        if type(s) is ConstLetter:
+            segments += (_word(current), s)
             current = []
-    segments.append(word((l.gen, l.exp) for l in current))
+        else:
+            current.append(s)
+    segments.append(_word(current))
     return WordWithConstants(tuple(segments))
 
 
@@ -192,8 +267,10 @@ _TOKEN_RE = re.compile(r"\s*(?:(\[)|(\])|(\()|(\))|(,)|(\^)|(-?\d+)|([A-Za-z_][A
 
 _VAR_MAP = {"x": 1, "y": 2, "z": 3}
 
-# Powers, commutators and products are expanded letter by letter while parsing,
-# so the expanded length bounds the parser's time and memory.
+# The parser works on reduced syllable lists and builds each power from its
+# cyclic core, so its time and memory follow the text and the reduced length
+# (x^9999999 is one syllable).  It still counts the letters of the expansion
+# and refuses a word whose expansion would exceed _MAX_LETTERS.
 _MAX_LETTERS = 10**7
 
 
@@ -245,83 +322,69 @@ class _Parser:
         return tok
 
     def parse_word(self):
-        """Returns a flat list of Letter / ConstLetter items."""
-        items = self.parse_term()
+        """A reduced syllable list and the letter count of its expansion."""
+        syllables, count = self.parse_term()
         while self.peek()[0] in ("lbrack", "lparen", "ident"):
             pos = self.peek()[2]
-            term = self.parse_term()
-            _check_letters(len(items) + len(term), pos)
-            items += term
-        return items
+            term, term_count = self.parse_term()
+            count += term_count
+            _check_letters(count, pos)
+            _append(syllables, term)
+        return syllables, count
 
     def parse_term(self):
-        items = self.parse_factor()
+        syllables, count = self.parse_factor()
         if self.peek()[0] == "caret":
             self.next()
             tok = self.expect("int")
             k = int(tok[1])
             if k == 0:
                 raise ZeroExponent(f"zero exponent at position {tok[2]}")
-            _check_letters(len(items) * abs(k), tok[2])
-            items = _items_power(items, k)
-        return items
+            count *= abs(k)
+            _check_letters(count, tok[2])
+            syllables = _power(syllables, k)
+        return syllables, count
 
     def parse_factor(self):
         kind, val, pos = self.peek()
         if kind == "lbrack":
             self.next()
-            u = self.parse_word()
+            u, u_count = self.parse_word()
             self.expect("comma")
-            v = self.parse_word()
+            v, v_count = self.parse_word()
             self.expect("rbrack")
-            _check_letters(2 * (len(u) + len(v)), pos)
-            return u + v + _items_invert(u) + _items_invert(v)
+            count = 2 * (u_count + v_count)
+            _check_letters(count, pos)
+            return _commutator(u, v), count
         if kind == "lparen":
             self.next()
-            items = self.parse_word()
+            result = self.parse_word()
             self.expect("rparen")
-            return items
+            return result
         if kind == "ident":
             self.next()
             if val in _VAR_MAP:
-                return [Letter(_VAR_MAP[val], 1)]
+                return [(_VAR_MAP[val], 1)], 1
             m = re.fullmatch(r"x(\d+)", val)
             if m:
-                return [Letter(int(m.group(1)), 1)]
+                return [(int(m.group(1)), 1)], 1
             m = re.fullmatch(r"s\d+", val)
             if m or val.isidentifier():
-                return [ConstLetter(val)]
+                return [ConstLetter(val)], 1
         raise WordSyntaxError(f"unexpected token {val!r}", pos)
-
-
-def _items_invert(items):
-    out = []
-    for item in reversed(items):
-        if isinstance(item, Letter):
-            out.append(Letter(item.gen, -item.exp))
-        else:
-            out.append(ConstLetter(item.name, not item.inv))
-    return out
-
-
-def _items_power(items, k: int):
-    if k < 0:
-        items = _items_invert(items)
-        k = -k
-    return items * k
 
 
 def parse(text: str) -> WordWithConstants:
     """Parse word text into a reduced, normalized word with constants."""
     parser = _Parser(text)
     try:
-        items = parser.parse_word()
+        syllables, _count = parser.parse_word()
     except RecursionError:
         raise WordSyntaxError("parentheses nested too deeply", parser.peek()[2]) from None
     if parser.peek()[0] != "eof":
         tok = parser.peek()
         raise WordSyntaxError(f"trailing input {tok[1]!r}", tok[2])
-    return from_items(items)
+    return _segments(syllables)
 
 
 def render(w: WordWithConstants) -> str:

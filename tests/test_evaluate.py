@@ -141,6 +141,48 @@ def test_restriction_identities_100_random():
         count += 1
 
 
+def test_restriction_check_runs_one_berkowitz_pass_per_generator(monkeypatch):
+    """Delta, the adjugate extension and the plain value share one det/adjugate
+    pass per inverted generator, however often it occurs."""
+    import wordmap.matrices as matrices
+
+    rng = random.Random(45)
+    w = parse("x^2 y^-1 x^-1 y^-2 x^-1 y^-1")
+    tup = [random_invertible(Q, 4, rng) for _ in range(2)]
+    extended = eval_adjugate_extension(w, tup)
+    passes = []
+    berkowitz = matrices._berkowitz
+
+    def counting(ring, rows):
+        passes.append(len(rows))
+        return berkowitz(ring, rows)
+
+    monkeypatch.setattr(matrices, "_berkowitz", counting)
+    check = check_restriction_identities(w, tup)
+    assert passes == [4, 4]
+    assert check.holds
+    assert check.extended == extended
+    assert check.delta == det(tup[0]) ** 2 * det(tup[1]) ** 4
+
+
+def test_evaluation_inverts_each_generator_once(monkeypatch):
+    calls = []
+    inverse = SquareMatrix.inverse
+
+    def counting(self):
+        calls.append(self)
+        return inverse(self)
+
+    rng = random.Random(46)
+    tup = [random_sl2(F101, rng) for _ in range(2)]
+    monkeypatch.setattr(SquareMatrix, "inverse", counting)
+    value = eval_group(parse("(x y^-1 x^-1 y)^50"), tup)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    x, y = tup
+    assert value == (x * y.inverse() * x.inverse() * y) ** 50
+
+
 def test_restriction_to_sl_is_plain_evaluation():
     rng = random.Random(43)
     for _ in range(50):

@@ -1,6 +1,7 @@
 """Word algebra and the parser."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -84,6 +85,32 @@ def test_expanded_letter_cap(monkeypatch):
     for text in ("x^13", "(x y)^-7", "[x^3, y^4]", "x^12 y", "(x^6 y^6) x"):
         with pytest.raises(WordSyntaxError, match="more than 12 letters"):
             parse(text)
+
+
+def test_powers_parse_in_memory_bounded_by_the_text():
+    tracemalloc.start()
+    try:
+        w = parse("x^9999999")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w == pure(word([(1, 9999999)]))
+    assert w.word.letters == (Letter(1, 9999999),)
+    assert peak < 2**20
+    assert parse("x^300123 y^-300456").word.letters == (Letter(1, 300123), Letter(2, -300456))
+    # (u c u^-1)^k = u c^k u^-1, and a core a m b with ends on one generator
+    assert parse("(x y x^-1)^-1000000").word == word([(1, 1), (2, -1000000), (1, -1)])
+    merged = [(1, 2), (2, 1), (1, 5), (2, 1), (1, 5), (2, 1), (1, 3)]
+    assert parse("(x^2 y x^3)^3").word == word(merged)
+
+
+def test_expanded_letter_cap_at_default():
+    with pytest.raises(WordSyntaxError, match="more than 10000000 letters") as info:
+        parse("x^10000001")
+    assert info.value.pos == 2
+    with pytest.raises(WordSyntaxError, match="more than 10000000 letters") as info:
+        parse("x y (x^5000000 y^5000000)")
+    assert info.value.pos == 3  # a token starts at the whitespace before it
 
 
 def test_empty_inner_word_rejected():
