@@ -8,11 +8,11 @@ from enum import Enum
 from .errors import CentralConstant, DimensionMismatch, UnboundConstant
 from .matrices import (
     SquareMatrix,
-    _det_adjugate,
-    _inverse_from,
     adjugate,
     charpoly,
+    det_adjugate,
     eps_part_matrix,
+    inverse_from,
     is_scalar_matrix,
     lift_matrix,
     random_sl2,
@@ -74,17 +74,27 @@ def _eval(w: WordWithConstants, tup, negative_power, check_central=False):
     return SquareMatrix.identity(ring, n) if acc is None else acc
 
 
-def eval_group(w: WordWithConstants, tup, allow_central: bool = True) -> SquareMatrix:
-    """Literal group evaluation with true inverses; inputs must be invertible."""
+def eval_group(
+    w: WordWithConstants, tup, allow_central: bool = True, inverses=None
+) -> SquareMatrix:
+    """Literal group evaluation with true inverses; inputs must be invertible.
+
+    ``inverses`` may map generators to inverses the caller already has.
+    """
+    if inverses is not None:
+        return _eval(w, tup, inverses.__getitem__, check_central=not allow_central)
     return _eval(w, tup, lambda g: tup[g - 1].inverse(), check_central=not allow_central)
 
 
-def eval_adjugate_extension(w: WordWithConstants, tup) -> SquareMatrix:
+def eval_adjugate_extension(w: WordWithConstants, tup, adjugates=None) -> SquareMatrix:
     """The polynomial extension to all of Ma_n: x^-k becomes (adjugate)^k.
 
     Constants are fixed invertible matrices, so an inverted constant stays a
     true inverse; only variable letters are replaced by adjugate powers.
+    ``adjugates`` may map generators to adjugates the caller already has.
     """
+    if adjugates is not None:
+        return _eval(w, tup, adjugates.__getitem__)
     return _eval(w, tup, lambda g: adjugate(tup[g - 1]))
 
 
@@ -106,12 +116,11 @@ def check_restriction_identities(w: WordWithConstants, tup) -> RestrictionCheck:
     delta = ring.one
     adjugates, inverses = {}, {}
     for g, b_r in data.b_neg.items():
-        d, adj = _det_adjugate(ring, tup[g - 1].rows)
-        delta = delta * Scalar(ring, d) ** b_r
-        adjugates[g] = SquareMatrix._raw(ring, adj)
-        inverses[g] = _inverse_from(ring, d, adjugates[g])
-    extended = _eval(w, tup, adjugates.__getitem__)
-    plain = _eval(w, tup, inverses.__getitem__)
+        d, adjugates[g] = det_adjugate(tup[g - 1])
+        delta = delta * d ** b_r
+        inverses[g] = inverse_from(d, adjugates[g])
+    extended = eval_adjugate_extension(w, tup, adjugates)
+    plain = eval_group(w, tup, inverses=inverses)
     holds = extended == plain.scaled(delta)
     return RestrictionCheck(extended=extended, delta=delta, holds=holds)
 

@@ -165,8 +165,7 @@ class SquareMatrix:
         return SquareMatrix._raw(self.ring, tuple(zip(*self.rows)))
 
     def inverse(self) -> "SquareMatrix":
-        d, adj = _det_adjugate(self.ring, self.rows)
-        return _inverse_from(self.ring, d, SquareMatrix._raw(self.ring, adj))
+        return inverse_from(*det_adjugate(self))
 
     def map_entries(self, fn, new_ring: RingDescriptor) -> "SquareMatrix":
         """Apply a Scalar -> Scalar function entrywise; the results must lie in new_ring."""
@@ -261,10 +260,17 @@ def _det_adjugate(ring: RingDescriptor, rows) -> tuple:
     return _det_from(ring, coeffs), tuple(map(tuple, acc))
 
 
-def _inverse_from(ring: RingDescriptor, d, adj: SquareMatrix) -> SquareMatrix:
-    """M^-1 = det(M)^-1 adj(M), from a raw det and the adjugate matrix."""
+def det_adjugate(m: SquareMatrix) -> tuple:
+    """(det M, adj M) from one pass: a caller that needs both, or the inverse
+    as well (see :func:`inverse_from`), pays for one Berkowitz pass."""
+    d, adj = _det_adjugate(m.ring, m.rows)
+    return Scalar(m.ring, d), SquareMatrix._raw(m.ring, adj)
+
+
+def inverse_from(d: Scalar, adj: SquareMatrix) -> SquareMatrix:
+    """M^-1 = det(M)^-1 adj(M), from the pair that :func:`det_adjugate` returns."""
     try:
-        dinv = ring.rinv(d)
+        dinv = adj.ring.rinv(_unbox(adj.ring, d))
     except NotInvertible:
         raise NotInvertible("matrix determinant is not a unit") from None
     return adj._scaled_raw(dinv)

@@ -65,7 +65,8 @@ def _append(out: list, items) -> list:
 
     A stack: a pair merges with, or cancels, the pair on top, and a
     cancellation exposes the next one.  Constants are barriers and zero
-    exponents vanish.  For reduced items only the junction can cancel.
+    exponents vanish.  The items need not be reduced; for two reduced lists
+    use :func:`_join`.
     """
     for item in items:
         if type(item) is ConstLetter:
@@ -78,6 +79,28 @@ def _append(out: list, items) -> list:
                 out.pop()
         elif item[1]:
             out.append(item)
+    return out
+
+
+def _join(out: list, term: list) -> list:
+    """Concatenate the reduced syllable list ``term`` onto the reduced ``out``.
+
+    Only the junction can cancel: facing pairs on one generator merge, or
+    cancel and expose the next pair; a constant, a nonzero merge or two
+    different generators end it.  The rest of ``term`` is copied unchanged.
+    """
+    i = 0
+    while out and i < len(term):
+        top, item = out[-1], term[i]
+        if type(top) is ConstLetter or type(item) is ConstLetter or top[0] != item[0]:
+            break
+        i += 1
+        exp = top[1] + item[1]
+        if exp:
+            out[-1] = (item[0], exp)
+            break
+        out.pop()
+    out += term[i:]
     return out
 
 
@@ -124,24 +147,16 @@ def _power(syllables, k: int) -> list:
 
 
 def _commutator(u: list, v: list) -> list:
-    return _append(_append(_append(list(u), v), _invert(u)), _invert(v))
+    return _join(_join(_join(list(u), v), _invert(u)), _invert(v))
 
 
 def _pairs(w: Word) -> list:
-    return [(l.gen, l.exp) for l in w.letters]
+    """The reduced pair list of ``w``; a Word built by hand need not be reduced."""
+    return _append([], ((l.gen, l.exp) for l in w.letters))
 
 
 def _word(pairs) -> Word:
-    """One Letter object per distinct syllable: a long power repeats a few, and
-    millions of distinct objects would cost the garbage collector dearly."""
-    letters = {}
-    out = []
-    for g, e in pairs:
-        letter = letters.get((g, e))
-        if letter is None:
-            letter = letters[g, e] = Letter(g, e)
-        out.append(letter)
-    return Word(tuple(out))
+    return Word(tuple([Letter(g, e) for g, e in pairs]))
 
 
 def word(pairs) -> Word:
@@ -150,11 +165,11 @@ def word(pairs) -> Word:
 
 
 def reduce(w: Word) -> Word:
-    return _word(_append([], _pairs(w)))
+    return _word(_pairs(w))
 
 
 def concat(u: Word, v: Word) -> Word:
-    return _word(_append(_pairs(u), _pairs(v)))
+    return _word(_join(_pairs(u), _pairs(v)))
 
 
 def invert(w: Word) -> Word:
@@ -240,7 +255,11 @@ def pure(w: Word) -> WordWithConstants:
 
 
 def from_items(items) -> WordWithConstants:
-    """Normalize a flat stream of Letter / ConstLetter into the alternating shape."""
+    """Normalize a flat stream of Letter / ConstLetter into the alternating shape.
+
+    The programmatic counterpart of :func:`parse`: the items need not be
+    reduced, and the result equals ``parse`` of their rendering.
+    """
     return _segments(
         _append([], ((i.gen, i.exp) if isinstance(i, Letter) else i for i in items))
     )
@@ -329,7 +348,7 @@ class _Parser:
             term, term_count = self.parse_term()
             count += term_count
             _check_letters(count, pos)
-            _append(syllables, term)
+            _join(syllables, term)
         return syllables, count
 
     def parse_term(self):

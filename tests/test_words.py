@@ -1,6 +1,7 @@
 """Word algebra and the parser."""
 
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -102,6 +103,53 @@ def test_powers_parse_in_memory_bounded_by_the_text():
     assert parse("(x y x^-1)^-1000000").word == word([(1, 1), (2, -1000000), (1, -1)])
     merged = [(1, 2), (2, 1), (1, 5), (2, 1), (1, 5), (2, 1), (1, 3)]
     assert parse("(x^2 y x^3)^3").word == word(merged)
+
+
+def _parse_line_events(text):
+    """Parse ``text`` and count the lines run inside wordmap.words."""
+    import wordmap.words as words
+
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        if frame.f_code.co_filename != words.__file__:
+            return None
+        if event == "line":
+            count += 1
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        parse(text)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def test_nested_concatenation_costs_the_junction_only():
+    """Each level of x (x (... (y x)^k ...)) joins at one syllable, so the
+    parser's extra work for the nesting does not grow with k."""
+    depth = 30
+
+    def overhead(k):
+        inner = f"(y x)^{k}"
+        nested = "x (" * depth + inner + ")" * depth
+        return _parse_line_events(nested) - _parse_line_events(inner)
+
+    assert parse("x (" * depth + "(y x)^3" + ")" * depth).word == word(
+        [(1, depth)] + [(2, 1), (1, 1)] * 3
+    )
+    assert overhead(10) == overhead(1000)
+
+
+def test_algebra_reduces_hand_built_words():
+    w = Word((Letter(1, 1), Letter(1, 1), Letter(2, 1), Letter(2, -1)))
+    assert reduce(w) == word([(1, 2)])
+    assert power(w, 2) == word([(1, 4)])
+    assert concat(w, Word((Letter(1, -2),))).is_identity()
+    assert commutator(w, word([(2, 1)])) == word([(1, 2), (2, 1), (1, -2), (2, -1)])
 
 
 def test_expanded_letter_cap_at_default():
