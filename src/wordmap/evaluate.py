@@ -81,9 +81,8 @@ def eval_group(
 
     ``inverses`` may map generators to inverses the caller already has.
     """
-    if inverses is not None:
-        return _eval(w, tup, inverses.__getitem__, check_central=not allow_central)
-    return _eval(w, tup, lambda g: tup[g - 1].inverse(), check_central=not allow_central)
+    negative_power = inverses.__getitem__ if inverses else lambda g: tup[g - 1].inverse()
+    return _eval(w, tup, negative_power, check_central=not allow_central)
 
 
 def eval_adjugate_extension(w: WordWithConstants, tup, adjugates=None) -> SquareMatrix:
@@ -93,9 +92,8 @@ def eval_adjugate_extension(w: WordWithConstants, tup, adjugates=None) -> Square
     true inverse; only variable letters are replaced by adjugate powers.
     ``adjugates`` may map generators to adjugates the caller already has.
     """
-    if adjugates is not None:
-        return _eval(w, tup, adjugates.__getitem__)
-    return _eval(w, tup, lambda g: adjugate(tup[g - 1]))
+    negative_power = adjugates.__getitem__ if adjugates else lambda g: adjugate(tup[g - 1])
+    return _eval(w, tup, negative_power)
 
 
 @dataclass(frozen=True)
