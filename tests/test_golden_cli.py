@@ -96,6 +96,20 @@ CASES = [
      "--at", *SL2_PAIR],
     # adjugate extension with several negative powers on GL_4 over Q
     ["--ring", "Q", "extend", "--word", "x^2 y^-1 x^-1 y^-2 x^-1 y^-1", "--at", *GL4_Q],
+    # dimension certificates over Q, over small primes and at other trace levels
+    ["--ring", "Q", "dimcert", "--example", "ex1.T"],
+    ["--ring", "Q", "dimcert", "--example", "ex5.T2"],
+    ["--ring", "Q", "dimcert", "--example", "Sa", "--a", "7"],
+    ["--ring", "Fp:13", "dimcert", "--example", "ex2.Wj", "--j", "4"],
+    ["--ring", "Fp:11", "dimcert", "--example", "ex4.Tj", "--p", "5", "--j", "1"],
+    ["--ring", "Fp:101", "dimcert", "--example", "Sa", "--a", "2"],
+    # jets through a bound constant, and a rank-deficient point
+    ["--ring", "Fp:101", "dominance", "--word", "x s1 x^-1 y", "--sigma", "golden/sigma_s1.json",
+     "--seed", "6"],
+    ["--ring", "Fp:101", "dominance", "--word", "x^2", "--at", '[["0","1"],["-1","0"]]'],
+    # stress cases: a long nested commutator power under jets, a long power
+    ["--ring", "Fp:101", "dominance", "--word", "[[x,y],[x,z]]^20", "--seed", "2"],
+    ["--ring", "Fp:101", "eval", "--word", "[x,y]^3000", "--at", *SL2_PAIR],
 ]
 
 
