@@ -31,6 +31,8 @@ def _check_tuple(w: WordWithConstants, tup):
     for m in tup:
         if m.n != n or m.ring != ring:
             raise DimensionMismatch("tuple matrices must share size and ring")
+    if any(l.gen < 1 for u in w.words for l in u.letters):
+        raise DimensionMismatch("generator indices start at 1")
     if w.max_generator() > len(tup):
         raise DimensionMismatch(
             f"word uses generator {w.max_generator()} but tuple has {len(tup)} entries"

@@ -384,9 +384,10 @@ class _Parser:
             self.next()
             if val in _VAR_MAP:
                 return [(_VAR_MAP[val], 1)], 1
-            m = re.fullmatch(r"x(\d+)", val)
-            if m:
-                return [(int(m.group(1)), 1)], 1
+            if re.fullmatch(r"x\d+", val):
+                if val[1] == "0":
+                    raise WordSyntaxError(f"generator index {val[1:]!r} must start with 1-9", pos)
+                return [(int(val[1:]), 1)], 1
             m = re.fullmatch(r"s\d+", val)
             if m or val.isidentifier():
                 return [ConstLetter(val)], 1

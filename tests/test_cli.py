@@ -226,6 +226,14 @@ def test_huge_power_is_a_usage_error(capsys):
     assert "word expands to more than 10000000 letters" in captured.err
 
 
+def test_generator_zero_is_a_usage_error(capsys):
+    # x0 once evaluated silently to the last matrix of the tuple
+    assert main(["--ring", "Fp:101", "eval", "--word", "x0", "--at", G1, G2]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "generator index '0' must start with 1-9" in captured.err
+
+
 def test_deep_nesting_is_a_usage_error(capsys):
     text = "(" * 3000 + "x" + ")" * 3000
     assert main(["--ring", "Fp:101", "eval", "--word", text, "--at", G2]) == 2

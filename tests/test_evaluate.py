@@ -22,7 +22,9 @@ from wordmap import (
     homogeneity_check,
     jet_sweep,
     parse,
+    pure,
     random_sl2,
+    word,
 )
 from wordmap.matrices import matrix_from_json
 from wordmap.words import ConstLetter, EmptyInnerWord, Letter, from_items
@@ -229,6 +231,14 @@ def test_dimension_mismatch():
     w = parse("x y")
     with pytest.raises(DimensionMismatch):
         eval_group(w, [random_sl2(F101, random.Random(0))])
+
+
+def test_generator_below_one_is_rejected():
+    # x0 does not parse, but a hand-built word can still name generator 0
+    tup = [random_sl2(F101, random.Random(0)) for _ in range(2)]
+    for pairs in ([(0, 1)], [(1, 1), (0, -2)]):
+        with pytest.raises(DimensionMismatch, match="start at 1"):
+            eval_group(pure(word(pairs)), tup)
 
 
 def test_central_constant_opt_in():

@@ -69,6 +69,13 @@ def test_parse_generators():
     assert w.word == word([(4, 1), (3, 1), (2, 1)])
 
 
+def test_parse_rejects_generator_zero_and_padded_indices():
+    for text in ("x0", "x01", "x0^-1 x1", "[x00, y]"):
+        with pytest.raises(WordSyntaxError, match="must start with 1-9"):
+            parse(text)
+    assert parse("x10").word == word([(10, 1)])
+
+
 def test_parse_errors():
     with pytest.raises(WordSyntaxError):
         parse("[x,y")
