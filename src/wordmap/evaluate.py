@@ -146,7 +146,7 @@ class ProbeVerdict(Enum):
 class ChiProbeResult:
     distinct_values: tuple
     verdict: ProbeVerdict
-    samples: int
+    samples: int  # drawn; fewer than requested once _VALUE_CAP values are seen
 
 
 _VALUE_CAP = 32
@@ -168,17 +168,17 @@ def chi_probe(
         raise ValueError(f"coefficient index {i} out of range 1..{n}")
     m = m or max(w.max_generator(), 1)
     seen = []
-    for _ in range(samples):
+    drawn = 0
+    while drawn < samples and len(seen) < _VALUE_CAP:
+        drawn += 1
         tup = [random_sl2(ring, rng) for _ in range(m)]
         value = charpoly(eval_group(w, tup)).chi[i - 1]
         if value not in seen:
             seen.append(value)
-            if len(seen) >= _VALUE_CAP:
-                break
     verdict = (
         ProbeVerdict.CONSTANT_SO_FAR if len(seen) <= 1 else ProbeVerdict.TAKES_MANY_VALUES
     )
-    return ChiProbeResult(distinct_values=tuple(seen), verdict=verdict, samples=samples)
+    return ChiProbeResult(distinct_values=tuple(seen), verdict=verdict, samples=drawn)
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,20 @@ def test_chi_probe_commutator_takes_many_values():
     assert set(result.distinct_values) == seen
 
 
+def test_chi_probe_reports_samples_drawn():
+    # the probe stops at 32 distinct values; it reports the draws it made
+    result = chi_probe(parse("[x,y]"), 1, F101, random.Random(45), 1000)
+    rng = random.Random(45)
+    seen, drawn = set(), 0
+    while len(seen) < 32:
+        drawn += 1
+        seen.add(eval_group(parse("[x,y]"), [random_sl2(F101, rng) for _ in range(2)]).trace())
+    assert len(result.distinct_values) == 32
+    assert result.samples == drawn < 1000
+    # without the cap every requested sample is drawn
+    assert chi_probe(parse("x x^-1"), 1, F101, random.Random(46), 50).samples == 50
+
+
 def test_chi_probe_constant_word():
     rng = random.Random(46)
     result = chi_probe(parse("x x^-1"), 1, F101, rng, 50)
