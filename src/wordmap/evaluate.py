@@ -185,19 +185,27 @@ def chi_probe(
 # jet differential of the word map on SL2
 
 
-SL2_DIRECTIONS = ("E", "F", "H")
+_SL2_BASIS = {"E": ((0, 1), (0, 0)), "F": ((0, 0), (1, 0)), "H": ((1, 0), (0, -1))}
 
 
-def _direction_matrix(ring: RingDescriptor, name: str) -> SquareMatrix:
-    if name == "E":
-        rows = [[0, 1], [0, 0]]
-    elif name == "F":
-        rows = [[0, 0], [1, 0]]
-    elif name == "H":
-        rows = [[1, 0], [0, -1]]
-    else:
-        raise ValueError(f"unknown sl2 direction {name}")
-    return SquareMatrix.from_rows(ring, rows)
+def _jets(f, ring: RingDescriptor, scalars, mats):
+    """The values of ``f(scalars, mats)`` at the dual-number lift of the point,
+    then along each direction in turn: s + eps for each scalar, then
+    (I + eps X) g for X = E, F, H for each matrix."""
+    dual = DualNumbers(ring)
+    scalars = [dual.lift(s) for s in scalars]
+    mats = [lift_matrix(g, dual) for g in mats]
+    ident = SquareMatrix.identity(dual, 2)
+    steps = [
+        ident + SquareMatrix.from_rows(dual, x).scaled(dual.eps) for x in _SL2_BASIS.values()
+    ]
+    values = [f(scalars, mats)]
+    for k in range(len(scalars)):
+        values.append(f(scalars[:k] + [scalars[k] + dual.eps] + scalars[k + 1:], mats))
+    for k in range(len(mats)):
+        for step in steps:
+            values.append(f(scalars, mats[:k] + [step * mats[k]] + mats[k + 1:]))
+    return values
 
 
 def jet_sweep(w: WordWithConstants, point):
@@ -207,18 +215,12 @@ def jet_sweep(w: WordWithConstants, point):
     if n != 2:
         raise DimensionMismatch("jets are implemented for 2x2")
     dual = DualNumbers(ring)
-    lifted = [lift_matrix(g, dual) for g in point]
-    binding = {k: lift_matrix(v, dual) for k, v in w.binding.items()}
-    wl = w.with_binding(binding)
-    ident = SquareMatrix.identity(dual, 2)
-    base_value = eval_group(wl, lifted)
-    for i in range(len(point)):
-        for name in SL2_DIRECTIONS:
-            x = _direction_matrix(dual, name).scaled(dual.eps)
-            perturbed = list(lifted)
-            perturbed[i] = (ident + x) * lifted[i]
-            value = eval_group(wl, perturbed)
-            yield i, name, eps_part_matrix(value), real_part_matrix(base_value)
+    wl = w.with_binding({k: lift_matrix(v, dual) for k, v in w.binding.items()})
+    base, *values = _jets(lambda _scalars, mats: eval_group(wl, mats), ring, [], point)
+    base = real_part_matrix(base)
+    names = list(_SL2_BASIS)
+    for k, value in enumerate(values):
+        yield k // 3, names[k % 3], eps_part_matrix(value), base
 
 
 def dominance_probe(w: WordWithConstants, point) -> int:

@@ -15,7 +15,6 @@ from .errors import (
 from .matrices import (
     SquareMatrix,
     eps_part_matrix,
-    lift_matrix,
     rank,
     random_sl2,
     real_part_matrix,
@@ -29,18 +28,11 @@ from .rings import (
     sqrt_in_ring,
     sqrt_minus_one,
 )
-from .evaluate import (
-    SL2_DIRECTIONS,
-    _direction_matrix,
-    eval_group,
-    jet_sweep,
-)
+from .evaluate import _jets, eval_group, jet_sweep
 from .words import (
     Word,
     WordWithConstants,
-    commutator,
     parse,
-    power,
     pure,
     word,
     zero_exponent_sum_in_y,
@@ -196,24 +188,26 @@ def separation_witness(w: WordWithConstants, ring: RingDescriptor):
 class JetJacobian:
     rows: tuple
     rank: int
+    value: SquareMatrix  # the word value at the point
 
 
 def jet_jacobian(w: WordWithConstants, point, equations: str = "W") -> JetJacobian:
     """Jacobian of the fiber equations at an SL2^m point.
 
-    ``W``: the three equations w11 - 1 = w12 = w21 = 0; ``T``: tr(w^) - 2 = 0.
-    Rows are directional derivatives along (I + eps X) g_i for X in {E, F, H}.
+    ``W``: the three equations w11 - 1 = w12 = w21 = 0; ``T``: tr(w^) - t = 0
+    for a constant t.  Rows are directional derivatives along (I + eps X) g_i
+    for X in {E, F, H}.
     """
     if equations not in ("W", "T"):
         raise ValueError("equations must be 'W' or 'T'")
     rows = []
-    for _i, _name, deriv, _base in jet_sweep(w, list(point)):
+    for _i, _name, deriv, value in jet_sweep(w, list(point)):
         if equations == "W":
             rows.append((deriv[0, 0], deriv[0, 1], deriv[1, 0]))
         else:
             rows.append((deriv.trace(),))
-    ring = point[0].ring
-    return JetJacobian(rows=tuple(rows), rank=rank([list(r) for r in rows], ring))
+    rk = rank([list(r) for r in rows], value.ring)
+    return JetJacobian(rows=tuple(rows), rank=rk, value=value)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +218,9 @@ def jet_jacobian(w: WordWithConstants, point, equations: str = "W") -> JetJacobi
 class ComponentInstance:
     """A catalogued irreducible-component family, pinned to a ring and base parameters.
 
-    ``family(scalars, mats)`` maps parameters to a pair in G x G; ``equations``
-    are local defining equations of the component that vanish on the witness.
+    ``family(scalars, mats)`` maps parameters to a pair in G x G.  The local
+    defining equations, which vanish on the witness, are data: ``equation = 1``
+    for kind ``W``, ``tr(equation) = target`` for kind ``T``.
     """
 
     id: str
@@ -235,7 +230,9 @@ class ComponentInstance:
     scalars: list
     mats: list
     family: object
-    equations: object  # fn(tup) -> list of Scalar over tup's ring
+    equation: WordWithConstants
+    kind: str
+    target: Scalar | None
 
     def witness(self) -> Sl2Pair:
         return Sl2Pair(*self.family(self.scalars, self.mats))
@@ -251,44 +248,23 @@ class DimensionCertificate:
     confirmed: bool
 
 
-COMPONENT_IDS = (
-    "ex1.W",
-    "ex1.T",
-    "ex2.Wj",
-    "ex3.W1",
-    "ex4.Tj",
-    "ex5.W1",
-    "ex5.T1",
-    "ex5.T2",
-    "Sa",
-)
-
 _EX5_TEXT = "[ [x,y] , x [x,y] x^-1 ]"
 
+# id: (word, claimed dimension, equation word, equation kind); "{p}" is the
+# Ex4 power.  A first-factor trace equation is kind T of the word x.
+_CATALOGUE = {
+    "ex1.W": ("[x,y]", 4, "[x,y]", "W"),
+    "ex1.T": ("[x,y]", 5, "[x,y]", "T"),
+    "ex2.Wj": ("[x^2,y]", 5, "x", "T"),
+    "ex3.W1": ("[x,y]^2", 3, "[x,y]^2", "W"),
+    "ex4.Tj": ("[x,y]^{p}", 5, "[x,y]", "T"),
+    "ex5.W1": (_EX5_TEXT, 4, _EX5_TEXT, "W"),
+    "ex5.T1": (_EX5_TEXT, 5, _EX5_TEXT, "T"),
+    "ex5.T2": (_EX5_TEXT, 5, "x", "T"),
+    "Sa": ("[x,y]", 5, "[x,y]", "T"),
+}
 
-def _wfiber_equations(w: WordWithConstants):
-    def eqs(tup):
-        ring = tup[0].ring
-        v = eval_group(w, list(tup))
-        return [v[0, 0] - ring.one, v[0, 1], v[1, 0]]
-
-    return eqs
-
-
-def _trace_equation(w: WordWithConstants, target: Scalar):
-    def eqs(tup):
-        ring = tup[0].ring
-        v = eval_group(w, list(tup))
-        return [v.trace() - _coerce(target, ring)]
-
-    return eqs
-
-
-def _first_factor_trace_equation(target: Scalar):
-    def eqs(tup):
-        return [tup[0].trace() - _coerce(target, tup[0].ring)]
-
-    return eqs
+COMPONENT_IDS = tuple(_CATALOGUE)
 
 
 def _default_conjugator(ring: RingDescriptor) -> SquareMatrix:
@@ -332,25 +308,24 @@ def component(
     ``p``/``j`` select the Ex4 component (w = [x,y]^p, trace target
     zeta_p^j + zeta_p^-j); ``a`` fixes the trace level of the Sa hypersurface.
     """
-    g0 = _default_conjugator(ring)
-    xy = pure(commutator(word([(1, 1)]), word([(2, 1)])))
+    if cid not in _CATALOGUE:
+        raise InvalidParams(f"unknown component id {cid!r}; known: {COMPONENT_IDS}")
+    text, claimed, equation, kind = _CATALOGUE[cid]
+    mats = [_default_conjugator(ring)]
+    target = ring.from_int(2) if kind == "T" else None
 
     if cid == "ex1.W":
-        lam1, lam2 = ring.from_int(2), ring.from_int(3)
-        _check_torus(lam1), _check_torus(lam2)
+        scalars = [ring.from_int(2), ring.from_int(3)]
+        _check_torus(scalars[0]), _check_torus(scalars[1])
 
         def family(scalars, mats):
             l1, l2 = scalars
             (g,) = mats
             return conjugate(g, diag(l1)), conjugate(g, diag(l2))
 
-        return ComponentInstance(
-            cid, ring, xy, 4, [lam1, lam2], [g0], family, _wfiber_equations(xy)
-        )
-
-    if cid == "ex1.T":
-        lam, mu, u = ring.from_int(2), ring.from_int(3), ring.one
-        _check_torus(lam)
+    elif cid == "ex1.T":
+        scalars = [ring.from_int(2), ring.from_int(3), ring.one]
+        _check_torus(scalars[0])
 
         def family(scalars, mats):
             l, m, uu = scalars
@@ -358,33 +333,22 @@ def component(
             b = diag(m) * upper_unitriangular(uu)
             return conjugate(g, diag(l)), conjugate(g, b)
 
-        return ComponentInstance(
-            cid, ring, xy, 5, [lam, mu, u], [g0], family,
-            _trace_equation(xy, ring.from_int(2)),
-        )
-
-    if cid == "ex2.Wj":
+    elif cid == "ex2.Wj":
         # the C_j x G component of w = [x^(j/2), y], shown for j = 4 (needs i)
         if j != 4:
             raise InvalidParams("ex2.Wj is catalogued for j = 4")
         i_scalar = _need_i(ring)
-        w = pure(commutator(word([(1, 2)]), word([(2, 1)])))
-        h0 = _default_free_point(ring)
+        scalars, target = [], ring.zero
+        mats.append(_default_free_point(ring))
 
         def family(scalars, mats):
             g, h = mats
             x0 = diag(_coerce(i_scalar, g.ring))
             return conjugate(g, x0), h
 
-        return ComponentInstance(
-            cid, ring, w, 5, [], [g0, h0], family,
-            _first_factor_trace_equation(ring.zero),
-        )
-
-    if cid == "ex3.W1":
+    elif cid == "ex3.W1":
         i_scalar = _need_i(ring)
-        w = pure(power(commutator(word([(1, 1)]), word([(2, 1)])), 2))
-        mu = ring.from_int(2)
+        scalars = [ring.from_int(2)]
 
         def family(scalars, mats):
             (m,) = scalars
@@ -392,11 +356,7 @@ def component(
             t0 = diag(_coerce(i_scalar, m.ring))
             return conjugate(g, t0), conjugate(g, off_diagonal(m))
 
-        return ComponentInstance(
-            cid, ring, w, 3, [mu], [g0], family, _wfiber_equations(w)
-        )
-
-    if cid == "ex4.Tj" or cid == "Sa":
+    elif cid in ("ex4.Tj", "Sa"):
         if cid == "ex4.Tj":
             if not isinstance(ring, PrimeField):
                 raise InvalidParams("ex4.Tj is instantiated over a prime field F_q")
@@ -404,15 +364,13 @@ def component(
             if zeta is None:
                 raise RingLacksRoots(f"F_{ring.p} has no primitive {p}-th root of unity")
             target = zeta ** j + zeta ** (-j)
-            w = pure(power(commutator(word([(1, 1)]), word([(2, 1)])), p))
         else:
             target = a if a is not None else ring.from_int(5)
-            w = xy
         lam = _generic_lambda(
             ring,
             avoid=[lambda l: (l * l + (l * l).inv() - target).is_zero()],
         )
-        be, c = ring.one, ring.one
+        scalars = [lam, ring.one, ring.one]
 
         def family(scalars, mats):
             l, b, cc = scalars
@@ -427,14 +385,8 @@ def component(
             )
             return conjugate(g, diag(l)), conjugate(g, m2)
 
-        return ComponentInstance(
-            cid, ring, w, 5, [lam, be, c], [g0], family, _trace_equation(xy, target)
-        )
-
-    if cid == "ex5.W1":
-        w = parse(_EX5_TEXT)
-        lam1 = _generic_lambda(ring)
-        lam2 = ring.from_int(3)
+    elif cid == "ex5.W1":
+        scalars = [_generic_lambda(ring), ring.from_int(3)]
 
         def family(scalars, mats):
             l1, l2 = scalars
@@ -442,14 +394,8 @@ def component(
             wd = weyl_rep(l1.ring)
             return conjugate(g, diag(l1)), conjugate(g, wd * diag(l2))
 
-        return ComponentInstance(
-            cid, ring, w, 4, [lam1, lam2], [g0], family, _wfiber_equations(w)
-        )
-
-    if cid == "ex5.T1":
-        w = parse(_EX5_TEXT)
-        lam = _generic_lambda(ring)
-        mu, u = ring.from_int(3), ring.one
+    elif cid == "ex5.T1":
+        scalars = [_generic_lambda(ring), ring.from_int(3), ring.one]
 
         def family(scalars, mats):
             l, m, uu = scalars
@@ -458,25 +404,18 @@ def component(
             b = diag(m) * upper_unitriangular(uu)
             return conjugate(g, diag(l)), conjugate(g, wd * b)
 
-        return ComponentInstance(
-            cid, ring, w, 5, [lam, mu, u], [g0], family,
-            _trace_equation(w, ring.from_int(2)),
-        )
-
-    if cid == "ex5.T2":
-        w = parse(_EX5_TEXT)
-        h0 = _default_free_point(ring)
+    else:  # ex5.T2
+        scalars, target = [], ring.zero
+        mats.append(_default_free_point(ring))
 
         def family(scalars, mats):
             g, h = mats
             return conjugate(g, weyl_rep(g.ring)), h
 
-        return ComponentInstance(
-            cid, ring, w, 5, [], [g0, h0], family,
-            _first_factor_trace_equation(ring.zero),
-        )
-
-    raise InvalidParams(f"unknown component id {cid!r}; known: {COMPONENT_IDS}")
+    return ComponentInstance(
+        cid, ring, parse(text.format(p=p)), claimed, scalars, mats, family,
+        parse(equation), kind, target,
+    )
 
 
 def _check_torus(lam: Scalar):
@@ -490,64 +429,32 @@ def parametrization_rank(comp: ComponentInstance) -> int:
     Columns: one dual-number jet per scalar parameter plus three sl2 directions
     per matrix parameter; rows: the six tangent coordinates of the image pair.
     """
-    ring = comp.ring
-    dual = DualNumbers(ring)
-    eps = dual.eps
-    lifted_scalars = [dual.lift(s) for s in comp.scalars]
-    lifted_mats = [lift_matrix(m, dual) for m in comp.mats]
-    base_pair = comp.family(lifted_scalars, lifted_mats)
-    base_real = [real_part_matrix(m) for m in base_pair]
-    ident = SquareMatrix.identity(dual, 2)
-
+    base, *pairs = _jets(comp.family, comp.ring, comp.scalars, comp.mats)
+    inverses = [real_part_matrix(m).inverse() for m in base]
     columns = []
-
-    def tangent_column(pair):
-        coords = []
-        for k in range(2):
-            a = eps_part_matrix(pair[k]) * base_real[k].inverse()
-            coords.extend([a[0, 0], a[0, 1], a[1, 0]])
-        return coords
-
-    for idx in range(len(comp.scalars)):
-        scalars = list(lifted_scalars)
-        scalars[idx] = scalars[idx] + eps
-        columns.append(tangent_column(comp.family(scalars, lifted_mats)))
-    for idx in range(len(comp.mats)):
-        for name in SL2_DIRECTIONS:
-            x = _direction_matrix(dual, name).scaled(eps)
-            mats = list(lifted_mats)
-            mats[idx] = (ident + x) * mats[idx]
-            columns.append(tangent_column(comp.family(lifted_scalars, mats)))
+    for pair in pairs:
+        column = []
+        for m, inverse in zip(pair, inverses):
+            a = eps_part_matrix(m) * inverse
+            column += [a[0, 0], a[0, 1], a[1, 0]]
+        columns.append(column)
     # rank of the transpose equals rank of the Jacobian
-    return rank(columns, ring)
-
-
-def _equation_jacobian_rank(comp: ComponentInstance, point: Sl2Pair) -> int:
-    ring = comp.ring
-    dual = DualNumbers(ring)
-    eps = dual.eps
-    lifted = [lift_matrix(m, dual) for m in point]
-    ident = SquareMatrix.identity(dual, 2)
-    columns = []
-    for idx in range(2):
-        for name in SL2_DIRECTIONS:
-            x = _direction_matrix(dual, name).scaled(eps)
-            tup = list(lifted)
-            tup[idx] = (ident + x) * tup[idx]
-            values = comp.equations(tup)
-            columns.append([dual.eps_part(v) for v in values])
-    return rank(columns, ring)
+    return rank(columns, comp.ring)
 
 
 def dimension_certificate(comp: ComponentInstance) -> DimensionCertificate:
     """Sandwich the component dimension: parametrization rank from below,
     6 minus the fiber-equation Jacobian rank from above."""
     point = comp.witness()
-    residuals = comp.equations(list(point))
-    if any(not v.is_zero() for v in residuals):
+    jac = jet_jacobian(comp.equation, point, comp.kind)
+    if comp.kind == "W":
+        holds = jac.value == SquareMatrix.identity(comp.ring, 2)
+    else:
+        holds = jac.value.trace() == comp.target
+    if not holds:
         raise InvalidParams(f"witness for {comp.id} does not satisfy its equations")
     lower = parametrization_rank(comp)
-    upper = 6 - _equation_jacobian_rank(comp, point)
+    upper = 6 - jac.rank
     return DimensionCertificate(
         component=comp.id,
         point=point,

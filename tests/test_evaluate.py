@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wordmap import (
     CentralConstant,
@@ -326,6 +328,66 @@ def test_dominance_conjugation_word_rank_two():
     w = parse("x s1 x^-1").with_binding({"s1": sigma})
     for _ in range(10):
         assert dominance_probe(w, [random_sl2(F101, rng)]) == 2
+
+
+_SL2_BASIS = {"E": [[0, 1], [0, 0]], "F": [[0, 0], [1, 0]], "H": [[1, 0], [0, -1]]}
+_LETTERS = st.builds(Letter, st.integers(1, 3), st.sampled_from([-3, -2, -1, 1, 2, 3]))
+_CONSTANTS = st.builds(ConstLetter, st.just("s1"), st.booleans())
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(
+    st.lists(st.one_of(_LETTERS, _LETTERS, _CONSTANTS), min_size=1, max_size=7),
+    st.sampled_from([5, 13, 101]),
+    st.integers(0, 2**32),
+)
+def test_jet_sweep_matches_the_product_rule(items, p, seed):
+    # For V = L_1 ... L_N the derivative along (I + eps X) g_i is
+    # sum over k with gen(L_k) = i of P_{k-1} D_k S_{k+1}, with D_k = X g for
+    # the letter g and -g^-1 X for g^-1; constants contribute nothing.
+    try:
+        w = from_items(items)
+    except EmptyInnerWord:
+        assume(False)
+    ring = PrimeField(p)
+    rng = random.Random(seed)
+    point = [random_sl2(ring, rng) for _ in range(max(w.max_generator(), 1))]
+    w = w.with_binding({"s1": random_sl2(ring, rng)})
+    factors = []  # (generator, or 0 for a constant; sign of the letter; its value)
+    for i, seg in enumerate(w.segments):
+        if i % 2 == 0:
+            for l in seg.letters:
+                g = point[l.gen - 1]
+                sign = 1 if l.exp > 0 else -1
+                factors += [(l.gen, sign, g if sign > 0 else g.inverse())] * abs(l.exp)
+        else:
+            s = w.binding[seg.name]
+            factors.append((0, 0, s.inverse() if seg.inv else s))
+
+    def product(part):
+        acc = SquareMatrix.identity(ring, 2)
+        for _gen, _sign, v in part:
+            acc = acc * v
+        return acc
+
+    expected = {}
+    for k, (gen, sign, v) in enumerate(factors):
+        if gen == 0:
+            continue
+        for name, rows in _SL2_BASIS.items():
+            x = SquareMatrix.from_rows(ring, rows)
+            d = x * v if sign > 0 else (v * x).scaled(-1)
+            term = product(factors[:k]) * d * product(factors[k + 1:])
+            key = (gen - 1, name)
+            expected[key] = expected.get(key, SquareMatrix.zero(ring, 2)) + term
+
+    sweep = list(jet_sweep(w, point))
+    assert [(i, name) for i, name, _d, _b in sweep] == [
+        (i, name) for i in range(len(point)) for name in _SL2_BASIS
+    ]
+    for i, name, deriv, base in sweep:
+        assert base == product(factors)
+        assert deriv == expected.get((i, name), SquareMatrix.zero(ring, 2))
 
 
 def test_jet_matches_finite_difference_structure():
