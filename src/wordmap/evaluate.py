@@ -142,14 +142,31 @@ class ProbeVerdict(Enum):
     TAKES_MANY_VALUES = "TakesManyValues"
 
 
+_DISTINCT_CAP = 32
+
+
+def _sample_distinct(draw, samples: int):
+    """Call ``draw()`` up to ``samples`` times, stopping once _DISTINCT_CAP
+    distinct values are seen.  Returns the distinct values in order of first
+    sight, the dichotomy verdict and the number of draws."""
+    seen = []
+    drawn = 0
+    while drawn < samples and len(seen) < _DISTINCT_CAP:
+        drawn += 1
+        value = draw()
+        if value not in seen:
+            seen.append(value)
+    verdict = (
+        ProbeVerdict.CONSTANT_SO_FAR if len(seen) <= 1 else ProbeVerdict.TAKES_MANY_VALUES
+    )
+    return tuple(seen), verdict, drawn
+
+
 @dataclass(frozen=True)
 class ChiProbeResult:
     distinct_values: tuple
     verdict: ProbeVerdict
-    samples: int  # drawn; fewer than requested once _VALUE_CAP values are seen
-
-
-_VALUE_CAP = 32
+    samples: int  # drawn; fewer than requested once _DISTINCT_CAP values are seen
 
 
 def chi_probe(
@@ -167,18 +184,12 @@ def chi_probe(
     if not 1 <= i <= n:
         raise ValueError(f"coefficient index {i} out of range 1..{n}")
     m = m or max(w.max_generator(), 1)
-    seen = []
-    drawn = 0
-    while drawn < samples and len(seen) < _VALUE_CAP:
-        drawn += 1
+
+    def draw():
         tup = [random_sl2(ring, rng) for _ in range(m)]
-        value = charpoly(eval_group(w, tup)).chi[i - 1]
-        if value not in seen:
-            seen.append(value)
-    verdict = (
-        ProbeVerdict.CONSTANT_SO_FAR if len(seen) <= 1 else ProbeVerdict.TAKES_MANY_VALUES
-    )
-    return ChiProbeResult(distinct_values=tuple(seen), verdict=verdict, samples=drawn)
+        return charpoly(eval_group(w, tup)).chi[i - 1]
+
+    return ChiProbeResult(*_sample_distinct(draw, samples))
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +208,11 @@ def _jets(f, ring: RingDescriptor, scalars, mats):
     mats = [lift_matrix(g, dual) for g in mats]
     ident = SquareMatrix.identity(dual, 2)
     steps = [
-        ident + SquareMatrix.from_rows(dual, x).scaled(dual.eps) for x in _SL2_BASIS.values()
+        ident + SquareMatrix.from_rows(dual, x).scaled(dual.root) for x in _SL2_BASIS.values()
     ]
     values = [f(scalars, mats)]
     for k in range(len(scalars)):
-        values.append(f(scalars[:k] + [scalars[k] + dual.eps] + scalars[k + 1:], mats))
+        values.append(f(scalars[:k] + [scalars[k] + dual.root] + scalars[k + 1:], mats))
     for k in range(len(mats)):
         for step in steps:
             values.append(f(scalars, mats[:k] + [step * mats[k]] + mats[k + 1:]))
@@ -229,9 +240,10 @@ def dominance_probe(w: WordWithConstants, point) -> int:
     Rows are the (a11, a12, a21) coordinates of dV * V0^{-1}, the value tangent
     translated back to the identity (trace-free, so three coordinates suffice).
     """
-    ring = point[0].ring
+    sweep = list(jet_sweep(w, point))
+    inverse = sweep[0][3].inverse()  # every entry carries the same base value
     rows = []
-    for _i, _name, deriv, base in jet_sweep(w, point):
-        a = deriv * base.inverse()
+    for _i, _name, deriv, _base in sweep:
+        a = deriv * inverse
         rows.append([a[0, 0], a[0, 1], a[1, 0]])
-    return rank(rows, ring)
+    return rank(rows, point[0].ring)

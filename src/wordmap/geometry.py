@@ -26,9 +26,8 @@ from .rings import (
     Scalar,
     primitive_root_of_unity,
     sqrt_in_ring,
-    sqrt_minus_one,
 )
-from .evaluate import _jets, eval_group, jet_sweep
+from .evaluate import ProbeVerdict, _jets, _sample_distinct, eval_group, jet_sweep
 from .words import (
     Word,
     WordWithConstants,
@@ -276,7 +275,7 @@ def _default_free_point(ring: RingDescriptor) -> SquareMatrix:
 
 
 def _need_i(ring: RingDescriptor) -> Scalar:
-    s = sqrt_minus_one(ring)
+    s = sqrt_in_ring(ring, -1)
     if s is None:
         raise RingLacksRoots(f"{ring} has no square root of -1")
     return s
@@ -618,10 +617,8 @@ def lemma101_check(ring: RingDescriptor) -> Lemma101Report:
 @dataclass(frozen=True)
 class TraceProbeResult:
     distinct_traces: tuple
-    verdict: str  # "ConstantSoFar" | "TakesManyValues"
-
-
-_TRACE_CAP = 32
+    verdict: ProbeVerdict
+    samples: int  # drawn; fewer than requested once 32 distinct traces are seen
 
 
 def wsigma_trace_probe(
@@ -633,14 +630,10 @@ def wsigma_trace_probe(
     ring = sigma.ring
     m = max(w.max_generator(), y_gen)
     ww = pure(w)
-    seen = []
-    for _ in range(samples):
+
+    def draw():
         tup = [random_sl2(ring, rng) for _ in range(m)]
         tup[y_gen - 1] = sigma
-        value = eval_group(ww, tup).trace()
-        if value not in seen:
-            seen.append(value)
-            if len(seen) >= _TRACE_CAP:
-                break
-    verdict = "ConstantSoFar" if len(seen) <= 1 else "TakesManyValues"
-    return TraceProbeResult(distinct_traces=tuple(seen), verdict=verdict)
+        return eval_group(ww, tup).trace()
+
+    return TraceProbeResult(*_sample_distinct(draw, samples))

@@ -6,7 +6,7 @@ equality is bit-exact.  Raw representations:
 * ``Rationals``      -- :class:`fractions.Fraction` (always reduced)
 * ``PrimeField(p)``  -- ``int`` residue in ``[0, p)``
 * ``QuadraticExt``   -- pair ``(a, b)`` of base raws, meaning ``a + b*sqrt(d)``
-* ``DualNumbers``    -- pair ``(a, b)`` of base raws, meaning ``a + b*eps`` with ``eps**2 = 0``
+* ``DualNumbers``    -- the ``QuadraticExt`` with d = 0: ``a + b*eps`` with ``eps**2 = 0``
 
 The raw protocol is ``radd``, ``rmul``, ``rneg``, ``rinv``, ``is_zero_raw`` and
 the fused dot product ``rdot``: one reduction mod p per dot product over F_p,
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
@@ -160,19 +160,6 @@ class PrimeField(RingDescriptor):
         return f"Fp:{self.p}"
 
 
-def _has_sqrt(base: RingDescriptor, d) -> bool:
-    """Does d have a square root in base?  Euler's criterion for F_p, exact for Q."""
-    if isinstance(base, PrimeField):
-        return d == 0 or base.p == 2 or pow(d, (base.p - 1) // 2, base.p) == 1
-    if isinstance(base, Rationals):
-        f = Fraction(d)
-        if f < 0:
-            return False
-        num, den = f.numerator, f.denominator
-        return math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den
-    raise WordmapError("quadratic extensions are single-level only")
-
-
 def _split(pairs):
     """Two lists: the first and the second components of raw pairs."""
     return [x[0] for x in pairs], [x[1] for x in pairs]
@@ -180,14 +167,16 @@ def _split(pairs):
 
 @dataclass(frozen=True)
 class QuadraticExt(RingDescriptor):
+    """``base[r]/(r**2 - d)`` over Q or F_p; d must not be a square in base."""
+
     base: RingDescriptor
     d: object  # raw value of the base ring
 
     def __post_init__(self):
-        if isinstance(self.base, (QuadraticExt, DualNumbers)):
+        if isinstance(self.base, QuadraticExt):
             raise WordmapError("quadratic extensions are single-level only")
         object.__setattr__(self, "d", self.base.canon(self.d))
-        if _has_sqrt(self.base, self.d):
+        if _base_sqrt(self.base, self.d) is not None:
             raise WordmapError(f"{self.d} already has a square root in {self.base}")
 
     def canon(self, raw):
@@ -229,7 +218,7 @@ class QuadraticExt(RingDescriptor):
         base = self.base
         norm = base.radd(base.rmul(a, a), base.rneg(base.rmul(self.d, base.rmul(b, b))))
         if base.is_zero_raw(norm):
-            raise NotInvertible("zero norm in quadratic extension")
+            raise NotInvertible(f"zero norm in {self}")
         ninv = base.rinv(norm)
         return (base.rmul(a, ninv), base.rmul(base.rneg(b), ninv))
 
@@ -238,36 +227,38 @@ class QuadraticExt(RingDescriptor):
 
     @property
     def root(self) -> "Scalar":
-        """The adjoined square root of d."""
+        """The adjoined square root of d (eps for dual numbers)."""
         return self.scalar((self.base.raw_from_int(0), self.base.raw_from_int(1)))
 
+    @property
+    def symbol(self) -> str:
+        """The adjoined root as literals write it: ``i``, ``sqrt(d)``, or ``eps`` for d = 0."""
+        if self.base.is_zero_raw(self.d):
+            return "eps"
+        return "i" if self.d == self.base.raw_from_int(-1) else f"sqrt({self.d})"
+
     def __str__(self):
-        if self.d == self.base.raw_from_int(-1):
-            return f"{self.base}[i]"
-        return f"{self.base}[sqrt({self.d})]"
+        return f"{self.base}[{self.symbol}]"
 
 
 @dataclass(frozen=True)
-class DualNumbers(RingDescriptor):
-    base: RingDescriptor
+class DualNumbers(QuadraticExt):
+    """``base[eps]/(eps**2)``: the d = 0 case, over any ring but dual numbers.
+
+    A pair is read as (real part, eps part), also over a quadratic base.
+    """
+
+    d: object = field(default=None, init=False)
 
     def __post_init__(self):
         if isinstance(self.base, DualNumbers):
             raise WordmapError("dual numbers do not nest")
+        object.__setattr__(self, "d", self.base.raw_from_int(0))
 
-    def canon(self, raw):
-        # over a quadratic base a pair is read as (real, eps) parts
-        if isinstance(raw, tuple) and len(raw) == 2:
-            a, b = raw
-            return (self.base.canon(a), self.base.canon(b))
-        return (self.base.canon(raw), self.base.raw_from_int(0))
-
-    def raw_from_int(self, n):
-        return (self.base.raw_from_int(n), self.base.raw_from_int(0))
-
-    def radd(self, x, y):
-        return (self.base.radd(x[0], y[0]), self.base.radd(x[1], y[1]))
-
+    # The d = 0 forms skip the d * b.e term.  With the general forms
+    # inherited instead, perfbench certify (seed 1, 2 CPUs, Python 3.11)
+    # measured 139 -> 112 jobs_per_s and latency p90 12.2 -> 17.1 ms, every
+    # run worse than every run with these forms.
     def rmul(self, x, y):
         a, b = x
         c, e = y
@@ -283,24 +274,6 @@ class DualNumbers(RingDescriptor):
         a, b = _split(xs)
         c, e = _split(ys)
         return (base.rdot(a, c), base.rdot(a + b, e + c))
-
-    def rneg(self, x):
-        return (self.base.rneg(x[0]), self.base.rneg(x[1]))
-
-    def rinv(self, x):
-        a, b = x
-        if self.base.is_zero_raw(a):
-            raise NotInvertible("a + b*eps with a = 0 is a zero divisor")
-        ainv = self.base.rinv(a)
-        # (a + b eps)^-1 = a^-1 - a^-2 b eps
-        return (ainv, self.base.rneg(self.base.rmul(self.base.rmul(ainv, ainv), b)))
-
-    def random(self, rng):
-        return self.scalar((self.base.random(rng).value, self.base.random(rng).value))
-
-    @property
-    def eps(self) -> "Scalar":
-        return self.scalar((self.base.raw_from_int(0), self.base.raw_from_int(1)))
 
     def lift(self, s: "Scalar") -> "Scalar":
         if s.ring != self.base:
@@ -411,15 +384,21 @@ class Scalar:
 
 
 # ---------------------------------------------------------------------------
-# roots of unity and -1
+# square roots and roots of unity
 
 
-def _sqrt_mod(n: int, p: int):
-    """The least r in [0, p) with r*r = n mod p, or None (Tonelli-Shanks)."""
-    n %= p
-    if n == 0 or p == 2:
-        return n
-    if pow(n, (p - 1) // 2, p) != 1:
+def _base_sqrt(base: RingDescriptor, x):
+    """A raw r of Q or F_p with r*r = x, or None.  Over F_p the least such r
+    (Tonelli-Shanks), over Q the one >= 0."""
+    if isinstance(base, Rationals):
+        num, den = math.isqrt(max(x.numerator, 0)), math.isqrt(x.denominator)
+        if num * num != x.numerator or den * den != x.denominator:
+            return None
+        return Fraction(num, den)
+    p = base.p
+    if x == 0 or p == 2:
+        return x
+    if pow(x, (p - 1) // 2, p) != 1:
         return None
     q, s = p - 1, 0
     while q % 2 == 0:
@@ -427,7 +406,7 @@ def _sqrt_mod(n: int, p: int):
     z = 2
     while pow(z, (p - 1) // 2, p) != p - 1:
         z += 1
-    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    m, c, t, r = s, pow(z, q, p), pow(x, q, p), pow(x, (q + 1) // 2, p)
     while t != 1:
         i, t2 = 0, t
         while t2 != 1:
@@ -437,50 +416,24 @@ def _sqrt_mod(n: int, p: int):
     return min(r, p - r)
 
 
-def sqrt_minus_one(ring: RingDescriptor):
-    """A scalar s with s*s = -1 in the ring, or None if no such s exists."""
-    if isinstance(ring, Rationals):
-        return None
-    if isinstance(ring, PrimeField):
-        r = _sqrt_mod(-1, ring.p)
-        return None if r is None else ring.scalar(r)
-    if isinstance(ring, QuadraticExt):
-        s = sqrt_minus_one(ring.base)
-        if s is not None:
-            return ring.scalar((s.value, ring.base.raw_from_int(0)))
-        # (b*sqrt(d))^2 = d b^2 = -1  <=>  b^2 = -1/d
-        base = ring.base
-        target = base.rneg(base.rinv(ring.d))
-        if isinstance(base, PrimeField):
-            b = _sqrt_mod(target, base.p)
-            return None if b is None else ring.scalar((base.raw_from_int(0), b))
-        if isinstance(base, Rationals):
-            f = Fraction(target)
-            if f >= 0 and _has_sqrt(base, f):
-                num = math.isqrt(f.numerator)
-                den = math.isqrt(f.denominator)
-                return ring.scalar((Fraction(0), Fraction(num, den)))
-            return None
-    raise WordmapError(f"sqrt_minus_one not supported for {ring}")
-
-
 def sqrt_in_ring(ring: RingDescriptor, n: int):
-    """A scalar s with s*s = n, or None.  Used for sqrt(2) in Lemma-101 style checks."""
-    if isinstance(ring, PrimeField):
-        r = _sqrt_mod(n, ring.p)
+    """A scalar s with s*s = n in the ring, or None.
+
+    Over ``base[sqrt(d)]`` this is a root in base if one exists, else
+    ``b*sqrt(d)`` with ``b*b = n/d`` (the least such b over F_p).  Over dual
+    numbers only base roots square to an element of base.
+    """
+    if not isinstance(ring, QuadraticExt):
+        r = _base_sqrt(ring, ring.raw_from_int(n))
         return None if r is None else ring.scalar(r)
-    if isinstance(ring, Rationals):
-        if n >= 0 and _has_sqrt(ring, Fraction(n)):
-            return ring.scalar(Fraction(math.isqrt(n)))
+    base = ring.base
+    s = sqrt_in_ring(base, n)
+    if s is not None:
+        return ring.scalar((s.value, base.raw_from_int(0)))
+    if base.is_zero_raw(ring.d):
         return None
-    if isinstance(ring, QuadraticExt):
-        s = sqrt_in_ring(ring.base, n)
-        if s is not None:
-            return ring.scalar((s.value, ring.base.raw_from_int(0)))
-        if ring.d == ring.base.raw_from_int(n):
-            return ring.root
-        return None
-    raise WordmapError(f"sqrt_in_ring not supported for {ring}")
+    b = _base_sqrt(base, base.rmul(base.raw_from_int(n), base.rinv(ring.d)))
+    return None if b is None else ring.scalar((base.raw_from_int(0), b))
 
 
 def primitive_root_of_unity(ring: PrimeField, k: int):
@@ -564,15 +517,9 @@ def parse_scalar(ring: RingDescriptor, text: str) -> Scalar:
                 term = ring.from_int(int(coef))
         root = root1 or root2
         if root is not None:
-            if root == "i":
-                s = sqrt_minus_one(ring)
-                if s is None:
-                    raise RingLacksRoots(f"no i in {ring}")
-            else:
-                d = int(d1 if d1 is not None else d2)
-                s = sqrt_in_ring(ring, d)
-                if s is None:
-                    raise RingLacksRoots(f"no sqrt({d}) in {ring}")
+            s = sqrt_in_ring(ring, -1 if root == "i" else int(d1 if d1 is not None else d2))
+            if s is None:
+                raise RingLacksRoots(f"no {root} in {ring}")
             term = term * s
         if sign == "-":
             term = -term
@@ -584,21 +531,12 @@ def parse_scalar(ring: RingDescriptor, text: str) -> Scalar:
 
 def render_scalar(s: Scalar) -> str:
     ring = s.ring
-    if isinstance(ring, Rationals):
+    if not isinstance(ring, QuadraticExt):
         return str(s.value)
-    if isinstance(ring, PrimeField):
-        return str(s.value)
-    if isinstance(ring, (QuadraticExt, DualNumbers)):
-        a, b = s.value
-        sa = render_scalar(Scalar(ring.base, a))
-        sb = render_scalar(Scalar(ring.base, b))
-        if isinstance(ring, QuadraticExt):
-            sym = "i" if ring.d == ring.base.raw_from_int(-1) else f"sqrt({ring.d})"
-        else:
-            sym = "eps"
-        if sb == "0":
-            return sa
-        if sa == "0":
-            return f"{sb}*{sym}"
-        return f"{sa}+{sb}*{sym}"
-    raise WordmapError(f"cannot render {ring}")
+    sa = render_scalar(Scalar(ring.base, s.value[0]))
+    sb = render_scalar(Scalar(ring.base, s.value[1]))
+    if sb == "0":
+        return sa
+    if sa == "0":
+        return f"{sb}*{ring.symbol}"
+    return f"{sa}+{sb}*{ring.symbol}"

@@ -330,6 +330,24 @@ def test_dominance_conjugation_word_rank_two():
         assert dominance_probe(w, [random_sl2(F101, rng)]) == 2
 
 
+def test_dominance_inverts_the_base_value_once(monkeypatch):
+    rng = random.Random(50)
+    w = parse("[[x,y],[x,z]]^20")
+    point = [random_sl2(F101, rng) for _ in range(3)]
+    base = eval_group(w, point)
+    inverted = []
+    original = SquareMatrix.inverse
+
+    def inverse(m):
+        inverted.append(m)
+        return original(m)
+
+    monkeypatch.setattr(SquareMatrix, "inverse", inverse)
+    dominance_probe(w, point)
+    # the other inverses are of dual-number matrices inside the jets
+    assert [m for m in inverted if m.ring == F101] == [base]
+
+
 _SL2_BASIS = {"E": [[0, 1], [0, 0]], "F": [[0, 0], [1, 0]], "H": [[1, 0], [0, -1]]}
 _LETTERS = st.builds(Letter, st.integers(1, 3), st.sampled_from([-3, -2, -1, 1, 2, 3]))
 _CONSTANTS = st.builds(ConstLetter, st.just("s1"), st.booleans())

@@ -9,6 +9,7 @@ from wordmap import (
     DualNumbers,
     InvalidParams,
     PrimeField,
+    ProbeVerdict,
     Rationals,
     RingLacksRoots,
     SquareMatrix,
@@ -28,7 +29,7 @@ from wordmap import (
     random_sl2,
     relation_scan,
     separation_witness,
-    sqrt_minus_one,
+    sqrt_in_ring,
     trace_preimage_commutator,
     word,
     wsigma_trace_probe,
@@ -97,7 +98,7 @@ def test_trace_preimage_q_minus_p_identity():
 def test_trace_preimage_recovers_q8_pair():
     # a = -2, lambda = i: the quaternion witness with t of order 4
     F = F13
-    i = sqrt_minus_one(F)
+    i = sqrt_in_ring(F, -1)
     pair = trace_preimage_commutator(F.from_int(-2), i, F.one)
     assert pair.g1 == diag(i)
     # alpha = delta = 0 branch: g is anti-diagonal
@@ -166,7 +167,7 @@ def test_jet_jacobian_shapes_and_linearity():
 
     # linearity in the direction: derivative along E+H equals sum of E and H rows
     dual = DualNumbers(F101)
-    eps = dual.eps
+    eps = dual.root
     lifted = [lift_matrix(g, dual) for g in point]
     ident = SquareMatrix.identity(dual, 2)
 
@@ -369,14 +370,14 @@ def test_wsigma_probe_regular_semisimple():
     rng = random.Random(65)
     sigma = diag(F101.from_int(2))
     result = wsigma_trace_probe(parse("[x,y]").word, sigma, rng, 100)
-    assert result.verdict == "TakesManyValues"
+    assert result.verdict == ProbeVerdict.TAKES_MANY_VALUES
 
 
 def test_wsigma_probe_central_sigma():
     rng = random.Random(66)
     sigma = SquareMatrix.identity(F101, 2).scaled(F101.from_int(-1))
     result = wsigma_trace_probe(parse("y x y^-1 x^-1").word, sigma, rng, 50)
-    assert result.verdict == "ConstantSoFar"
+    assert result.verdict == ProbeVerdict.CONSTANT_SO_FAR
     assert result.distinct_traces == (F101.from_int(2),)
 
 
@@ -384,7 +385,25 @@ def test_wsigma_probe_engel_word():
     rng = random.Random(67)
     sigma = diag(F101.from_int(3))
     result = wsigma_trace_probe(parse("[[x,y],y]").word, sigma, rng, 100)
-    assert result.verdict == "TakesManyValues"
+    assert result.verdict == ProbeVerdict.TAKES_MANY_VALUES
+
+
+def test_wsigma_probe_reports_samples_drawn():
+    # the probe stops at 32 distinct traces; it reports the draws it made
+    sigma = diag(F101.from_int(2))
+    result = wsigma_trace_probe(parse("[x,y]").word, sigma, random.Random(69), 1000)
+    rng = random.Random(69)
+    seen, drawn = set(), 0
+    while len(seen) < 32:
+        drawn += 1
+        tup = [random_sl2(F101, rng), random_sl2(F101, rng)]
+        seen.add(eval_group(parse("[x,y]"), [tup[0], sigma]).trace())
+    assert len(result.distinct_traces) == 32
+    assert result.samples == drawn < 1000
+    # a central sigma gives one trace, so every requested sample is drawn
+    central = SquareMatrix.identity(F101, 2).scaled(F101.from_int(-1))
+    result = wsigma_trace_probe(parse("[x,y]").word, central, random.Random(70), 200)
+    assert result.samples == 200 and len(result.distinct_traces) == 1
 
 
 def test_wsigma_probe_requires_zero_y_sum():

@@ -110,6 +110,9 @@ CASES = [
     # stress cases: a long nested commutator power under jets, a long power
     ["--ring", "Fp:101", "dominance", "--word", "[[x,y],[x,z]]^20", "--seed", "2"],
     ["--ring", "Fp:101", "eval", "--word", "[x,y]^3000", "--at", *SL2_PAIR],
+    # square roots off the base: sqrt(2) = 3i in F_11[i], sqrt(8)/2 in Q[sqrt(8)]
+    ["--ring", "Fp:11[i]", "lemma-check", "101"],
+    ["--ring", "Q[sqrt(8)]", "preimage", "--a", "sqrt(2)"],
 ]
 
 

@@ -30,6 +30,7 @@ RINGS = [
     parse_ring("Q[sqrt(2)]"),
     DualNumbers(PrimeField(5)),
     DualNumbers(Q),
+    DualNumbers(parse_ring("Q[i]")),  # the ring of dimcert over Q[i]
 ]
 
 deterministic = settings(derandomize=True, deadline=None, database=None, max_examples=40)

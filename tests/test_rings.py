@@ -19,7 +19,6 @@ from wordmap import (
     primitive_root_of_unity,
     render_scalar,
     sqrt_in_ring,
-    sqrt_minus_one,
 )
 
 Q = Rationals()
@@ -31,7 +30,7 @@ F13I = QuadraticExt(PrimeField(7), 3)  # 3 is a non-square mod 7
 DQ = DualNumbers(Q)
 
 
-RINGS = [Q, F13, F101, QI, F13I, DQ]
+RINGS = [Q, F13, F101, QI, F13I, DQ, DualNumbers(QI), DualNumbers(F13I)]
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=str)
@@ -62,13 +61,13 @@ def test_field_vs_non_field():
             if not a.is_zero():
                 assert a * a.inv() == ring.one
     # eps is a nonzero zero divisor, so Dual(Q) is not a field
-    assert not DQ.eps.is_zero() and (DQ.eps * DQ.eps).is_zero()
+    assert not DQ.root.is_zero() and (DQ.root * DQ.root).is_zero()
     with pytest.raises(NotInvertible):
-        DQ.eps.inv()
+        DQ.root.inv()
 
 
 def test_dual_number_law():
-    eps = DQ.eps
+    eps = DQ.root
     assert (eps * eps).is_zero()
     a = DQ.scalar((Fraction(3), Fraction(5)))  # 3 + 5 eps
     inv = a.inv()
@@ -80,9 +79,21 @@ def test_dual_number_law():
         eps.inv()
 
 
+@pytest.mark.parametrize("dual", [DQ, DualNumbers(F13), DualNumbers(QI), DualNumbers(F13I)], ids=str)
+def test_dual_products_match_the_general_quadratic_forms(dual):
+    # the d = 0 rmul/rdot are shortcuts of QuadraticExt's general forms
+    rng = random.Random(11)
+    for _ in range(200):
+        x, y = dual.random(rng).value, dual.random(rng).value
+        assert dual.rmul(x, y) == QuadraticExt.rmul(dual, x, y)
+        xs = [dual.random(rng).value for _ in range(4)]
+        ys = [dual.random(rng).value for _ in range(4)]
+        assert dual.rdot(xs, ys) == QuadraticExt.rdot(dual, xs, ys)
+
+
 def test_dual_first_derivative():
     # f(x) = x^3 at 2 + eps: value 8, derivative 12
-    x = DQ.lift(Q.from_int(2)) + DQ.eps
+    x = DQ.lift(Q.from_int(2)) + DQ.root
     y = x ** 3
     assert DQ.real_part(y) == Q.from_int(8)
     assert DQ.eps_part(y) == Q.from_int(12)
@@ -92,7 +103,7 @@ def test_sqrt_minus_one_iff_p_1_mod_4():
     for p in range(3, 100, 2):
         if not isprime(p):
             continue
-        s = sqrt_minus_one(PrimeField(p))
+        s = sqrt_in_ring(PrimeField(p), -1)
         if p % 4 == 1:
             assert s is not None and s * s == PrimeField(p).from_int(-1)
         else:
@@ -100,10 +111,10 @@ def test_sqrt_minus_one_iff_p_1_mod_4():
 
 
 def test_sqrt_minus_one_examples():
-    assert sqrt_minus_one(F13) == F13.from_int(5)
-    assert sqrt_minus_one(F17) == F17.from_int(4)
-    assert sqrt_minus_one(Q) is None
-    i = sqrt_minus_one(QI)
+    assert sqrt_in_ring(F13, -1) == F13.from_int(5)
+    assert sqrt_in_ring(F17, -1) == F17.from_int(4)
+    assert sqrt_in_ring(Q, -1) is None
+    i = sqrt_in_ring(QI, -1)
     assert i is not None and i * i == QI.from_int(-1)
 
 
@@ -114,6 +125,25 @@ def test_sqrt_in_ring():
     q2 = parse_ring("Q[sqrt(2)]")
     r = sqrt_in_ring(q2, 2)
     assert r is not None and r * r == q2.from_int(2)
+    assert sqrt_in_ring(q2, 3) is None  # 3/2 is no square in Q
+    # off the base a root is b*sqrt(d): (3i)^2 = 2 in F_11[i], (sqrt(8)/2)^2 = 2
+    f11i = parse_ring("Fp:11[i]")
+    assert sqrt_in_ring(f11i, 2) == f11i.from_int(3) * f11i.root
+    q8 = parse_ring("Q[sqrt(8)]")
+    assert sqrt_in_ring(q8, 2) == parse_scalar(q8, "sqrt(2)") == q8.root / 2
+    # (a + b eps)^2 = a^2 + 2ab eps: only base squares have roots
+    assert sqrt_in_ring(DQ, 4) == DQ.from_int(2) and sqrt_in_ring(DQ, 2) is None
+
+
+def test_every_element_of_f_p_is_a_square_in_f_p2():
+    # F_p^2 = F_p[i] for p = 3 mod 4, and F_p* lies in the squares of its cyclic group
+    for p in primerange(3, 200):
+        if p % 4 != 3:
+            continue
+        ring = parse_ring(f"Fp:{p}[i]")
+        for n in range(p):
+            s = sqrt_in_ring(ring, n)
+            assert s is not None and s * s == ring.from_int(n)
 
 
 def test_primitive_root_of_unity():
@@ -136,7 +166,7 @@ def test_square_roots_match_scan_below_500():
             s = sqrt_in_ring(f, n)
             expected = _least_square_root(n, p)
             assert (s is None) == (expected is None) and (s is None or s.value == expected)
-        s = sqrt_minus_one(f)
+        s = sqrt_in_ring(f, -1)
         expected = _least_square_root(-1, p)
         assert (s is None) == (expected is None) and (s is None or s.value == expected)
         if p % 4 == 3:
@@ -144,7 +174,7 @@ def test_square_roots_match_scan_below_500():
             d = next(x for x in range(2, p) if _least_square_root(x, p) is None)
             ext = QuadraticExt(f, d)
             target = (-pow(d, p - 2, p)) % p
-            assert sqrt_minus_one(ext).value == (0, _least_square_root(target, p))
+            assert sqrt_in_ring(ext, -1).value == (0, _least_square_root(target, p))
 
 
 def test_primitive_roots_match_scan_below_500():
@@ -161,7 +191,7 @@ def test_primitive_roots_match_scan_below_500():
 def test_roots_for_a_prime_above_10_12():
     p = 1000000000061  # p = 1 mod 4; p - 1 = 2^2 * 5 * 3947 * 12667849
     f = PrimeField(p)
-    i = sqrt_minus_one(f)
+    i = sqrt_in_ring(f, -1)
     assert (i.value * i.value + 1) % p == 0 and i.value <= p - i.value
     r = sqrt_in_ring(f, 5)
     assert r is not None and (r.value * r.value - 5) % p == 0 and r.value <= p - r.value
