@@ -113,6 +113,16 @@ CASES = [
     # square roots off the base: sqrt(2) = 3i in F_11[i], sqrt(8)/2 in Q[sqrt(8)]
     ["--ring", "Fp:11[i]", "lemma-check", "101"],
     ["--ring", "Q[sqrt(8)]", "preimage", "--a", "sqrt(2)"],
+    # dimension certificates with a generic torus parameter over Q, an
+    # unconfirmed certificate over F_2, and the bad-input exits
+    ["--ring", "Q", "dimcert", "--example", "ex5.W1"],
+    ["--ring", "Q", "dimcert", "--example", "ex5.T1"],
+    ["--ring", "Fp:2", "dimcert", "--example", "ex5.T2"],
+    ["--ring", "Fp:3", "dimcert", "--example", "ex1.W"],
+    ["--ring", "Fp:101", "dimcert", "--example", "ex2.Wj", "--j", "2"],
+    ["--ring", "Fp:7", "dimcert", "--example", "ex3.W1"],
+    ["--ring", "Q", "dimcert", "--example", "ex4.Tj"],
+    ["--ring", "Fp:101", "dimcert", "--example", "ex4.Tj", "--p", "7"],
 ]
 
 
