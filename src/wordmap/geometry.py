@@ -4,7 +4,8 @@ and relation scanning."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 from .errors import (
     DegenerateLambda,
@@ -61,10 +62,6 @@ def off_diagonal(mu: Scalar) -> SquareMatrix:
 def weyl_rep(ring: RingDescriptor) -> SquareMatrix:
     """The torus-normalizer representative [[0, 1], [-1, 0]]."""
     return SquareMatrix.from_rows(ring, [[0, 1], [-1, 0]])
-
-
-def conjugate(g: SquareMatrix, m: SquareMatrix) -> SquareMatrix:
-    return g * m * g.inverse()
 
 
 def _coerce(s: Scalar, ring: RingDescriptor) -> Scalar:
@@ -249,29 +246,30 @@ class DimensionCertificate:
 
 _EX5_TEXT = "[ [x,y] , x [x,y] x^-1 ]"
 
-# id: (word, claimed dimension, equation word, equation kind); "{p}" is the
-# Ex4 power.  A first-factor trace equation is kind T of the word x.
+# "{p}" is the Ex4 power; a first-factor trace equation is kind T of the word x,
+# and ex4.Tj and Sa replace their trace target with zeta_p^j + zeta_p^-j and a.
+# Each family is (g A g^-1, g B g^-1), or (g A g^-1, h) for a free matrix h,
+# with g and h perturbed as matrix parameters.  The base scalars are ints or L,
+# a generic torus parameter.  A and B are products of atoms: D<k> = diag(s_k),
+# U<k> = [[1, s_k], [0, 1]], O<k> = off_diagonal(s_k), W = weyl_rep,
+# I = diag(i), and T = [[s_2, s_1], [p/s_1, (p+1)/s_2]] with
+# p = (2 - target)/(s_0 - 1/s_0)^2, so that tr [diag(s_0), T] = target.
+#
+# id: (word, claimed dimension, equation, kind, trace target, base scalars,
+#      first factor, second factor)
 _CATALOGUE = {
-    "ex1.W": ("[x,y]", 4, "[x,y]", "W"),
-    "ex1.T": ("[x,y]", 5, "[x,y]", "T"),
-    "ex2.Wj": ("[x^2,y]", 5, "x", "T"),
-    "ex3.W1": ("[x,y]^2", 3, "[x,y]^2", "W"),
-    "ex4.Tj": ("[x,y]^{p}", 5, "[x,y]", "T"),
-    "ex5.W1": (_EX5_TEXT, 4, _EX5_TEXT, "W"),
-    "ex5.T1": (_EX5_TEXT, 5, _EX5_TEXT, "T"),
-    "ex5.T2": (_EX5_TEXT, 5, "x", "T"),
-    "Sa": ("[x,y]", 5, "[x,y]", "T"),
+    "ex1.W": ("[x,y]", 4, "[x,y]", "W", None, (2, 3), "D0", "D1"),
+    "ex1.T": ("[x,y]", 5, "[x,y]", "T", 2, (2, 3, 1), "D0", "D1 U2"),
+    "ex2.Wj": ("[x^2,y]", 5, "x", "T", 0, (), "I", "h"),
+    "ex3.W1": ("[x,y]^2", 3, "[x,y]^2", "W", None, (2,), "I", "O0"),
+    "ex4.Tj": ("[x,y]^{p}", 5, "[x,y]", "T", None, ("L", 1, 1), "D0", "T"),
+    "ex5.W1": (_EX5_TEXT, 4, _EX5_TEXT, "W", None, ("L", 3), "D0", "W D1"),
+    "ex5.T1": (_EX5_TEXT, 5, _EX5_TEXT, "T", 2, ("L", 3, 1), "D0", "W D1 U2"),
+    "ex5.T2": (_EX5_TEXT, 5, "x", "T", 0, (), "W", "h"),
+    "Sa": ("[x,y]", 5, "[x,y]", "T", 5, ("L", 1, 1), "D0", "T"),
 }
 
 COMPONENT_IDS = tuple(_CATALOGUE)
-
-
-def _default_conjugator(ring: RingDescriptor) -> SquareMatrix:
-    return SquareMatrix.from_rows(ring, [[1, 1], [1, 2]])
-
-
-def _default_free_point(ring: RingDescriptor) -> SquareMatrix:
-    return SquareMatrix.from_rows(ring, [[2, 1], [1, 1]])
 
 
 def _need_i(ring: RingDescriptor) -> Scalar:
@@ -281,15 +279,13 @@ def _need_i(ring: RingDescriptor) -> Scalar:
     return s
 
 
-def _generic_lambda(ring: RingDescriptor, avoid=()):
-    """A lambda with lam^4 != 1 avoiding the supplied predicates."""
+def _generic_lambda(ring: RingDescriptor, target: Scalar | None):
+    """A lambda with lam^4 != 1 and, given a trace target, lam^2 + lam^-2 != target."""
     for n in (2, 3, 5, 7, 11, 13):
         lam = ring.from_int(n)
-        if lam.is_zero() or not lam.is_invertible():
+        if lam.is_zero() or not lam.is_invertible() or lam ** 4 == ring.one:
             continue
-        if (lam ** 4) == ring.one:
-            continue
-        if any(pred(lam) for pred in avoid):
+        if target is not None and (lam * lam + (lam * lam).inv() - target).is_zero():
             continue
         return lam
     raise InvalidParams(f"no generic torus parameter found in {ring}")
@@ -309,117 +305,75 @@ def component(
     """
     if cid not in _CATALOGUE:
         raise InvalidParams(f"unknown component id {cid!r}; known: {COMPONENT_IDS}")
-    text, claimed, equation, kind = _CATALOGUE[cid]
-    mats = [_default_conjugator(ring)]
-    target = ring.from_int(2) if kind == "T" else None
-
-    if cid == "ex1.W":
-        scalars = [ring.from_int(2), ring.from_int(3)]
-        _check_torus(scalars[0]), _check_torus(scalars[1])
-
-        def family(scalars, mats):
-            l1, l2 = scalars
-            (g,) = mats
-            return conjugate(g, diag(l1)), conjugate(g, diag(l2))
-
-    elif cid == "ex1.T":
-        scalars = [ring.from_int(2), ring.from_int(3), ring.one]
-        _check_torus(scalars[0])
-
-        def family(scalars, mats):
-            l, m, uu = scalars
-            (g,) = mats
-            b = diag(m) * upper_unitriangular(uu)
-            return conjugate(g, diag(l)), conjugate(g, b)
-
-    elif cid == "ex2.Wj":
+    text, claimed, equation, kind, target, base, first, second = _CATALOGUE[cid]
+    if target is not None:
+        target = ring.from_int(target)
+    if cid == "ex2.Wj" and j != 4:
         # the C_j x G component of w = [x^(j/2), y], shown for j = 4 (needs i)
-        if j != 4:
-            raise InvalidParams("ex2.Wj is catalogued for j = 4")
-        i_scalar = _need_i(ring)
-        scalars, target = [], ring.zero
-        mats.append(_default_free_point(ring))
-
-        def family(scalars, mats):
-            g, h = mats
-            x0 = diag(_coerce(i_scalar, g.ring))
-            return conjugate(g, x0), h
-
-    elif cid == "ex3.W1":
-        i_scalar = _need_i(ring)
-        scalars = [ring.from_int(2)]
-
-        def family(scalars, mats):
-            (m,) = scalars
-            (g,) = mats
-            t0 = diag(_coerce(i_scalar, m.ring))
-            return conjugate(g, t0), conjugate(g, off_diagonal(m))
-
-    elif cid in ("ex4.Tj", "Sa"):
-        if cid == "ex4.Tj":
-            if not isinstance(ring, PrimeField):
-                raise InvalidParams("ex4.Tj is instantiated over a prime field F_q")
-            zeta = primitive_root_of_unity(ring, p)
-            if zeta is None:
-                raise RingLacksRoots(f"F_{ring.p} has no primitive {p}-th root of unity")
-            target = zeta ** j + zeta ** (-j)
-        else:
-            target = a if a is not None else ring.from_int(5)
-        lam = _generic_lambda(
-            ring,
-            avoid=[lambda l: (l * l + (l * l).inv() - target).is_zero()],
-        )
-        scalars = [lam, ring.one, ring.one]
-
-        def family(scalars, mats):
-            l, b, cc = scalars
-            (g,) = mats
-            ring_l = l.ring
-            t = _coerce(target, ring_l)
-            d = l - l.inv()
-            pa = (ring_l.from_int(2) - t) / (d * d)
-            qa = pa + ring_l.one
-            m2 = SquareMatrix.from_rows(
-                ring_l, [[cc, b], [pa / b, qa / cc]]
-            )
-            return conjugate(g, diag(l)), conjugate(g, m2)
-
-    elif cid == "ex5.W1":
-        scalars = [_generic_lambda(ring), ring.from_int(3)]
-
-        def family(scalars, mats):
-            l1, l2 = scalars
-            (g,) = mats
-            wd = weyl_rep(l1.ring)
-            return conjugate(g, diag(l1)), conjugate(g, wd * diag(l2))
-
-    elif cid == "ex5.T1":
-        scalars = [_generic_lambda(ring), ring.from_int(3), ring.one]
-
-        def family(scalars, mats):
-            l, m, uu = scalars
-            (g,) = mats
-            wd = weyl_rep(l.ring)
-            b = diag(m) * upper_unitriangular(uu)
-            return conjugate(g, diag(l)), conjugate(g, wd * b)
-
-    else:  # ex5.T2
-        scalars, target = [], ring.zero
-        mats.append(_default_free_point(ring))
-
-        def family(scalars, mats):
-            g, h = mats
-            return conjugate(g, weyl_rep(g.ring)), h
-
+        raise InvalidParams("ex2.Wj is catalogued for j = 4")
+    if cid == "ex4.Tj":
+        if not isinstance(ring, PrimeField):
+            raise InvalidParams("ex4.Tj is instantiated over a prime field F_q")
+        zeta = primitive_root_of_unity(ring, p)
+        if zeta is None:
+            raise RingLacksRoots(f"F_{ring.p} has no primitive {p}-th root of unity")
+        target = zeta ** j + zeta ** (-j)
+    if cid == "Sa" and a is not None:
+        target = a
+    first = _atoms(first)
+    second = None if second == "h" else _atoms(second)
+    atoms = first + (second or [])
+    scalars = [
+        _generic_lambda(ring, target) if s == "L" else ring.from_int(s) for s in base
+    ]
+    if any(atom == "D" and scalars[k] in (1, -1) for atom, k in atoms):
+        raise DegenerateLambda("torus parameter is +-1")
+    i_scalar = _need_i(ring) if ("I", None) in atoms else None
+    mats = [SquareMatrix.from_rows(ring, [[1, 1], [1, 2]])]  # the conjugator g
+    if second is None:
+        mats.append(SquareMatrix.from_rows(ring, [[2, 1], [1, 1]]))  # the free h
+    family = partial(_family, first, second, i_scalar, target)
     return ComponentInstance(
         cid, ring, parse(text.format(p=p)), claimed, scalars, mats, family,
         parse(equation), kind, target,
     )
 
 
-def _check_torus(lam: Scalar):
-    if lam == lam.ring.one or lam == lam.ring.from_int(-1):
-        raise DegenerateLambda("torus parameter is +-1")
+def _atoms(factor: str) -> list:
+    """'W D1 U2' -> [('W', None), ('D', 1), ('U', 2)]."""
+    return [(a[0], int(a[1:]) if a[1:] else None) for a in factor.split()]
+
+
+def _family(first, second, i_scalar, target, scalars, mats):
+    """The catalogued pair at the given parameters: g A g^-1 and g B g^-1, or h."""
+    g = mats[0]
+    g_inv = g.inverse()
+    x = g * _factor(first, scalars, g.ring, i_scalar, target) * g_inv
+    if second is None:
+        return x, mats[1]
+    return x, g * _factor(second, scalars, g.ring, i_scalar, target) * g_inv
+
+
+def _factor(atoms, scalars, ring, i_scalar, target) -> SquareMatrix:
+    product = None
+    for atom, k in atoms:
+        if atom == "D":
+            m = diag(scalars[k])
+        elif atom == "U":
+            m = upper_unitriangular(scalars[k])
+        elif atom == "O":
+            m = off_diagonal(scalars[k])
+        elif atom == "W":
+            m = weyl_rep(ring)
+        elif atom == "I":
+            m = diag(_coerce(i_scalar, ring))
+        else:  # T
+            lam, b, c = scalars
+            d = lam - lam.inv()
+            pa = (ring.from_int(2) - _coerce(target, ring)) / (d * d)
+            m = SquareMatrix.from_rows(ring, [[c, b], [pa / b, (pa + ring.one) / c]])
+        product = m if product is None else product * m
+    return product
 
 
 def parametrization_rank(comp: ComponentInstance) -> int:

@@ -7,6 +7,7 @@ integer vectors and all inner products stay in Z.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 
 from .errors import InvalidType
@@ -22,9 +23,9 @@ class RootSystem:
     def __contains__(self, vec) -> bool:
         return tuple(vec) in self._root_set
 
-    @property
-    def _root_set(self):
-        return set(self.roots)
+    @cached_property
+    def _root_set(self) -> frozenset:
+        return frozenset(self.roots)
 
     def count(self) -> int:
         return len(self.roots)
@@ -69,6 +70,17 @@ def _dot(u, v) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
+def _short_pairs(dim: int) -> list:
+    """The roots +-e_i +-e_j for i < j, doubled."""
+    roots = []
+    for i, j in combinations(range(dim), 2):
+        for si, sj in product((2, -2), repeat=2):
+            v = [0] * dim
+            v[i], v[j] = si, sj
+            roots.append(tuple(v))
+    return roots
+
+
 def build(type_label: str, rank: int) -> RootSystem:
     """The standard Bourbaki realization, coordinates doubled to integers."""
     t = type_label.upper()
@@ -85,12 +97,7 @@ def build(type_label: str, rank: int) -> RootSystem:
         if (t in ("B", "C") and rank < 2) or (t == "D" and rank < 4):
             raise InvalidType(f"{t} requires rank >= {2 if t in ('B', 'C') else 4}")
         dim = rank
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                for si, sj in product((1, -1), repeat=2):
-                    v = [0] * dim
-                    v[i], v[j] = 2 * si, 2 * sj
-                    roots.append(tuple(v))
+        roots = _short_pairs(dim)
         if t == "B":
             for i in range(dim):
                 roots.append(_unit(dim, i, 2))
@@ -103,13 +110,7 @@ def build(type_label: str, rank: int) -> RootSystem:
         if rank not in (6, 7, 8):
             raise InvalidType("E requires rank 6, 7 or 8")
         dim = 8
-        e8 = []
-        for i in range(8):
-            for j in range(i + 1, 8):
-                for si, sj in product((1, -1), repeat=2):
-                    v = [0] * 8
-                    v[i], v[j] = 2 * si, 2 * sj
-                    e8.append(tuple(v))
+        e8 = _short_pairs(8)
         for signs in product((1, -1), repeat=8):
             if signs.count(-1) % 2 == 0:  # even number of minus signs
                 e8.append(signs)
@@ -131,12 +132,7 @@ def build(type_label: str, rank: int) -> RootSystem:
         for i in range(4):
             roots.append(_unit(4, i, 2))
             roots.append(_unit(4, i, -2))
-        for i in range(4):
-            for j in range(i + 1, 4):
-                for si, sj in product((1, -1), repeat=2):
-                    v = [0] * 4
-                    v[i], v[j] = 2 * si, 2 * sj
-                    roots.append(tuple(v))
+        roots += _short_pairs(4)
         for signs in product((1, -1), repeat=4):
             roots.append(signs)
     elif t == "G":

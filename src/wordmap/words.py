@@ -48,9 +48,6 @@ class Word:
     def length(self) -> int:
         return sum(abs(l.exp) for l in self.letters)
 
-    def generators(self):
-        return sorted({l.gen for l in self.letters})
-
     def max_generator(self) -> int:
         return max((l.gen for l in self.letters), default=0)
 
@@ -427,10 +424,6 @@ def _render_gen(gen: int) -> str:
         if idx == gen:
             return name
     return f"x{gen}"
-
-
-def render_word(w: Word) -> str:
-    return render(pure(w))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,92 @@
+"""Property tests of the adjugate extension: the restriction identity
+w~ = Delta * w^ on invertible tuples, and per-variable homogeneity.
+
+Words mix generators x, y, z with bound constants s1, s2; tuples are
+invertible n x n matrices, n = 2..4, over F_101, Q and F_103[i].  Delta and
+the homogeneity degrees are recounted here from the reduced letters.
+"""
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from wordmap import (
+    EmptyInnerWord,
+    PrimeField,
+    QuadraticExt,
+    Rationals,
+    SquareMatrix,
+    check_restriction_identities,
+    det,
+    eval_adjugate_extension,
+    from_items,
+    homogeneity_check,
+    parse_ring,
+)
+from wordmap.words import ConstLetter, Letter
+
+RINGS = [PrimeField(101), Rationals(), parse_ring("Fp:103[i]")]
+
+deterministic = settings(derandomize=True, deadline=None, database=None, max_examples=60)
+
+items = st.lists(
+    st.one_of(
+        st.builds(Letter, st.integers(1, 3), st.sampled_from([-3, -2, -1, 1, 2, 3])),
+        st.builds(ConstLetter, st.sampled_from(["s1", "s2"]), st.booleans()),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def invertible(ring, n):
+    entry = st.integers(-5, 5).map(ring.from_int)
+    if isinstance(ring, QuadraticExt):
+        entry = st.tuples(entry, entry).map(lambda ab: ab[0] + ab[1] * ring.root)
+    rows = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    return rows.map(lambda rs: SquareMatrix.from_rows(ring, rs)).filter(
+        lambda m: det(m).is_invertible()
+    )
+
+
+@st.composite
+def words_and_tuples(draw):
+    try:
+        w = from_items(draw(items))
+    except EmptyInnerWord:
+        assume(False)
+    ring = draw(st.sampled_from(RINGS))
+    n = draw(st.integers(2, 4))
+    w = w.with_binding({name: draw(invertible(ring, n)) for name in w.constant_names()})
+    tup = [draw(invertible(ring, n)) for _ in range(max(w.max_generator(), 1))]
+    return ring, n, w, tup
+
+
+def exponents(w, gen):
+    return [l.exp for seg in w.words for l in seg.letters if l.gen == gen]
+
+
+@deterministic
+@given(words_and_tuples())
+def test_restriction_identity(case):
+    ring, _n, w, tup = case
+    check = check_restriction_identities(w, tup)
+    assert check.holds
+    delta = ring.one
+    for gen, g in enumerate(tup, start=1):
+        delta = delta * det(g) ** -sum(e for e in exponents(w, gen) if e < 0)
+    assert check.delta == delta
+
+
+@deterministic
+@given(words_and_tuples(), st.data())
+def test_homogeneity(case, data):
+    ring, n, w, tup = case
+    r = data.draw(st.integers(1, len(tup)))
+    c = ring.from_int(data.draw(st.integers(-3, 3)))  # 0 included
+    assert homogeneity_check(w, tup, r, c)
+    degree = sum(e if e > 0 else (1 - n) * e for e in exponents(w, r))
+    scaled = list(tup)
+    scaled[r - 1] = tup[r - 1].scaled(c)
+    assert eval_adjugate_extension(w, scaled) == eval_adjugate_extension(w, tup).scaled(
+        c ** degree
+    )

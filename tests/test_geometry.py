@@ -248,11 +248,17 @@ def test_parametrization_rank_bounded_by_parameters():
 
 def test_component_needs_roots():
     with pytest.raises(RingLacksRoots):
-        component("ex3.W1", F13 if False else Q)  # Q has no i
+        component("ex3.W1", Q)  # Q has no i
     with pytest.raises(RingLacksRoots):
         component("ex4.Tj", F13, p=5)  # 13 - 1 is not divisible by 5
     with pytest.raises(InvalidParams):
         component("nope", F101)
+    with pytest.raises(DegenerateLambda):
+        component("ex1.W", PrimeField(3))  # the torus parameter 2 is -1 in F_3
+    with pytest.raises(InvalidParams):
+        component("ex2.Wj", F101, j=2)  # catalogued for j = 4 only
+    with pytest.raises(InvalidParams):
+        component("ex4.Tj", Q)  # needs a prime field
 
 
 def test_certificates_over_alternative_fields():
