@@ -12,7 +12,7 @@ import random
 import re
 import sys
 
-from .errors import InvalidType, WordmapError
+from .errors import InvalidParams, InvalidType, WordmapError
 from .evaluate import (
     check_restriction_identities,
     chi_probe,
@@ -141,9 +141,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("dimcert", help="dimension certificate for a catalogued component")
     p.add_argument("--example", required=True, choices=COMPONENT_IDS)
-    p.add_argument("--p", type=int, default=5)
-    p.add_argument("--j", type=int, default=1)
-    p.add_argument("--a", default=None)
+    p.add_argument("--p", type=int, default=None, help="Ex4 power (ex4.Tj; default 5)")
+    p.add_argument("--j", type=int, default=None,
+                   help="Ex2 exponent or Ex4 root index (ex2.Wj, ex4.Tj; default 1)")
+    p.add_argument("--a", default=None, help="trace level (Sa)")
 
     p = add_parser("sep-witness", help="point with trace 2 but word value != 1")
     p.add_argument("--word", required=True)
@@ -248,9 +249,18 @@ def _cmd_fiber(args, ring, rng):
     return report, EXIT_OK if ok else EXIT_PROPERTY_FAILED
 
 
+# the dimcert flags each component reads; giving it any other is a usage error
+_DIMCERT_FLAGS = {"ex2.Wj": ("j",), "ex4.Tj": ("p", "j"), "Sa": ("a",)}
+
+
 def _cmd_dimcert(args, ring, rng):
-    a = parse_scalar(ring, args.a) if args.a is not None else None
-    comp = component(args.example, ring, p=args.p, j=args.j, a=a)
+    given = {f: getattr(args, f) for f in ("p", "j", "a") if getattr(args, f) is not None}
+    unread = [f"--{f}" for f in given if f not in _DIMCERT_FLAGS.get(args.example, ())]
+    if unread:
+        raise InvalidParams(f"{args.example} does not read {', '.join(unread)}")
+    if "a" in given:
+        given["a"] = parse_scalar(ring, given["a"])
+    comp = component(args.example, ring, **given)
     cert = dimension_certificate(comp)
     report = {
         "component": cert.component,

@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
-from sympy import isprime, primefactors
-
 from .errors import NotInvertible, RingMismatch, RingLacksRoots, WordmapError
 
 
@@ -124,7 +122,7 @@ class PrimeField(RingDescriptor):
     p: int
 
     def __post_init__(self):
-        if not isprime(self.p):
+        if not _is_prime(self.p):
             raise WordmapError(f"{self.p} is not prime")
 
     def canon(self, raw):
@@ -384,6 +382,114 @@ class Scalar:
 
 
 # ---------------------------------------------------------------------------
+# primality and factoring
+
+# The first 13 primes, the trial divisors and the Miller-Rabin bases.  Every
+# composite below _MR_BOUND = psi_13 fails Miller-Rabin to one of them
+# (Sorenson and Webster, Math. Comp. 2017); psi_13 itself passes all 13.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n is prime: proven below _MR_BOUND by deterministic Miller-Rabin,
+    and from there on BPSW (strong base-2 Miller-Rabin and a strong Lucas
+    test; Baillie and Wagstaff, Math. Comp. 1980), with no known counterexample."""
+    if n < 2:
+        return False
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            return n == q
+    if n < 43 * 43:
+        return True  # no prime factor up to sqrt(n)
+    if n < _MR_BOUND:
+        return all(_strong_probable_prime(n, a) for a in _SMALL_PRIMES)
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Miller-Rabin to base a, for odd n > a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a, result = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters, for odd n > 2.
+
+    D is the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D)/4.  With n + 1 = d * 2^s, n passes when U_d = 0 or
+    V_(d 2^r) = 0 (mod n) for some 0 <= r < s.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D with (D/n) = -1
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:
+            return False  # D and n share a factor
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+
+    def halve(x):
+        x %= n
+        return (x + n if x % 2 else x) // 2
+
+    # U_k, V_k, Q^k from k = 1 along the bits of d: k -> 2k, then k -> k + 1
+    u, v, qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = halve(u + v), halve(D * u + v), qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
+def _prime_factors(k: int) -> list:
+    """The distinct primes dividing k >= 1, increasing, by trial division up to sqrt(k)."""
+    primes, q = [], 2
+    while q * q <= k:
+        if k % q == 0:
+            primes.append(q)
+            while k % q == 0:
+                k //= q
+        q += 1 if q == 2 else 2
+    if k > 1:
+        primes.append(k)
+    return primes
+
+
+# ---------------------------------------------------------------------------
 # square roots and roots of unity
 
 
@@ -449,7 +555,7 @@ def primitive_root_of_unity(ring: PrimeField, k: int):
     p = ring.p
     if (p - 1) % k != 0:
         return None
-    qs = primefactors(k)
+    qs = _prime_factors(k)
     x = 1
     while True:
         h = pow(x, (p - 1) // k, p)
@@ -484,13 +590,18 @@ def parse_ring(spec: str) -> RingDescriptor:
     return QuadraticExt(base, base.raw_from_int(int(m.group(5))))
 
 
+# a term is a coefficient, a monomial, or both with an optional "*" between;
+# the monomials are i, sqrt(d), eps, i*eps and sqrt(d)*eps
+_MONOMIAL = r"(?:(?:i|sqrt\(-?\d+\))(?:\s*\*?\s*eps)?|eps)"
 _TERM_RE = re.compile(
-    r"\s*([+-])?\s*(?:(-?\d+(?:/\d+)?)\s*\*?\s*(i|sqrt\((-?\d+)\))?|(i|sqrt\((-?\d+)\)))\s*"
+    rf"\s*([+-])?\s*(?:(-?\d+(?:/\d+)?)(?:\s*\*?\s*({_MONOMIAL}))?|({_MONOMIAL}))\s*"
 )
+_ROOT_RE = re.compile(r"i|sqrt\((-?\d+)\)")
 
 
 def parse_scalar(ring: RingDescriptor, text: str) -> Scalar:
-    """Parse a scalar literal: integers, ``a/b``, ``i``, ``sqrt(d)`` and sums thereof.
+    """Parse a scalar literal: integers, ``a/b``, ``i``, ``sqrt(d)``, ``eps``,
+    their products such as ``3*i*eps``, and sums thereof.
 
     A term's coefficient may carry its own sign, so rendered literals such as
     ``1+-2*i`` parse back.
@@ -505,7 +616,7 @@ def parse_scalar(ring: RingDescriptor, text: str) -> Scalar:
         m = _TERM_RE.match(text, pos)
         if not m or m.end() == pos:
             raise WordmapError(f"bad scalar literal {text!r} at {pos}")
-        sign, coef, root1, d1, root2, d2 = m.groups()
+        sign, coef, mono1, mono2 = m.groups()
         if sign is None and not first:
             raise WordmapError(f"missing sign in scalar literal {text!r}")
         term = ring.one
@@ -515,12 +626,17 @@ def parse_scalar(ring: RingDescriptor, text: str) -> Scalar:
                 term = ring.from_int(int(num)) / ring.from_int(int(den))
             else:
                 term = ring.from_int(int(coef))
-        root = root1 or root2
+        mono = mono1 or mono2 or ""
+        root = _ROOT_RE.match(mono)
         if root is not None:
-            s = sqrt_in_ring(ring, -1 if root == "i" else int(d1 if d1 is not None else d2))
+            s = sqrt_in_ring(ring, -1 if root[0] == "i" else int(root[1]))
             if s is None:
-                raise RingLacksRoots(f"no {root} in {ring}")
+                raise RingLacksRoots(f"no {root[0]} in {ring}")
             term = term * s
+        if mono.endswith("eps"):
+            if not isinstance(ring, DualNumbers):
+                raise RingLacksRoots(f"no eps in {ring}")
+            term = term * ring.root
         if sign == "-":
             term = -term
         result = result + term
@@ -529,14 +645,20 @@ def parse_scalar(ring: RingDescriptor, text: str) -> Scalar:
     return result
 
 
-def render_scalar(s: Scalar) -> str:
-    ring = s.ring
+def _terms(ring: RingDescriptor, raw) -> list:
+    """(coefficient, monomial) literals of the nonzero terms of a raw value."""
     if not isinstance(ring, QuadraticExt):
+        return [] if ring.is_zero_raw(raw) else [(str(raw), "")]
+    a, b = raw
+    sym = ring.symbol
+    return _terms(ring.base, a) + [
+        (c, f"{m}*{sym}" if m else sym) for c, m in _terms(ring.base, b)
+    ]
+
+
+def render_scalar(s: Scalar) -> str:
+    """The literal of s, one term per monomial (``1+-2*i``, ``1+2*i+3*eps+4*i*eps``);
+    :func:`parse_scalar` reads it back."""
+    if not isinstance(s.ring, QuadraticExt):
         return str(s.value)
-    sa = render_scalar(Scalar(ring.base, s.value[0]))
-    sb = render_scalar(Scalar(ring.base, s.value[1]))
-    if sb == "0":
-        return sa
-    if sa == "0":
-        return f"{sb}*{ring.symbol}"
-    return f"{sa}+{sb}*{ring.symbol}"
+    return "+".join(f"{c}*{m}" if m else c for c, m in _terms(s.ring, s.value)) or "0"

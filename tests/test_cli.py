@@ -1,6 +1,9 @@
 """CLI: subcommand behavior, exit codes, JSON schemas, byte-level determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from jsonschema import validate
@@ -154,6 +157,23 @@ def test_dimcert(capsys, example, flags, claimed):
     assert rep["confirmed"] and rep["claimed"] == claimed
 
 
+@pytest.mark.parametrize(
+    "example,flags,unread",
+    [
+        ("ex1.W", ["--j", "4"], "--j"),
+        ("ex2.Wj", ["--j", "4", "--p", "5"], "--p"),
+        ("ex4.Tj", ["--p", "5", "--j", "2", "--a", "3"], "--a"),
+        ("Sa", ["--a", "7", "--j", "1"], "--j"),
+        ("ex5.T2", ["--a", "7"], "--a"),
+    ],
+)
+def test_dimcert_rejects_a_flag_the_component_does_not_read(capsys, example, flags, unread):
+    code = main(["--ring", "Fp:101", "dimcert", "--example", example] + flags)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert unread in captured.err
+
+
 def test_sep_witness(capsys):
     code, rep = run_json(
         capsys, ["--ring", "Fp:101", "sep-witness", "--word", "[x,y]^2"]
@@ -256,3 +276,43 @@ def test_property_failure_exit_code(capsys):
     assert main(["--ring", "Fp:101", "preimage", "--a", "2"]) == 0
     # degenerate lambda is a usage error, not a property failure
     assert main(["--ring", "Fp:101", "preimage", "--a", "5", "--lam", "1"]) == 2
+
+
+# Run the CLI in a fresh interpreter; with "block", importing sympy fails there.
+_CLI_SCRIPT = """
+import sys
+if sys.argv[1] == "block":
+    sys.modules["sympy"] = None
+from wordmap.cli import main
+code = main(sys.argv[2:])
+assert "sympy" not in sys.modules or sys.modules["sympy"] is None
+sys.exit(code)
+"""
+
+
+def _run_fresh(mode, argv):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run(
+        [sys.executable, "-c", _CLI_SCRIPT, mode, *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--ring", "Fp:1000000000061", "eval", "--word", "[x,y]^3 x^-5",
+         "--at", '[["3","5"],["1","2"]]', '[["2","1"],["7","4"]]'],
+        ["--ring", "Fp:1000000000061", "lemma-check", "78", "--lam", "3", "--u", "5"],
+        ["--ring", "Fp:17", "lemma-check", "101"],
+    ],
+    ids=["eval", "lemma-78", "lemma-101"],
+)
+def test_runs_without_sympy(argv):
+    blocked = _run_fresh("block", argv)
+    assert blocked.returncode == 0, blocked.stderr
+    plain = _run_fresh("plain", argv)
+    assert plain.returncode == 0, plain.stderr
+    assert blocked.stdout == plain.stdout and blocked.stdout

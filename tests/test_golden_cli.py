@@ -123,6 +123,9 @@ CASES = [
     ["--ring", "Fp:7", "dimcert", "--example", "ex3.W1"],
     ["--ring", "Q", "dimcert", "--example", "ex4.Tj"],
     ["--ring", "Fp:101", "dimcert", "--example", "ex4.Tj", "--p", "7"],
+    # a flag the component does not read
+    ["--ring", "Fp:101", "dimcert", "--example", "ex1.W", "--a", "7"],
+    ["--ring", "Fp:101", "dimcert", "--example", "ex1.W", "--p", "7"],
 ]
 
 

@@ -1,17 +1,22 @@
-"""Ring arithmetic: axioms at random, roots of unity, literals."""
+"""Ring arithmetic: axioms at random, roots of unity, literals, and primality
+and factoring against sympy."""
 
 import random
 from fractions import Fraction
 
 import pytest
-from sympy import divisors, isprime, primerange
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import divisors, isprime, nextprime, primefactors, primerange
 
+from wordmap import rings
 from wordmap import (
     DualNumbers,
     NotInvertible,
     PrimeField,
     QuadraticExt,
     Rationals,
+    RingLacksRoots,
     Scalar,
     WordmapError,
     parse_ring,
@@ -229,6 +234,9 @@ def test_scalar_literals_round_trip():
         ("i", QI, QI.root),
         ("2+3*i", QI, QI.from_int(2) + QI.from_int(3) * QI.root),
         ("sqrt(2)", parse_ring("Q[sqrt(2)]"), parse_ring("Q[sqrt(2)]").root),
+        ("3+4*eps", DualNumbers(F13), DualNumbers(F13).scalar((3, 4))),
+        ("-1/2*eps", DQ, DQ.scalar((Fraction(0), Fraction(-1, 2)))),
+        ("i*eps", DualNumbers(QI), DualNumbers(QI).root * DualNumbers(QI).lift(QI.root)),
     ]:
         s = parse_scalar(ring, text)
         assert s == expect
@@ -240,3 +248,136 @@ def test_scalar_pow_and_hash():
     assert a ** 12 == F13.one  # Fermat
     assert a ** -1 == a.inv()
     assert len({F13.from_int(3), F13.from_int(16)}) == 1
+
+
+def test_dual_literals_render_term_by_term():
+    # (1 + 2i) + (3 + 4i) eps over Q[i]: one term per monomial, so it reads back
+    dual = DualNumbers(QI)
+    s = dual.scalar(((Fraction(1), Fraction(2)), (Fraction(3), Fraction(4))))
+    assert render_scalar(s) == "1+2*i+3*eps+4*i*eps"
+    assert parse_scalar(dual, "1+2*i+3*eps+4*i*eps") == s
+    assert parse_scalar(dual, "1 + 2i + 3 eps + 4 i eps") == s
+    t = dual.scalar(((Fraction(0), Fraction(-1)), (Fraction(0), Fraction(5, 2))))
+    assert render_scalar(t) == "-1*i+5/2*i*eps"
+    assert render_scalar(dual.zero) == "0"
+    f11 = DualNumbers(parse_ring("Fp:11[sqrt(2)]"))
+    t = f11.scalar(((0, 3), (0, 10)))
+    assert render_scalar(t) == "3*sqrt(2)+10*sqrt(2)*eps"
+    assert parse_scalar(f11, render_scalar(t)) == t
+    for ring in (Q, F13, QI):
+        with pytest.raises(RingLacksRoots):
+            parse_scalar(ring, "1+eps")
+    for text in ("eps*2", "2*", "2*+eps"):
+        with pytest.raises(WordmapError):
+            parse_scalar(DQ, text)
+
+
+# ---------------------------------------------------------------------------
+# primality and factoring against sympy
+
+# composites that pass Miller-Rabin to base 2 (below 10**5)
+STRONG_BASE2_PSEUDOPRIMES = [
+    2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799, 49141, 52633, 65281,
+    74665, 80581, 85489, 88357, 90751,
+]
+# composites that pass the strong Lucas test with Selfridge's parameters (below 10**5)
+STRONG_LUCAS_PSEUDOPRIMES = [
+    5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439,
+]
+# Arnault (1993, 1995): strong pseudoprimes to many prime bases
+ARNAULT_1993 = int(
+    "803837457453639491257079614341942108138837688287558145837488917522297"
+    "427376533365218650233616396004545791504202360320876656996676098728404"
+    "396540823292873879185086916685732826776177102938969773947016708230428"
+    "687109997439976544144845341155872450633409279022275296229414984230688"
+    "1685404326457534018329786111298960644845216191652872597534901"
+)
+ARNAULT_1995 = int(
+    "288714823805077121267142959713039399197760945927972270092651602419743"
+    "230379915273311632898314463922594197780311092934965557841894944174093"
+    "380561511397999942154241693397290542371100275104208013496673175515285"
+    "922696291677532547504444585610194940420003990443211677661994962953925"
+    "045269871932907037356403227370127845389912612030924484149472897688540"
+    "6024976768122077071687938121709811322297802059565867"
+)
+HARD_COMPOSITES = [
+    561, 41041, 825265,  # Carmichael numbers
+    2152302898747, 3474749660383, 341550071728321, 9188353522314541,
+    3825123056546413051,  # strong pseudoprime to the first 9 prime bases
+    318665857834031151167461,  # ... to the first 12
+    3317044064679887385961981,  # ... to the first 13: the first n that takes BPSW
+    877777777777777777777777, 564132928021909221014087501701,
+    ARNAULT_1993, ARNAULT_1995, 2**601 - 1,
+    *STRONG_BASE2_PSEUDOPRIMES, *STRONG_LUCAS_PSEUDOPRIMES,
+]
+HARD_PRIMES = [
+    1000000000061, 179424673, 20678048681, 1968188556461, 2614941710599,
+    65635624165761929287, 1162566711635022452267983,
+    77123077103005189615466924501, 3991617775553178702574451996736229,
+    273952953553395851092382714516720001799,
+    2**61 - 1, 2**89 - 1, 2**127 - 1, 2**521 - 1, 2**607 - 1,
+]
+
+
+def test_is_prime_matches_sympy_below_10_6():
+    assert [n for n in range(10**6) if rings._is_prime(n) != isprime(n)] == []
+
+
+def test_bpsw_path_matches_sympy_below_10_5(monkeypatch):
+    # every n past trial division takes the path used at and above _MR_BOUND
+    monkeypatch.setattr(rings, "_MR_BOUND", 0)
+    assert [n for n in range(10**5) if rings._is_prime(n) != isprime(n)] == []
+
+
+def test_strong_pseudoprimes_below_10_5():
+    odd = range(3, 10**5, 2)
+    assert [n for n in odd if rings._strong_probable_prime(n, 2) != isprime(n)] == (
+        STRONG_BASE2_PSEUDOPRIMES
+    )
+    assert [n for n in odd if rings._strong_lucas_probable_prime(n) != isprime(n)] == (
+        STRONG_LUCAS_PSEUDOPRIMES
+    )
+
+
+@pytest.mark.parametrize("n", HARD_COMPOSITES, ids=lambda n: str(n)[:24])
+def test_hard_composites(n):
+    assert not isprime(n)
+    assert not rings._is_prime(n)
+
+
+@pytest.mark.parametrize("n", HARD_PRIMES, ids=lambda n: str(n)[:24])
+def test_hard_primes(n):
+    assert isprime(n)
+    assert rings._is_prime(n)
+    assert PrimeField(n).p == n
+
+
+primality = settings(derandomize=True, deadline=None, database=None, max_examples=150)
+
+
+@primality
+@given(st.integers(0, 2**256))
+def test_is_prime_matches_sympy_up_to_2_256(n):
+    assert rings._is_prime(n) == isprime(n)
+    p = nextprime(n)
+    assert rings._is_prime(p)
+
+
+@primality
+@given(st.integers(1, 2**128), st.integers(1, 2**128))
+def test_odd_composites_are_not_prime(a, b):
+    assert not rings._is_prime((2 * a + 1) * (2 * b + 1))
+
+
+@primality
+@given(st.integers(2, 128).flatmap(
+    lambda bits: st.tuples(*[st.integers(2 ** (bits - 1), 2**bits - 1)] * 2)
+))
+def test_products_of_two_primes_of_one_size_are_not_prime(pair):
+    p, q = (nextprime(x) for x in pair)
+    assert rings._is_prime(p) and rings._is_prime(q)
+    assert not rings._is_prime(p * q)
+
+
+def test_prime_factors_match_sympy_to_10_5():
+    assert [k for k in range(1, 10**5 + 1) if rings._prime_factors(k) != primefactors(k)] == []
