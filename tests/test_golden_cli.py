@@ -126,6 +126,8 @@ CASES = [
     # a flag the component does not read
     ["--ring", "Fp:101", "dimcert", "--example", "ex1.W", "--a", "7"],
     ["--ring", "Fp:101", "dimcert", "--example", "ex1.W", "--p", "7"],
+    # the witness coordinates of one system per type, which `roots table` does not print
+    *[["roots", "check", label] for label in ("A1", "B8", "C8", "D8", "E6", "E7", "E8", "F4", "G2")],
 ]
 
 
