@@ -143,7 +143,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--example", required=True, choices=COMPONENT_IDS)
     p.add_argument("--p", type=int, default=None, help="Ex4 power (ex4.Tj; default 5)")
     p.add_argument("--j", type=int, default=None,
-                   help="Ex2 exponent or Ex4 root index (ex2.Wj, ex4.Tj; default 1)")
+                   help="Ex2 exponent (ex2.Wj: only 4, the default) or "
+                        "Ex4 root index (ex4.Tj; default 1)")
     p.add_argument("--a", default=None, help="trace level (Sa)")
 
     p = add_parser("sep-witness", help="point with trace 2 but word value != 1")

@@ -175,15 +175,11 @@ def chi_probe(
     ring: RingDescriptor,
     rng,
     samples: int,
-    n: int = 2,
-    m: int | None = None,
 ) -> ChiProbeResult:
-    """Sample chi_i of the word value over SL_n tuples; dichotomy verdict at sample scale."""
-    if n != 2:
-        raise DimensionMismatch("sampling probes are implemented for n = 2")
-    if not 1 <= i <= n:
-        raise ValueError(f"coefficient index {i} out of range 1..{n}")
-    m = m or max(w.max_generator(), 1)
+    """Sample chi_i of the word value over SL_2 tuples; dichotomy verdict at sample scale."""
+    if not 1 <= i <= 2:
+        raise ValueError(f"coefficient index {i} out of range 1..2")
+    m = max(w.max_generator(), 1)
 
     def draw():
         tup = [random_sl2(ring, rng) for _ in range(m)]

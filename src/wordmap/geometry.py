@@ -295,16 +295,19 @@ def component(
     cid: str,
     ring: RingDescriptor,
     p: int = 5,
-    j: int = 1,
+    j: int | None = None,
     a: Scalar | None = None,
 ) -> ComponentInstance:
     """Instantiate a catalogued component over a concrete ring.
 
     ``p``/``j`` select the Ex4 component (w = [x,y]^p, trace target
-    zeta_p^j + zeta_p^-j); ``a`` fixes the trace level of the Sa hypersurface.
+    zeta_p^j + zeta_p^-j, j = 1 by default); ex2.Wj takes only j = 4, its
+    default; ``a`` fixes the trace level of the Sa hypersurface.
     """
     if cid not in _CATALOGUE:
         raise InvalidParams(f"unknown component id {cid!r}; known: {COMPONENT_IDS}")
+    if j is None:
+        j = 4 if cid == "ex2.Wj" else 1
     text, claimed, equation, kind, target, base, first, second = _CATALOGUE[cid]
     if target is not None:
         target = ring.from_int(target)
@@ -442,6 +445,8 @@ def relation_scan(pair: Sl2Pair, max_len: int) -> RelationScanResult:
     """All reduced words in F_2 of length <= max_len vanishing at the pair."""
     if max_len > _SCAN_MAX:
         raise InvalidParams(f"max_len capped at {_SCAN_MAX}")
+    if max_len < 1:
+        raise InvalidParams("max_len must be >= 1")
     ring = pair.g1.ring
     ident = SquareMatrix.identity(ring, 2)
     if pair.g1 == ident and pair.g2 == ident:
@@ -575,19 +580,17 @@ class TraceProbeResult:
     samples: int  # drawn; fewer than requested once 32 distinct traces are seen
 
 
-def wsigma_trace_probe(
-    w: Word, sigma: SquareMatrix, rng, samples: int, y_gen: int = 2
-) -> TraceProbeResult:
-    """Sample tr(w^_sigma) with sigma substituted for the distinguished variable."""
-    if not zero_exponent_sum_in_y(w, y_gen):
+def wsigma_trace_probe(w: Word, sigma: SquareMatrix, rng, samples: int) -> TraceProbeResult:
+    """Sample tr(w^_sigma) with sigma substituted for the distinguished variable y."""
+    if not zero_exponent_sum_in_y(w):
         raise InvalidParams("the distinguished-variable exponents must sum to zero")
     ring = sigma.ring
-    m = max(w.max_generator(), y_gen)
+    m = max(w.max_generator(), 2)
     ww = pure(w)
 
     def draw():
         tup = [random_sl2(ring, rng) for _ in range(m)]
-        tup[y_gen - 1] = sigma
+        tup[1] = sigma
         return eval_group(ww, tup).trace()
 
     return TraceProbeResult(*_sample_distinct(draw, samples))

@@ -379,11 +379,18 @@ def rank(rows, ring: RingDescriptor) -> int:
 
 
 def matrix_from_json(ring: RingDescriptor, rows) -> SquareMatrix:
-    """Row-major arrays of scalar literal strings (or ints)."""
-    return SquareMatrix(
-        ring,
-        [[parse_scalar(ring, e) if isinstance(e, str) else int(e) for e in row] for row in rows],
-    )
+    """Row-major arrays of scalar literal strings or ints (not bools)."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise WordmapError(f"a matrix is a list of rows, got {rows!r}")
+    return SquareMatrix(ring, [[_json_entry(ring, e) for e in row] for row in rows])
+
+
+def _json_entry(ring: RingDescriptor, e):
+    if isinstance(e, str):
+        return parse_scalar(ring, e)
+    if isinstance(e, int) and not isinstance(e, bool):
+        return e
+    raise WordmapError(f"a matrix entry is a scalar string or an int, got {e!r}")
 
 
 def matrix_to_json(m: SquareMatrix):

@@ -1,14 +1,17 @@
 """Irreducible root systems in Bourbaki coordinates and the orthogonal-A1 search.
 
-Coordinates are stored doubled, so the half-integer roots of the E types become
-integer vectors and all inner products stay in Z.
+Each type is given by its simple roots (Bourbaki, Plates I-IX); the roots are
+their orbit under the simple reflections.  Coordinates are stored doubled, so
+the half-integer roots of the E and F types become integer vectors and all
+inner products stay in Z.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
+from typing import Callable, NamedTuple
 
 from .errors import InvalidType
 
@@ -37,23 +40,6 @@ class StarResult:
     witness: tuple | None  # rank-many doubled roots, or None
 
 
-_CLASSICAL_COUNTS = {
-    "A": lambda r: r * (r + 1),
-    "B": lambda r: 2 * r * r,
-    "C": lambda r: 2 * r * r,
-    "D": lambda r: 2 * r * (r - 1),
-    "E": {6: 72, 7: 126, 8: 240},
-    "F": {4: 48},
-    "G": {2: 12},
-}
-
-
-def _unit(dim: int, i: int, scale: int = 2):
-    v = [0] * dim
-    v[i] = scale
-    return tuple(v)
-
-
 def _add(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
@@ -70,96 +56,85 @@ def _dot(u, v) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
-def _short_pairs(dim: int) -> list:
-    """The roots +-e_i +-e_j for i < j, doubled."""
-    roots = []
-    for i, j in combinations(range(dim), 2):
-        for si, sj in product((2, -2), repeat=2):
-            v = [0] * dim
-            v[i], v[j] = si, sj
-            roots.append(tuple(v))
+def _chain(dim: int, count: int) -> list:
+    """The doubled roots e_i - e_(i+1) for i = 1..count in R^dim."""
+    return [tuple(2 * ((k == i) - (k == i + 1)) for k in range(dim)) for i in range(count)]
+
+
+def _tail(dim: int, *last) -> tuple:
+    """A doubled vector of length dim ending in ``last``, zero before it."""
+    return (0,) * (dim - len(last)) + last
+
+
+# E8 (Bourbaki, Plate VII), doubled: a1 = (e1 + e8 - e2 - ... - e7) / 2,
+# a2 = e1 + e2, a(k+1) = e(k) - e(k-1) for k = 2..7.  E7 and E6 are the
+# subsystems spanned by the first 7 and the first 6 of them.
+_E8 = [(1, -1, -1, -1, -1, -1, -1, 1), (2, 2, 0, 0, 0, 0, 0, 0)] + [_neg(v) for v in _chain(8, 6)]
+
+
+class _Type(NamedTuple):
+    least: int  # smallest rank
+    most: int | None  # largest rank, None when unbounded
+    count: Callable  # rank -> number of roots
+    simple: Callable  # rank -> simple roots, doubled (Bourbaki, Plates I-IX)
+
+
+# Simple roots of A_r: e_i - e_(i+1) in R^(r+1); of B_r, C_r and D_r: the first
+# r - 1 of them in R^r, then e_r, 2 e_r or e_(r-1) + e_r.
+_TYPES = {
+    "A": _Type(1, None, lambda r: r * (r + 1), lambda r: _chain(r + 1, r)),
+    "B": _Type(2, None, lambda r: 2 * r * r, lambda r: _chain(r, r - 1) + [_tail(r, 2)]),
+    "C": _Type(2, None, lambda r: 2 * r * r, lambda r: _chain(r, r - 1) + [_tail(r, 4)]),
+    "D": _Type(4, None, lambda r: 2 * r * (r - 1), lambda r: _chain(r, r - 1) + [_tail(r, 2, 2)]),
+    "E": _Type(6, 8, {6: 72, 7: 126, 8: 240}.get, lambda r: _E8[:r]),
+    "F": _Type(4, 4, lambda r: 48,
+               lambda r: [(0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)]),
+    "G": _Type(2, 2, lambda r: 12, lambda r: [(2, -2, 0), (-4, 2, 2)]),
+}
+
+
+def _closure(simple) -> list:
+    """The orbit of the simple roots under the simple reflections
+    s_a(b) = b - <b, a^v> a.  Every root is a Weyl conjugate of a simple root
+    (Humphreys, Introduction to Lie Algebras, 10.3), so this is the whole system."""
+    coroots = [(alpha, _dot(alpha, alpha)) for alpha in simple]
+    roots = list(simple)
+    seen = set(roots)
+    for beta in roots:  # grows while it is walked: a breadth-first orbit
+        for alpha, aa in coroots:
+            c = 2 * _dot(beta, alpha) // aa
+            if not c:
+                continue
+            image = tuple(b - c * a for a, b in zip(alpha, beta))
+            if image not in seen:
+                seen.add(image)
+                roots.append(image)
     return roots
+
+
+def _requirement(kind: _Type) -> str:
+    if kind.most is None:
+        return f"rank >= {kind.least}"
+    *others, last = range(kind.least, kind.most + 1)
+    return f"rank {', '.join(map(str, others))} or {last}" if others else f"rank {last}"
 
 
 def build(type_label: str, rank: int) -> RootSystem:
     """The standard Bourbaki realization, coordinates doubled to integers."""
     t = type_label.upper()
-    roots = []
-    if t == "A":
-        if rank < 1:
-            raise InvalidType("A requires rank >= 1")
-        dim = rank + 1
-        for i in range(dim):
-            for j in range(dim):
-                if i != j:
-                    roots.append(_sub(_unit(dim, i), _unit(dim, j)))
-    elif t in ("B", "C", "D"):
-        if (t in ("B", "C") and rank < 2) or (t == "D" and rank < 4):
-            raise InvalidType(f"{t} requires rank >= {2 if t in ('B', 'C') else 4}")
-        dim = rank
-        roots = _short_pairs(dim)
-        if t == "B":
-            for i in range(dim):
-                roots.append(_unit(dim, i, 2))
-                roots.append(_unit(dim, i, -2))
-        elif t == "C":
-            for i in range(dim):
-                roots.append(_unit(dim, i, 4))
-                roots.append(_unit(dim, i, -4))
-    elif t == "E":
-        if rank not in (6, 7, 8):
-            raise InvalidType("E requires rank 6, 7 or 8")
-        dim = 8
-        e8 = _short_pairs(8)
-        for signs in product((1, -1), repeat=8):
-            if signs.count(-1) % 2 == 0:  # even number of minus signs
-                e8.append(signs)
-        if rank == 8:
-            roots = e8
-        elif rank == 7:
-            # roots of E8 orthogonal to e7 + e8
-            probe = tuple([0] * 6 + [2, 2])
-            roots = [v for v in e8 if _dot(v, probe) == 0]
-        else:
-            # roots of E8 orthogonal to e7 + e8 and to e6 + e8
-            p1 = tuple([0] * 6 + [2, 2])
-            p2 = tuple([0] * 5 + [2, 0, 2])
-            roots = [v for v in e8 if _dot(v, p1) == 0 and _dot(v, p2) == 0]
-    elif t == "F":
-        if rank != 4:
-            raise InvalidType("F requires rank 4")
-        dim = 4
-        for i in range(4):
-            roots.append(_unit(4, i, 2))
-            roots.append(_unit(4, i, -2))
-        roots += _short_pairs(4)
-        for signs in product((1, -1), repeat=4):
-            roots.append(signs)
-    elif t == "G":
-        if rank != 2:
-            raise InvalidType("G requires rank 2")
-        dim = 3
-        for i in range(3):
-            for j in range(3):
-                if i != j:
-                    roots.append(_sub(_unit(3, i), _unit(3, j)))
-        # long roots +-(2e_i - e_j - e_k)
-        for i in range(3):
-            j, k = [a for a in range(3) if a != i]
-            long = _sub(_sub(_unit(3, i, 4), _unit(3, j)), _unit(3, k))
-            roots.append(long)
-            roots.append(_neg(long))
-    else:
+    if t not in _TYPES:
         raise InvalidType(f"unknown type label {type_label!r}")
-
-    system = RootSystem(t, rank, tuple(roots), len(roots[0]))
+    kind = _TYPES[t]
+    if rank < kind.least or (kind.most is not None and rank > kind.most):
+        raise InvalidType(f"{t} requires {_requirement(kind)}")
+    roots = tuple(sorted(_closure(kind.simple(rank)), reverse=True))
+    system = RootSystem(t, rank, roots, len(roots[0]))
     _validate(system)
     return system
 
 
 def _validate(system: RootSystem):
-    counts = _CLASSICAL_COUNTS[system.type_label]
-    expected = counts(system.rank) if callable(counts) else counts[system.rank]
+    expected = _TYPES[system.type_label].count(system.rank)
     if system.count() != expected:
         raise InvalidType(
             f"{system.type_label}{system.rank}: got {system.count()} roots, expected {expected}"
@@ -245,21 +220,16 @@ def expected_star(type_label: str, rank: int) -> bool:
 
 
 def verify_lemma_table(max_rank: int = 8):
-    """star_search verdicts across the classical table; rows carry the expected
-    verdict so discrepancies are visible at a glance."""
+    """star_search verdicts across the classical table, types A-G, ranks
+    ascending; rows carry the expected verdict so discrepancies are visible at
+    a glance."""
     if max_rank > 8:
         raise InvalidType("max_rank capped at 8 for exhaustive feasibility")
-    cells = []
-    cells += [("A", r) for r in range(1, max_rank + 1)]
-    cells += [("B", r) for r in range(2, max_rank + 1)]
-    cells += [("C", r) for r in range(2, max_rank + 1)]
-    cells += [("D", r) for r in range(4, max_rank + 1)]
-    cells += [("E", r) for r in (6, 7, 8) if r <= max_rank]
-    if max_rank >= 4:
-        cells.append(("F", 4))
-    cells.append(("G", 2))
+    if max_rank < 1:
+        raise InvalidType("max_rank must be >= 1")
     rows = []
-    for t, r in cells:
-        result = star_search(build(t, r))
-        rows.append(TableRow(t, r, result.holds, expected_star(t, r)))
+    for t, kind in _TYPES.items():
+        for r in range(kind.least, min(kind.most or max_rank, max_rank) + 1):
+            result = star_search(build(t, r))
+            rows.append(TableRow(t, r, result.holds, expected_star(t, r)))
     return rows

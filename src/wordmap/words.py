@@ -181,9 +181,9 @@ def commutator(u: Word, v: Word) -> Word:
     return _word(_commutator(_pairs(u), _pairs(v)))
 
 
-def zero_exponent_sum_in_y(w: Word, y_gen: int = 2) -> bool:
-    """True iff the exponents of the distinguished variable sum to zero."""
-    return sum(l.exp for l in w.letters if l.gen == y_gen) == 0
+def zero_exponent_sum_in_y(w: Word) -> bool:
+    """True iff the exponents of the distinguished variable y sum to zero."""
+    return sum(l.exp for l in w.letters if l.gen == 2) == 0
 
 
 @dataclass

@@ -174,6 +174,16 @@ def test_dimcert_rejects_a_flag_the_component_does_not_read(capsys, example, fla
     assert unread in captured.err
 
 
+def test_dimcert_ex2_takes_j_4_when_j_is_not_given(capsys):
+    base = ["--ring", "Fp:101", "dimcert", "--example", "ex2.Wj"]
+    code, out = run(capsys, base)
+    assert code == 0 and json.loads(out)["confirmed"]
+    assert run(capsys, base + ["--j", "4"]) == (code, out)
+    assert main(base + ["--j", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "ex2.Wj is catalogued for j = 4" in captured.err
+
+
 def test_sep_witness(capsys):
     code, rep = run_json(
         capsys, ["--ring", "Fp:101", "sep-witness", "--word", "[x,y]^2"]
@@ -191,6 +201,16 @@ def test_relscan(capsys):
     assert code == 0
     assert not rep["trivial"]
     assert "x^4" in rep["relations"]
+
+
+@pytest.mark.parametrize("max_len", ["0", "-1"])
+def test_relscan_max_len_below_one_is_a_usage_error(capsys, max_len):
+    # not a scan of the length-1 words, which finds x^-1 and x here
+    argv = ["--ring", "Fp:101", "relscan", "--max-len", max_len,
+            "--at", '[[1,0],[0,1]]', '[[1,1],[0,1]]']
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "max_len must be >= 1" in captured.err
 
 
 def test_lemma_checks(capsys):
@@ -212,6 +232,17 @@ def test_roots_check_and_table(capsys):
     )
     code, rep = run_json(capsys, ["roots", "table", "--max-rank", "4"])
     assert code == 0 and rep["discrepancies"] == []
+
+
+def test_roots_table_lists_systems_up_to_max_rank(capsys):
+    # G2 appears only from --max-rank 2 on, and --max-rank 0 is bad input
+    code, rep = run_json(capsys, ["roots", "table", "--max-rank", "1"])
+    assert code == 0
+    assert [(row["type"], row["rank"]) for row in rep["table"]] == [("A", 1)]
+    for max_rank in ("0", "-2"):
+        assert main(["roots", "table", "--max-rank", max_rank]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "max_rank must be >= 1" in captured.err
 
 
 def test_text_output(capsys):
@@ -236,6 +267,18 @@ def test_usage_errors(capsys):
     assert main(["--ring", "Fp:12", "preimage", "--a", "1"]) == 2
     assert main(["--ring", "Fp:101", "eval", "--word", "[x,", "--at", G1]) == 2
     assert main(["--ring", "Fp:101", "eval", "--word", "x", "--at", "/no/such/file"]) == 2
+
+
+@pytest.mark.parametrize("matrix,message", [
+    ('[[1.5,2],[3,4]]', "got 1.5"),  # not evaluated as [[1,2],[3,4]]
+    ('[[true,2],[3,4]]', "got True"),  # not read as 1
+    ('[1,2]', "a matrix is a list of rows"),
+    ('[[null,2],[3,4]]', "got None"),
+])
+def test_matrix_literal_takes_only_strings_and_ints(capsys, matrix, message):
+    assert main(["--ring", "Q", "eval", "--word", "x", "--at", matrix]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
 
 
 def test_huge_power_is_a_usage_error(capsys):

@@ -295,6 +295,9 @@ def test_chi_probe_constant_word():
     assert result.distinct_values == (F101.from_int(2),)
     det_probe = chi_probe(parse("[x,y]"), 2, F101, rng, 50)
     assert det_probe.verdict == ProbeVerdict.CONSTANT_SO_FAR  # det is identically 1
+    for i in (0, 3):
+        with pytest.raises(ValueError, match=f"coefficient index {i} out of range 1..2"):
+            chi_probe(parse("[x,y]"), i, F101, rng, 50)
 
 
 # ---------------------------------------------------------------------------

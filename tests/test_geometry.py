@@ -261,6 +261,17 @@ def test_component_needs_roots():
         component("ex4.Tj", Q)  # needs a prime field
 
 
+def test_component_defaults_j_per_component():
+    # ex2.Wj is catalogued for j = 4 only, and takes it when j is not given
+    assert component("ex2.Wj", F101).target == component("ex2.Wj", F101, j=4).target
+    assert dimension_certificate(component("ex2.Wj", F101)).confirmed
+    with pytest.raises(InvalidParams, match="ex2.Wj is catalogued for j = 4"):
+        component("ex2.Wj", F101, j=6)
+    # ex4.Tj keeps j = 1: trace target zeta_5 + zeta_5^-1
+    assert component("ex4.Tj", F101).target == component("ex4.Tj", F101, j=1).target
+    assert component("ex4.Tj", F101).target != component("ex4.Tj", F101, j=2).target
+
+
 def test_certificates_over_alternative_fields():
     # ex2/ex3 need i: F_13 works; ex4 with p=5 over F_11 (zeta_5 exists)
     assert dimension_certificate(component("ex2.Wj", F13, j=4)).confirmed
@@ -316,6 +327,9 @@ def test_relation_scan_deterministic_and_capped():
     assert relation_scan(pair, 6) == relation_scan(pair, 6)
     with pytest.raises(InvalidParams):
         relation_scan(pair, 13)
+    for max_len in (0, -1):
+        with pytest.raises(InvalidParams, match="max_len must be >= 1"):
+            relation_scan(pair, max_len)
 
 
 def test_relation_scan_free_pair_finds_nothing():

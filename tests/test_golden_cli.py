@@ -128,6 +128,12 @@ CASES = [
     ["--ring", "Fp:101", "dimcert", "--example", "ex1.W", "--p", "7"],
     # the witness coordinates of one system per type, which `roots table` does not print
     *[["roots", "check", label] for label in ("A1", "B8", "C8", "D8", "E6", "E7", "E8", "F4", "G2")],
+    # ex2.Wj takes j = 4 when --j is not given; a scan length below 1 is bad
+    # input; the roots table lists G2 only from rank 2 and needs a rank >= 1
+    ["--ring", "Fp:101", "dimcert", "--example", "ex2.Wj"],
+    ["--ring", "Fp:101", "relscan", "--max-len", "0", "--at", '[[1,0],[0,1]]', '[[1,1],[0,1]]'],
+    ["roots", "table", "--max-rank", "1"],
+    ["roots", "table", "--max-rank", "0"],
 ]
 
 

@@ -11,6 +11,7 @@ from wordmap import (
     PrimeField,
     Rationals,
     SquareMatrix,
+    WordmapError,
     adjugate,
     charpoly,
     det,
@@ -187,6 +188,19 @@ def test_rank():
 def test_matrix_json_round_trip():
     m = matrix_from_json(Q, [["1/2", "-3"], ["0", "7"]])
     assert matrix_from_json(Q, matrix_to_json(m)) == m
+
+
+@pytest.mark.parametrize("rows", [
+    [[1.5, 2], [3, 4]],  # not truncated to 1
+    [[True, 2], [3, 4]],  # not read as 1
+    [[None, 2], [3, 4]],
+    [1, 2],
+    [[1, 2], "34"],
+    "[[1, 2], [3, 4]]",
+])
+def test_matrix_json_takes_only_lists_of_strings_and_ints(rows):
+    with pytest.raises(WordmapError):
+        matrix_from_json(Q, rows)
 
 
 def test_negative_matrix_power():

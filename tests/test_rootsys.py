@@ -1,5 +1,7 @@
 """Root systems and the orthogonal-A1 search."""
 
+from itertools import combinations, product
+
 import pytest
 
 from wordmap import (
@@ -10,6 +12,116 @@ from wordmap import (
     verify_lemma_table,
     verify_witness,
 )
+from wordmap import rootsys
+
+# ---------------------------------------------------------------------------
+# oracle: every type written out root by root in doubled Bourbaki coordinates,
+# independent of the simple roots and the reflection closure in build
+
+
+def _unit(dim, i, scale=2):
+    v = [0] * dim
+    v[i] = scale
+    return tuple(v)
+
+
+def _sub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def _short_pairs(dim):
+    """The roots +-e_i +-e_j for i < j, doubled."""
+    roots = []
+    for i, j in combinations(range(dim), 2):
+        for si, sj in product((2, -2), repeat=2):
+            v = [0] * dim
+            v[i], v[j] = si, sj
+            roots.append(tuple(v))
+    return roots
+
+
+def explicit_roots(type_label, rank):
+    t = type_label.upper()
+    roots = []
+    if t == "A":
+        if rank < 1:
+            raise InvalidType("A requires rank >= 1")
+        dim = rank + 1
+        roots = [_sub(_unit(dim, i), _unit(dim, j)) for i in range(dim) for j in range(dim) if i != j]
+    elif t in ("B", "C", "D"):
+        if (t in ("B", "C") and rank < 2) or (t == "D" and rank < 4):
+            raise InvalidType(f"{t} requires rank >= {2 if t in ('B', 'C') else 4}")
+        roots = _short_pairs(rank)
+        if t in ("B", "C"):
+            scale = 2 if t == "B" else 4
+            for i in range(rank):
+                roots += [_unit(rank, i, scale), _unit(rank, i, -scale)]
+    elif t == "E":
+        if rank not in (6, 7, 8):
+            raise InvalidType("E requires rank 6, 7 or 8")
+        e8 = _short_pairs(8) + [s for s in product((1, -1), repeat=8) if s.count(-1) % 2 == 0]
+        # E7: the roots orthogonal to e7 + e8; E6: also orthogonal to e6 + e8
+        probes = {8: [], 7: [(0,) * 6 + (2, 2)], 6: [(0,) * 6 + (2, 2), (0,) * 5 + (2, 0, 2)]}
+        roots = [v for v in e8 if all(sum(a * b for a, b in zip(v, q)) == 0 for q in probes[rank])]
+    elif t == "F":
+        if rank != 4:
+            raise InvalidType("F requires rank 4")
+        roots = [_unit(4, i, s) for i in range(4) for s in (2, -2)]
+        roots += _short_pairs(4) + list(product((1, -1), repeat=4))
+    elif t == "G":
+        if rank != 2:
+            raise InvalidType("G requires rank 2")
+        roots = [_sub(_unit(3, i), _unit(3, j)) for i in range(3) for j in range(3) if i != j]
+        for i in range(3):  # long roots +-(2e_i - e_j - e_k)
+            j, k = [a for a in range(3) if a != i]
+            long = _sub(_sub(_unit(3, i, 4), _unit(3, j)), _unit(3, k))
+            roots += [long, tuple(-c for c in long)]
+    else:
+        raise InvalidType(f"unknown type label {type_label!r}")
+    return roots
+
+
+ORACLE_CELLS = (
+    [("A", r) for r in range(1, 21)]
+    + [(t, r) for t in "BC" for r in range(2, 21)]
+    + [("D", r) for r in range(4, 21)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+def test_closure_matches_the_explicit_constructions(monkeypatch):
+    # _validate costs N^2 dot products (about 40 s up to rank 20); it has its own tests
+    monkeypatch.setattr(rootsys, "_validate", lambda system: None)
+    for t, r in ORACLE_CELLS:
+        system = build(t, r)
+        oracle = explicit_roots(t, r)
+        assert len(oracle) == len(set(oracle)) == system.count() == rootsys._TYPES[t].count(r)
+        assert set(system.roots) == set(oracle), (t, r)
+        assert system.ambient_dim == len(oracle[0])
+        assert list(system.roots) == sorted(oracle, reverse=True)
+
+
+@pytest.mark.parametrize("label,rank", [
+    ("A", 0), ("A", -3), ("B", 1), ("C", 0), ("D", 3), ("E", 5), ("E", 9), ("e", 4),
+    ("F", 3), ("F", 5), ("G", 1), ("G", 3), ("H", 2), ("", 1), ("AB", 2),
+])
+def test_invalid_types_match_the_explicit_constructions(label, rank):
+    with pytest.raises(InvalidType) as want:
+        explicit_roots(label, rank)
+    with pytest.raises(InvalidType) as got:
+        build(label, rank)
+    assert str(got.value) == str(want.value)
+
+
+def test_validate_rejects_a_wrong_count_a_missing_negative_and_a_bad_cartan_integer():
+    b2 = build("B", 2).roots
+    without = tuple(v for v in b2 if v not in ((2, 0), (-2, 0)))
+    with pytest.raises(InvalidType, match="got 7 roots, expected 8"):
+        rootsys._validate(rootsys.RootSystem("B", 2, b2[1:], 2))
+    with pytest.raises(InvalidType, match="not closed under negation"):
+        rootsys._validate(rootsys.RootSystem("B", 2, ((4, 4), (-2, 0)) + without, 2))
+    with pytest.raises(InvalidType, match="Cartan integer is not an integer"):
+        rootsys._validate(rootsys.RootSystem("B", 2, ((2, 4), (-2, -4)) + without, 2))
 
 
 def test_counts_match_classical_formulas():
@@ -104,8 +216,20 @@ def test_lemma_table_no_discrepancies():
     assert ("D", 4) in cells and ("D", 8) in cells
     assert ("E", 6) in cells and ("E", 8) in cells
     assert ("F", 4) in cells and ("G", 2) in cells
+    # types A-G, ranks ascending
+    assert [(r.type_label, r.rank) for r in rows] == [(t, r) for t, r in ORACLE_CELLS if r <= 8]
     with pytest.raises(InvalidType):
         verify_lemma_table(9)
+
+
+def test_lemma_table_lists_a_system_only_up_to_max_rank():
+    # G2 appears only from max_rank 2 on, and a table needs max_rank >= 1
+    assert [(r.type_label, r.rank) for r in verify_lemma_table(1)] == [("A", 1)]
+    assert [(r.type_label, r.rank) for r in verify_lemma_table(2)] == [
+        ("A", 1), ("A", 2), ("B", 2), ("C", 2), ("G", 2)]
+    for max_rank in (0, -1):
+        with pytest.raises(InvalidType, match="max_rank must be >= 1"):
+            verify_lemma_table(max_rank)
 
 
 def test_expected_star_table():
