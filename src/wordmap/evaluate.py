@@ -11,13 +11,11 @@ from .matrices import (
     adjugate,
     charpoly,
     det_adjugate,
-    eps_part_matrix,
     inverse_from,
     is_scalar_matrix,
     lift_matrix,
     random_sl2,
     rank,
-    real_part_matrix,
 )
 from .rings import DualNumbers, RingDescriptor, Scalar
 from .words import Word, WordWithConstants, exponent_data
@@ -31,7 +29,7 @@ def _check_tuple(w: WordWithConstants, tup):
     for m in tup:
         if m.n != n or m.ring != ring:
             raise DimensionMismatch("tuple matrices must share size and ring")
-    if any(l.gen < 1 for u in w.words for l in u.letters):
+    if any(g < 1 for u in w.words for g, _e in u.letters):
         raise DimensionMismatch("generator indices start at 1")
     if w.max_generator() > len(tup):
         raise DimensionMismatch(
@@ -54,13 +52,13 @@ def _eval(w: WordWithConstants, tup, negative_power, check_central=False):
     acc = None
     for i, seg in enumerate(w.segments):
         if i % 2 == 0:
-            for l in seg.letters:
-                if l.exp > 0:
-                    factor = tup[l.gen - 1] ** l.exp
+            for g, e in seg.letters:
+                if e > 0:
+                    factor = tup[g - 1] ** e
                 else:
-                    if l.gen not in inverses:
-                        inverses[l.gen] = negative_power(l.gen)
-                    factor = inverses[l.gen] ** -l.exp
+                    if g not in inverses:
+                        inverses[g] = negative_power(g)
+                    factor = inverses[g] ** -e
                 acc = factor if acc is None else acc * factor
         else:
             sigma = w.binding[seg.name]
@@ -163,7 +161,7 @@ def _sample_distinct(draw, samples: int):
 
 
 @dataclass(frozen=True)
-class ChiProbeResult:
+class ProbeResult:
     distinct_values: tuple
     verdict: ProbeVerdict
     samples: int  # drawn; fewer than requested once _DISTINCT_CAP values are seen
@@ -175,7 +173,7 @@ def chi_probe(
     ring: RingDescriptor,
     rng,
     samples: int,
-) -> ChiProbeResult:
+) -> ProbeResult:
     """Sample chi_i of the word value over SL_2 tuples; dichotomy verdict at sample scale."""
     if not 1 <= i <= 2:
         raise ValueError(f"coefficient index {i} out of range 1..2")
@@ -185,7 +183,7 @@ def chi_probe(
         tup = [random_sl2(ring, rng) for _ in range(m)]
         return charpoly(eval_group(w, tup)).chi[i - 1]
 
-    return ChiProbeResult(*_sample_distinct(draw, samples))
+    return ProbeResult(*_sample_distinct(draw, samples))
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +194,14 @@ _SL2_BASIS = {"E": ((0, 1), (0, 0)), "F": ((0, 0), (1, 0)), "H": ((1, 0), (0, -1
 
 
 def _jets(f, ring: RingDescriptor, scalars, mats):
-    """The values of ``f(scalars, mats)`` at the dual-number lift of the point,
-    then along each direction in turn: s + eps for each scalar, then
-    (I + eps X) g for X = E, F, H for each matrix."""
+    """Tangents over ``ring`` of ``f(scalars, mats)``, a tuple of matrices.
+
+    ``f`` is evaluated once per direction at the dual-number lift of the
+    point: s + eps for each scalar, then (I + eps X) g for X = E, F, H for
+    each matrix.  Returns ``(base, derivs)``: the value at the point, which is
+    the real part of any direction's value (eps never reaches the real part),
+    and per direction the tuple of eps parts.
+    """
     dual = DualNumbers(ring)
     scalars = [dual.lift(s) for s in scalars]
     mats = [lift_matrix(g, dual) for g in mats]
@@ -206,40 +209,48 @@ def _jets(f, ring: RingDescriptor, scalars, mats):
     steps = [
         ident + SquareMatrix.from_rows(dual, x).scaled(dual.root) for x in _SL2_BASIS.values()
     ]
-    values = [f(scalars, mats)]
+    values = []
     for k in range(len(scalars)):
         values.append(f(scalars[:k] + [scalars[k] + dual.root] + scalars[k + 1:], mats))
     for k in range(len(mats)):
         for step in steps:
             values.append(f(scalars, mats[:k] + [step * mats[k]] + mats[k + 1:]))
-    return values
+
+    def part(m, k):
+        return SquareMatrix._raw(ring, tuple(tuple([v[k] for v in row]) for row in m.rows))
+
+    base = tuple(part(m, 0) for m in values[0])
+    return base, [tuple(part(m, 1) for m in value) for value in values]
+
+
+def _tangent_rows(base, derivs) -> list:
+    """Per direction, the (a11, a12, a21) coordinates of d * V^-1 for each
+    factor V of ``base`` and its derivative d: the tangent translated back to
+    the identity (trace-free, so three coordinates suffice)."""
+    inverses = [v.inverse() for v in base]
+    rows = []
+    for deriv in derivs:
+        row = []
+        for d, inverse in zip(deriv, inverses):
+            a = d * inverse
+            row += [a[0, 0], a[0, 1], a[1, 0]]
+        rows.append(row)
+    return rows
 
 
 def jet_sweep(w: WordWithConstants, point):
-    """Yield (arg index, direction name, eps part, base value) of the word value
-    under the left-translation perturbation g_i -> (I + eps X) g_i."""
+    """``(value, derivs)``: the word value at an SL2 point and its derivatives
+    under g_i -> (I + eps X) g_i, argument-major in E, F, H order."""
     n, ring = _check_tuple(w, point)
     if n != 2:
         raise DimensionMismatch("jets are implemented for 2x2")
     dual = DualNumbers(ring)
     wl = w.with_binding({k: lift_matrix(v, dual) for k, v in w.binding.items()})
-    base, *values = _jets(lambda _scalars, mats: eval_group(wl, mats), ring, [], point)
-    base = real_part_matrix(base)
-    names = list(_SL2_BASIS)
-    for k, value in enumerate(values):
-        yield k // 3, names[k % 3], eps_part_matrix(value), base
+    (value,), derivs = _jets(lambda _scalars, mats: (eval_group(wl, mats),), ring, [], point)
+    return value, [d for d, in derivs]
 
 
 def dominance_probe(w: WordWithConstants, point) -> int:
-    """Rank of the differential of the word map at an SL2^m point (0..3).
-
-    Rows are the (a11, a12, a21) coordinates of dV * V0^{-1}, the value tangent
-    translated back to the identity (trace-free, so three coordinates suffice).
-    """
-    sweep = list(jet_sweep(w, point))
-    inverse = sweep[0][3].inverse()  # every entry carries the same base value
-    rows = []
-    for _i, _name, deriv, _base in sweep:
-        a = deriv * inverse
-        rows.append([a[0, 0], a[0, 1], a[1, 0]])
-    return rank(rows, point[0].ring)
+    """Rank of the differential of the word map at an SL2^m point (0..3)."""
+    value, derivs = jet_sweep(w, point)
+    return rank(_tangent_rows([value], [[d] for d in derivs]), point[0].ring)

@@ -13,13 +13,7 @@ from .errors import (
     InvalidParams,
     RingLacksRoots,
 )
-from .matrices import (
-    SquareMatrix,
-    eps_part_matrix,
-    rank,
-    random_sl2,
-    real_part_matrix,
-)
+from .matrices import SquareMatrix, rank, random_sl2
 from .rings import (
     DualNumbers,
     PrimeField,
@@ -28,7 +22,14 @@ from .rings import (
     primitive_root_of_unity,
     sqrt_in_ring,
 )
-from .evaluate import ProbeVerdict, _jets, _sample_distinct, eval_group, jet_sweep
+from .evaluate import (
+    ProbeResult,
+    _jets,
+    _sample_distinct,
+    _tangent_rows,
+    eval_group,
+    jet_sweep,
+)
 from .words import (
     Word,
     WordWithConstants,
@@ -196,12 +197,11 @@ def jet_jacobian(w: WordWithConstants, point, equations: str = "W") -> JetJacobi
     """
     if equations not in ("W", "T"):
         raise ValueError("equations must be 'W' or 'T'")
-    rows = []
-    for _i, _name, deriv, value in jet_sweep(w, list(point)):
-        if equations == "W":
-            rows.append((deriv[0, 0], deriv[0, 1], deriv[1, 0]))
-        else:
-            rows.append((deriv.trace(),))
+    value, derivs = jet_sweep(w, list(point))
+    if equations == "W":
+        rows = [(d[0, 0], d[0, 1], d[1, 0]) for d in derivs]
+    else:
+        rows = [(d.trace(),) for d in derivs]
     rk = rank([list(r) for r in rows], value.ring)
     return JetJacobian(rows=tuple(rows), rank=rk, value=value)
 
@@ -385,17 +385,9 @@ def parametrization_rank(comp: ComponentInstance) -> int:
     Columns: one dual-number jet per scalar parameter plus three sl2 directions
     per matrix parameter; rows: the six tangent coordinates of the image pair.
     """
-    base, *pairs = _jets(comp.family, comp.ring, comp.scalars, comp.mats)
-    inverses = [real_part_matrix(m).inverse() for m in base]
-    columns = []
-    for pair in pairs:
-        column = []
-        for m, inverse in zip(pair, inverses):
-            a = eps_part_matrix(m) * inverse
-            column += [a[0, 0], a[0, 1], a[1, 0]]
-        columns.append(column)
+    base, derivs = _jets(comp.family, comp.ring, comp.scalars, comp.mats)
     # rank of the transpose equals rank of the Jacobian
-    return rank(columns, comp.ring)
+    return rank(_tangent_rows(base, derivs), comp.ring)
 
 
 def dimension_certificate(comp: ComponentInstance) -> DimensionCertificate:
@@ -472,7 +464,7 @@ def relation_scan(pair: Sl2Pair, max_len: int) -> RelationScanResult:
                 extend(w2, m2, remaining - 1)
 
     extend([], ident, max_len)
-    found.sort(key=lambda w: (w.length(), tuple((l.gen, l.exp) for l in w.letters)))
+    found.sort(key=lambda w: (w.length(), w.letters))
     return RelationScanResult(trivial=False, relations=tuple(found))
 
 
@@ -573,14 +565,7 @@ def lemma101_check(ring: RingDescriptor) -> Lemma101Report:
 # trace probe after substituting a constant for the distinguished variable
 
 
-@dataclass(frozen=True)
-class TraceProbeResult:
-    distinct_traces: tuple
-    verdict: ProbeVerdict
-    samples: int  # drawn; fewer than requested once 32 distinct traces are seen
-
-
-def wsigma_trace_probe(w: Word, sigma: SquareMatrix, rng, samples: int) -> TraceProbeResult:
+def wsigma_trace_probe(w: Word, sigma: SquareMatrix, rng, samples: int) -> ProbeResult:
     """Sample tr(w^_sigma) with sigma substituted for the distinguished variable y."""
     if not zero_exponent_sum_in_y(w):
         raise InvalidParams("the distinguished-variable exponents must sum to zero")
@@ -593,4 +578,4 @@ def wsigma_trace_probe(w: Word, sigma: SquareMatrix, rng, samples: int) -> Trace
         tup[1] = sigma
         return eval_group(ww, tup).trace()
 
-    return TraceProbeResult(*_sample_distinct(draw, samples))
+    return ProbeResult(*_sample_distinct(draw, samples))

@@ -51,6 +51,8 @@ class SquareMatrix:
         """Rows of Scalars of `ring` or ints (ints are coerced into the ring)."""
         rows = tuple(tuple(_unbox(ring, e) for e in row) for row in rows)
         n = len(rows)
+        if not n:
+            raise DimensionMismatch("matrix has no rows")
         if any(len(row) != n for row in rows):
             raise DimensionMismatch("matrix is not square")
         _set(self, "ring", ring)
@@ -375,7 +377,7 @@ def rank(rows, ring: RingDescriptor) -> int:
 
 
 # ---------------------------------------------------------------------------
-# JSON literals and dual-number parts
+# JSON literals and dual-number lifts
 
 
 def matrix_from_json(ring: RingDescriptor, rows) -> SquareMatrix:
@@ -402,16 +404,3 @@ def lift_matrix(m: SquareMatrix, dual: DualNumbers) -> SquareMatrix:
     z = dual.base.raw_from_int(0)
     return SquareMatrix._raw(dual, tuple(tuple([(v, z) for v in row]) for row in m.rows))
 
-
-def _dual_part(m: SquareMatrix, k: int) -> SquareMatrix:
-    if not isinstance(m.ring, DualNumbers):
-        raise RingMismatch(f"{m.ring} is not a dual-number ring")
-    return SquareMatrix._raw(m.ring.base, tuple(tuple([v[k] for v in row]) for row in m.rows))
-
-
-def real_part_matrix(m: SquareMatrix) -> SquareMatrix:
-    return _dual_part(m, 0)
-
-
-def eps_part_matrix(m: SquareMatrix) -> SquareMatrix:
-    return _dual_part(m, 1)

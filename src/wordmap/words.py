@@ -21,14 +21,6 @@ from .errors import EmptyInnerWord, WordSyntaxError, ZeroExponent
 
 
 @dataclass(frozen=True)
-class Letter:
-    """A variable letter x_gen^exp in a reduced word."""
-
-    gen: int
-    exp: int
-
-
-@dataclass(frozen=True)
 class ConstLetter:
     """A constant symbol occurrence; after normalization exp is carried as inv in {False, True}."""
 
@@ -38,7 +30,8 @@ class ConstLetter:
 
 @dataclass(frozen=True)
 class Word:
-    """Reduced word: adjacent letters never share a generator, exponents are nonzero."""
+    """Reduced word: a tuple of (generator, exponent) syllables in which
+    adjacent syllables never share a generator and exponents are nonzero."""
 
     letters: tuple = ()
 
@@ -46,15 +39,14 @@ class Word:
         return not self.letters
 
     def length(self) -> int:
-        return sum(abs(l.exp) for l in self.letters)
+        return sum(abs(e) for _g, e in self.letters)
 
     def max_generator(self) -> int:
-        return max((l.gen for l in self.letters), default=0)
+        return max((g for g, _e in self.letters), default=0)
 
 
 # Syllable lists: the word algebra and the parser work on lists of
-# (generator, exponent) pairs and ConstLetters, and build Letters only when
-# they return a Word.
+# (generator, exponent) pairs and ConstLetters; a Word holds the pairs as a tuple.
 
 
 def _append(out: list, items) -> list:
@@ -75,7 +67,7 @@ def _append(out: list, items) -> list:
             else:
                 out.pop()
         elif item[1]:
-            out.append(item)
+            out.append((item[0], item[1]))  # a Word holds hashable pairs
     return out
 
 
@@ -149,11 +141,11 @@ def _commutator(u: list, v: list) -> list:
 
 def _pairs(w: Word) -> list:
     """The reduced pair list of ``w``; a Word built by hand need not be reduced."""
-    return _append([], ((l.gen, l.exp) for l in w.letters))
+    return _append([], w.letters)
 
 
 def _word(pairs) -> Word:
-    return Word(tuple([Letter(g, e) for g, e in pairs]))
+    return Word(tuple(pairs))
 
 
 def word(pairs) -> Word:
@@ -183,7 +175,7 @@ def commutator(u: Word, v: Word) -> Word:
 
 def zero_exponent_sum_in_y(w: Word) -> bool:
     """True iff the exponents of the distinguished variable y sum to zero."""
-    return sum(l.exp for l in w.letters if l.gen == 2) == 0
+    return sum(e for g, e in w.letters if g == 2) == 0
 
 
 @dataclass
@@ -252,14 +244,13 @@ def pure(w: Word) -> WordWithConstants:
 
 
 def from_items(items) -> WordWithConstants:
-    """Normalize a flat stream of Letter / ConstLetter into the alternating shape.
+    """Normalize a flat stream of (gen, exp) pairs and ConstLetters into the
+    alternating shape.
 
     The programmatic counterpart of :func:`parse`: the items need not be
     reduced, and the result equals ``parse`` of their rendering.
     """
-    return _segments(
-        _append([], ((i.gen, i.exp) if isinstance(i, Letter) else i for i in items))
-    )
+    return _segments(_append([], items))
 
 
 def _segments(syllables) -> WordWithConstants:
@@ -409,9 +400,9 @@ def render(w: WordWithConstants) -> str:
     parts = []
     for i, seg in enumerate(w.segments):
         if i % 2 == 0:
-            for l in seg.letters:
-                name = _render_gen(l.gen)
-                parts.append(name if l.exp == 1 else f"{name}^{l.exp}")
+            for g, e in seg.letters:
+                name = _render_gen(g)
+                parts.append(name if e == 1 else f"{name}^{e}")
         else:
             parts.append(seg.name if not seg.inv else f"{seg.name}^-1")
     if not parts:
@@ -449,13 +440,13 @@ def exponent_data(w: WordWithConstants, n: int) -> ExponentData:
     a_pos = {}
     b_neg = {}
     for seg in w.words:
-        for l in seg.letters:
-            if l.exp > 0:
-                a += l.exp
-                a_pos[l.gen] = a_pos.get(l.gen, 0) + l.exp
+        for g, e in seg.letters:
+            if e > 0:
+                a += e
+                a_pos[g] = a_pos.get(g, 0) + e
             else:
-                b += -l.exp
-                b_neg[l.gen] = b_neg.get(l.gen, 0) - l.exp
+                b -= e
+                b_neg[g] = b_neg.get(g, 0) - e
     gens = sorted(set(a_pos) | set(b_neg))
     degrees = {
         g: a_pos.get(g, 0) + (n - 1) * b_neg.get(g, 0) for g in gens

@@ -39,7 +39,7 @@ from wordmap.cli import main
 from wordmap.geometry import COMPONENT_IDS, diag
 from wordmap.matrices import matrix_from_json
 from wordmap.rootsys import build
-from wordmap.words import ConstLetter, EmptyInnerWord, Letter, from_items
+from wordmap.words import ConstLetter, EmptyInnerWord, from_items
 
 Q = Rationals()
 F13 = PrimeField(13)
@@ -66,7 +66,7 @@ def random_word(rng, maxlen, with_constants=True):
         if with_constants and rng.random() < 0.25:
             items.append(ConstLetter(f"s{rng.randint(1, 2)}", rng.random() < 0.5))
         else:
-            items.append(Letter(rng.randint(1, 2), rng.choice([1, -1, 2, -2])))
+            items.append((rng.randint(1, 2), rng.choice([1, -1, 2, -2])))
     try:
         return from_items(items)
     except EmptyInnerWord:

@@ -28,8 +28,9 @@ from wordmap import (
     random_sl2,
     word,
 )
+from wordmap.evaluate import _jets
 from wordmap.matrices import matrix_from_json
-from wordmap.words import ConstLetter, EmptyInnerWord, Letter, from_items
+from wordmap.words import ConstLetter, EmptyInnerWord, from_items
 
 Q = Rationals()
 F13 = PrimeField(13)
@@ -51,7 +52,7 @@ def random_word_with_constants(rng, maxlen, nconst=2):
         if rng.random() < 0.3:
             items.append(ConstLetter(f"s{rng.randint(1, nconst)}", rng.random() < 0.5))
         else:
-            items.append(Letter(rng.randint(1, 2), rng.choice([1, -1, 2, -2])))
+            items.append((rng.randint(1, 2), rng.choice([1, -1, 2, -2])))
     try:
         return from_items(items)
     except EmptyInnerWord:
@@ -308,9 +309,40 @@ def test_jet_rows_are_trace_free():
     rng = random.Random(47)
     w = parse("[x,y]")
     point = [random_sl2(F101, rng) for _ in range(2)]
-    for _i, _name, deriv, base in jet_sweep(w, point):
+    base, derivs = jet_sweep(w, point)
+    for deriv in derivs:
         a = deriv * base.inverse()
         assert a.trace().is_zero()
+
+
+def test_jet_sweep_value_is_the_word_value():
+    rng = random.Random(51)
+    sigma = random_sl2(F101, rng)
+    for text in ("[x,y]", "x s1 x^-1 y^2", "[[x,y],[x,z]]^3"):
+        w = parse(text).with_binding({"s1": sigma})
+        point = [random_sl2(F101, rng) for _ in range(w.max_generator())]
+        value, derivs = jet_sweep(w, point)
+        assert value == eval_group(w, point)
+        assert len(derivs) == 3 * len(point)
+
+
+def test_jets_evaluate_once_per_direction():
+    rng = random.Random(52)
+    scalars = [F101.from_int(3), F101.from_int(7)]
+    mats = [random_sl2(F101, rng) for _ in range(3)]
+    calls = []
+
+    def f(s, m):
+        calls.append(1)
+        return (m[0].scaled(s[0] * s[1]), m[1] * m[2], m[2] ** 2)
+
+    base, derivs = _jets(f, F101, scalars, mats)
+    assert len(calls) == len(scalars) + 3 * len(mats)
+    assert len(derivs) == len(calls)
+    assert base == f(scalars, mats)
+    assert all(m.ring == F101 for m in base + derivs[0])
+    # d/ds_0 of s_0 s_1 g_0 is s_1 g_0, and the other factors do not move
+    assert derivs[0] == (mats[0].scaled(scalars[1]),) + (SquareMatrix.zero(F101, 2),) * 2
 
 
 def test_dominance_generic_rank_three():
@@ -352,7 +384,7 @@ def test_dominance_inverts_the_base_value_once(monkeypatch):
 
 
 _SL2_BASIS = {"E": [[0, 1], [0, 0]], "F": [[0, 0], [1, 0]], "H": [[1, 0], [0, -1]]}
-_LETTERS = st.builds(Letter, st.integers(1, 3), st.sampled_from([-3, -2, -1, 1, 2, 3]))
+_LETTERS = st.tuples(st.integers(1, 3), st.sampled_from([-3, -2, -1, 1, 2, 3]))
 _CONSTANTS = st.builds(ConstLetter, st.just("s1"), st.booleans())
 
 
@@ -377,10 +409,10 @@ def test_jet_sweep_matches_the_product_rule(items, p, seed):
     factors = []  # (generator, or 0 for a constant; sign of the letter; its value)
     for i, seg in enumerate(w.segments):
         if i % 2 == 0:
-            for l in seg.letters:
-                g = point[l.gen - 1]
-                sign = 1 if l.exp > 0 else -1
-                factors += [(l.gen, sign, g if sign > 0 else g.inverse())] * abs(l.exp)
+            for gen, exp in seg.letters:
+                g = point[gen - 1]
+                sign = 1 if exp > 0 else -1
+                factors += [(gen, sign, g if sign > 0 else g.inverse())] * abs(exp)
         else:
             s = w.binding[seg.name]
             factors.append((0, 0, s.inverse() if seg.inv else s))
@@ -402,13 +434,12 @@ def test_jet_sweep_matches_the_product_rule(items, p, seed):
             key = (gen - 1, name)
             expected[key] = expected.get(key, SquareMatrix.zero(ring, 2)) + term
 
-    sweep = list(jet_sweep(w, point))
-    assert [(i, name) for i, name, _d, _b in sweep] == [
-        (i, name) for i in range(len(point)) for name in _SL2_BASIS
-    ]
-    for i, name, deriv, base in sweep:
-        assert base == product(factors)
-        assert deriv == expected.get((i, name), SquareMatrix.zero(ring, 2))
+    value, derivs = jet_sweep(w, point)
+    keys = [(i, name) for i in range(len(point)) for name in _SL2_BASIS]
+    assert len(derivs) == len(keys)  # argument-major, E, F, H
+    assert value == product(factors)
+    for key, deriv in zip(keys, derivs):
+        assert deriv == expected.get(key, SquareMatrix.zero(ring, 2))
 
 
 def test_jet_matches_finite_difference_structure():
@@ -417,5 +448,5 @@ def test_jet_matches_finite_difference_structure():
     g = matrix_from_json(Q, [["2", "0"], ["0", "1/2"]])
     e = matrix_from_json(Q, [[0, 1], [0, 0]])
     w = parse("x^2")
-    rows = {name: deriv for _i, name, deriv, _b in jet_sweep(w, [g])}
+    rows = dict(zip(_SL2_BASIS, jet_sweep(w, [g])[1]))
     assert rows["E"] == e * g * g + g * e * g

@@ -9,6 +9,7 @@ from wordmap import (
     DualNumbers,
     InvalidParams,
     PrimeField,
+    ProbeResult,
     ProbeVerdict,
     Rationals,
     RingLacksRoots,
@@ -311,8 +312,8 @@ def test_relation_scan_commuting_infinite_order():
     result = relation_scan(Sl2Pair(t1, t2), 6)
     assert not result.trivial
     for w in result.relations:
-        assert sum(l.exp for l in w.letters if l.gen == 1) == 0
-        assert sum(l.exp for l in w.letters if l.gen == 2) == 0
+        assert sum(e for g, e in w.letters if g == 1) == 0
+        assert sum(e for g, e in w.letters if g == 2) == 0
     assert word([(1, 1), (2, 1), (1, -1), (2, -1)]) in set(result.relations)
 
 
@@ -397,8 +398,9 @@ def test_wsigma_probe_central_sigma():
     rng = random.Random(66)
     sigma = SquareMatrix.identity(F101, 2).scaled(F101.from_int(-1))
     result = wsigma_trace_probe(parse("y x y^-1 x^-1").word, sigma, rng, 50)
+    assert isinstance(result, ProbeResult)
     assert result.verdict == ProbeVerdict.CONSTANT_SO_FAR
-    assert result.distinct_traces == (F101.from_int(2),)
+    assert result.distinct_values == (F101.from_int(2),)
 
 
 def test_wsigma_probe_engel_word():
@@ -418,12 +420,12 @@ def test_wsigma_probe_reports_samples_drawn():
         drawn += 1
         tup = [random_sl2(F101, rng), random_sl2(F101, rng)]
         seen.add(eval_group(parse("[x,y]"), [tup[0], sigma]).trace())
-    assert len(result.distinct_traces) == 32
+    assert len(result.distinct_values) == 32
     assert result.samples == drawn < 1000
     # a central sigma gives one trace, so every requested sample is drawn
     central = SquareMatrix.identity(F101, 2).scaled(F101.from_int(-1))
     result = wsigma_trace_probe(parse("[x,y]").word, central, random.Random(70), 200)
-    assert result.samples == 200 and len(result.distinct_traces) == 1
+    assert result.samples == 200 and len(result.distinct_values) == 1
 
 
 def test_wsigma_probe_requires_zero_y_sum():

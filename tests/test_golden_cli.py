@@ -134,6 +134,9 @@ CASES = [
     ["--ring", "Fp:101", "relscan", "--max-len", "0", "--at", '[[1,0],[0,1]]', '[[1,1],[0,1]]'],
     ["roots", "table", "--max-rank", "1"],
     ["roots", "table", "--max-rank", "0"],
+    # a 0 x 0 matrix is bad input
+    ["--ring", "Q", "eval", "--word", "x", "--at", "[]"],
+    ["--ring", "Q", "extend", "--word", "x y^-1", "--at", "[]", "[]"],
 ]
 
 

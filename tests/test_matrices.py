@@ -6,6 +6,7 @@ from itertools import permutations
 import pytest
 
 from wordmap import (
+    DimensionMismatch,
     DualNumbers,
     NotInvertible,
     PrimeField,
@@ -201,6 +202,14 @@ def test_matrix_json_round_trip():
 def test_matrix_json_takes_only_lists_of_strings_and_ints(rows):
     with pytest.raises(WordmapError):
         matrix_from_json(Q, rows)
+
+
+def test_a_matrix_needs_at_least_one_row():
+    for build in (SquareMatrix, SquareMatrix.from_rows, matrix_from_json):
+        with pytest.raises(DimensionMismatch, match="no rows"):
+            build(Q, [])
+    # identity and zero take n from the caller and do not validate rows
+    assert SquareMatrix.identity(Q, 0).rows == SquareMatrix.zero(Q, 0).rows == ()
 
 
 def test_negative_matrix_power():

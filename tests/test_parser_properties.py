@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import wordmap.words as words
 from wordmap import WordmapError, WordSyntaxError, ZeroExponent, parse, render
-from wordmap.words import ConstLetter, Letter, Word, WordWithConstants, _tokenize
+from wordmap.words import ConstLetter, Word, WordWithConstants, _tokenize
 
 deterministic = settings(derandomize=True, deadline=None, database=None, max_examples=400)
 
@@ -30,21 +30,21 @@ def _oracle_check(count, pos):
 
 def _oracle_invert(items):
     return [
-        Letter(i.gen, -i.exp) if isinstance(i, Letter) else ConstLetter(i.name, not i.inv)
+        (i[0], -i[1]) if isinstance(i, tuple) else ConstLetter(i.name, not i.inv)
         for i in reversed(items)
     ]
 
 
 def _oracle_reduce(letters):
     out = []
-    for gen, exp in ((l.gen, l.exp) for l in letters):
+    for gen, exp in letters:
         if out and out[-1][0] == gen:
             merged = out.pop()[1] + exp
             if merged:
                 out.append((gen, merged))
         else:
             out.append((gen, exp))
-    return Word(tuple(Letter(g, e) for g, e in out))
+    return Word(tuple(out))
 
 
 class _OracleParser:
@@ -104,10 +104,10 @@ class _OracleParser:
         if kind == "ident":
             self.next()
             if val in ("x", "y", "z"):
-                return [Letter("xyz".index(val) + 1, 1)]
+                return [("xyz".index(val) + 1, 1)]
             m = re.fullmatch(r"x(\d+)", val)
             if m:
-                return [Letter(int(m.group(1)), 1)]
+                return [(int(m.group(1)), 1)]
             if val.isidentifier():
                 return [ConstLetter(val)]
         raise WordSyntaxError(f"unexpected token {val!r}", pos)
@@ -121,7 +121,7 @@ def oracle_parse(text):
         raise WordSyntaxError(f"trailing input {tok[1]!r}", tok[2])
     segments, current = [], []
     for item in items:
-        if isinstance(item, Letter):
+        if isinstance(item, tuple):
             current.append(item)
         else:
             segments += [_oracle_reduce(current), item]

@@ -9,7 +9,6 @@ import pytest
 from wordmap import (
     ConstLetter,
     EmptyInnerWord,
-    Letter,
     Word,
     WordSyntaxError,
     ZeroExponent,
@@ -103,13 +102,26 @@ def test_powers_parse_in_memory_bounded_by_the_text():
     finally:
         tracemalloc.stop()
     assert w == pure(word([(1, 9999999)]))
-    assert w.word.letters == (Letter(1, 9999999),)
+    assert w.word.letters == ((1, 9999999),)
     assert peak < 2**20
-    assert parse("x^300123 y^-300456").word.letters == (Letter(1, 300123), Letter(2, -300456))
+    assert parse("x^300123 y^-300456").word.letters == ((1, 300123), (2, -300456))
     # (u c u^-1)^k = u c^k u^-1, and a core a m b with ends on one generator
     assert parse("(x y x^-1)^-1000000").word == word([(1, 1), (2, -1000000), (1, -1)])
     merged = [(1, 2), (2, 1), (1, 5), (2, 1), (1, 5), (2, 1), (1, 3)]
     assert parse("(x^2 y x^3)^3").word == word(merged)
+
+
+def test_long_words_hold_one_pair_per_syllable():
+    """A reduced word is a tuple of (generator, exponent) pairs; a repeated
+    core shares its pairs, so the peak stays a few pointers per syllable."""
+    tracemalloc.start()
+    try:
+        w = parse("(y x)^50000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w.word.letters == ((2, 1), (1, 1)) * 50000
+    assert peak < 48 * 100000
 
 
 def _parse_line_events(text):
@@ -152,11 +164,14 @@ def test_nested_concatenation_costs_the_junction_only():
 
 
 def test_algebra_reduces_hand_built_words():
-    w = Word((Letter(1, 1), Letter(1, 1), Letter(2, 1), Letter(2, -1)))
+    w = Word(((1, 1), (1, 1), (2, 1), (2, -1)))
     assert reduce(w) == word([(1, 2)])
     assert power(w, 2) == word([(1, 4)])
-    assert concat(w, Word((Letter(1, -2),))).is_identity()
+    assert concat(w, Word(((1, -2),))).is_identity()
     assert commutator(w, word([(2, 1)])) == word([(1, 2), (2, 1), (1, -2), (2, -1)])
+    # any two-item sequence is a pair, and the Word stores it as a tuple
+    assert word([[1, 2], [2, 1]]).letters == ((1, 2), (2, 1))
+    assert from_items([[1, 1], ConstLetter("a"), [2, 1]]) == parse("x a y")
 
 
 def test_expanded_letter_cap_at_default():
@@ -238,5 +253,5 @@ def test_word_with_constants_shape():
     assert w.r == 2
     assert w.max_generator() == 3
     assert w.total_length() == 5
-    items = [Letter(1, 1), ConstLetter("a"), Letter(2, 1)]
+    items = [(1, 1), ConstLetter("a"), (2, 1)]
     assert from_items(items).r == 1
