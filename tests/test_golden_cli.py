@@ -137,6 +137,9 @@ CASES = [
     # a 0 x 0 matrix is bad input
     ["--ring", "Q", "eval", "--word", "x", "--at", "[]"],
     ["--ring", "Q", "extend", "--word", "x y^-1", "--at", "[]", "[]"],
+    # a failing D of odd rank and a failing A beyond the roots table
+    ["roots", "check", "D9"],
+    ["roots", "check", "A11"],
 ]
 
 
