@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from math import gcd
+from operator import add, mul, neg, sub
 from typing import Callable, NamedTuple
 
 from .errors import InvalidType
@@ -41,19 +43,24 @@ class StarResult:
 
 
 def _add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def _neg(u):
-    return tuple(-a for a in u)
+    return tuple(map(neg, u))
 
 
 def _sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def _dot(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
+
+
+def _reflect(beta, alpha, c):
+    """s_alpha(beta) = beta - c alpha, for the Cartan integer c = <beta, alpha^v>."""
+    return tuple(b - c * a for a, b in zip(alpha, beta))
 
 
 def _chain(dim: int, count: int) -> list:
@@ -105,7 +112,7 @@ def _closure(simple) -> list:
             c = 2 * _dot(beta, alpha) // aa
             if not c:
                 continue
-            image = tuple(b - c * a for a, b in zip(alpha, beta))
+            image = _reflect(beta, alpha, c)
             if image not in seen:
                 seen.add(image)
                 roots.append(image)
@@ -134,53 +141,127 @@ def build(type_label: str, rank: int) -> RootSystem:
 
 
 def _validate(system: RootSystem):
+    """Check the root count, negation, Cartan integrality and that the roots are
+    the Weyl orbit of the simple roots, with r N inner products instead of N^2.
+
+    Once Phi holds the simple roots, is stable under the simple reflections and
+    has the right count, it is W.Delta; every root is then a W-translate of a
+    simple root (Humphreys, Introduction to Lie Algebras, 10.3) and W is
+    orthogonal, so every ordered pair of roots is a W-translate of a pair that
+    includes a simple root.  Integrality is checked on those, in both orders.
+    """
     expected = _TYPES[system.type_label].count(system.rank)
     if system.count() != expected:
         raise InvalidType(
             f"{system.type_label}{system.rank}: got {system.count()} roots, expected {expected}"
         )
     rs = system._root_set
-    for alpha in system.roots:
-        if _neg(alpha) not in rs:
-            raise InvalidType("root system is not closed under negation")
-        for beta in system.roots:
+    if any(_neg(alpha) not in rs for alpha in system.roots):
+        raise InvalidType("root system is not closed under negation")
+    simple = _TYPES[system.type_label].simple(system.rank)
+    if any(alpha not in rs for alpha in simple):
+        raise InvalidType("root system is not the Weyl orbit of its simple roots")
+    coroots = [(alpha, _dot(alpha, alpha)) for alpha in simple]
+    for beta in system.roots:
+        bb = _dot(beta, beta)
+        for alpha, aa in coroots:
             two_ab = 2 * _dot(alpha, beta)
-            bb = _dot(beta, beta)
-            if two_ab % bb != 0:
+            if two_ab % aa or two_ab % bb:
                 raise InvalidType("Cartan integer is not an integer")
+            c = two_ab // aa
+            if c and _reflect(beta, alpha, c) not in rs:
+                raise InvalidType("root system is not the Weyl orbit of its simple roots")
+
+
+def _rank(vectors, enough=None) -> int:
+    """The exact rank over Q of integer vectors, by fraction-free elimination;
+    it stops counting once it reaches ``enough``."""
+    basis = []  # (pivot, row): row[pivot] != 0, and row is 0 at every earlier pivot
+    for v in vectors:
+        for pivot, row in basis:
+            c = v[pivot]
+            if c:
+                p = row[pivot]
+                v = [p * a - c * b for a, b in zip(v, row)]
+        pivot = next((i for i, a in enumerate(v) if a), None)
+        if pivot is not None:
+            g = gcd(*v)
+            basis.append((pivot, [a // g for a in v]))
+            if len(basis) == enough:
+                break
+    return len(basis)
+
+
+def _members(mask: int):
+    """The indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def star_search(system: RootSystem) -> StarResult:
     """Search for rank-many pairwise-orthogonal roots whose pairwise sums and
     differences are not roots (a closed union of rank orthogonal A1's).
 
-    Backtracking over positive roots in descending lexicographic order; the
-    first complete set found is returned, so the result is deterministic.
+    Depth-first over positive roots in descending lexicographic order, each root
+    followed only by later ones; the first complete set found is returned, so
+    the result is deterministic.  A node's candidates are the AND of the chosen
+    roots' compatible sets, as bitmasks over the positive roots.  Three prunings
+    leave the first set found unchanged:
+      - mutually orthogonal roots are independent, so a node whose candidates
+        span fewer than rank - k dimensions, with k roots chosen, is dropped;
+      - whether a node completes depends only on its candidates and on k, so a
+        candidate set that failed once at the same k is not searched again;
+      - W is transitive on the roots of one length (Humphreys 10.4) and keeps
+        compatibility, so if a set contains a root of some length, a W-translate
+        with its signs fixed contains that length's first positive root.  The
+        least index in any set is therefore the first of its length, and the
+        first level tries only those roots.
     """
     rs = system._root_set
-    positive = sorted((v for v in system.roots if v > _neg(v)), reverse=True)
+    positive = [v for v in system.roots if v > _neg(v)]  # roots are sorted descending
     target = system.rank
+    later = {}  # index -> bitmask of the later positive roots compatible with it
+
+    def compatible_after(i: int) -> int:
+        if i not in later:
+            alpha = positive[i]
+            mask = 0
+            for j in range(i + 1, len(positive)):
+                beta = positive[j]
+                if (_dot(alpha, beta) == 0 and _add(alpha, beta) not in rs
+                        and _sub(alpha, beta) not in rs):
+                    mask |= 1 << j
+            later[i] = mask
+        return later[i]
+
     chosen = []
+    failed = set()
 
-    def compatible(alpha, beta) -> bool:
-        if _dot(alpha, beta) != 0:
-            return False
-        return _add(alpha, beta) not in rs and _sub(alpha, beta) not in rs
-
-    def search(start: int):
-        if len(chosen) == target:
+    def search(candidates: int) -> bool:
+        need = target - len(chosen)
+        if need == 0:
             return True
-        for idx in range(start, len(positive)):
-            alpha = positive[idx]
-            if all(compatible(alpha, beta) for beta in chosen):
-                chosen.append(alpha)
-                if search(idx + 1):
+        if candidates.bit_count() < need or (candidates, need) in failed:
+            return False
+        if _rank((positive[j] for j in _members(candidates)), need) == need:
+            for i in _members(candidates):
+                chosen.append(positive[i])
+                if search(candidates & compatible_after(i)):
                     return True
                 chosen.pop()
+        failed.add((candidates, need))
         return False
 
-    if search(0):
-        return StarResult(holds=True, witness=tuple(chosen))
+    first_of_length = {}
+    for i, alpha in enumerate(positive):
+        first_of_length.setdefault(_dot(alpha, alpha), i)
+    for i in sorted(first_of_length.values()):
+        chosen.append(positive[i])
+        if search(compatible_after(i)):
+            return StarResult(holds=True, witness=tuple(chosen))
+        chosen.pop()
     return StarResult(holds=False, witness=None)
 
 

@@ -1,8 +1,11 @@
 """Root systems and the orthogonal-A1 search."""
 
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordmap import (
     InvalidType,
@@ -89,9 +92,7 @@ ORACLE_CELLS = (
 )
 
 
-def test_closure_matches_the_explicit_constructions(monkeypatch):
-    # _validate costs N^2 dot products (about 40 s up to rank 20); it has its own tests
-    monkeypatch.setattr(rootsys, "_validate", lambda system: None)
+def test_closure_matches_the_explicit_constructions():
     for t, r in ORACLE_CELLS:
         system = build(t, r)
         oracle = explicit_roots(t, r)
@@ -122,6 +123,19 @@ def test_validate_rejects_a_wrong_count_a_missing_negative_and_a_bad_cartan_inte
         rootsys._validate(rootsys.RootSystem("B", 2, ((4, 4), (-2, 0)) + without, 2))
     with pytest.raises(InvalidType, match="Cartan integer is not an integer"):
         rootsys._validate(rootsys.RootSystem("B", 2, ((2, 4), (-2, -4)) + without, 2))
+    # A2 with +-(e1 - e3) swapped for +-(e1 + e2 - 2 e3): six roots, closed under
+    # negation, holding both simple roots, and every Cartan integer of every pair
+    # is an integer (0, +-1, +-3); but s_(e1 - e2) maps e2 - e3 to e1 - e3
+    a1, a2, long = (2, -2, 0), (0, 2, -2), (2, 2, -4)
+    roots = tuple(v for u in (a1, a2, long) for v in (u, tuple(-c for c in u)))
+    for alpha, beta in product(roots, repeat=2):
+        assert 2 * sum(a * b for a, b in zip(alpha, beta)) % sum(b * b for b in beta) == 0
+    with pytest.raises(InvalidType, match="not the Weyl orbit of its simple roots"):
+        rootsys._validate(rootsys.RootSystem("A", 2, roots, 3))
+    # the same six vectors rotated off the simple roots: a root system, not this one
+    rotated = tuple(v for u in ((2, 2, -4), (2, -4, 2), (-4, 2, 2)) for v in (u, tuple(-c for c in u)))
+    with pytest.raises(InvalidType, match="not the Weyl orbit of its simple roots"):
+        rootsys._validate(rootsys.RootSystem("A", 2, rotated, 3))
 
 
 def test_counts_match_classical_formulas():
@@ -199,6 +213,96 @@ def test_witness_verification_rejects_bad_sets():
     # sums present in R: in B3, {e1, e2, e3} fails because e1+e2 is a root
     b3 = build("B", 3)
     assert not verify_witness(b3, [(2, 0, 0), (0, 2, 0), (0, 0, 2)])
+
+
+# ---------------------------------------------------------------------------
+# oracle: plain backtracking over the positive roots, without bitsets, span
+# bound, memo or orbit fixing
+
+
+def plain_star_search(system):
+    roots = set(system.roots)
+    positive = sorted((v for v in system.roots if v > tuple(-c for c in v)), reverse=True)
+    chosen = []
+
+    def compatible(alpha, beta):
+        if sum(a * b for a, b in zip(alpha, beta)) != 0:
+            return False
+        return tuple(a + b for a, b in zip(alpha, beta)) not in roots and _sub(alpha, beta) not in roots
+
+    def search(start):
+        if len(chosen) == system.rank:
+            return True
+        for idx in range(start, len(positive)):
+            alpha = positive[idx]
+            if all(compatible(alpha, beta) for beta in chosen):
+                chosen.append(alpha)
+                if search(idx + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    if search(0):
+        return rootsys.StarResult(holds=True, witness=tuple(chosen))
+    return rootsys.StarResult(holds=False, witness=None)
+
+
+# every table cell, and the larger ranks the plain search finishes in about 1 s
+SEARCH_CELLS = [(t, r) for t, r in ORACLE_CELLS if r <= 8] + [
+    ("A", 9), ("B", 9), ("B", 10), ("B", 11), ("C", 9), ("C", 10), ("C", 11)]
+
+
+@pytest.mark.parametrize("label,rank", SEARCH_CELLS)
+def test_search_matches_plain_backtracking(label, rank):
+    system = build(label, rank)
+    result = star_search(system)
+    assert result == plain_star_search(system)
+    assert result.holds == expected_star(label, rank)
+    if result.holds:
+        assert verify_witness(system, result.witness)
+
+
+def _fraction_rank(rows):
+    """Rank by Gaussian elimination over Fraction, written out for the oracle."""
+    rows = [[Fraction(a) for a in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col] / rows[rank][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def integer_matrices(draw):
+    """Small integer matrices, half of them with rows built as integer
+    combinations of at most three rows, so rank-deficient ones are common."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entries = st.integers(-4, 4)
+    if draw(st.booleans()):
+        return [draw(st.lists(entries, min_size=m, max_size=m)) for _ in range(n)]
+    base = [draw(st.lists(entries, min_size=m, max_size=m)) for _ in range(draw(st.integers(1, 3)))]
+    rows = []
+    for _ in range(n):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base)))
+        rows.append([sum(c * row[j] for c, row in zip(coeffs, base)) for j in range(m)])
+    return rows
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(integer_matrices())
+def test_exact_rank_matches_fraction_elimination(rows):
+    rank = _fraction_rank(rows)
+    assert rootsys._rank(rows) == rank
+    assert rootsys._rank(tuple(map(tuple, rows))) == rank
+    for enough in range(1, rank + 1):
+        assert rootsys._rank(rows, enough) == enough
 
 
 def test_search_deterministic():
