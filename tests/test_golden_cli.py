@@ -140,6 +140,12 @@ CASES = [
     # a failing D of odd rank and a failing A beyond the roots table
     ["roots", "check", "D9"],
     ["roots", "check", "A11"],
+    # jets through negative and huge syllables, an inverted constant, and Q[i]
+    ["--ring", "Fp:101", "dominance", "--word", "x^-3 y^5 x^2 y^-1", "--seed", "3"],
+    ["--ring", "Fp:101", "dominance", "--word", "x^5000000 y^-4000000", "--seed", "1"],
+    ["--ring", "Fp:101", "dominance", "--word", "x s1^-1 y^-2 s1", "--sigma", "golden/sigma_s1.json",
+     "--seed", "6"],
+    ["--ring", "Q[i]", "dominance", "--word", "[x,y^-2]", "--seed", "2"],
 ]
 
 
