@@ -12,7 +12,7 @@ import random
 import re
 import sys
 
-from .errors import InvalidParams, InvalidType, WordmapError
+from .errors import InvalidParams, InvalidType, UnboundConstant, WordmapError
 from .evaluate import (
     check_restriction_identities,
     chi_probe,
@@ -126,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("dominance", help="jet-Jacobian rank of the word map at a point")
     p.add_argument("--word", required=True)
-    p.add_argument("--at", nargs="*", metavar="MATRIX", default=None)
+    p.add_argument("--at", nargs="+", metavar="MATRIX", default=None)
     p.add_argument("--sigma")
 
     p = add_parser("preimage", help="commutator with prescribed trace")
@@ -393,6 +393,8 @@ def main(argv=None) -> int:
             raise WordmapError("--samples must be >= 1")
         report, code = _COMMANDS[args.command](args, ring, rng)
     except (WordmapError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        if isinstance(exc, UnboundConstant) and hasattr(args, "sigma"):
+            exc = f"{exc}; --sigma binds it"
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     _emit(report, output)

@@ -37,18 +37,19 @@ def _check_tuple(w: WordWithConstants, tup):
         )
     for c in w.constants:
         if c.name not in w.binding:
-            raise UnboundConstant(c.name)
+            raise UnboundConstant(f"constant {c.name} is unbound")
         s = w.binding[c.name]
         if s.n != n or s.ring != ring:
             raise DimensionMismatch(f"constant {c.name} has wrong size or ring")
     return n, ring
 
 
-def _eval(w: WordWithConstants, tup, negative_power, check_central=False):
+def _eval(w: WordWithConstants, tup, negative_power, check_central=False, known=None):
     """The product of the word's factors.  ``negative_power(g)`` stands in for
-    x_g^-1 and is taken once per generator, as is each constant's inverse."""
+    x_g^-1 and is taken once per generator, as is each constant's inverse;
+    ``known`` may hold some of them, keyed by generator or constant name."""
     n, ring = _check_tuple(w, tup)
-    inverses = {}
+    inverses = dict(known) if known else {}
     acc = None
     for i, seg in enumerate(w.segments):
         if i % 2 == 0:
@@ -79,10 +80,12 @@ def eval_group(
 ) -> SquareMatrix:
     """Literal group evaluation with true inverses; inputs must be invertible.
 
-    ``inverses`` may map generators to inverses the caller already has.
+    ``inverses`` may map generators and constant names to inverses the
+    caller already has.
     """
-    negative_power = inverses.__getitem__ if inverses else lambda g: tup[g - 1].inverse()
-    return _eval(w, tup, negative_power, check_central=not allow_central)
+    return _eval(
+        w, tup, lambda g: tup[g - 1].inverse(), check_central=not allow_central, known=inverses
+    )
 
 
 def eval_adjugate_extension(w: WordWithConstants, tup, adjugates=None) -> SquareMatrix:
@@ -238,16 +241,137 @@ def _tangent_rows(base, derivs) -> list:
     return rows
 
 
+def _mul2(dot, x, y):
+    """The product of two 2x2 raw row tuples, one ``rdot`` per entry."""
+    r0, r1 = x
+    (a, b), (c, d) = y
+    c0, c1 = (a, c), (b, d)
+    return ((dot(r0, c0), dot(r0, c1)), (dot(r1, c0), dot(r1, c1)))
+
+
+def _add2(add, x, y):
+    return tuple(tuple(map(add, rx, ry)) for rx, ry in zip(x, y))
+
+
+def _syllable_sums(ring, letter, e):
+    """``(L^|e|, [T(X) for X = E, F, H])`` for a syllable g^e, L = g or g^-1.
+
+    T(X) = sum_{j<|e|} L^j D L^(|e|-1-j) is the derivative of L^|e|, where L
+    moves by D = X g or D = -g^-1 X.  Doubling from the top bit of |e|,
+    T_2a = T_a L^a + L^a T_a and T_(a+1) = T_a L + L^a D, takes O(log |e|)
+    products.
+    """
+    dot, add, neg = ring.rdot, ring.radd, ring.rneg
+    z = ring.raw_from_int(0)
+    (a, b), (c, d) = letter
+    if e > 0:  # X g for X = E, F, H
+        steps = [((c, d), (z, z)), ((z, z), (a, b)), ((a, b), (neg(c), neg(d)))]
+    else:  # -g^-1 X, with g^-1 = [[a, b], [c, d]]
+        a, b, c, d = neg(a), neg(b), neg(c), neg(d)
+        steps = [((z, a), (z, c)), ((b, z), (d, z)), ((a, neg(b)), (c, neg(d)))]
+    power, sums = letter, steps
+    for bit in bin(abs(e))[3:]:
+        sums = [_add2(add, _mul2(dot, t, power), _mul2(dot, power, t)) for t in sums]
+        power = _mul2(dot, power, power)
+        if bit == "1":
+            sums = [
+                _add2(add, _mul2(dot, t, letter), _mul2(dot, power, d))
+                for t, d in zip(sums, steps)
+            ]
+            power = _mul2(dot, power, letter)
+    return power, sums
+
+
+def _outer_sums(ring, terms) -> list:
+    """The sum of A X B over the pairs (A, B) of ``terms``, at X = E, F, H.
+
+    E and F are rank one and H is diagonal, so each entry is one fused dot
+    over the terms: (A E B)_rc = A_r0 B_1c, (A F B)_rc = A_r1 B_0c and
+    (A H B)_rc = A_r0 B_0c - A_r1 B_1c.
+    """
+    dot, add, neg = ring.rdot, ring.radd, ring.rneg
+    cols = [[[a[r][s] for a, _b in terms] for s in (0, 1)] for r in (0, 1)]  # A_rs
+    rows = [[[b[s][c] for _a, b in terms] for c in (0, 1)] for s in (0, 1)]  # B_sc
+
+    def sandwich(s, t):
+        return tuple(tuple(dot(cols[r][s], rows[t][c]) for c in (0, 1)) for r in (0, 1))
+
+    k00, k11 = sandwich(0, 0), sandwich(1, 1)
+    return [sandwich(0, 1), sandwich(1, 0), _add2(add, k00, _neg2(neg, k11))]
+
+
+def _neg2(neg, x):
+    return tuple(tuple(map(neg, row)) for row in x)
+
+
 def jet_sweep(w: WordWithConstants, point):
     """``(value, derivs)``: the word value at an SL2 point and its derivatives
-    under g_i -> (I + eps X) g_i, argument-major in E, F, H order."""
+    under g_i -> (I + eps X) g_i, argument-major in E, F, H order.
+
+    The value is one :func:`eval_group` call; the derivatives come from one
+    product-rule pass over the base ring.  For V = L_1 ... L_N the derivative
+    along g_i is the sum over the letters L_k of g_i of P_(k-1) D_k S_(k+1),
+    with the prefix and suffix products P and S, and D = X g for a letter g
+    and -g^-1 X for g^-1; constants enter P and S only.  So a letter g adds
+    P_(k-1) X S_k and a letter g^-1 adds -P_k X S_(k+1), outer products that
+    :func:`_outer_sums` adds up, and a syllable g^e with |e| > 1 adds
+    P_(k-1) T(X) S_(k+1) with T from :func:`_syllable_sums`.  Each inverted
+    generator and constant is inverted once, and no prefix is.
+    """
     n, ring = _check_tuple(w, point)
     if n != 2:
         raise DimensionMismatch("jets are implemented for 2x2")
-    dual = DualNumbers(ring)
-    wl = w.with_binding({k: lift_matrix(v, dual) for k, v in w.binding.items()})
-    (value,), derivs = _jets(lambda _scalars, mats: (eval_group(wl, mats),), ring, [], point)
-    return value, [d for d, in derivs]
+    inverses = {}
+    for i, seg in enumerate(w.segments):
+        if i % 2:
+            if seg.inv and seg.name not in inverses:
+                inverses[seg.name] = w.binding[seg.name].inverse()
+        else:
+            for g, e in seg.letters:
+                if e < 0 and g not in inverses:
+                    inverses[g] = point[g - 1].inverse()
+    value = eval_group(w, point, inverses=inverses)
+
+    factors = []  # (value, generator index or None, exponent, T(X) when |e| > 1)
+    for i, seg in enumerate(w.segments):
+        if i % 2:
+            sigma = inverses[seg.name] if seg.inv else w.binding[seg.name]
+            factors.append((sigma.rows, None, 0, None))
+            continue
+        for g, e in seg.letters:
+            letter = (point[g - 1] if e > 0 else inverses[g]).rows
+            if e in (1, -1):
+                factors.append((letter, g - 1, e, None))
+            else:
+                power, sums = _syllable_sums(ring, letter, e)
+                factors.append((power, g - 1, e, sums))
+
+    dot, add, neg = ring.rdot, ring.radd, ring.rneg
+    ident = SquareMatrix.identity(ring, 2).rows
+    suffixes = [ident]
+    for factor in reversed(factors):
+        suffixes.append(_mul2(dot, factor[0], suffixes[-1]))
+    suffixes.reverse()  # suffixes[k]: the product of factors k, k + 1, ...
+    terms = [[] for _ in point]  # (A, B) per letter, whose term is A X B
+    syllables = [[SquareMatrix.zero(ring, 2).rows] * 3 for _ in point]
+    prefix = ident
+    for k, (m, gen, e, sums) in enumerate(factors):
+        after = _mul2(dot, prefix, m)
+        if sums is not None:
+            syllables[gen] = [
+                _add2(add, acc, _mul2(dot, _mul2(dot, prefix, t), suffixes[k + 1]))
+                for acc, t in zip(syllables[gen], sums)
+            ]
+        elif e == 1:
+            terms[gen].append((prefix, suffixes[k]))
+        elif e == -1:
+            terms[gen].append((_neg2(neg, after), suffixes[k + 1]))
+        prefix = after
+    return value, [
+        SquareMatrix._raw(ring, _add2(add, outer, t))
+        for i in range(len(point))
+        for outer, t in zip(_outer_sums(ring, terms[i]), syllables[i])
+    ]
 
 
 def dominance_probe(w: WordWithConstants, point) -> int:

@@ -99,7 +99,14 @@ class Rationals(RingDescriptor):
         return 1 / x
 
     def rdot(self, xs, ys):
-        # one Fraction built (and reduced) per dot product
+        # one Fraction built (and reduced) per dot product of up to 16 terms;
+        # its denominator is the product of all the terms' denominators, so a
+        # longer dot (the jet sums of a long word) adds up 8-term Fractions
+        if len(xs) > 16:
+            return sum(
+                [self.rdot(xs[i:i + 8], ys[i:i + 8]) for i in range(0, len(xs), 8)],
+                Fraction(0),
+            )
         num, den = 0, 1
         for x, y in zip(xs, ys):
             d = x.denominator * y.denominator

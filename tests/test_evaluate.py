@@ -1,6 +1,8 @@
 """Evaluation engine: closed forms, restriction identities, homogeneity, probes, jets."""
 
 import random
+from collections import Counter
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -28,8 +30,11 @@ from wordmap import (
     random_sl2,
     word,
 )
-from wordmap.evaluate import _jets
-from wordmap.matrices import matrix_from_json
+from wordmap import evaluate, geometry
+from wordmap.evaluate import _check_tuple, _jets
+from wordmap.geometry import COMPONENT_IDS, component, jet_jacobian
+from wordmap.matrices import lift_matrix, matrix_from_json
+from wordmap.rings import DualNumbers, parse_ring
 from wordmap.words import ConstLetter, EmptyInnerWord, from_items
 
 Q = Rationals()
@@ -365,22 +370,50 @@ def test_dominance_conjugation_word_rank_two():
         assert dominance_probe(w, [random_sl2(F101, rng)]) == 2
 
 
-def test_dominance_inverts_the_base_value_once(monkeypatch):
+def test_dominance_costs_one_evaluation(monkeypatch):
+    # the jets share the evaluation's inverses: each generator and constant is
+    # inverted once, the value once (for the tangent rows), and no prefix
     rng = random.Random(50)
-    w = parse("[[x,y],[x,z]]^20")
+    sigma = random_sl2(F101, rng)
+    w = parse("[[x,y],[x,z]]^20 s1^-1 x^-3 y^5 s1 z^-2").with_binding({"s1": sigma})
     point = [random_sl2(F101, rng) for _ in range(3)]
-    base = eval_group(w, point)
-    inverted = []
-    original = SquareMatrix.inverse
+    value = eval_group(w, point)
+    evaluations, inverted = [], []
+    original_eval, original_inverse = evaluate.eval_group, SquareMatrix.inverse
+
+    def eval_group_counted(*args, **kwargs):
+        evaluations.append(1)
+        return original_eval(*args, **kwargs)
 
     def inverse(m):
         inverted.append(m)
-        return original(m)
+        return original_inverse(m)
 
+    monkeypatch.setattr(evaluate, "eval_group", eval_group_counted)
     monkeypatch.setattr(SquareMatrix, "inverse", inverse)
     dominance_probe(w, point)
-    # the other inverses are of dual-number matrices inside the jets
-    assert [m for m in inverted if m.ring == F101] == [base]
+    assert len(evaluations) == 1
+    assert Counter(inverted) == Counter(point + [sigma, value])
+
+
+def test_jets_of_a_power_take_logarithmically_many_products(monkeypatch):
+    # every product, in the evaluation and in the jets, is made of ring dots
+    g = random_sl2(F101, random.Random(53))
+    dots = []
+    original = PrimeField.rdot
+
+    def rdot(self, xs, ys):
+        dots.append(1)
+        return original(self, xs, ys)
+
+    monkeypatch.setattr(PrimeField, "rdot", rdot)
+    counts = {}
+    for e in (10**3, 10**6, -10**6):
+        dots.clear()
+        dominance_probe(parse(f"x^{e}"), [g])
+        counts[e] = len(dots)
+    assert counts[10**6] <= 3 * counts[10**3]
+    assert counts[-10**6] <= 3 * counts[10**3]
 
 
 _SL2_BASIS = {"E": [[0, 1], [0, 0]], "F": [[0, 0], [1, 0]], "H": [[1, 0], [0, -1]]}
@@ -450,3 +483,71 @@ def test_jet_matches_finite_difference_structure():
     w = parse("x^2")
     rows = dict(zip(_SL2_BASIS, jet_sweep(w, [g])[1]))
     assert rows["E"] == e * g * g + g * e * g
+
+
+def dual_jet_sweep(w, point):
+    """The dual-number jet sweep that ``jet_sweep`` replaced, kept as an
+    oracle: one evaluation of the word over dual numbers per direction,
+    g_i -> (I + eps X) g_i, with the binding lifted too."""
+    _n, ring = _check_tuple(w, point)
+    dual = DualNumbers(ring)
+    wl = w.with_binding({k: lift_matrix(v, dual) for k, v in w.binding.items()})
+    (value,), derivs = _jets(lambda _scalars, mats: (eval_group(wl, mats),), ring, [], point)
+    return value, [d for d, in derivs]
+
+
+_JET_RINGS = ("Fp:5", "Fp:13", "Fp:101", "Q", "Q[i]", "Fp:19[sqrt(2)]")
+
+
+@st.composite
+def _word_items(draw):
+    spec = draw(st.sampled_from(_JET_RINGS))
+    small = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    big = small
+    if spec.startswith("Fp"):
+        # over Q and Q[i] the oracle's powers grow by digits per factor, so
+        # the exponents up to 10^6 are drawn over the finite rings only
+        sizes = st.sampled_from([10**6, 2**19, 999_983]) | st.integers(4, 10**6)
+        big = st.builds(mul, st.sampled_from([1, -1]), sizes)
+    letters = st.tuples(st.integers(1, 3), st.one_of(small, big))
+    constants = st.builds(ConstLetter, st.just("s1"), st.booleans())
+    items = draw(st.lists(st.one_of(letters, letters, constants), min_size=1, max_size=7))
+    return spec, items, draw(st.integers(0, 2**32))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(_word_items())
+def test_jet_sweep_matches_dual_numbers(case):
+    spec, items, seed = case
+    try:
+        w = from_items(items)
+    except EmptyInnerWord:
+        assume(False)
+    ring = parse_ring(spec)
+    rng = random.Random(seed)
+    point = [random_sl2(ring, rng) for _ in range(max(w.max_generator(), 1))]
+    w = w.with_binding({"s1": random_sl2(ring, rng)})
+    value, derivs = jet_sweep(w, point)
+    expected_value, expected = dual_jet_sweep(w, point)
+    assert value == expected_value
+    assert derivs == expected
+
+
+def _second_ring(cid):
+    if cid in ("ex2.Wj", "ex3.W1"):
+        return "Q[i]"  # they need i
+    return "Fp:11" if cid == "ex4.Tj" else "Q"  # ex4.Tj needs a prime field with 5 | q - 1
+
+
+@pytest.mark.parametrize(
+    "spec,cid", [("Fp:101", cid) for cid in COMPONENT_IDS] + [(_second_ring(c), c) for c in COMPONENT_IDS]
+)
+def test_jet_jacobian_matches_dual_numbers_on_the_catalogue(monkeypatch, spec, cid):
+    comp = component(cid, parse_ring(spec))
+    point = list(comp.witness())
+    jac = jet_jacobian(comp.equation, point, comp.kind)
+    monkeypatch.setattr(geometry, "jet_sweep", dual_jet_sweep)
+    expected = jet_jacobian(comp.equation, point, comp.kind)
+    assert jac.rows == expected.rows
+    assert jac.rank == expected.rank
+    assert jac.value == expected.value

@@ -64,9 +64,9 @@ def ring_and_raws(draw, count, raws=raw_values):
 
 
 @st.composite
-def ring_and_vectors(draw):
+def ring_and_vectors(draw, min_size=0, max_size=6):
     ring = draw(st.sampled_from(RINGS))
-    n = draw(st.integers(0, 6))
+    n = draw(st.integers(min_size, max_size))
     vector = st.lists(raw_values(ring), min_size=n, max_size=n)
     return ring, draw(vector), draw(vector)
 
@@ -110,6 +110,17 @@ def test_rneg_and_rinv_are_inverses(case):
 @deterministic
 @given(ring_and_vectors())
 def test_rdot_is_the_sum_of_products(case):
+    ring, xs, ys = case
+    total = ring.raw_from_int(0)
+    for x, y in zip(xs, ys):
+        total = ring.radd(total, ring.rmul(x, y))
+    assert ring.rdot(xs, ys) == total
+
+
+@deterministic
+@given(ring_and_vectors(15, 40))
+def test_long_rdot_is_the_sum_of_products(case):
+    # over Q a dot of more than 16 terms is added up from 8-term chunks
     ring, xs, ys = case
     total = ring.raw_from_int(0)
     for x, y in zip(xs, ys):
