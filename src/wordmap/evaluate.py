@@ -44,12 +44,12 @@ def _check_tuple(w: WordWithConstants, tup):
     return n, ring
 
 
-def _eval(w: WordWithConstants, tup, negative_power, check_central=False, known=None):
+def _eval(w: WordWithConstants, tup, negative_power, check_central=False, inverses=None):
     """The product of the word's factors.  ``negative_power(g)`` stands in for
     x_g^-1 and is taken once per generator, as is each constant's inverse;
-    ``known`` may hold some of them, keyed by generator or constant name."""
+    both are kept in ``inverses``, by generator or constant name."""
     n, ring = _check_tuple(w, tup)
-    inverses = dict(known) if known else {}
+    inverses = {} if inverses is None else inverses
     acc = None
     for i, seg in enumerate(w.segments):
         if i % 2 == 0:
@@ -80,12 +80,10 @@ def eval_group(
 ) -> SquareMatrix:
     """Literal group evaluation with true inverses; inputs must be invertible.
 
-    ``inverses`` may map generators and constant names to inverses the
-    caller already has.
+    ``inverses`` may be a dict of inverses the caller already has, by
+    generator or constant name; the evaluation adds each one it takes.
     """
-    return _eval(
-        w, tup, lambda g: tup[g - 1].inverse(), check_central=not allow_central, known=inverses
-    )
+    return _eval(w, tup, lambda g: tup[g - 1].inverse(), not allow_central, inverses)
 
 
 def eval_adjugate_extension(w: WordWithConstants, tup, adjugates=None) -> SquareMatrix:
@@ -315,21 +313,14 @@ def jet_sweep(w: WordWithConstants, point):
     and -g^-1 X for g^-1; constants enter P and S only.  So a letter g adds
     P_(k-1) X S_k and a letter g^-1 adds -P_k X S_(k+1), outer products that
     :func:`_outer_sums` adds up, and a syllable g^e with |e| > 1 adds
-    P_(k-1) T(X) S_(k+1) with T from :func:`_syllable_sums`.  Each inverted
-    generator and constant is inverted once, and no prefix is.
+    P_(k-1) T(X) S_(k+1) with T from :func:`_syllable_sums`.  The inverses
+    are the evaluation's, so each generator and constant is inverted once;
+    no prefix is.
     """
     n, ring = _check_tuple(w, point)
     if n != 2:
         raise DimensionMismatch("jets are implemented for 2x2")
-    inverses = {}
-    for i, seg in enumerate(w.segments):
-        if i % 2:
-            if seg.inv and seg.name not in inverses:
-                inverses[seg.name] = w.binding[seg.name].inverse()
-        else:
-            for g, e in seg.letters:
-                if e < 0 and g not in inverses:
-                    inverses[g] = point[g - 1].inverse()
+    inverses = {}  # the evaluation's, shared with the jets
     value = eval_group(w, point, inverses=inverses)
 
     factors = []  # (value, generator index or None, exponent, T(X) when |e| > 1)

@@ -112,6 +112,23 @@ def test_dominance(capsys):
     assert rep["rank"] == 3
 
 
+def test_dominance_at_without_matrices_is_a_usage_error(capsys):
+    # it once sampled a random point, as if --at were not given
+    assert main(["--ring", "Fp:101", "dominance", "--word", "x", "--at"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--at: expected at least one argument" in captured.err
+
+
+def test_unbound_constant_names_itself_and_the_flag_that_binds_it(capsys):
+    # the message was the bare name: "error: s1"
+    argv = ["--ring", "Fp:101", "dominance", "--word", "x s1", "--seed", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: constant s1 is unbound; --sigma binds it" in captured.err
+
+
 def test_preimage(capsys):
     code, rep = run_json(capsys, ["--ring", "Fp:101", "preimage", "--a", "77"])
     assert code == 0

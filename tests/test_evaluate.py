@@ -551,3 +551,15 @@ def test_jet_jacobian_matches_dual_numbers_on_the_catalogue(monkeypatch, spec, c
     assert jac.rows == expected.rows
     assert jac.rank == expected.rank
     assert jac.value == expected.value
+
+
+@pytest.mark.parametrize("ring", [F101, Q], ids=str)
+@pytest.mark.parametrize("text", ["x^2 y x^5", "x y^3 x", "x^1000 y"])
+def test_jet_sweep_needs_no_inverse_of_a_positive_word(ring, text):
+    # prefixes are never inverted, so a singular point is fine
+    point = [matrix_from_json(ring, [[1, 2], [2, 4]]), matrix_from_json(ring, [[0, 1], [0, 0]])]
+    w = parse(text)
+    value, derivs = jet_sweep(w, point)
+    expected_value, expected = dual_jet_sweep(w, point)
+    assert value == expected_value
+    assert derivs == expected
