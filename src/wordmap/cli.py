@@ -24,7 +24,6 @@ from .geometry import (
     Sl2Pair,
     component,
     dimension_certificate,
-    fiber_membership,
     lemma78_check,
     lemma101_check,
     relation_scan,
@@ -40,21 +39,29 @@ from .matrices import (
 )
 from .rings import parse_ring, parse_scalar, render_scalar
 from .rootsys import build, star_search, verify_lemma_table, verify_witness
-from .words import parse, render
+from .words import parse, pure, render
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILED = 1
 EXIT_USAGE = 2
 
 
+def _read_json(text: str):
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise WordmapError("JSON nested too deeply") from None
+
+
+def _read_json_file(path: str):
+    with open(path) as fh:
+        return _read_json(fh.read())
+
+
 def _load_matrix(ring, text: str) -> SquareMatrix:
     """A matrix argument: inline JSON rows, or the path of a JSON file."""
     stripped = text.strip()
-    if stripped.startswith("["):
-        data = json.loads(stripped)
-    else:
-        with open(text) as fh:
-            data = json.load(fh)
+    data = _read_json(stripped) if stripped.startswith("[") else _read_json_file(text)
     if isinstance(data, dict):
         data = data["rows"]
     return matrix_from_json(ring, data)
@@ -62,14 +69,24 @@ def _load_matrix(ring, text: str) -> SquareMatrix:
 
 def _load_sigma(ring, path: str) -> dict:
     """Binding file: {"ring": "...", "s1": [[...]], ...}."""
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _read_json_file(path)
+    if not isinstance(data, dict):
+        raise WordmapError(f"a binding file holds a JSON object, got {data!r}")
     file_ring = data.pop("ring", None)
-    if file_ring is not None and parse_ring(file_ring) != ring:
-        raise WordmapError(
-            f"binding file ring {file_ring!r} does not match --ring"
-        )
+    if file_ring is not None:
+        if not isinstance(file_ring, str):
+            raise WordmapError(f"binding file ring is a ring spec string, got {file_ring!r}")
+        if parse_ring(file_ring) != ring:
+            raise WordmapError(f"binding file ring {file_ring!r} does not match --ring")
     return {name: matrix_from_json(ring, rows) for name, rows in data.items()}
+
+
+def _word_at(args, ring):
+    """The --word, bound by --sigma if given, and the --at matrices (None if absent)."""
+    w = parse(args.word)
+    if args.sigma:
+        w = w.with_binding(_load_sigma(ring, args.sigma))
+    return w, [_load_matrix(ring, t) for t in args.at] if args.at else None
 
 
 def _emit(report: dict, output: str) -> None:
@@ -170,10 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(args, ring, rng):
-    w = parse(args.word)
-    if args.sigma:
-        w = w.with_binding(_load_sigma(ring, args.sigma))
-    tup = [_load_matrix(ring, t) for t in args.at]
+    w, tup = _word_at(args, ring)
     value = eval_group(w, tup)
     report = {"value": matrix_to_json(value), "word": render(w)}
     if value.n == 2:
@@ -184,10 +198,7 @@ def _cmd_eval(args, ring, rng):
 
 
 def _cmd_extend(args, ring, rng):
-    w = parse(args.word)
-    if args.sigma:
-        w = w.with_binding(_load_sigma(ring, args.sigma))
-    tup = [_load_matrix(ring, t) for t in args.at]
+    w, tup = _word_at(args, ring)
     check = check_restriction_identities(w, tup)
     report = {
         "extended": matrix_to_json(check.extended),
@@ -209,14 +220,9 @@ def _cmd_chi_probe(args, ring, rng):
 
 
 def _cmd_dominance(args, ring, rng):
-    w = parse(args.word)
-    if args.sigma:
-        w = w.with_binding(_load_sigma(ring, args.sigma))
-    if args.at:
-        tup = [_load_matrix(ring, t) for t in args.at]
-    else:
-        m = max(w.max_generator(), 1)
-        tup = [random_sl2(ring, rng) for _ in range(m)]
+    w, tup = _word_at(args, ring)
+    if tup is None:
+        tup = [random_sl2(ring, rng) for _ in range(max(w.max_generator(), 1))]
     rank_value = dominance_probe(w, tup)
     report = {"rank": rank_value, "point": [matrix_to_json(g) for g in tup]}
     return report, EXIT_OK
@@ -239,11 +245,8 @@ def _cmd_preimage(args, ring, rng):
 
 
 def _cmd_fiber(args, ring, rng):
-    w = parse(args.word)
-    if args.sigma:
-        w = w.with_binding(_load_sigma(ring, args.sigma))
-    tup = [_load_matrix(ring, t) for t in args.at]
-    fm = fiber_membership(w, tup)
+    w, tup = _word_at(args, ring)
+    fm = value_fiber_membership(eval_group(w, tup))
     report = {"in_W": fm.in_W, "in_T": fm.in_T}
     # W is contained in T; a point in W but not T breaks the containment
     ok = fm.in_T or not fm.in_W
@@ -292,8 +295,6 @@ def _cmd_sep_witness(args, ring, rng):
 def _cmd_relscan(args, ring, rng):
     pair = Sl2Pair(*[_load_matrix(ring, t) for t in args.at])
     result = relation_scan(pair, args.max_len)
-    from .words import pure
-
     report = {
         "trivial": result.trivial,
         "relations": [render(pure(w)) for w in result.relations],

@@ -18,7 +18,7 @@ from .matrices import (
     rank,
 )
 from .rings import DualNumbers, RingDescriptor, Scalar
-from .words import Word, WordWithConstants, exponent_data
+from .words import WordWithConstants, exponent_data
 
 
 def _check_tuple(w: WordWithConstants, tup):
@@ -122,18 +122,6 @@ def check_restriction_identities(w: WordWithConstants, tup) -> RestrictionCheck:
     plain = eval_group(w, tup, inverses=inverses)
     holds = extended == plain.scaled(delta)
     return RestrictionCheck(extended=extended, delta=delta, holds=holds)
-
-
-def homogeneity_check(w: WordWithConstants, tup, r: int, c: Scalar) -> bool:
-    """w~(..., c*mu_r, ...) == c^{d_r} * w~(...) with d_r from exponent_data."""
-    n, ring = _check_tuple(w, tup)
-    data = exponent_data(w, n)
-    d_r = data.degrees.get(r, 0)
-    base = eval_adjugate_extension(w, tup)
-    scaled_tup = list(tup)
-    scaled_tup[r - 1] = tup[r - 1].scaled(c)
-    scaled = eval_adjugate_extension(w, scaled_tup)
-    return scaled == base.scaled(c ** d_r)
 
 
 class ProbeVerdict(Enum):

@@ -1,6 +1,6 @@
-"""SL2-specific geometry: closed forms, fiber membership, witness families for the
-catalogued representation-variety components, jet-based dimension certificates,
-and relation scanning."""
+"""SL2-specific geometry: trace preimages, fiber membership, witness families for
+the catalogued representation-variety components, jet-based dimension
+certificates, and relation scanning."""
 
 from __future__ import annotations
 
@@ -75,33 +75,7 @@ def _coerce(s: Scalar, ring: RingDescriptor) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# closed forms around the commutator with a torus element
-
-
-def commutator_closed_form(t: SquareMatrix, g: SquareMatrix) -> SquareMatrix:
-    """The commutator [t, g] for t = diag(lam, 1/lam), written out entrywise."""
-    ring = t.ring
-    lam = t[0, 0]
-    if t != diag(lam):
-        raise InvalidParams("t must be diag(lam, 1/lam)")
-    al, be = g.entries[0]
-    ga, de = g.entries[1]
-    l2 = lam * lam
-    l2i = l2.inv()
-    return SquareMatrix.from_rows(
-        ring,
-        [
-            [al * de - be * ga * l2, al * be * (l2 - ring.one)],
-            [ga * de * (l2i - ring.one), al * de - be * ga * l2i],
-        ],
-    )
-
-
-def commutator_trace(lam: Scalar, be: Scalar, ga: Scalar) -> Scalar:
-    """tr [diag(lam, 1/lam), g] = 2 - beta*gamma*(lam - 1/lam)^2."""
-    ring = lam.ring
-    d = lam - lam.inv()
-    return ring.from_int(2) - be * ga * d * d
+# pairs, and commutators with a prescribed trace
 
 
 @dataclass(frozen=True)
@@ -144,10 +118,6 @@ def trace_preimage_commutator(a: Scalar, lam: Scalar, be: Scalar) -> Sl2Pair:
 class FiberMembership:
     in_W: bool
     in_T: bool
-
-
-def fiber_membership(w: WordWithConstants, tup) -> FiberMembership:
-    return value_fiber_membership(eval_group(w, list(tup)))
 
 
 def value_fiber_membership(value: SquareMatrix) -> FiberMembership:
@@ -411,13 +381,6 @@ def dimension_certificate(comp: ComponentInstance) -> DimensionCertificate:
         claimed=comp.claimed,
         confirmed=(lower == comp.claimed and upper == comp.claimed),
     )
-
-
-def q8_witness(ring: RingDescriptor, mu: Scalar | None = None) -> Sl2Pair:
-    """(diag(i, -i), [[0, mu], [-1/mu, 0]]): the pair generating Q8."""
-    i_scalar = _need_i(ring)
-    mu = mu if mu is not None else ring.one
-    return Sl2Pair(diag(i_scalar), off_diagonal(mu))
 
 
 # ---------------------------------------------------------------------------

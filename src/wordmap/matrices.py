@@ -313,21 +313,10 @@ def charpoly(m: SquareMatrix) -> CharPolyCoeffs:
 # group predicates
 
 
-def is_special(m: SquareMatrix) -> bool:
-    return _det(m.ring, m.rows) == m.ring.raw_from_int(1)
-
-
 def is_unipotent(m: SquareMatrix) -> bool:
     """(M - I)^n = 0; correct over every ring."""
     d = m - SquareMatrix.identity(m.ring, m.n)
     return d ** m.n == SquareMatrix.zero(m.ring, m.n)
-
-
-def is_central_sl2(m: SquareMatrix) -> bool:
-    if m.n != 2:
-        raise DimensionMismatch("is_central_sl2 is for 2x2 matrices")
-    i2 = SquareMatrix.identity(m.ring, 2)
-    return m == i2 or m == i2._scaled_raw(m.ring.raw_from_int(-1))
 
 
 def is_scalar_matrix(m: SquareMatrix) -> bool:

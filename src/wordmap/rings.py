@@ -285,12 +285,6 @@ class DualNumbers(QuadraticExt):
             raise RingMismatch(f"cannot lift {s.ring} into {self}")
         return self.scalar((s.value, self.base.raw_from_int(0)))
 
-    def real_part(self, s: "Scalar") -> "Scalar":
-        return Scalar(self.base, s.value[0])
-
-    def eps_part(self, s: "Scalar") -> "Scalar":
-        return Scalar(self.base, s.value[1])
-
     def __str__(self):
         return f"Dual({self.base})"
 

@@ -25,9 +25,6 @@ class RootSystem:
     roots: tuple  # doubled integer coordinate tuples
     ambient_dim: int
 
-    def __contains__(self, vec) -> bool:
-        return tuple(vec) in self._root_set
-
     @cached_property
     def _root_set(self) -> frozenset:
         return frozenset(self.roots)

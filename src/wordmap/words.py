@@ -139,11 +139,6 @@ def _commutator(u: list, v: list) -> list:
     return _join(_join(_join(list(u), v), _invert(u)), _invert(v))
 
 
-def _pairs(w: Word) -> list:
-    """The reduced pair list of ``w``; a Word built by hand need not be reduced."""
-    return _append([], w.letters)
-
-
 def _word(pairs) -> Word:
     return Word(tuple(pairs))
 
@@ -151,26 +146,6 @@ def _word(pairs) -> Word:
 def word(pairs) -> Word:
     """Build a reduced Word from (generator, exponent) pairs."""
     return _word(_append([], pairs))
-
-
-def reduce(w: Word) -> Word:
-    return _word(_pairs(w))
-
-
-def concat(u: Word, v: Word) -> Word:
-    return _word(_join(_pairs(u), _pairs(v)))
-
-
-def invert(w: Word) -> Word:
-    return _word(_invert(_pairs(w)))
-
-
-def power(w: Word, k: int) -> Word:
-    return _word(_power(_pairs(w), k))
-
-
-def commutator(u: Word, v: Word) -> Word:
-    return _word(_commutator(_pairs(u), _pairs(v)))
 
 
 def zero_exponent_sum_in_y(w: Word) -> bool:
@@ -228,9 +203,6 @@ class WordWithConstants:
 
     def max_generator(self) -> int:
         return max((w.max_generator() for w in self.words), default=0)
-
-    def total_length(self) -> int:
-        return sum(w.length() for w in self.words) + self.r
 
     def with_binding(self, binding: dict) -> "WordWithConstants":
         return WordWithConstants(self.segments, dict(binding))

@@ -13,8 +13,6 @@ from wordmap import (
     SquareMatrix,
     adjugate,
     check_restriction_identities,
-    commutator_closed_form,
-    commutator_trace,
     component,
     det,
     dimension_certificate,
@@ -22,11 +20,9 @@ from wordmap import (
     eval_adjugate_extension,
     eval_group,
     generated_group,
-    homogeneity_check,
     lemma78_check,
     lemma101_check,
     parse,
-    q8_witness,
     random_sl2,
     relation_scan,
     separation_witness,
@@ -40,6 +36,8 @@ from wordmap.geometry import COMPONENT_IDS, diag
 from wordmap.matrices import matrix_from_json
 from wordmap.rootsys import build
 from wordmap.words import ConstLetter, EmptyInnerWord, from_items
+
+from closed_forms import commutator_closed_form, commutator_trace, homogeneity_check, q8_witness
 
 Q = Rationals()
 F13 = PrimeField(13)

@@ -298,6 +298,29 @@ def test_matrix_literal_takes_only_strings_and_ints(capsys, matrix, message):
     assert captured.out == "" and message in captured.err
 
 
+@pytest.mark.parametrize("content,message", [
+    ("[1,2]", "a binding file holds a JSON object"),
+    ('"x"', "a binding file holds a JSON object"),
+    ('{"ring": 5, "s1": [[1,0],[0,1]]}', "binding file ring is a ring spec string"),
+], ids=["list", "string", "ring-not-a-string"])
+def test_malformed_binding_file_is_a_usage_error(capsys, tmp_path, content, message):
+    # each once ended in a traceback with exit 1
+    sigma = tmp_path / "sigma.json"
+    sigma.write_text(content)
+    argv = ["--ring", "Fp:7", "eval", "--word", "x s1", "--at", "[[1,0],[0,1]]",
+            "--sigma", str(sigma)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_deeply_nested_matrix_json_is_a_usage_error(capsys):
+    # json gives up with a RecursionError, which once ended in a traceback
+    assert main(["--ring", "Fp:7", "eval", "--word", "x", "--at", "[" * 5000]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "JSON nested too deeply" in captured.err
+
+
 def test_huge_power_is_a_usage_error(capsys):
     code = main(["--ring", "Fp:101", "eval", "--word", "x^100000000000", "--at", G2])
     assert code == 2

@@ -23,7 +23,6 @@ from wordmap import (
     eval_adjugate_extension,
     eval_group,
     exponent_data,
-    homogeneity_check,
     jet_sweep,
     parse,
     pure,
@@ -36,6 +35,8 @@ from wordmap.geometry import COMPONENT_IDS, component, jet_jacobian
 from wordmap.matrices import lift_matrix, matrix_from_json
 from wordmap.rings import DualNumbers, parse_ring
 from wordmap.words import ConstLetter, EmptyInnerWord, from_items
+
+from closed_forms import homogeneity_check
 
 Q = Rationals()
 F13 = PrimeField(13)

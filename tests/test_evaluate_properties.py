@@ -19,10 +19,11 @@ from wordmap import (
     det,
     eval_adjugate_extension,
     from_items,
-    homogeneity_check,
     parse_ring,
 )
 from wordmap.words import ConstLetter
+
+from closed_forms import homogeneity_check
 
 RINGS = [PrimeField(101), Rationals(), parse_ring("Fp:103[i]")]
 

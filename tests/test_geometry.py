@@ -14,19 +14,15 @@ from wordmap import (
     Rationals,
     RingLacksRoots,
     SquareMatrix,
-    commutator_closed_form,
-    commutator_trace,
     component,
     dimension_certificate,
     eval_group,
-    fiber_membership,
     generated_group,
     jet_jacobian,
     lemma78_check,
     lemma101_check,
     parametrization_rank,
     parse,
-    q8_witness,
     random_sl2,
     relation_scan,
     separation_witness,
@@ -35,8 +31,17 @@ from wordmap import (
     word,
     wsigma_trace_probe,
 )
-from wordmap.geometry import COMPONENT_IDS, Sl2Pair, diag, upper_unitriangular, weyl_rep
+from wordmap.geometry import (
+    COMPONENT_IDS,
+    Sl2Pair,
+    diag,
+    upper_unitriangular,
+    value_fiber_membership,
+    weyl_rep,
+)
 from wordmap.matrices import lift_matrix, matrix_from_json
+
+from closed_forms import commutator_closed_form, commutator_trace, q8_witness
 
 Q = Rationals()
 F13 = PrimeField(13)
@@ -124,7 +129,7 @@ def test_w_contained_in_t():
     w = parse("[x,y]")
     for _ in range(50):
         tup = [random_sl2(F101, rng) for _ in range(2)]
-        fm = fiber_membership(w, tup)
+        fm = value_fiber_membership(eval_group(w, tup))
         if fm.in_W:
             assert fm.in_T
 
@@ -133,9 +138,9 @@ def test_fiber_membership_known_points():
     w = parse("[x,y]")
     t = diag(F101.from_int(2))
     u = upper_unitriangular(F101.one)
-    fm = fiber_membership(w, [t, t])  # commuting pair
+    fm = value_fiber_membership(eval_group(w, [t, t]))  # commuting pair
     assert fm.in_W and fm.in_T
-    fm = fiber_membership(w, [t, u])  # [t,u] nontrivial unipotent
+    fm = value_fiber_membership(eval_group(w, [t, u]))  # [t,u] nontrivial unipotent
     assert not fm.in_W and fm.in_T
 
 
@@ -176,7 +181,7 @@ def test_jet_jacobian_shapes_and_linearity():
         x = SquareMatrix.from_rows(dual, direction_rows).scaled(eps)
         perturbed = [(ident + x) * lifted[0], lifted[1]]
         v = eval_group(w, perturbed)
-        return v.map_entries(dual.eps_part, F101)
+        return v.map_entries(lambda s: F101.scalar(s.value[1]), F101)
 
     d_e = deriv([[0, 1], [0, 0]])
     d_h = deriv([[1, 0], [0, -1]])

@@ -16,8 +16,6 @@ from wordmap import (
     adjugate,
     charpoly,
     det,
-    is_central_sl2,
-    is_special,
     is_unipotent,
     matrix_from_json,
     matrix_to_json,
@@ -163,9 +161,6 @@ def test_predicates():
     u = matrix_from_json(Q, [[1, 5], [0, 1]])
     assert is_unipotent(u) and is_unipotent(ident)
     assert not is_unipotent(matrix_from_json(Q, [[2, 0], [0, 1]]))
-    assert is_special(u)
-    assert is_central_sl2(ident.scaled(Q.from_int(-1)))
-    assert not is_central_sl2(u)
 
 
 def test_random_sl2_deterministic_and_special():
@@ -173,7 +168,7 @@ def test_random_sl2_deterministic_and_special():
     b = [random_sl2(F101, random.Random(99)) for _ in range(10)]
     assert a == b
     for m in a:
-        assert is_special(m)
+        assert det(m) == F101.one
 
 
 def test_rank():
