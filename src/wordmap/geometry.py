@@ -274,6 +274,9 @@ def component(
     zeta_p^j + zeta_p^-j, j = 1 by default); ex2.Wj takes only j = 4, its
     default; ``a`` fixes the trace level of the Sa hypersurface.
     """
+    if ring.from_int(2).is_zero():
+        # -1 = 1 and i = 1, so the atoms degenerate
+        raise InvalidParams(f"the catalogue needs 2 != 0, but {ring} has characteristic 2")
     if cid not in _CATALOGUE:
         raise InvalidParams(f"unknown component id {cid!r}; known: {COMPONENT_IDS}")
     if j is None:

@@ -9,6 +9,7 @@ import pytest
 from jsonschema import validate
 
 from wordmap.cli import main
+from wordmap.geometry import COMPONENT_IDS
 
 G1 = '[["2","0"],["0","51"]]'
 G2 = '[["1","1"],["0","1"]]'
@@ -201,6 +202,14 @@ def test_dimcert_ex2_takes_j_4_when_j_is_not_given(capsys):
     assert captured.out == "" and "ex2.Wj is catalogued for j = 4" in captured.err
 
 
+@pytest.mark.parametrize("cid", COMPONENT_IDS)
+def test_dimcert_refuses_characteristic_2(capsys, cid):
+    # ex2.Wj and ex5.T2 once printed an unconfirmed certificate (exit 1)
+    assert main(["--ring", "Fp:2", "dimcert", "--example", cid]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "characteristic 2" in captured.err
+
+
 def test_sep_witness(capsys):
     code, rep = run_json(
         capsys, ["--ring", "Fp:101", "sep-witness", "--word", "[x,y]^2"]
@@ -367,6 +376,7 @@ import sys
 if sys.argv[1] == "block":
     sys.modules["sympy"] = None
 from wordmap.cli import main
+from wordmap.geometry import COMPONENT_IDS
 code = main(sys.argv[2:])
 assert "sympy" not in sys.modules or sys.modules["sympy"] is None
 sys.exit(code)

@@ -113,8 +113,8 @@ CASES = [
     # square roots off the base: sqrt(2) = 3i in F_11[i], sqrt(8)/2 in Q[sqrt(8)]
     ["--ring", "Fp:11[i]", "lemma-check", "101"],
     ["--ring", "Q[sqrt(8)]", "preimage", "--a", "sqrt(2)"],
-    # dimension certificates with a generic torus parameter over Q, an
-    # unconfirmed certificate over F_2, and the bad-input exits
+    # dimension certificates with a generic torus parameter over Q, and the
+    # bad-input exits, characteristic 2 among them
     ["--ring", "Q", "dimcert", "--example", "ex5.W1"],
     ["--ring", "Q", "dimcert", "--example", "ex5.T1"],
     ["--ring", "Fp:2", "dimcert", "--example", "ex5.T2"],
