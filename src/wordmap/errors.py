@@ -21,10 +21,6 @@ class UnboundConstant(WordmapError):
     """A constant symbol appears in a word but not in the binding."""
 
 
-class CentralConstant(WordmapError):
-    """A bound constant is central and the caller did not opt out of the check."""
-
-
 class WordSyntaxError(WordmapError):
     """Word text does not conform to the grammar; carries the offending position."""
 

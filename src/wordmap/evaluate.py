@@ -5,14 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import CentralConstant, DimensionMismatch, UnboundConstant
+from .errors import DimensionMismatch, NotInvertible, UnboundConstant
 from .matrices import (
     SquareMatrix,
     adjugate,
     charpoly,
+    det,
     det_adjugate,
     inverse_from,
-    is_scalar_matrix,
     lift_matrix,
     random_sl2,
     rank,
@@ -44,10 +44,11 @@ def _check_tuple(w: WordWithConstants, tup):
     return n, ring
 
 
-def _eval(w: WordWithConstants, tup, negative_power, check_central=False, inverses=None):
+def _eval(w: WordWithConstants, tup, negative_power, inverses=None):
     """The product of the word's factors.  ``negative_power(g)`` stands in for
     x_g^-1 and is taken once per generator, as is each constant's inverse;
-    both are kept in ``inverses``, by generator or constant name."""
+    both are kept in ``inverses``, by generator or constant name, which may
+    start with the ones the caller already has."""
     n, ring = _check_tuple(w, tup)
     inverses = {} if inverses is None else inverses
     acc = None
@@ -63,10 +64,6 @@ def _eval(w: WordWithConstants, tup, negative_power, check_central=False, invers
                 acc = factor if acc is None else acc * factor
         else:
             sigma = w.binding[seg.name]
-            if check_central and is_scalar_matrix(sigma):
-                raise CentralConstant(
-                    f"constant {seg.name} is central; pass allow_central=True to permit it"
-                )
             if seg.inv:
                 if seg.name not in inverses:
                     inverses[seg.name] = sigma.inverse()
@@ -75,15 +72,13 @@ def _eval(w: WordWithConstants, tup, negative_power, check_central=False, invers
     return SquareMatrix.identity(ring, n) if acc is None else acc
 
 
-def eval_group(
-    w: WordWithConstants, tup, allow_central: bool = True, inverses=None
-) -> SquareMatrix:
+def eval_group(w: WordWithConstants, tup, inverses=None) -> SquareMatrix:
     """Literal group evaluation with true inverses; inputs must be invertible.
 
     ``inverses`` may be a dict of inverses the caller already has, by
     generator or constant name; the evaluation adds each one it takes.
     """
-    return _eval(w, tup, lambda g: tup[g - 1].inverse(), not allow_central, inverses)
+    return _eval(w, tup, lambda g: tup[g - 1].inverse(), inverses)
 
 
 def eval_adjugate_extension(w: WordWithConstants, tup, adjugates=None) -> SquareMatrix:
@@ -93,8 +88,7 @@ def eval_adjugate_extension(w: WordWithConstants, tup, adjugates=None) -> Square
     true inverse; only variable letters are replaced by adjugate powers.
     ``adjugates`` may map generators to adjugates the caller already has.
     """
-    negative_power = adjugates.__getitem__ if adjugates else lambda g: adjugate(tup[g - 1])
-    return _eval(w, tup, negative_power)
+    return _eval(w, tup, lambda g: adjugate(tup[g - 1]), adjugates)
 
 
 @dataclass(frozen=True)
@@ -210,21 +204,6 @@ def _jets(f, ring: RingDescriptor, scalars, mats):
 
     base = tuple(part(m, 0) for m in values[0])
     return base, [tuple(part(m, 1) for m in value) for value in values]
-
-
-def _tangent_rows(base, derivs) -> list:
-    """Per direction, the (a11, a12, a21) coordinates of d * V^-1 for each
-    factor V of ``base`` and its derivative d: the tangent translated back to
-    the identity (trace-free, so three coordinates suffice)."""
-    inverses = [v.inverse() for v in base]
-    rows = []
-    for deriv in derivs:
-        row = []
-        for d, inverse in zip(deriv, inverses):
-            a = d * inverse
-            row += [a[0, 0], a[0, 1], a[1, 0]]
-        rows.append(row)
-    return rows
 
 
 def _mul2(dot, x, y):
@@ -354,6 +333,13 @@ def jet_sweep(w: WordWithConstants, point):
 
 
 def dominance_probe(w: WordWithConstants, point) -> int:
-    """Rank of the differential of the word map at an SL2^m point (0..3)."""
+    """Rank of the differential of the word map at an SL2^m point (0..3).
+
+    No direction moves det, so each derivative is d = A V with A trace-free
+    at the value V.  A -> A V is injective for invertible V, so the raw
+    entries of the d have the rank of the A; V must be invertible.
+    """
     value, derivs = jet_sweep(w, point)
-    return rank(_tangent_rows([value], [[d] for d in derivs]), point[0].ring)
+    if not det(value).is_invertible():
+        raise NotInvertible("matrix determinant is not a unit")
+    return rank([d.rows[0] + d.rows[1] for d in derivs], value.ring)

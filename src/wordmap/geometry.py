@@ -26,7 +26,6 @@ from .evaluate import (
     ProbeResult,
     _jets,
     _sample_distinct,
-    _tangent_rows,
     eval_group,
     jet_sweep,
 )
@@ -163,17 +162,17 @@ def jet_jacobian(w: WordWithConstants, point, equations: str = "W") -> JetJacobi
 
     ``W``: the three equations w11 - 1 = w12 = w21 = 0; ``T``: tr(w^) - t = 0
     for a constant t.  Rows are directional derivatives along (I + eps X) g_i
-    for X in {E, F, H}.
+    for X in {E, F, H}, as raw values of the ring.
     """
     if equations not in ("W", "T"):
         raise ValueError("equations must be 'W' or 'T'")
     value, derivs = jet_sweep(w, list(point))
     if equations == "W":
-        rows = [(d[0, 0], d[0, 1], d[1, 0]) for d in derivs]
+        rows = tuple((d.rows[0][0], d.rows[0][1], d.rows[1][0]) for d in derivs)
     else:
-        rows = [(d.trace(),) for d in derivs]
-    rk = rank([list(r) for r in rows], value.ring)
-    return JetJacobian(rows=tuple(rows), rank=rk, value=value)
+        add = value.ring.radd
+        rows = tuple((add(d.rows[0][0], d.rows[1][1]),) for d in derivs)
+    return JetJacobian(rows=rows, rank=rank(rows, value.ring), value=value)
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +354,15 @@ def _factor(atoms, scalars, ring, i_scalar, target) -> SquareMatrix:
 def parametrization_rank(comp: ComponentInstance) -> int:
     """Rank of the differential of the parametrizing map at the base point.
 
-    Columns: one dual-number jet per scalar parameter plus three sl2 directions
-    per matrix parameter; rows: the six tangent coordinates of the image pair.
+    Rows: one dual-number jet per scalar parameter plus three sl2 directions
+    per matrix parameter; columns: the eight raw entries of the image pair's
+    derivative (d1, d2).  The pair stays in SL2 x SL2, so d_k = A_k V_k with
+    A_k trace-free at the invertible value V_k, and (A1, A2) -> (A1 V1, A2 V2)
+    is injective: the raw entries have the rank of the tangents at the
+    identity.
     """
-    base, derivs = _jets(comp.family, comp.ring, comp.scalars, comp.mats)
-    # rank of the transpose equals rank of the Jacobian
-    return rank(_tangent_rows(base, derivs), comp.ring)
+    _base, derivs = _jets(comp.family, comp.ring, comp.scalars, comp.mats)
+    return rank([[e for d in pair for row in d.rows for e in row] for pair in derivs], comp.ring)
 
 
 def dimension_certificate(comp: ComponentInstance) -> DimensionCertificate:

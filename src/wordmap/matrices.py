@@ -319,10 +319,6 @@ def is_unipotent(m: SquareMatrix) -> bool:
     return d ** m.n == SquareMatrix.zero(m.ring, m.n)
 
 
-def is_scalar_matrix(m: SquareMatrix) -> bool:
-    return m == SquareMatrix.identity(m.ring, m.n)._scaled_raw(m.rows[0][0])
-
-
 # ---------------------------------------------------------------------------
 # sampling and rank
 
@@ -339,10 +335,10 @@ def random_sl2(ring: RingDescriptor, rng) -> SquareMatrix:
 
 
 def rank(rows, ring: RingDescriptor) -> int:
-    """Rank of a list of Scalar rows over a field."""
+    """Rank of a list of rows of raw values of ``ring``, a field."""
     if not rows:
         return 0
-    a = [[_unbox(ring, e) for e in r] for r in rows]
+    a = [list(r) for r in rows]
     mul, is_zero = ring.rmul, ring.is_zero_raw
     ncols = len(a[0])
     r = 0

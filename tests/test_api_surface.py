@@ -15,7 +15,6 @@ SRC = Path(wordmap.__file__).parent
 
 # name: why it stays exported without a caller in src/wordmap
 KEEP = {
-    "det": "the kernel's determinant; tests check the adjugate and restriction laws with it",
     "from_items": "test helper: builds words from unreduced items in four test files",
     "generated_group": "census: the planned census command closes groups with it",
     "is_unipotent": "census: the planned census command classifies values with it",

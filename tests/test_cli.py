@@ -121,6 +121,16 @@ def test_dominance_at_without_matrices_is_a_usage_error(capsys):
     assert "--at: expected at least one argument" in captured.err
 
 
+def test_dominance_at_a_singular_value_is_a_usage_error(capsys):
+    # the rank needs an invertible value; it was inverted before the rank
+    # was taken on the raw derivatives, and is now checked by its determinant
+    argv = ["--ring", "Q", "dominance", "--word", "x", "--at", "[[1,0],[0,0]]"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: matrix determinant is not a unit\n"
+
+
 def test_unbound_constant_names_itself_and_the_flag_that_binds_it(capsys):
     # the message was the bare name: "error: s1"
     argv = ["--ring", "Fp:101", "dominance", "--word", "x s1", "--seed", "1"]

@@ -9,13 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wordmap import (
-    CentralConstant,
     DimensionMismatch,
     PrimeField,
     ProbeVerdict,
     Rationals,
     SquareMatrix,
     UnboundConstant,
+    WordmapError,
     check_restriction_identities,
     chi_probe,
     det,
@@ -27,11 +27,12 @@ from wordmap import (
     parse,
     pure,
     random_sl2,
+    rank,
     word,
 )
 from wordmap import evaluate, geometry
 from wordmap.evaluate import _check_tuple, _jets
-from wordmap.geometry import COMPONENT_IDS, component, jet_jacobian
+from wordmap.geometry import COMPONENT_IDS, component, jet_jacobian, parametrization_rank
 from wordmap.matrices import lift_matrix, matrix_from_json
 from wordmap.rings import DualNumbers, parse_ring
 from wordmap.words import ConstLetter, EmptyInnerWord, from_items
@@ -250,17 +251,6 @@ def test_generator_below_one_is_rejected():
             eval_group(pure(word(pairs)), tup)
 
 
-def test_central_constant_opt_in():
-    w = parse("y s1 y^-1 s1^-1")
-    minus_i = SquareMatrix.identity(F101, 2).scaled(F101.from_int(-1))
-    tup = [random_sl2(F101, random.Random(1)) for _ in range(2)]
-    wb = w.with_binding({"s1": minus_i})
-    # default admits central constants; strict mode rejects them
-    assert eval_group(wb, tup) == SquareMatrix.identity(F101, 2)
-    with pytest.raises(CentralConstant):
-        eval_group(wb, tup, allow_central=False)
-
-
 # ---------------------------------------------------------------------------
 # chi probe
 
@@ -373,12 +363,11 @@ def test_dominance_conjugation_word_rank_two():
 
 def test_dominance_costs_one_evaluation(monkeypatch):
     # the jets share the evaluation's inverses: each generator and constant is
-    # inverted once, the value once (for the tangent rows), and no prefix
+    # inverted once, and neither a prefix nor the value is
     rng = random.Random(50)
     sigma = random_sl2(F101, rng)
     w = parse("[[x,y],[x,z]]^20 s1^-1 x^-3 y^5 s1 z^-2").with_binding({"s1": sigma})
     point = [random_sl2(F101, rng) for _ in range(3)]
-    value = eval_group(w, point)
     evaluations, inverted = [], []
     original_eval, original_inverse = evaluate.eval_group, SquareMatrix.inverse
 
@@ -394,7 +383,7 @@ def test_dominance_costs_one_evaluation(monkeypatch):
     monkeypatch.setattr(SquareMatrix, "inverse", inverse)
     dominance_probe(w, point)
     assert len(evaluations) == 1
-    assert Counter(inverted) == Counter(point + [sigma, value])
+    assert Counter(inverted) == Counter(point + [sigma])
 
 
 def test_jets_of_a_power_take_logarithmically_many_products(monkeypatch):
@@ -532,6 +521,73 @@ def test_jet_sweep_matches_dual_numbers(case):
     expected_value, expected = dual_jet_sweep(w, point)
     assert value == expected_value
     assert derivs == expected
+
+
+def tangent_rows(base, derivs) -> list:
+    """The translation that the ranks were once taken on, kept as an oracle:
+    per direction, the (a11, a12, a21) coordinates of d * V^-1 for each
+    factor V of ``base`` and its derivative d, the tangent translated back to
+    the identity (trace-free, so three coordinates suffice)."""
+    inverses = [v.inverse() for v in base]
+    rows = []
+    for deriv in derivs:
+        row = []
+        for d, inverse in zip(deriv, inverses):
+            a = d * inverse
+            row += [a[0, 0], a[0, 1], a[1, 0]]
+        rows.append(row)
+    return rows
+
+
+def translated_rank(base, derivs, ring) -> int:
+    return rank([[s.value for s in row] for row in tangent_rows(base, derivs)], ring)
+
+
+_RANK_RINGS = ("Fp:2", "Fp:3", "Fp:5", "Fp:101", "Q", "Q[i]", "Fp:7[i]")
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(
+    st.sampled_from(_RANK_RINGS),
+    st.lists(st.one_of(_LETTERS, _LETTERS, _CONSTANTS), min_size=1, max_size=7),
+    st.integers(0, 2**32),
+)
+def test_dominance_rank_matches_the_translated_tangents(spec, items, seed):
+    try:
+        w = from_items(items)
+    except EmptyInnerWord:
+        assume(False)
+    ring = parse_ring(spec)
+    rng = random.Random(seed)
+    point = [random_sl2(ring, rng) for _ in range(max(w.max_generator(), 1))]
+    w = w.with_binding({"s1": random_sl2(ring, rng)})
+    value, derivs = jet_sweep(w, point)
+    assert dominance_probe(w, point) == translated_rank([value], [[d] for d in derivs], ring)
+
+
+def _constructs(spec, cid):
+    try:
+        component(cid, parse_ring(spec))
+    except WordmapError:  # ex3.W1 needs i, ex4.Tj a prime field F_q with 5 | q - 1, ...
+        return False
+    return True
+
+
+_PARAMETRIZATIONS = [
+    (spec, cid) for spec in ("Fp:101", "Fp:5", "Q", "Q[i]") for cid in COMPONENT_IDS
+    if _constructs(spec, cid)
+]
+
+
+def test_parametrization_cases_cover_the_catalogue():
+    assert {cid for _spec, cid in _PARAMETRIZATIONS} == set(COMPONENT_IDS)
+
+
+@pytest.mark.parametrize("spec,cid", _PARAMETRIZATIONS)
+def test_parametrization_rank_matches_the_translated_tangents(spec, cid):
+    comp = component(cid, parse_ring(spec))
+    base, derivs = _jets(comp.family, comp.ring, comp.scalars, comp.mats)
+    assert parametrization_rank(comp) == translated_rank(base, derivs, comp.ring)
 
 
 def _second_ring(cid):

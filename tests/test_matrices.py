@@ -172,12 +172,10 @@ def test_random_sl2_deterministic_and_special():
 
 
 def test_rank():
-    rows = [
-        [F101.from_int(1), F101.from_int(2), F101.from_int(3)],
-        [F101.from_int(2), F101.from_int(4), F101.from_int(6)],
-        [F101.from_int(0), F101.from_int(1), F101.from_int(0)],
-    ]
+    # rows of raw values
+    rows = [[1, 2, 3], [2, 4, 6], [0, 1, 0]]
     assert rank(rows, F101) == 2
+    assert rows == [[1, 2, 3], [2, 4, 6], [0, 1, 0]]  # the input is not changed
     assert rank([], F101) == 0
 
 
