@@ -122,8 +122,8 @@ def test_dominance_at_without_matrices_is_a_usage_error(capsys):
 
 
 def test_dominance_at_a_singular_value_is_a_usage_error(capsys):
-    # the rank needs an invertible value; it was inverted before the rank
-    # was taken on the raw derivatives, and is now checked by its determinant
+    # the rank of the raw derivatives equals the tangents' only at an
+    # invertible word value
     argv = ["--ring", "Q", "dominance", "--word", "x", "--at", "[[1,0],[0,0]]"]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -386,7 +386,6 @@ import sys
 if sys.argv[1] == "block":
     sys.modules["sympy"] = None
 from wordmap.cli import main
-from wordmap.geometry import COMPONENT_IDS
 code = main(sys.argv[2:])
 assert "sympy" not in sys.modules or sys.modules["sympy"] is None
 sys.exit(code)
