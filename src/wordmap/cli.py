@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 a property that should hold failed, 2 usage/input error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import re
@@ -59,10 +60,13 @@ def _read_json_file(path: str):
 
 
 def _load_matrix(ring, text: str) -> SquareMatrix:
-    """A matrix argument: inline JSON rows, or the path of a JSON file."""
+    """A matrix argument: inline JSON (rows, or an object with a "rows" key),
+    or the path of a JSON file holding either."""
     stripped = text.strip()
-    data = _read_json(stripped) if stripped.startswith("[") else _read_json_file(text)
+    data = _read_json(stripped) if stripped.startswith(("[", "{")) else _read_json_file(text)
     if isinstance(data, dict):
+        if "rows" not in data:
+            raise WordmapError('a matrix object has no "rows" key')
         data = data["rows"]
     return matrix_from_json(ring, data)
 
@@ -107,9 +111,12 @@ def _pair_json(p: Sl2Pair):
     return [matrix_to_json(p.g1), matrix_to_json(p.g2)]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # SUPPRESS keeps a subparser's defaults from clobbering values given
-    # before the subcommand; unset flags fall back in main().
+    # main() builds this on its first call and every later call reuses it, so
+    # nothing may change the parser once built.  SUPPRESS keeps a subparser's
+    # defaults from clobbering values given before the subcommand; unset flags
+    # fall back in main().
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--ring", default=argparse.SUPPRESS,
                         help="Q | Fp:P, optionally [i] or [sqrt(D)] (default Q)")
@@ -393,7 +400,7 @@ def main(argv=None) -> int:
         if samples < 1:
             raise WordmapError("--samples must be >= 1")
         report, code = _COMMANDS[args.command](args, ring, rng)
-    except (WordmapError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (WordmapError, OSError, ValueError, KeyError) as exc:
         if isinstance(exc, UnboundConstant) and hasattr(args, "sigma"):
             exc = f"{exc}; --sigma binds it"
         print(f"error: {exc}", file=sys.stderr)

@@ -407,6 +407,9 @@ def relation_scan(pair: Sl2Pair, max_len: int) -> RelationScanResult:
         raise InvalidParams(f"max_len capped at {_SCAN_MAX}")
     if max_len < 1:
         raise InvalidParams("max_len must be >= 1")
+    if pair.g1.n != 2 or pair.g2.n != 2:
+        sizes = " and ".join(f"{g.n}x{g.n}" for g in pair)
+        raise DimensionMismatch(f"relation scan is defined for SL2, got {sizes}")
     ring = pair.g1.ring
     ident = SquareMatrix.identity(ring, 2)
     if pair.g1 == ident and pair.g2 == ident:

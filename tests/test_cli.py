@@ -8,6 +8,8 @@ import sys
 import pytest
 from jsonschema import validate
 
+import test_golden_cli as golden
+from wordmap import cli
 from wordmap.cli import main
 from wordmap.geometry import COMPONENT_IDS
 
@@ -249,6 +251,19 @@ def test_relscan_max_len_below_one_is_a_usage_error(capsys, max_len):
     assert captured.out == "" and "max_len must be >= 1" in captured.err
 
 
+@pytest.mark.parametrize("at,sizes", [
+    (['[[1,0,0],[0,1,0],[0,0,1]]', '[[2,1,0],[0,1,0],[1,0,1]]'], "3x3 and 3x3"),
+    (['[[1,1],[0,1]]', '[[1,0,0],[0,1,0],[0,0,1]]'], "2x2 and 3x3"),
+    (['[[1]]', '[[1,1],[0,1]]'], "1x1 and 2x2"),
+], ids=["3x3", "2x2-3x3", "1x1-2x2"])
+def test_relscan_refuses_a_pair_that_is_not_2x2(capsys, at, sizes):
+    # a 3x3 pair once failed inside the scan with "matrix product: 2x2 and 3x3"
+    assert main(["--ring", "Fp:101", "relscan", "--at", *at]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"relation scan is defined for SL2, got {sizes}" in captured.err
+
+
 def test_lemma_checks(capsys):
     code, rep = run_json(capsys, ["--ring", "Fp:13", "lemma-check", "78", "--lam", "2", "--u", "1"])
     assert code == 0 and rep["in_Uminus"] and rep["trivial_iff_unit"]
@@ -317,6 +332,29 @@ def test_matrix_literal_takes_only_strings_and_ints(capsys, matrix, message):
     assert captured.out == "" and message in captured.err
 
 
+def test_matrix_object_is_read_inline_as_from_a_file(capsys, tmp_path):
+    # an inline object was once opened as a file path
+    f = tmp_path / "g.json"
+    f.write_text('{"rows": %s}' % G1)
+    inline = run(capsys, ["--ring", "Fp:101", "eval", "--word", "x^2", "--at", ' {"rows": %s}' % G1])
+    from_file = run(capsys, ["--ring", "Fp:101", "eval", "--word", "x^2", "--at", str(f)])
+    assert inline == from_file
+    assert inline[0] == 0 and json.loads(inline[1])["value"] == [["4", "0"], ["0", "76"]]
+
+
+@pytest.mark.parametrize("inline", [True, False], ids=["inline", "file"])
+def test_matrix_object_without_rows_is_a_usage_error(capsys, tmp_path, inline):
+    # once reported only as "error: 'rows'"
+    text = '{"row": [[1,0],[0,1]]}'
+    if not inline:
+        f = tmp_path / "g.json"
+        f.write_text(text)
+        text = str(f)
+    assert main(["--ring", "Fp:101", "eval", "--word", "x", "--at", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and 'a matrix object has no "rows" key' in captured.err
+
+
 @pytest.mark.parametrize("content,message", [
     ("[1,2]", "a binding file holds a JSON object"),
     ('"x"', "a binding file holds a JSON object"),
@@ -378,6 +416,56 @@ def test_property_failure_exit_code(capsys):
     assert main(["--ring", "Fp:101", "preimage", "--a", "2"]) == 0
     # degenerate lambda is a usage error, not a property failure
     assert main(["--ring", "Fp:101", "preimage", "--a", "5", "--lam", "1"]) == 2
+
+
+# main() builds its parser once per process; no call may leave a trace in the next
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_repeated_calls_give_identical_output(capsys):
+    first = ["--ring", "Fp:101", "--seed", "7", "--samples", "5", "--output", "text",
+             "chi-probe", "--word", "[x,y]", "--index", "2"]
+    other = ["dominance", "--word", "[x,y]"]
+    before = run(capsys, first)
+    run(capsys, other)
+    assert run(capsys, first) == before
+
+
+def test_a_flag_given_on_one_call_is_not_seen_by_the_next(capsys):
+    argv = ["chi-probe", "--word", "[x,y]"]
+    defaults = ["--ring", "Q", "--seed", "0", "--samples", "100", "--output", "json"]
+    for given in (["--ring", "Fp:101", "--seed", "7", "--samples", "5", "--output", "text"],
+                  ["--index", "2"]):
+        run(capsys, [*argv, *given])
+        assert run(capsys, argv) == run(capsys, [*argv, *defaults])
+
+
+@pytest.mark.parametrize("interruption,code", [
+    (["--help"], 0), (["dimcert", "--help"], 0), (["nonsense"], 2),
+    (["--ring", "Fp:13", "dimcert", "--example", "ex9"], 2),
+], ids=["help", "subcommand-help", "unknown-command", "bad-choice"])
+def test_help_and_usage_errors_leave_the_next_call_alone(capsys, interruption, code):
+    argv = ["--ring", "Fp:101", "dimcert", "--example", "ex1.W"]
+    before = run(capsys, argv)
+    assert main(interruption) == code
+    capsys.readouterr()
+    assert run(capsys, argv) == before
+
+
+def test_subcommand_ring_wins_over_top_level_ring(capsys):
+    both = run(capsys, ["--ring", "Fp:101", "chi-probe", "--ring", "Fp:13", "--word", "[x,y]",
+                        "--samples", "8"])
+    after = run(capsys, ["chi-probe", "--ring", "Fp:13", "--word", "[x,y]", "--samples", "8"])
+    assert both == after
+    assert both != run(capsys, ["chi-probe", "--ring", "Fp:101", "--word", "[x,y]", "--samples", "8"])
+
+
+def test_golden_corpus_reversed_in_one_process():
+    # the recorded order, reversed, is a different history for every call
+    for entry in reversed(golden.recorded()):
+        assert golden.run(entry["argv"]) == (entry["exit"], entry["stdout"]), entry["argv"]
 
 
 # Run the CLI in a fresh interpreter; with "block", importing sympy fails there.
