@@ -146,6 +146,15 @@ CASES = [
     ["--ring", "Fp:101", "dominance", "--word", "x s1^-1 y^-2 s1", "--sigma", "golden/sigma_s1.json",
      "--seed", "6"],
     ["--ring", "Q[i]", "dominance", "--word", "[x,y^-2]", "--seed", "2"],
+    # ranks over Q and Q[sqrt(d)]: certificates with a torus parameter chosen
+    # past a trace level, ex2.Wj at its default j over Q[i], a long word's
+    # jets over Q[i], and a rank-deficient point over Q
+    ["--ring", "Q[i]", "dimcert", "--example", "ex2.Wj"],
+    ["--ring", "Q", "dimcert", "--example", "ex1.W"],
+    ["--ring", "Q", "dimcert", "--example", "Sa", "--a", "17/4"],
+    ["--ring", "Q[sqrt(2)]", "dimcert", "--example", "ex1.T"],
+    ["--ring", "Q[i]", "dominance", "--word", "[[x,y],[x,z]]^3", "--seed", "1"],
+    ["--ring", "Q", "dominance", "--word", "x^2", "--at", '[["0","1"],["-1","0"]]'],
 ]
 
 
