@@ -8,6 +8,7 @@ from enum import Enum
 from .errors import DimensionMismatch, NotInvertible, UnboundConstant
 from .matrices import (
     SquareMatrix,
+    _reduced,
     adjugate,
     charpoly,
     det,
@@ -17,7 +18,7 @@ from .matrices import (
     random_sl2,
     rank,
 )
-from .rings import DualNumbers, RingDescriptor, Scalar
+from .rings import DualNumbers, RingDescriptor, Scalar, _reductions
 from .words import WordWithConstants, exponent_data
 
 
@@ -338,7 +339,28 @@ def dominance_probe(w: WordWithConstants, point) -> int:
     No direction moves det, so each derivative is d = A V with A trace-free
     at the value V.  A -> A V is injective for invertible V, so the raw
     entries of the d have the rank of the A; V must be invertible.
+
+    Over Q and Q[sqrt(d)], a word without constants is first swept at the
+    image of the point mod p (:func:`wordmap.rings._reductions`).  A value
+    with det != 0 mod p is invertible, and the rank mod p is at most the
+    exact rank, which is at most 3; so a rank of 3 mod p is the answer.  A
+    prime that meets a vanishing inverse or determinant gives way to the next
+    one; a lower rank mod p, every other ring and every word with constants
+    take the exact sweep.
     """
+    _n, ring = _check_tuple(w, point)
+    if not w.constants:
+        for field, phi in _reductions(ring):
+            try:
+                if _differential_rank(w, [_reduced(g, field, phi) for g in point]) == 3:
+                    return 3
+            except NotInvertible:
+                continue
+            break
+    return _differential_rank(w, point)
+
+
+def _differential_rank(w: WordWithConstants, point) -> int:
     value, derivs = jet_sweep(w, point)
     if not det(value).is_invertible():
         raise NotInvertible("matrix determinant is not a unit")

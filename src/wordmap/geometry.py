@@ -4,21 +4,22 @@ certificates, and relation scanning."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
 
 from .errors import (
     DegenerateLambda,
     DimensionMismatch,
     InvalidParams,
+    NotInvertible,
     RingLacksRoots,
 )
-from .matrices import SquareMatrix, rank, random_sl2
+from .matrices import SquareMatrix, _reduced, rank, random_sl2
 from .rings import (
     DualNumbers,
     PrimeField,
     RingDescriptor,
     Scalar,
+    _reductions,
     primitive_root_of_unity,
     sqrt_in_ring,
 )
@@ -183,9 +184,11 @@ def jet_jacobian(w: WordWithConstants, point, equations: str = "W") -> JetJacobi
 class ComponentInstance:
     """A catalogued irreducible-component family, pinned to a ring and base parameters.
 
-    ``family(scalars, mats)`` maps parameters to a pair in G x G.  The local
-    defining equations, which vanish on the witness, are data: ``equation = 1``
-    for kind ``W``, ``tr(equation) = target`` for kind ``T``.
+    :meth:`family` maps parameters to a pair in G x G; its bound data (the
+    atoms of the two factors, i when an atom needs it, the trace target) are
+    fields, so that the instance reduces mod p as it stands.  The local
+    defining equations, which vanish on the witness, are data: ``equation =
+    1`` for kind ``W``, ``tr(equation) = target`` for kind ``T``.
     """
 
     id: str
@@ -194,10 +197,42 @@ class ComponentInstance:
     claimed: int
     scalars: list
     mats: list
-    family: object
     equation: WordWithConstants
     kind: str
     target: Scalar | None
+    first: list  # atoms of the first factor
+    second: list | None  # atoms of the second factor, or None for a free matrix h
+    i_scalar: Scalar | None
+
+    def family(self, scalars, mats) -> tuple:
+        """The catalogued pair at the given parameters: g A g^-1 and g B g^-1, or h."""
+        g = mats[0]
+        g_inv = g.inverse()
+        x = g * self._factor(self.first, scalars, g.ring) * g_inv
+        if self.second is None:
+            return x, mats[1]
+        return x, g * self._factor(self.second, scalars, g.ring) * g_inv
+
+    def _factor(self, atoms, scalars, ring) -> SquareMatrix:
+        product = None
+        for atom, k in atoms:
+            if atom == "D":
+                m = diag(scalars[k])
+            elif atom == "U":
+                m = upper_unitriangular(scalars[k])
+            elif atom == "O":
+                m = off_diagonal(scalars[k])
+            elif atom == "W":
+                m = weyl_rep(ring)
+            elif atom == "I":
+                m = diag(_coerce(self.i_scalar, ring))
+            else:  # T
+                lam, b, c = scalars
+                d = lam - lam.inv()
+                pa = (ring.from_int(2) - _coerce(self.target, ring)) / (d * d)
+                m = SquareMatrix.from_rows(ring, [[c, b], [pa / b, (pa + ring.one) / c]])
+            product = m if product is None else product * m
+        return product
 
     def witness(self) -> Sl2Pair:
         return Sl2Pair(*self.family(self.scalars, self.mats))
@@ -281,6 +316,9 @@ def component(
     if j is None:
         j = 4 if cid == "ex2.Wj" else 1
     text, claimed, equation, kind, target, base, first, second = _CATALOGUE[cid]
+    # parsed first: the parser refuses a huge Ex4 power at once, where the
+    # primitive root below takes O(p) steps
+    w = parse(text.format(p=p))
     if target is not None:
         target = ring.from_int(target)
     if cid == "ex2.Wj" and j != 4:
@@ -307,48 +345,15 @@ def component(
     mats = [SquareMatrix.from_rows(ring, [[1, 1], [1, 2]])]  # the conjugator g
     if second is None:
         mats.append(SquareMatrix.from_rows(ring, [[2, 1], [1, 1]]))  # the free h
-    family = partial(_family, first, second, i_scalar, target)
     return ComponentInstance(
-        cid, ring, parse(text.format(p=p)), claimed, scalars, mats, family,
-        parse(equation), kind, target,
+        cid, ring, w, claimed, scalars, mats, parse(equation), kind, target,
+        first, second, i_scalar,
     )
 
 
 def _atoms(factor: str) -> list:
     """'W D1 U2' -> [('W', None), ('D', 1), ('U', 2)]."""
     return [(a[0], int(a[1:]) if a[1:] else None) for a in factor.split()]
-
-
-def _family(first, second, i_scalar, target, scalars, mats):
-    """The catalogued pair at the given parameters: g A g^-1 and g B g^-1, or h."""
-    g = mats[0]
-    g_inv = g.inverse()
-    x = g * _factor(first, scalars, g.ring, i_scalar, target) * g_inv
-    if second is None:
-        return x, mats[1]
-    return x, g * _factor(second, scalars, g.ring, i_scalar, target) * g_inv
-
-
-def _factor(atoms, scalars, ring, i_scalar, target) -> SquareMatrix:
-    product = None
-    for atom, k in atoms:
-        if atom == "D":
-            m = diag(scalars[k])
-        elif atom == "U":
-            m = upper_unitriangular(scalars[k])
-        elif atom == "O":
-            m = off_diagonal(scalars[k])
-        elif atom == "W":
-            m = weyl_rep(ring)
-        elif atom == "I":
-            m = diag(_coerce(i_scalar, ring))
-        else:  # T
-            lam, b, c = scalars
-            d = lam - lam.inv()
-            pa = (ring.from_int(2) - _coerce(target, ring)) / (d * d)
-            m = SquareMatrix.from_rows(ring, [[c, b], [pa / b, (pa + ring.one) / c]])
-        product = m if product is None else product * m
-    return product
 
 
 def parametrization_rank(comp: ComponentInstance) -> int:
@@ -367,17 +372,27 @@ def parametrization_rank(comp: ComponentInstance) -> int:
 
 def dimension_certificate(comp: ComponentInstance) -> DimensionCertificate:
     """Sandwich the component dimension: parametrization rank from below,
-    6 minus the fiber-equation Jacobian rank from above."""
+    6 minus the fiber-equation Jacobian rank from above.
+
+    The witness is checked against its equations exactly, by one word
+    evaluation over the instance's ring: the exact fiber Jacobian's, or one
+    of its own when :func:`_reduced_bounds` decides both ranks mod p, as it
+    can over Q and Q[sqrt(d)].
+    """
     point = comp.witness()
-    jac = jet_jacobian(comp.equation, point, comp.kind)
-    if comp.kind == "W":
-        holds = jac.value == SquareMatrix.identity(comp.ring, 2)
+    bounds = _reduced_bounds(comp, point)
+    if bounds is None:
+        jac = jet_jacobian(comp.equation, point, comp.kind)
+        value, bounds = jac.value, (parametrization_rank(comp), 6 - jac.rank)
     else:
-        holds = jac.value.trace() == comp.target
+        value = eval_group(comp.equation, list(point))
+    if comp.kind == "W":
+        holds = value == SquareMatrix.identity(comp.ring, 2)
+    else:
+        holds = value.trace() == comp.target
     if not holds:
         raise InvalidParams(f"witness for {comp.id} does not satisfy its equations")
-    lower = parametrization_rank(comp)
-    upper = 6 - jac.rank
+    lower, upper = bounds
     return DimensionCertificate(
         component=comp.id,
         point=point,
@@ -386,6 +401,38 @@ def dimension_certificate(comp: ComponentInstance) -> DimensionCertificate:
         claimed=comp.claimed,
         confirmed=(lower == comp.claimed and upper == comp.claimed),
     )
+
+
+def _reduced_bounds(comp: ComponentInstance, point: Sl2Pair):
+    """Both ranks at the first prime of :func:`wordmap.rings._reductions` that
+    carries them, as (lower, upper) when they meet, else None.
+
+    The instance's own data reduce: scalars, matrices, i and the trace
+    target, never a component rebuilt over F_p, which could choose another
+    torus parameter.  The family satisfies its equations identically, so
+    its tangents lie in the kernel of their Jacobian and lower <= dim <=
+    upper; a rank mod p is at most the exact rank, so lower_p <= lower and
+    upper <= upper_p.  Hence lower_p == upper_p is both exact numbers.  A
+    prime that meets a vanishing inverse gives way to the next one; bounds
+    that do not meet leave the answer to the exact ranks.
+    """
+    for field, phi in _reductions(comp.ring):
+
+        def scalar(s):
+            return None if s is None else Scalar(field, phi(s.value))
+
+        try:
+            reduced = replace(
+                comp, ring=field, scalars=[scalar(s) for s in comp.scalars],
+                mats=[_reduced(g, field, phi) for g in comp.mats],
+                target=scalar(comp.target), i_scalar=scalar(comp.i_scalar),
+            )
+            lower = parametrization_rank(reduced)
+            jac = jet_jacobian(comp.equation, [_reduced(g, field, phi) for g in point], comp.kind)
+        except NotInvertible:
+            continue
+        return (lower, lower) if lower == 6 - jac.rank else None
+    return None
 
 
 # ---------------------------------------------------------------------------

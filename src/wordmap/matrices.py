@@ -384,6 +384,12 @@ def matrix_to_json(m: SquareMatrix):
     return [[render_scalar(e) for e in row] for row in m.entries]
 
 
+def _reduced(m: SquareMatrix, field: RingDescriptor, phi) -> SquareMatrix:
+    """The entrywise image of m under ``phi``, a map from raw values of its
+    ring to raw values of ``field`` (see :func:`wordmap.rings._reductions`)."""
+    return SquareMatrix._raw(field, tuple(tuple(map(phi, row)) for row in m.rows))
+
+
 def lift_matrix(m: SquareMatrix, dual: DualNumbers) -> SquareMatrix:
     _check_ring(dual.base, m.ring, f"cannot lift into {dual}")
     z = dual.base.raw_from_int(0)

@@ -14,6 +14,14 @@ one :class:`~fractions.Fraction` (one reduction) per dot product over Q, and
 for the pair rings a combination of the base ring's ``rdot``.  The matrix kernel works on raw values
 only.  A :class:`Scalar` (descriptor plus raw value) is the API-boundary form
 of an element, with ring-checked operators.
+
+Ranks over Q and ``Q[sqrt(d)]`` are first taken mod p: :func:`_reductions`
+maps raw values to F_p for each of a fixed tuple of primes below 2^61 (a
+ring homomorphism, sqrt(d) going to its least root mod p), and the rank of
+an image is a lower bound for the exact rank.  The callers in
+:mod:`wordmap.evaluate` and :mod:`wordmap.geometry` accept a bound only when
+it decides the answer and otherwise take the exact path, so no output depends
+on the reduction.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, partial
 from operator import mul
 
 from .errors import NotInvertible, RingMismatch, RingLacksRoots, WordmapError
@@ -569,6 +578,75 @@ def primitive_root_of_unity(ring: PrimeField, k: int):
         if power < least and math.gcd(j, k) == 1:
             least = power
     return ring.scalar(least)
+
+
+# ---------------------------------------------------------------------------
+# reduction mod a prime
+
+# the eight largest primes below 2^61, tried in this order
+_REDUCTION_PRIMES = tuple(2**61 - k for k in (1, 31, 45, 229, 259, 283, 339, 391))
+
+
+def _residue(p: int, x: Fraction) -> int:
+    """The image of x in F_p; NotInvertible when p divides its denominator."""
+    num, den = x.numerator, x.denominator
+    if den == 1:
+        return num % p
+    if den % p == 0:
+        raise NotInvertible(f"{x} has no image mod {p}")
+    return num * pow(den, -1, p) % p
+
+
+def _reductions(ring: RingDescriptor):
+    """``(F_p, phi)`` for Q or ``Q[sqrt(d)]``, one per usable p of _REDUCTION_PRIMES, in order.
+
+    phi maps raw values of ``ring`` to raw values of F_p: a/b to a b^-1 and
+    sqrt(d) to r, the least root of d mod p from :func:`_base_sqrt`.  A p
+    where d is not a square is skipped; phi raises NotInvertible on a
+    denominator that p divides.  Other rings (F_p, F_p[sqrt(d)], dual numbers)
+    yield nothing and keep their exact path.
+
+    Soundness.  On the ring R of a + b sqrt(d) with a, b in Z_(p), phi is a
+    ring homomorphism onto F_p (it is Z_(p)[t]/(t^2 - d) -> F_p, t -> r), and
+    it extends to the localisation O of R at its kernel, whose units are the
+    elements with a nonzero image.  So a computation that completes over F_p,
+    by ring operations and inverses of elements with a nonzero image, is phi of
+    the same computation over the field: wherever the F_p inverse exists, the
+    exact inverse is a unit of O.  Every minor of an exact matrix over O maps
+    to the same minor of its image, so the rank mod p is at most the exact
+    rank.  The primes are fixed and tried in order, with no randomness, so a
+    result never depends on a draw.
+    """
+    if isinstance(ring, Rationals):
+        d = None
+    elif type(ring) is QuadraticExt and isinstance(ring.base, Rationals):
+        d = ring.d
+    else:
+        return
+    for p in _REDUCTION_PRIMES:
+        reduction = _reduction(p, d)
+        if reduction is not None:
+            yield reduction
+
+
+@cache
+def _reduction(p: int, d):
+    """``(F_p, phi)`` for Q (d None) or Q[sqrt(d)], or None when sqrt(d) has
+    no image mod p; cached, as the primality test of F_p and the root of d
+    cost more than a small rank."""
+    field = PrimeField(p)
+    if d is None:
+        return field, partial(_residue, p)
+    try:
+        r = _base_sqrt(field, _residue(p, d))
+    except NotInvertible:
+        return None
+    return None if r is None else (field, partial(_quadratic_residue, p, r))
+
+
+def _quadratic_residue(p: int, r: int, x) -> int:
+    """The image a + b r in F_p of a raw a + b sqrt(d) of Q[sqrt(d)]."""
+    return (_residue(p, x[0]) + r * _residue(p, x[1])) % p
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from jsonschema import validate
@@ -220,6 +221,18 @@ def test_dimcert_refuses_characteristic_2(capsys, cid):
     assert main(["--ring", "Fp:2", "dimcert", "--example", cid]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "characteristic 2" in captured.err
+
+
+def test_dimcert_refuses_a_huge_ex4_power_at_once(capsys):
+    # [x,y]^p is parsed before the O(p) search for a primitive p-th root of
+    # unity, so the parser's letter cap refuses it first
+    start = time.perf_counter()
+    code = main(["--ring", "Fp:1000000000039", "dimcert", "--example", "ex4.Tj",
+                 "--p", "1000000000038"])
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "letters" in captured.err
 
 
 def test_sep_witness(capsys):
@@ -471,6 +484,7 @@ def test_golden_corpus_reversed_in_one_process():
 # Run the CLI in a fresh interpreter; with "block", importing sympy fails there.
 _CLI_SCRIPT = """
 import sys
+import time
 if sys.argv[1] == "block":
     sys.modules["sympy"] = None
 from wordmap.cli import main
