@@ -1,4 +1,5 @@
-"""Word evaluation on group tuples, the adjugate extension, and sample-scale probes."""
+"""Word evaluation on group tuples, the adjugate extension, product-rule jets
+on SL2, and sample-scale probes."""
 
 from __future__ import annotations
 
@@ -14,11 +15,10 @@ from .matrices import (
     det,
     det_adjugate,
     inverse_from,
-    lift_matrix,
     random_sl2,
     rank,
 )
-from .rings import DualNumbers, RingDescriptor, Scalar, _reductions
+from .rings import RingDescriptor, Scalar, _reductions
 from .words import WordWithConstants, exponent_data
 
 
@@ -174,39 +174,6 @@ def chi_probe(
 # jet differential of the word map on SL2
 
 
-_SL2_BASIS = {"E": ((0, 1), (0, 0)), "F": ((0, 0), (1, 0)), "H": ((1, 0), (0, -1))}
-
-
-def _jets(f, ring: RingDescriptor, scalars, mats):
-    """Tangents over ``ring`` of ``f(scalars, mats)``, a tuple of matrices.
-
-    ``f`` is evaluated once per direction at the dual-number lift of the
-    point: s + eps for each scalar, then (I + eps X) g for X = E, F, H for
-    each matrix.  Returns ``(base, derivs)``: the value at the point, which is
-    the real part of any direction's value (eps never reaches the real part),
-    and per direction the tuple of eps parts.
-    """
-    dual = DualNumbers(ring)
-    scalars = [dual.lift(s) for s in scalars]
-    mats = [lift_matrix(g, dual) for g in mats]
-    ident = SquareMatrix.identity(dual, 2)
-    steps = [
-        ident + SquareMatrix.from_rows(dual, x).scaled(dual.root) for x in _SL2_BASIS.values()
-    ]
-    values = []
-    for k in range(len(scalars)):
-        values.append(f(scalars[:k] + [scalars[k] + dual.root] + scalars[k + 1:], mats))
-    for k in range(len(mats)):
-        for step in steps:
-            values.append(f(scalars, mats[:k] + [step * mats[k]] + mats[k + 1:]))
-
-    def part(m, k):
-        return SquareMatrix._raw(ring, tuple(tuple([v[k] for v in row]) for row in m.rows))
-
-    base = tuple(part(m, 0) for m in values[0])
-    return base, [tuple(part(m, 1) for m in value) for value in values]
-
-
 def _mul2(dot, x, y):
     """The product of two 2x2 raw row tuples, one ``rdot`` per entry."""
     r0, r1 = x
@@ -219,6 +186,20 @@ def _add2(add, x, y):
     return tuple(tuple(map(add, rx, ry)) for rx, ry in zip(x, y))
 
 
+def _tangent_steps(ring, m, sign) -> list:
+    """``[X m for X = E, F, H]`` when sign > 0, else ``[-m X]``, on raw 2x2 rows.
+
+    Each is a sign and permutation pattern of the entries of m: no product.
+    """
+    neg = ring.rneg
+    z = ring.raw_from_int(0)
+    (a, b), (c, d) = m
+    if sign > 0:
+        return [((c, d), (z, z)), ((z, z), (a, b)), ((a, b), (neg(c), neg(d)))]
+    a, b, c, d = neg(a), neg(b), neg(c), neg(d)
+    return [((z, a), (z, c)), ((b, z), (d, z)), ((a, neg(b)), (c, neg(d)))]
+
+
 def _syllable_sums(ring, letter, e):
     """``(L^|e|, [T(X) for X = E, F, H])`` for a syllable g^e, L = g or g^-1.
 
@@ -227,14 +208,8 @@ def _syllable_sums(ring, letter, e):
     T_2a = T_a L^a + L^a T_a and T_(a+1) = T_a L + L^a D, takes O(log |e|)
     products.
     """
-    dot, add, neg = ring.rdot, ring.radd, ring.rneg
-    z = ring.raw_from_int(0)
-    (a, b), (c, d) = letter
-    if e > 0:  # X g for X = E, F, H
-        steps = [((c, d), (z, z)), ((z, z), (a, b)), ((a, b), (neg(c), neg(d)))]
-    else:  # -g^-1 X, with g^-1 = [[a, b], [c, d]]
-        a, b, c, d = neg(a), neg(b), neg(c), neg(d)
-        steps = [((z, a), (z, c)), ((b, z), (d, z)), ((a, neg(b)), (c, neg(d)))]
+    dot, add = ring.rdot, ring.radd
+    steps = _tangent_steps(ring, letter, e)
     power, sums = letter, steps
     for bit in bin(abs(e))[3:]:
         sums = [_add2(add, _mul2(dot, t, power), _mul2(dot, power, t)) for t in sums]
@@ -280,10 +255,10 @@ def jet_sweep(w: WordWithConstants, point):
     with the prefix and suffix products P and S, and D = X g for a letter g
     and -g^-1 X for g^-1; constants enter P and S only.  So a letter g adds
     P_(k-1) X S_k and a letter g^-1 adds -P_k X S_(k+1), outer products that
-    :func:`_outer_sums` adds up, and a syllable g^e with |e| > 1 adds
-    P_(k-1) T(X) S_(k+1) with T from :func:`_syllable_sums`.  The inverses
-    are the evaluation's, so each generator and constant is inverted once;
-    no prefix is.
+    :func:`_outer_sums` adds up.  A syllable g^e with |e| = 2 is two such
+    letters, and one with |e| > 2 adds P_(k-1) T(X) S_(k+1) with T from
+    :func:`_syllable_sums`.  The inverses are the evaluation's, so each
+    generator and constant is inverted once; no prefix is.
     """
     n, ring = _check_tuple(w, point)
     if n != 2:
@@ -291,7 +266,7 @@ def jet_sweep(w: WordWithConstants, point):
     inverses = {}  # the evaluation's, shared with the jets
     value = eval_group(w, point, inverses=inverses)
 
-    factors = []  # (value, generator index or None, exponent, T(X) when |e| > 1)
+    factors = []  # (value, generator index or None, exponent, T(X) when |e| > 2)
     for i, seg in enumerate(w.segments):
         if i % 2:
             sigma = inverses[seg.name] if seg.inv else w.binding[seg.name]
@@ -299,8 +274,8 @@ def jet_sweep(w: WordWithConstants, point):
             continue
         for g, e in seg.letters:
             letter = (point[g - 1] if e > 0 else inverses[g]).rows
-            if e in (1, -1):
-                factors.append((letter, g - 1, e, None))
+            if abs(e) <= 2:  # two outer terms cost less than T(X) and its sandwich
+                factors += [(letter, g - 1, 1 if e > 0 else -1, None)] * abs(e)
             else:
                 power, sums = _syllable_sums(ring, letter, e)
                 factors.append((power, g - 1, e, sums))

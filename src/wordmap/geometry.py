@@ -25,8 +25,10 @@ from .rings import (
 )
 from .evaluate import (
     ProbeResult,
-    _jets,
+    _add2,
+    _mul2,
     _sample_distinct,
+    _tangent_steps,
     eval_group,
     jet_sweep,
 )
@@ -359,15 +361,55 @@ def _atoms(factor: str) -> list:
 def parametrization_rank(comp: ComponentInstance) -> int:
     """Rank of the differential of the parametrizing map at the base point.
 
-    Rows: one dual-number jet per scalar parameter plus three sl2 directions
-    per matrix parameter; columns: the eight raw entries of the image pair's
-    derivative (d1, d2).  The pair stays in SL2 x SL2, so d_k = A_k V_k with
-    A_k trace-free at the invertible value V_k, and (A1, A2) -> (A1 V1, A2 V2)
-    is injective: the raw entries have the rank of the tangents at the
-    identity.
+    Rows: one per scalar parameter s_k, then E, F, H per matrix parameter;
+    columns: the eight raw entries of the image pair's derivative (d1, d2).
+    At x = g A g^-1 and y = g B g^-1 (or y = h) they are, on the base ring:
+
+    - s_k: (g A'_k g^-1, g B'_k g^-1), or 0 for h, with A'_k the eps part of
+      A at s_k + eps; only the atoms of a factor that reads s_k run over
+      dual numbers;
+    - g -> (I + eps X) g: ([X, x], [X, y]), or 0 for h;
+    - h -> (I + eps X) h: (0, X h),
+
+    where X v and v X are sign and permutation patterns of the entries of v
+    (:func:`wordmap.evaluate._tangent_steps`).  The pair stays in SL2 x SL2,
+    so d_k = A_k V_k with A_k trace-free at the invertible value V_k, and
+    (A1, A2) -> (A1 V1, A2 V2) is injective: the raw entries have the rank
+    of the tangents at the identity.
     """
-    _base, derivs = _jets(comp.family, comp.ring, comp.scalars, comp.mats)
-    return rank([[e for d in pair for row in d.rows for e in row] for pair in derivs], comp.ring)
+    return rank(_parametrization_rows(comp), comp.ring)
+
+
+def _parametrization_rows(comp: ComponentInstance) -> list:
+    """The rows that :func:`parametrization_rank` ranks, as lists of raw values."""
+    ring = comp.ring
+    dot, add = ring.rdot, ring.radd
+    g, g_inv = comp.mats[0].rows, comp.mats[0].inverse().rows
+    zero = SquareMatrix.zero(ring, 2).rows
+    dual = DualNumbers(ring)
+    lifted = [dual.lift(s) for s in comp.scalars]
+
+    def conjugated(m):
+        return _mul2(dot, _mul2(dot, g, m), g_inv)
+
+    def tangents(atoms):  # g A g^-1 along each s_k, then along g
+        if atoms is None:  # the free h
+            return [zero] * (len(lifted) + 3)
+        rows = []
+        for k, s in enumerate(lifted):
+            if not any(atom == "T" or j == k for atom, j in atoms):
+                rows.append(zero)  # no atom reads s_k
+                continue
+            m = comp._factor(atoms, lifted[:k] + [s + dual.root] + lifted[k + 1:], dual)
+            rows.append(conjugated(tuple(tuple(v[1] for v in row) for row in m.rows)))
+        x = conjugated(comp._factor(atoms, comp.scalars, ring).rows)
+        steps = zip(_tangent_steps(ring, x, 1), _tangent_steps(ring, x, -1))
+        return rows + [_add2(add, left, right) for left, right in steps]  # [X, x]
+
+    pairs = list(zip(tangents(comp.first), tangents(comp.second)))
+    if comp.second is None:
+        pairs += [(zero, d) for d in _tangent_steps(ring, comp.mats[1].rows, 1)]
+    return [[e for d in pair for row in d for e in row] for pair in pairs]
 
 
 def dimension_certificate(comp: ComponentInstance) -> DimensionCertificate:

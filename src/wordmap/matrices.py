@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, NotInvertible, RingMismatch, WordmapError
-from .rings import DualNumbers, RingDescriptor, Scalar, parse_scalar, render_scalar
+from .rings import RingDescriptor, Scalar, parse_scalar, render_scalar
 
 _set = object.__setattr__
 
@@ -362,7 +362,7 @@ def rank(rows, ring: RingDescriptor) -> int:
 
 
 # ---------------------------------------------------------------------------
-# JSON literals and dual-number lifts
+# JSON literals and reductions
 
 
 def matrix_from_json(ring: RingDescriptor, rows) -> SquareMatrix:
@@ -388,10 +388,4 @@ def _reduced(m: SquareMatrix, field: RingDescriptor, phi) -> SquareMatrix:
     """The entrywise image of m under ``phi``, a map from raw values of its
     ring to raw values of ``field`` (see :func:`wordmap.rings._reductions`)."""
     return SquareMatrix._raw(field, tuple(tuple(map(phi, row)) for row in m.rows))
-
-
-def lift_matrix(m: SquareMatrix, dual: DualNumbers) -> SquareMatrix:
-    _check_ring(dual.base, m.ring, f"cannot lift into {dual}")
-    z = dual.base.raw_from_int(0)
-    return SquareMatrix._raw(dual, tuple(tuple([(v, z) for v in row]) for row in m.rows))
 

@@ -26,6 +26,7 @@ on the reduction.
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 from dataclasses import dataclass, field
@@ -394,11 +395,15 @@ class Scalar:
 # ---------------------------------------------------------------------------
 # primality and factoring
 
-# The first 13 primes, the trial divisors and the Miller-Rabin bases.  Every
-# composite below _MR_BOUND = psi_13 fails Miller-Rabin to one of them
-# (Sorenson and Webster, Math. Comp. 2017); psi_13 itself passes all 13.
+# The first 13 primes, the trial divisors and the Miller-Rabin bases.
+# _MR_BOUNDS[k - 1] = psi_k is the least composite that passes Miller-Rabin to
+# each of the first k primes (OEIS A014233; Sorenson and Webster, Math. Comp.
+# 2017), so below psi_k those k bases prove primality.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_BOUND = 3317044064679887385961981
+_MR_BOUNDS = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+              3825123056546413051, 318665857834031151167461, 3317044064679887385961981)
+_MR_BOUND = _MR_BOUNDS[-1]
 
 
 def _is_prime(n: int) -> bool:
@@ -413,7 +418,8 @@ def _is_prime(n: int) -> bool:
     if n < 43 * 43:
         return True  # no prime factor up to sqrt(n)
     if n < _MR_BOUND:
-        return all(_strong_probable_prime(n, a) for a in _SMALL_PRIMES)
+        k = bisect.bisect_right(_MR_BOUNDS, n) + 1  # the least k with n < psi_k
+        return all(_strong_probable_prime(n, a) for a in _SMALL_PRIMES[:k])
     return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
 
 

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from dataclasses import replace
 from operator import mul
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from wordmap import (
     DimensionMismatch,
+    NotInvertible,
     PrimeField,
     ProbeVerdict,
     Rationals,
@@ -31,13 +33,14 @@ from wordmap import (
     word,
 )
 from wordmap import evaluate, geometry
-from wordmap.evaluate import _check_tuple, _jets
+from wordmap.evaluate import _check_tuple
 from wordmap.geometry import COMPONENT_IDS, component, jet_jacobian, parametrization_rank
-from wordmap.matrices import lift_matrix, matrix_from_json
+from wordmap.matrices import matrix_from_json
 from wordmap.rings import DualNumbers, parse_ring
 from wordmap.words import ConstLetter, EmptyInnerWord, from_items
 
 from closed_forms import homogeneity_check
+from jet_oracle import SL2_BASIS, _jets, lift_matrix
 
 Q = Rationals()
 F13 = PrimeField(13)
@@ -406,7 +409,6 @@ def test_jets_of_a_power_take_logarithmically_many_products(monkeypatch):
     assert counts[-10**6] <= 3 * counts[10**3]
 
 
-_SL2_BASIS = {"E": [[0, 1], [0, 0]], "F": [[0, 0], [1, 0]], "H": [[1, 0], [0, -1]]}
 _LETTERS = st.tuples(st.integers(1, 3), st.sampled_from([-3, -2, -1, 1, 2, 3]))
 _CONSTANTS = st.builds(ConstLetter, st.just("s1"), st.booleans())
 
@@ -450,7 +452,7 @@ def test_jet_sweep_matches_the_product_rule(items, p, seed):
     for k, (gen, sign, v) in enumerate(factors):
         if gen == 0:
             continue
-        for name, rows in _SL2_BASIS.items():
+        for name, rows in SL2_BASIS.items():
             x = SquareMatrix.from_rows(ring, rows)
             d = x * v if sign > 0 else (v * x).scaled(-1)
             term = product(factors[:k]) * d * product(factors[k + 1:])
@@ -458,7 +460,7 @@ def test_jet_sweep_matches_the_product_rule(items, p, seed):
             expected[key] = expected.get(key, SquareMatrix.zero(ring, 2)) + term
 
     value, derivs = jet_sweep(w, point)
-    keys = [(i, name) for i in range(len(point)) for name in _SL2_BASIS]
+    keys = [(i, name) for i in range(len(point)) for name in SL2_BASIS]
     assert len(derivs) == len(keys)  # argument-major, E, F, H
     assert value == product(factors)
     for key, deriv in zip(keys, derivs):
@@ -471,7 +473,7 @@ def test_jet_matches_finite_difference_structure():
     g = matrix_from_json(Q, [["2", "0"], ["0", "1/2"]])
     e = matrix_from_json(Q, [[0, 1], [0, 0]])
     w = parse("x^2")
-    rows = dict(zip(_SL2_BASIS, jet_sweep(w, [g])[1]))
+    rows = dict(zip(SL2_BASIS, jet_sweep(w, [g])[1]))
     assert rows["E"] == e * g * g + g * e * g
 
 
@@ -574,8 +576,8 @@ def _constructs(spec, cid):
 
 
 _PARAMETRIZATIONS = [
-    (spec, cid) for spec in ("Fp:101", "Fp:5", "Q", "Q[i]") for cid in COMPONENT_IDS
-    if _constructs(spec, cid)
+    (spec, cid) for spec in ("Fp:101", "Fp:5", "Q", "Q[i]", "Fp:7[i]", "Q[sqrt(2)]")
+    for cid in COMPONENT_IDS if _constructs(spec, cid)
 ]
 
 
@@ -588,6 +590,56 @@ def test_parametrization_rank_matches_the_translated_tangents(spec, cid):
     comp = component(cid, parse_ring(spec))
     base, derivs = _jets(comp.family, comp.ring, comp.scalars, comp.mats)
     assert parametrization_rank(comp) == translated_rank(base, derivs, comp.ring)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(st.sampled_from(_PARAMETRIZATIONS), st.booleans(), st.integers(0, 2**32))
+def test_parametrization_rows_match_dual_numbers(case, at_base, seed):
+    # the closed-form rows equal the dual-number jets of the family entry for
+    # entry, at the base point and at random scalars and SL2 matrices
+    spec, cid = case
+    comp = component(cid, parse_ring(spec))
+    if not at_base:
+        rng = random.Random(seed)
+        ring = comp.ring
+        comp = replace(
+            comp, scalars=[ring.random(rng) for _ in comp.scalars],
+            mats=[random_sl2(ring, rng) for _ in comp.mats],
+        )
+    try:
+        _base, derivs = _jets(comp.family, comp.ring, comp.scalars, comp.mats)
+    except NotInvertible:  # a scalar of the draw is 0, or s_0 = +-1 in a T atom
+        with pytest.raises(NotInvertible):
+            geometry._parametrization_rows(comp)
+        return
+    rows = geometry._parametrization_rows(comp)
+    assert rows == [[e for d in pair for row in d.rows for e in row] for pair in derivs]
+    if comp.second is None:  # ex2.Wj, ex5.T2: moving g leaves h fixed
+        zero = comp.ring.raw_from_int(0)
+        along_g = rows[len(comp.scalars):len(comp.scalars) + 3]
+        assert [row[4:] for row in along_g] == [[zero] * 4] * 3
+
+
+@pytest.mark.parametrize("spec", ["Fp:101", "Q[i]"])
+@pytest.mark.parametrize("cid", ["ex2.Wj", "ex5.T2"])
+def test_a_family_without_scalars_takes_no_dual_arithmetic(monkeypatch, spec, cid):
+    comp = component(cid, parse_ring(spec))
+    assert comp.scalars == []
+    calls = []
+
+    def spy(name):
+        original = getattr(DualNumbers, name)
+
+        def counted(self, *args):
+            calls.append(name)
+            return original(self, *args)
+
+        return counted
+
+    for name in ("rdot", "rmul"):
+        monkeypatch.setattr(DualNumbers, name, spy(name))
+    assert parametrization_rank(comp) == 5
+    assert calls == []
 
 
 def _second_ring(cid):

@@ -39,9 +39,10 @@ from wordmap.geometry import (
     value_fiber_membership,
     weyl_rep,
 )
-from wordmap.matrices import lift_matrix, matrix_from_json
+from wordmap.matrices import matrix_from_json
 
 from closed_forms import commutator_closed_form, commutator_trace, q8_witness
+from jet_oracle import lift_matrix
 
 Q = Rationals()
 F13 = PrimeField(13)

@@ -1,6 +1,7 @@
 """Ring arithmetic: axioms at random, roots of unity, literals, and primality
 and factoring against sympy."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -321,6 +322,39 @@ HARD_PRIMES = [
 
 def test_is_prime_matches_sympy_below_10_6():
     assert [n for n in range(10**6) if rings._is_prime(n) != isprime(n)] == []
+
+
+def test_is_prime_matches_a_sieve_below_10_5():
+    n = 10**5
+    sieve = [False, False] + [True] * (n - 2)
+    for q in range(2, math.isqrt(n - 1) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = [False] * len(range(q * q, n, q))
+    assert [k for k in range(n) if rings._is_prime(k) != sieve[k]] == []
+
+
+@pytest.mark.parametrize("k", range(1, len(rings._MR_BOUNDS) + 1))
+def test_psi_k_passes_the_first_k_bases_and_is_rejected(k):
+    # psi_k is a strong pseudoprime to the first k prime bases, so _is_prime
+    # must take more bases there than below it
+    psi = rings._MR_BOUNDS[k - 1]
+    assert not isprime(psi)
+    assert all(rings._strong_probable_prime(psi, a) for a in rings._SMALL_PRIMES[:k])
+    assert not rings._is_prime(psi)
+
+
+@pytest.mark.parametrize("p,bases", [(1847, 0), (1999, 1), (2053, 2), (1000003, 2), (2**31 - 1, 4)])
+def test_is_prime_takes_the_bases_its_size_needs(monkeypatch, p, bases):
+    calls = []
+    original = rings._strong_probable_prime
+
+    def spy(n, a):
+        calls.append(a)
+        return original(n, a)
+
+    monkeypatch.setattr(rings, "_strong_probable_prime", spy)
+    assert rings._is_prime(p)
+    assert calls == list(rings._SMALL_PRIMES[:bases])
 
 
 def test_bpsw_path_matches_sympy_below_10_5(monkeypatch):
