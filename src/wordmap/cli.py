@@ -13,7 +13,7 @@ import random
 import re
 import sys
 
-from .errors import InvalidParams, InvalidType, UnboundConstant, WordmapError
+from .errors import InvalidType, UnboundConstant, WordmapError
 from .evaluate import (
     check_restriction_identities,
     chi_probe,
@@ -260,18 +260,9 @@ def _cmd_fiber(args, ring, rng):
     return report, EXIT_OK if ok else EXIT_PROPERTY_FAILED
 
 
-# the dimcert flags each component reads; giving it any other is a usage error
-_DIMCERT_FLAGS = {"ex2.Wj": ("j",), "ex4.Tj": ("p", "j"), "Sa": ("a",)}
-
-
 def _cmd_dimcert(args, ring, rng):
-    given = {f: getattr(args, f) for f in ("p", "j", "a") if getattr(args, f) is not None}
-    unread = [f"--{f}" for f in given if f not in _DIMCERT_FLAGS.get(args.example, ())]
-    if unread:
-        raise InvalidParams(f"{args.example} does not read {', '.join(unread)}")
-    if "a" in given:
-        given["a"] = parse_scalar(ring, given["a"])
-    comp = component(args.example, ring, **given)
+    a = None if args.a is None else parse_scalar(ring, args.a)
+    comp = component(args.example, ring, p=args.p, j=args.j, a=a)
     cert = dimension_certificate(comp)
     report = {
         "component": cert.component,
@@ -384,6 +375,19 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    # an exact result may have more digits than Python converts between int
+    # and str by default (4300 since 3.10.7), so the limit is lifted for the call
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

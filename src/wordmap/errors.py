@@ -6,7 +6,7 @@ class WordmapError(Exception):
 
 
 class NotInvertible(WordmapError):
-    """Raised when inverting a non-unit (zero in a field, pure-dual element, singular matrix)."""
+    """Raised when inverting a non-unit (zero in a field, a singular matrix)."""
 
 
 class RingMismatch(WordmapError):

@@ -5,6 +5,7 @@ certificates, and relation scanning."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial, reduce
 
 from .errors import (
     DegenerateLambda,
@@ -15,7 +16,6 @@ from .errors import (
 )
 from .matrices import SquareMatrix, _reduced, rank, random_sl2
 from .rings import (
-    DualNumbers,
     PrimeField,
     RingDescriptor,
     Scalar,
@@ -65,15 +65,6 @@ def off_diagonal(mu: Scalar) -> SquareMatrix:
 def weyl_rep(ring: RingDescriptor) -> SquareMatrix:
     """The torus-normalizer representative [[0, 1], [-1, 0]]."""
     return SquareMatrix.from_rows(ring, [[0, 1], [-1, 0]])
-
-
-def _coerce(s: Scalar, ring: RingDescriptor) -> Scalar:
-    """Move a base scalar into ring, lifting into dual numbers when needed."""
-    if s.ring == ring:
-        return s
-    if isinstance(ring, DualNumbers) and ring.base == s.ring:
-        return ring.lift(s)
-    raise InvalidParams(f"cannot coerce scalar from {s.ring} into {ring}")
 
 
 # ---------------------------------------------------------------------------
@@ -216,25 +207,44 @@ class ComponentInstance:
         return x, g * self._factor(self.second, scalars, g.ring) * g_inv
 
     def _factor(self, atoms, scalars, ring) -> SquareMatrix:
-        product = None
-        for atom, k in atoms:
-            if atom == "D":
-                m = diag(scalars[k])
-            elif atom == "U":
-                m = upper_unitriangular(scalars[k])
-            elif atom == "O":
-                m = off_diagonal(scalars[k])
-            elif atom == "W":
-                m = weyl_rep(ring)
-            elif atom == "I":
-                m = diag(_coerce(self.i_scalar, ring))
-            else:  # T
-                lam, b, c = scalars
-                d = lam - lam.inv()
-                pa = (ring.from_int(2) - _coerce(self.target, ring)) / (d * d)
-                m = SquareMatrix.from_rows(ring, [[c, b], [pa / b, (pa + ring.one) / c]])
-            product = m if product is None else product * m
-        return product
+        return reduce(SquareMatrix.__mul__, [self._atom(a, k, scalars, ring) for a, k in atoms])
+
+    def _atom(self, atom, k, scalars, ring) -> SquareMatrix:
+        if atom == "D":
+            return diag(scalars[k])
+        if atom == "U":
+            return upper_unitriangular(scalars[k])
+        if atom == "O":
+            return off_diagonal(scalars[k])
+        if atom == "W":
+            return weyl_rep(ring)
+        if atom == "I":
+            return diag(self.i_scalar)
+        lam, b, c = scalars  # T
+        p = _t_level(lam, self.target)
+        return SquareMatrix.from_rows(ring, [[c, b], [p / b, (p + 1) / c]])
+
+    def _atom_partials(self, atom, k, m) -> dict:
+        """``{j: the derivative of the atom along s_j}`` for each scalar s_j
+        that it reads, at the base scalars; m is the atom's value.  Raw rows."""
+        ring = self.ring
+        if atom in ("W", "I"):  # they read no scalar
+            return {}
+        if atom != "T":
+            e_m, _f_m, h_m = _tangent_steps(ring, m, 1)
+            if atom == "U":
+                return {k: e_m}
+            c = ring.rinv(self.scalars[k].value)  # D<k> and O<k>: s_k^-1 H m
+            return {k: tuple(tuple(ring.rmul(c, e) for e in row) for row in h_m)}
+        lam, b, c = self.scalars
+        p = _t_level(lam, self.target)
+        dp = -2 * p * (1 + lam.inv() ** 2) / (lam - lam.inv())
+        partials = {
+            0: [[0, 0], [dp / b, dp / c]],
+            1: [[0, 1], [-p / (b * b), 0]],
+            2: [[1, 0], [0, -(p + 1) / (c * c)]],
+        }
+        return {j: SquareMatrix.from_rows(ring, rows).rows for j, rows in partials.items()}
 
     def witness(self) -> Sl2Pair:
         return Sl2Pair(*self.family(self.scalars, self.mats))
@@ -277,6 +287,15 @@ _CATALOGUE = {
 
 COMPONENT_IDS = tuple(_CATALOGUE)
 
+# the parameters that a component reads; it refuses any other
+_PARAMS = {"ex2.Wj": ("j",), "ex4.Tj": ("p", "j"), "Sa": ("a",)}
+
+
+def _t_level(lam: Scalar, target: Scalar) -> Scalar:
+    """p = (2 - target)/(lam - 1/lam)^2, the level of the T atom."""
+    d = lam - lam.inv()
+    return (2 - target) / (d * d)
+
 
 def _need_i(ring: RingDescriptor) -> Scalar:
     s = sqrt_in_ring(ring, -1)
@@ -300,21 +319,29 @@ def _generic_lambda(ring: RingDescriptor, target: Scalar | None):
 def component(
     cid: str,
     ring: RingDescriptor,
-    p: int = 5,
+    p: int | None = None,
     j: int | None = None,
     a: Scalar | None = None,
 ) -> ComponentInstance:
     """Instantiate a catalogued component over a concrete ring.
 
     ``p``/``j`` select the Ex4 component (w = [x,y]^p, trace target
-    zeta_p^j + zeta_p^-j, j = 1 by default); ex2.Wj takes only j = 4, its
-    default; ``a`` fixes the trace level of the Sa hypersurface.
+    zeta_p^j + zeta_p^-j, p = 5 and j = 1 by default); ex2.Wj reads j and
+    takes only j = 4, its default; ``a`` fixes the trace level of the Sa
+    hypersurface.  A parameter that the component does not read raises
+    InvalidParams.
     """
     if ring.from_int(2).is_zero():
         # -1 = 1 and i = 1, so the atoms degenerate
         raise InvalidParams(f"the catalogue needs 2 != 0, but {ring} has characteristic 2")
     if cid not in _CATALOGUE:
         raise InvalidParams(f"unknown component id {cid!r}; known: {COMPONENT_IDS}")
+    given = {"p": p, "j": j, "a": a}
+    unread = [k for k, v in given.items() if v is not None and k not in _PARAMS.get(cid, ())]
+    if unread:  # named as the dimcert flags that set them
+        raise InvalidParams(f"{cid} does not read {', '.join('--' + k for k in unread)}")
+    if p is None:
+        p = 5
     if j is None:
         j = 4 if cid == "ex2.Wj" else 1
     text, claimed, equation, kind, target, base, first, second = _CATALOGUE[cid]
@@ -333,7 +360,7 @@ def component(
         if zeta is None:
             raise RingLacksRoots(f"F_{ring.p} has no primitive {p}-th root of unity")
         target = zeta ** j + zeta ** (-j)
-    if cid == "Sa" and a is not None:
+    if a is not None:
         target = a
     first = _atoms(first)
     second = None if second == "h" else _atoms(second)
@@ -348,8 +375,8 @@ def component(
     if second is None:
         mats.append(SquareMatrix.from_rows(ring, [[2, 1], [1, 1]]))  # the free h
     return ComponentInstance(
-        cid, ring, w, claimed, scalars, mats, parse(equation), kind, target,
-        first, second, i_scalar,
+        cid, ring, w, claimed, scalars, mats, w if equation == text else parse(equation),
+        kind, target, first, second, i_scalar,
     )
 
 
@@ -365,14 +392,20 @@ def parametrization_rank(comp: ComponentInstance) -> int:
     columns: the eight raw entries of the image pair's derivative (d1, d2).
     At x = g A g^-1 and y = g B g^-1 (or y = h) they are, on the base ring:
 
-    - s_k: (g A'_k g^-1, g B'_k g^-1), or 0 for h, with A'_k the eps part of
-      A at s_k + eps; only the atoms of a factor that reads s_k run over
-      dual numbers;
+    - s_k: (g A'_k g^-1, g B'_k g^-1), or 0 for h, where A'_k = dA/ds_k;
     - g -> (I + eps X) g: ([X, x], [X, y]), or 0 for h;
     - h -> (I + eps X) h: (0, X h),
 
     where X v and v X are sign and permutation patterns of the entries of v
-    (:func:`wordmap.evaluate._tangent_steps`).  The pair stays in SL2 x SL2,
+    (:func:`wordmap.evaluate._tangent_steps`).  A'_k follows from the
+    product rule over the atoms of A, whose derivatives are
+
+    - D<k>: s_k^-1 H D, O<k>: s_k^-1 H O, U<k>: E U; W and I read no scalar;
+    - T = [[s_2, s_1], [p/s_1, (p+1)/s_2]] with p = (2 - t)/(s_0 - 1/s_0)^2:
+      dT/ds_1 = [[0, 1], [-p/s_1^2, 0]], dT/ds_2 = [[1, 0], [0, -(p+1)/s_2^2]]
+      and dT/ds_0 = [[0, 0], [p'/s_1, p'/s_2]], p' = -2p (1 + s_0^-2)/(s_0 - 1/s_0).
+
+    The pair stays in SL2 x SL2,
     so d_k = A_k V_k with A_k trace-free at the invertible value V_k, and
     (A1, A2) -> (A1 V1, A2 V2) is injective: the raw entries have the rank
     of the tangents at the identity.
@@ -386,23 +419,23 @@ def _parametrization_rows(comp: ComponentInstance) -> list:
     dot, add = ring.rdot, ring.radd
     g, g_inv = comp.mats[0].rows, comp.mats[0].inverse().rows
     zero = SquareMatrix.zero(ring, 2).rows
-    dual = DualNumbers(ring)
-    lifted = [dual.lift(s) for s in comp.scalars]
+
+    def product(ms):
+        return reduce(partial(_mul2, dot), ms)
 
     def conjugated(m):
         return _mul2(dot, _mul2(dot, g, m), g_inv)
 
     def tangents(atoms):  # g A g^-1 along each s_k, then along g
         if atoms is None:  # the free h
-            return [zero] * (len(lifted) + 3)
+            return [zero] * (len(comp.scalars) + 3)
+        ms = [comp._atom(atom, k, comp.scalars, ring).rows for atom, k in atoms]
+        partials = [comp._atom_partials(atom, k, m) for (atom, k), m in zip(atoms, ms)]
         rows = []
-        for k, s in enumerate(lifted):
-            if not any(atom == "T" or j == k for atom, j in atoms):
-                rows.append(zero)  # no atom reads s_k
-                continue
-            m = comp._factor(atoms, lifted[:k] + [s + dual.root] + lifted[k + 1:], dual)
-            rows.append(conjugated(tuple(tuple(v[1] for v in row) for row in m.rows)))
-        x = conjugated(comp._factor(atoms, comp.scalars, ring).rows)
+        for k in range(len(comp.scalars)):  # the product rule over the atoms
+            terms = [product(ms[:i] + [d[k]] + ms[i + 1:]) for i, d in enumerate(partials) if k in d]
+            rows.append(conjugated(reduce(partial(_add2, add), terms)) if terms else zero)
+        x = conjugated(product(ms))
         steps = zip(_tangent_steps(ring, x, 1), _tangent_steps(ring, x, -1))
         return rows + [_add2(add, left, right) for left, right in steps]  # [X, x]
 

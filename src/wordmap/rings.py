@@ -1,4 +1,4 @@
-"""Exact coefficient domains: Q, F_p, single quadratic extensions, dual numbers.
+"""Exact coefficient domains: Q, F_p and single quadratic extensions.
 
 A :class:`RingDescriptor` does all arithmetic on canonical raw values, so
 equality is bit-exact.  Raw representations:
@@ -6,14 +6,13 @@ equality is bit-exact.  Raw representations:
 * ``Rationals``      -- :class:`fractions.Fraction` (always reduced)
 * ``PrimeField(p)``  -- ``int`` residue in ``[0, p)``
 * ``QuadraticExt``   -- pair ``(a, b)`` of base raws, meaning ``a + b*sqrt(d)``
-* ``DualNumbers``    -- the ``QuadraticExt`` with d = 0: ``a + b*eps`` with ``eps**2 = 0``
 
 The raw protocol is ``radd``, ``rmul``, ``rneg``, ``rinv``, ``is_zero_raw`` and
 the fused dot product ``rdot``: one reduction mod p per dot product over F_p,
 one :class:`~fractions.Fraction` (one reduction) per dot product over Q, and
-for the pair rings a combination of the base ring's ``rdot``.  The matrix kernel works on raw values
-only.  A :class:`Scalar` (descriptor plus raw value) is the API-boundary form
-of an element, with ring-checked operators.
+over ``base[sqrt(d)]`` a combination of the base ring's ``rdot``.  The matrix
+kernel works on raw values only.  A :class:`Scalar` (descriptor plus raw
+value) is the API-boundary form of an element, with ring-checked operators.
 
 Ranks over Q and ``Q[sqrt(d)]`` are first taken mod p: :func:`_reductions`
 maps raw values to F_p for each of a fixed tuple of primes below 2^61 (a
@@ -29,7 +28,7 @@ from __future__ import annotations
 import bisect
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from operator import mul
@@ -242,14 +241,12 @@ class QuadraticExt(RingDescriptor):
 
     @property
     def root(self) -> "Scalar":
-        """The adjoined square root of d (eps for dual numbers)."""
+        """The adjoined square root of d."""
         return self.scalar((self.base.raw_from_int(0), self.base.raw_from_int(1)))
 
     @property
     def symbol(self) -> str:
-        """The adjoined root as literals write it: ``i``, ``sqrt(d)``, or ``eps`` for d = 0."""
-        if self.base.is_zero_raw(self.d):
-            return "eps"
+        """The adjoined root as literals write it: ``i`` or ``sqrt(d)``."""
         return "i" if self.d == self.base.raw_from_int(-1) else f"sqrt({self.d})"
 
     def __str__(self):
@@ -257,54 +254,11 @@ class QuadraticExt(RingDescriptor):
 
 
 @dataclass(frozen=True)
-class DualNumbers(QuadraticExt):
-    """``base[eps]/(eps**2)``: the d = 0 case, over any ring but dual numbers.
-
-    A pair is read as (real part, eps part), also over a quadratic base.
-    """
-
-    d: object = field(default=None, init=False)
-
-    def __post_init__(self):
-        if isinstance(self.base, DualNumbers):
-            raise WordmapError("dual numbers do not nest")
-        object.__setattr__(self, "d", self.base.raw_from_int(0))
-
-    # The d = 0 forms skip the d * b.e term.  With the general forms
-    # inherited instead, perfbench certify (seed 1, 2 CPUs, Python 3.11)
-    # measured 139 -> 112 jobs_per_s and latency p90 12.2 -> 17.1 ms, every
-    # run worse than every run with these forms.
-    def rmul(self, x, y):
-        a, b = x
-        c, e = y
-        base = self.base
-        return (
-            base.rmul(a, c),
-            base.radd(base.rmul(a, e), base.rmul(b, c)),
-        )
-
-    def rdot(self, xs, ys):
-        # sum (a + b eps)(c + e eps) = a.c + (a.e + b.c) eps
-        base = self.base
-        a, b = _split(xs)
-        c, e = _split(ys)
-        return (base.rdot(a, c), base.rdot(a + b, e + c))
-
-    def lift(self, s: "Scalar") -> "Scalar":
-        if s.ring != self.base:
-            raise RingMismatch(f"cannot lift {s.ring} into {self}")
-        return self.scalar((s.value, self.base.raw_from_int(0)))
-
-    def __str__(self):
-        return f"Dual({self.base})"
-
-
-@dataclass(frozen=True)
 class Scalar:
     ring: RingDescriptor
     value: object
 
-    def _coerce(self, other) -> "Scalar":
+    def _operand(self, other) -> "Scalar":
         if isinstance(other, Scalar):
             if other.ring != self.ring:
                 raise RingMismatch(f"{self.ring} vs {other.ring}")
@@ -314,7 +268,7 @@ class Scalar:
         return NotImplemented
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is NotImplemented:
             return NotImplemented
         return Scalar(self.ring, self.ring.radd(self.value, o.value))
@@ -322,7 +276,7 @@ class Scalar:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is NotImplemented:
             return NotImplemented
         return Scalar(self.ring, self.ring.radd(self.value, self.ring.rneg(o.value)))
@@ -331,7 +285,7 @@ class Scalar:
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is NotImplemented:
             return NotImplemented
         return Scalar(self.ring, self.ring.rmul(self.value, o.value))
@@ -342,7 +296,7 @@ class Scalar:
         return Scalar(self.ring, self.ring.rneg(self.value))
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is NotImplemented:
             return NotImplemented
         return self * o.inv()
@@ -542,8 +496,7 @@ def sqrt_in_ring(ring: RingDescriptor, n: int):
     """A scalar s with s*s = n in the ring, or None.
 
     Over ``base[sqrt(d)]`` this is a root in base if one exists, else
-    ``b*sqrt(d)`` with ``b*b = n/d`` (the least such b over F_p).  Over dual
-    numbers only base roots square to an element of base.
+    ``b*sqrt(d)`` with ``b*b = n/d`` (the least such b over F_p).
     """
     if not isinstance(ring, QuadraticExt):
         r = _base_sqrt(ring, ring.raw_from_int(n))
@@ -552,8 +505,6 @@ def sqrt_in_ring(ring: RingDescriptor, n: int):
     s = sqrt_in_ring(base, n)
     if s is not None:
         return ring.scalar((s.value, base.raw_from_int(0)))
-    if base.is_zero_raw(ring.d):
-        return None
     b = _base_sqrt(base, base.rmul(base.raw_from_int(n), base.rinv(ring.d)))
     return None if b is None else ring.scalar((base.raw_from_int(0), b))
 
@@ -609,8 +560,8 @@ def _reductions(ring: RingDescriptor):
     phi maps raw values of ``ring`` to raw values of F_p: a/b to a b^-1 and
     sqrt(d) to r, the least root of d mod p from :func:`_base_sqrt`.  A p
     where d is not a square is skipped; phi raises NotInvertible on a
-    denominator that p divides.  Other rings (F_p, F_p[sqrt(d)], dual numbers)
-    yield nothing and keep their exact path.
+    denominator that p divides.  Other rings (F_p, F_p[sqrt(d)]) yield nothing
+    and keep their exact path.
 
     Soundness.  On the ring R of a + b sqrt(d) with a, b in Z_(p), phi is a
     ring homomorphism onto F_p (it is Z_(p)[t]/(t^2 - d) -> F_p, t -> r), and
@@ -675,18 +626,17 @@ def parse_ring(spec: str) -> RingDescriptor:
     return QuadraticExt(base, base.raw_from_int(int(m.group(5))))
 
 
-# a term is a coefficient, a monomial, or both with an optional "*" between;
-# the monomials are i, sqrt(d), eps, i*eps and sqrt(d)*eps
-_MONOMIAL = r"(?:(?:i|sqrt\(-?\d+\))(?:\s*\*?\s*eps)?|eps)"
+# a term is a coefficient, a monomial (i or sqrt(d)), or both with an
+# optional "*" between
+_MONOMIAL = r"(?:i|sqrt\(-?\d+\))"
 _TERM_RE = re.compile(
     rf"\s*([+-])?\s*(?:(-?\d+(?:/\d+)?)(?:\s*\*?\s*({_MONOMIAL}))?|({_MONOMIAL}))\s*"
 )
-_ROOT_RE = re.compile(r"i|sqrt\((-?\d+)\)")
 
 
 def parse_scalar(ring: RingDescriptor, text: str) -> Scalar:
-    """Parse a scalar literal: integers, ``a/b``, ``i``, ``sqrt(d)``, ``eps``,
-    their products such as ``3*i*eps``, and sums thereof.
+    """Parse a scalar literal: integers, ``a/b``, ``i``, ``sqrt(d)``, their
+    products such as ``3*i``, and sums thereof.
 
     A term's coefficient may carry its own sign, so rendered literals such as
     ``1+-2*i`` parse back.
@@ -711,17 +661,12 @@ def parse_scalar(ring: RingDescriptor, text: str) -> Scalar:
                 term = ring.from_int(int(num)) / ring.from_int(int(den))
             else:
                 term = ring.from_int(int(coef))
-        mono = mono1 or mono2 or ""
-        root = _ROOT_RE.match(mono)
-        if root is not None:
-            s = sqrt_in_ring(ring, -1 if root[0] == "i" else int(root[1]))
+        mono = mono1 or mono2
+        if mono is not None:  # i or sqrt(d)
+            s = sqrt_in_ring(ring, -1 if mono == "i" else int(mono[5:-1]))
             if s is None:
-                raise RingLacksRoots(f"no {root[0]} in {ring}")
+                raise RingLacksRoots(f"no {mono} in {ring}")
             term = term * s
-        if mono.endswith("eps"):
-            if not isinstance(ring, DualNumbers):
-                raise RingLacksRoots(f"no eps in {ring}")
-            term = term * ring.root
         if sign == "-":
             term = -term
         result = result + term
@@ -730,20 +675,12 @@ def parse_scalar(ring: RingDescriptor, text: str) -> Scalar:
     return result
 
 
-def _terms(ring: RingDescriptor, raw) -> list:
-    """(coefficient, monomial) literals of the nonzero terms of a raw value."""
-    if not isinstance(ring, QuadraticExt):
-        return [] if ring.is_zero_raw(raw) else [(str(raw), "")]
-    a, b = raw
-    sym = ring.symbol
-    return _terms(ring.base, a) + [
-        (c, f"{m}*{sym}" if m else sym) for c, m in _terms(ring.base, b)
-    ]
-
-
 def render_scalar(s: Scalar) -> str:
-    """The literal of s, one term per monomial (``1+-2*i``, ``1+2*i+3*eps+4*i*eps``);
+    """The literal of s, one term per monomial (``1+-2*i``, ``3*sqrt(2)``);
     :func:`parse_scalar` reads it back."""
-    if not isinstance(s.ring, QuadraticExt):
+    ring = s.ring
+    if not isinstance(ring, QuadraticExt):
         return str(s.value)
-    return "+".join(f"{c}*{m}" if m else c for c, m in _terms(s.ring, s.value)) or "0"
+    a, b = s.value
+    terms = [(a, str(a)), (b, f"{b}*{ring.symbol}")]
+    return "+".join(t for x, t in terms if not ring.base.is_zero_raw(x)) or "0"

@@ -195,7 +195,7 @@ def test_06_commutator_trace_formula():
 def test_07_dimension_certificates():
     results = []
     for cid in COMPONENT_IDS:
-        comp = component(cid, F101, p=5, j=4 if cid == "ex2.Wj" else 1)
+        comp = component(cid, F101)  # p = 5, and j = 4 for ex2.Wj, 1 for ex4.Tj
         cert = dimension_certificate(comp)
         assert cert.lower == cert.upper == cert.claimed, cid
         assert cert.confirmed

@@ -399,6 +399,19 @@ def test_huge_power_is_a_usage_error(capsys):
     assert "word expands to more than 10000000 letters" in captured.err
 
 
+def test_exact_results_past_the_int_string_limit(capsys):
+    # 2^20000 has 6021 digits, more than the 4300 that Python converts by default
+    limit = sys.get_int_max_str_digits()
+    code, rep = run_json(capsys, ["--ring", "Q", "eval", "--word", "x^20000", "--at", "[[2,0],[0,1]]"])
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(2**20000)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert rep["value"] == [[expected, "0"], ["0", "1"]]
+
+
 def test_generator_zero_is_a_usage_error(capsys):
     # x0 once evaluated silently to the last matrix of the tuple
     assert main(["--ring", "Fp:101", "eval", "--word", "x0", "--at", G1, G2]) == 2

@@ -36,11 +36,11 @@ from wordmap import evaluate, geometry
 from wordmap.evaluate import _check_tuple
 from wordmap.geometry import COMPONENT_IDS, component, jet_jacobian, parametrization_rank
 from wordmap.matrices import matrix_from_json
-from wordmap.rings import DualNumbers, parse_ring
+from wordmap.rings import parse_ring
 from wordmap.words import ConstLetter, EmptyInnerWord, from_items
 
 from closed_forms import homogeneity_check
-from jet_oracle import SL2_BASIS, _jets, lift_matrix
+from jet_oracle import SL2_BASIS, DualNumbers, _jets, family_jets, lift_matrix
 
 Q = Rationals()
 F13 = PrimeField(13)
@@ -588,7 +588,7 @@ def test_parametrization_cases_cover_the_catalogue():
 @pytest.mark.parametrize("spec,cid", _PARAMETRIZATIONS)
 def test_parametrization_rank_matches_the_translated_tangents(spec, cid):
     comp = component(cid, parse_ring(spec))
-    base, derivs = _jets(comp.family, comp.ring, comp.scalars, comp.mats)
+    base, derivs = family_jets(comp)
     assert parametrization_rank(comp) == translated_rank(base, derivs, comp.ring)
 
 
@@ -607,7 +607,7 @@ def test_parametrization_rows_match_dual_numbers(case, at_base, seed):
             mats=[random_sl2(ring, rng) for _ in comp.mats],
         )
     try:
-        _base, derivs = _jets(comp.family, comp.ring, comp.scalars, comp.mats)
+        _base, derivs = family_jets(comp)
     except NotInvertible:  # a scalar of the draw is 0, or s_0 = +-1 in a T atom
         with pytest.raises(NotInvertible):
             geometry._parametrization_rows(comp)
@@ -618,28 +618,6 @@ def test_parametrization_rows_match_dual_numbers(case, at_base, seed):
         zero = comp.ring.raw_from_int(0)
         along_g = rows[len(comp.scalars):len(comp.scalars) + 3]
         assert [row[4:] for row in along_g] == [[zero] * 4] * 3
-
-
-@pytest.mark.parametrize("spec", ["Fp:101", "Q[i]"])
-@pytest.mark.parametrize("cid", ["ex2.Wj", "ex5.T2"])
-def test_a_family_without_scalars_takes_no_dual_arithmetic(monkeypatch, spec, cid):
-    comp = component(cid, parse_ring(spec))
-    assert comp.scalars == []
-    calls = []
-
-    def spy(name):
-        original = getattr(DualNumbers, name)
-
-        def counted(self, *args):
-            calls.append(name)
-            return original(self, *args)
-
-        return counted
-
-    for name in ("rdot", "rmul"):
-        monkeypatch.setattr(DualNumbers, name, spy(name))
-    assert parametrization_rank(comp) == 5
-    assert calls == []
 
 
 def _second_ring(cid):

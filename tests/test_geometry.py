@@ -6,7 +6,6 @@ import pytest
 
 from wordmap import (
     DegenerateLambda,
-    DualNumbers,
     InvalidParams,
     PrimeField,
     ProbeResult,
@@ -31,6 +30,7 @@ from wordmap import (
     word,
     wsigma_trace_probe,
 )
+from wordmap import geometry
 from wordmap.geometry import (
     COMPONENT_IDS,
     Sl2Pair,
@@ -42,7 +42,7 @@ from wordmap.geometry import (
 from wordmap.matrices import matrix_from_json
 
 from closed_forms import commutator_closed_form, commutator_trace, q8_witness
-from jet_oracle import lift_matrix
+from jet_oracle import DualNumbers, lift_matrix
 
 Q = Rationals()
 F13 = PrimeField(13)
@@ -209,7 +209,7 @@ CLAIMED = {
 
 @pytest.mark.parametrize("cid", COMPONENT_IDS)
 def test_dimension_certificates_confirm(cid):
-    comp = component(cid, F101, p=5, j=4 if cid == "ex2.Wj" else 1)
+    comp = component(cid, F101)  # p = 5, and j = 4 for ex2.Wj, 1 for ex4.Tj
     cert = dimension_certificate(comp)
     assert cert.claimed == CLAIMED[cid]
     assert 0 <= cert.lower <= cert.upper <= 6
@@ -266,6 +266,34 @@ def test_component_needs_roots():
         component("ex2.Wj", F101, j=2)  # catalogued for j = 4 only
     with pytest.raises(InvalidParams):
         component("ex4.Tj", Q)  # needs a prime field
+
+
+@pytest.mark.parametrize(
+    "cid,params",
+    [
+        ("Sa", {"j": 2}),
+        ("ex1.W", {"a": F101.from_int(7)}),
+        ("ex2.Wj", {"p": 7}),
+        ("ex4.Tj", {"a": F101.from_int(3)}),
+        ("ex5.T2", {"p": 5}),
+    ],
+)
+def test_component_refuses_a_parameter_it_does_not_read(cid, params):
+    with pytest.raises(InvalidParams, match=f"{cid} does not read --{next(iter(params))}"):
+        component(cid, F101, **params)
+
+
+def test_a_text_shared_by_word_and_equation_is_parsed_once(monkeypatch):
+    texts = []
+
+    def counted(text):
+        texts.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(geometry, "parse", counted)
+    comp = component("ex5.T1", F101)
+    assert texts == [EX5_TEXT]
+    assert comp.equation == comp.word == parse(EX5_TEXT)
 
 
 def test_component_defaults_j_per_component():

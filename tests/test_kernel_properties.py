@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from wordmap import (
     DimensionMismatch,
-    DualNumbers,
     NotInvertible,
     PrimeField,
     QuadraticExt,
@@ -24,6 +23,8 @@ from wordmap import (
     parse_ring,
 )
 
+from jet_oracle import DualNumbers
+
 Q = Rationals()
 RINGS = [
     Q,
@@ -33,7 +34,7 @@ RINGS = [
     parse_ring("Q[sqrt(2)]"),
     DualNumbers(PrimeField(5)),
     DualNumbers(Q),
-    DualNumbers(parse_ring("Q[i]")),  # the ring of dimcert over Q[i]
+    DualNumbers(parse_ring("Q[i]")),
 ]
 
 deterministic = settings(derandomize=True, deadline=None, database=None, max_examples=40)
@@ -143,8 +144,8 @@ def matrices(ring, n):
 
 
 @st.composite
-def ring_and_matrices(draw, count, max_n=5):
-    ring = draw(st.sampled_from(RINGS))
+def ring_and_matrices(draw, count, max_n=5, rings=RINGS):
+    ring = draw(st.sampled_from(rings))
     n = draw(st.integers(1, max_n))
     return ring, [draw(matrices(ring, n)) for _ in range(count)]
 
@@ -215,8 +216,9 @@ def test_eq_and_hash_agree(case):
 
 
 @deterministic
-@given(ring_and_matrices(1))
+@given(ring_and_matrices(1, rings=[r for r in RINGS if not isinstance(r, DualNumbers)]))
 def test_json_round_trip(case):
+    # dual numbers, a test-side ring, have no scalar literals
     ring, (m,) = case
     assert matrix_from_json(ring, matrix_to_json(m)) == m
 

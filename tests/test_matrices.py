@@ -7,7 +7,6 @@ import pytest
 
 from wordmap import (
     DimensionMismatch,
-    DualNumbers,
     NotInvertible,
     PrimeField,
     Rationals,
@@ -23,6 +22,8 @@ from wordmap import (
     random_sl2,
     rank,
 )
+
+from jet_oracle import DualNumbers
 
 Q = Rationals()
 F101 = PrimeField(101)

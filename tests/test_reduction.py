@@ -21,7 +21,6 @@ from wordmap.cli import main
 from wordmap.geometry import COMPONENT_IDS, component, dimension_certificate
 from wordmap.matrices import matrix_from_json, random_sl2
 from wordmap.rings import (
-    DualNumbers,
     PrimeField,
     QuadraticExt,
     Rationals,
@@ -29,6 +28,8 @@ from wordmap.rings import (
     parse_ring,
 )
 from wordmap.words import EmptyInnerWord, from_items, parse
+
+from jet_oracle import DualNumbers
 
 Q = Rationals()
 SPECS = ("Q", "Q[i]", "Q[sqrt(2)]")
