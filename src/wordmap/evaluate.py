@@ -19,7 +19,7 @@ from .matrices import (
     rank,
 )
 from .rings import RingDescriptor, Scalar, _reductions
-from .words import WordWithConstants, exponent_data
+from .words import ConstLetter, Power, WordWithConstants, exponent_data
 
 
 def _check_tuple(w: WordWithConstants, tup):
@@ -30,11 +30,12 @@ def _check_tuple(w: WordWithConstants, tup):
     for m in tup:
         if m.n != n or m.ring != ring:
             raise DimensionMismatch("tuple matrices must share size and ring")
-    if any(g < 1 for u in w.words for g, _e in u.letters):
+    gens = set().union(*(u.generators() for u in w.words))
+    if any(g < 1 for g in gens):
         raise DimensionMismatch("generator indices start at 1")
-    if w.max_generator() > len(tup):
+    if max(gens, default=0) > len(tup):
         raise DimensionMismatch(
-            f"word uses generator {w.max_generator()} but tuple has {len(tup)} entries"
+            f"word uses generator {max(gens)} but tuple has {len(tup)} entries"
         )
     for c in w.constants:
         if c.name not in w.binding:
@@ -45,31 +46,47 @@ def _check_tuple(w: WordWithConstants, tup):
     return n, ring
 
 
+def _items(w: WordWithConstants) -> list:
+    """The word's syllables, Power nodes and constants, in order."""
+    items = []
+    for i, seg in enumerate(w.segments):
+        items += (seg,) if i % 2 else seg.letters
+    return items
+
+
 def _eval(w: WordWithConstants, tup, negative_power, inverses=None):
     """The product of the word's factors.  ``negative_power(g)`` stands in for
     x_g^-1 and is taken once per generator, as is each constant's inverse;
     both are kept in ``inverses``, by generator or constant name, which may
-    start with the ones the caller already has."""
+    start with the ones the caller already has.  A node (core)^k takes the
+    core's value C once and C^k by squaring; for the adjugate extension too,
+    since the substitution is a product of the letters' images."""
     n, ring = _check_tuple(w, tup)
     inverses = {} if inverses is None else inverses
-    acc = None
-    for i, seg in enumerate(w.segments):
-        if i % 2 == 0:
-            for g, e in seg.letters:
+
+    def product(items):
+        acc = None
+        for item in items:
+            if type(item) is Power:
+                factor = product(item.core) ** item.k
+            elif type(item) is ConstLetter:
+                factor = w.binding[item.name]
+                if item.inv:
+                    if item.name not in inverses:
+                        inverses[item.name] = factor.inverse()
+                    factor = inverses[item.name]
+            else:
+                g, e = item
                 if e > 0:
                     factor = tup[g - 1] ** e
                 else:
                     if g not in inverses:
                         inverses[g] = negative_power(g)
                     factor = inverses[g] ** -e
-                acc = factor if acc is None else acc * factor
-        else:
-            sigma = w.binding[seg.name]
-            if seg.inv:
-                if seg.name not in inverses:
-                    inverses[seg.name] = sigma.inverse()
-                sigma = inverses[seg.name]
-            acc = sigma if acc is None else acc * sigma
+            acc = factor if acc is None else acc * factor
+        return acc
+
+    acc = product(_items(w))
     return SquareMatrix.identity(ring, n) if acc is None else acc
 
 
@@ -127,21 +144,20 @@ class ProbeVerdict(Enum):
 _DISTINCT_CAP = 32
 
 
-def _sample_distinct(draw, samples: int):
-    """Call ``draw()`` up to ``samples`` times, stopping once _DISTINCT_CAP
-    distinct values are seen.  Returns the distinct values in order of first
-    sight, the dichotomy verdict and the number of draws."""
-    seen = []
+def _sample_distinct(draw, samples: int, ring: RingDescriptor):
+    """Call ``draw()``, which returns a raw value of ``ring``, up to
+    ``samples`` times, stopping once _DISTINCT_CAP distinct values are seen.
+    Returns the distinct values as Scalars in order of first sight, the
+    dichotomy verdict and the number of draws."""
+    seen = {}  # raw value -> None, in order of first sight
     drawn = 0
     while drawn < samples and len(seen) < _DISTINCT_CAP:
         drawn += 1
-        value = draw()
-        if value not in seen:
-            seen.append(value)
+        seen.setdefault(draw())
     verdict = (
         ProbeVerdict.CONSTANT_SO_FAR if len(seen) <= 1 else ProbeVerdict.TAKES_MANY_VALUES
     )
-    return tuple(seen), verdict, drawn
+    return tuple(Scalar(ring, v) for v in seen), verdict, drawn
 
 
 @dataclass(frozen=True)
@@ -165,9 +181,9 @@ def chi_probe(
 
     def draw():
         tup = [random_sl2(ring, rng) for _ in range(m)]
-        return charpoly(eval_group(w, tup)).chi[i - 1]
+        return charpoly(eval_group(w, tup)).chi[i - 1].value
 
-    return ProbeResult(*_sample_distinct(draw, samples))
+    return ProbeResult(*_sample_distinct(draw, samples, ring))
 
 
 # ---------------------------------------------------------------------------
@@ -200,26 +216,26 @@ def _tangent_steps(ring, m, sign) -> list:
     return [((z, a), (z, c)), ((b, z), (d, z)), ((a, neg(b)), (c, neg(d)))]
 
 
-def _syllable_sums(ring, letter, e):
-    """``(L^|e|, [T(X) for X = E, F, H])`` for a syllable g^e, L = g or g^-1.
+def _power_sums(ring, base, steps, k):
+    """``(B^k, [T(D) for D in steps])`` for a factor B that moves by D.
 
-    T(X) = sum_{j<|e|} L^j D L^(|e|-1-j) is the derivative of L^|e|, where L
-    moves by D = X g or D = -g^-1 X.  Doubling from the top bit of |e|,
-    T_2a = T_a L^a + L^a T_a and T_(a+1) = T_a L + L^a D, takes O(log |e|)
-    products.
+    T(D) = sum_{j<k} B^j D B^(k-1-j) is the derivative of B^k.  Doubling from
+    the top bit of k, T_2a = T_a B^a + B^a T_a and T_(a+1) = T_a B + B^a D,
+    takes O(log k) products.  A syllable g^e is B = g or g^-1 with the steps
+    of :func:`_tangent_steps`; a node (core)^k is B = C, the core's value,
+    with the core's derivatives as the steps.
     """
     dot, add = ring.rdot, ring.radd
-    steps = _tangent_steps(ring, letter, e)
-    power, sums = letter, steps
-    for bit in bin(abs(e))[3:]:
+    power, sums = base, steps
+    for bit in bin(k)[3:]:
         sums = [_add2(add, _mul2(dot, t, power), _mul2(dot, power, t)) for t in sums]
         power = _mul2(dot, power, power)
         if bit == "1":
             sums = [
-                _add2(add, _mul2(dot, t, letter), _mul2(dot, power, d))
+                _add2(add, _mul2(dot, t, base), _mul2(dot, power, d))
                 for t, d in zip(sums, steps)
             ]
-            power = _mul2(dot, power, letter)
+            power = _mul2(dot, power, base)
     return power, sums
 
 
@@ -241,6 +257,10 @@ def _outer_sums(ring, terms) -> list:
     return [sandwich(0, 1), sandwich(1, 0), _add2(add, k00, _neg2(neg, k11))]
 
 
+def _add_each(add, xs, ys) -> list:
+    return [_add2(add, x, y) for x, y in zip(xs, ys)]
+
+
 def _neg2(neg, x):
     return tuple(tuple(map(neg, row)) for row in x)
 
@@ -250,62 +270,91 @@ def jet_sweep(w: WordWithConstants, point):
     under g_i -> (I + eps X) g_i, argument-major in E, F, H order.
 
     The value is one :func:`eval_group` call; the derivatives come from one
-    product-rule pass over the base ring.  For V = L_1 ... L_N the derivative
-    along g_i is the sum over the letters L_k of g_i of P_(k-1) D_k S_(k+1),
-    with the prefix and suffix products P and S, and D = X g for a letter g
-    and -g^-1 X for g^-1; constants enter P and S only.  So a letter g adds
-    P_(k-1) X S_k and a letter g^-1 adds -P_k X S_(k+1), outer products that
-    :func:`_outer_sums` adds up.  A syllable g^e with |e| = 2 is two such
-    letters, and one with |e| > 2 adds P_(k-1) T(X) S_(k+1) with T from
-    :func:`_syllable_sums`.  The inverses are the evaluation's, so each
-    generator and constant is inverted once; no prefix is.
+    product-rule pass over the base ring (:func:`_product_rule`).  The
+    inverses are the evaluation's, so each generator and constant is
+    inverted once; no prefix is.
     """
     n, ring = _check_tuple(w, point)
     if n != 2:
         raise DimensionMismatch("jets are implemented for 2x2")
     inverses = {}  # the evaluation's, shared with the jets
     value = eval_group(w, point, inverses=inverses)
+    factors = _factors(ring, _items(w), point, w.binding, inverses)
+    derivs = _product_rule(ring, factors)[1]
+    zeros = [SquareMatrix.zero(ring, 2).rows] * 3
+    return value, [
+        SquareMatrix._raw(ring, d) for i in range(len(point)) for d in derivs.get(i, zeros)
+    ]
 
-    factors = []  # (value, generator index or None, exponent, T(X) when |e| > 2)
-    for i, seg in enumerate(w.segments):
-        if i % 2:
-            sigma = inverses[seg.name] if seg.inv else w.binding[seg.name]
+
+def _factors(ring, items, point, binding, inverses) -> list:
+    """The product-rule factors of ``items`` on raw 2x2 rows.
+
+    A letter g^(+-1) is ``(value, i, +-1, None)`` for generator index i; a
+    syllable g^e with |e| > 2 and a node (core)^k are ``(value, None, 0,
+    sums)`` with ``sums`` the derivatives of the factor by generator index,
+    from :func:`_power_sums`; a constant is ``(value, None, 0, None)``.  A
+    syllable with |e| = 2 is two letters: two outer terms cost less than
+    T(X) and its sandwich.
+    """
+    factors = []
+    for item in items:
+        if type(item) is ConstLetter:
+            sigma = inverses[item.name] if item.inv else binding[item.name]
             factors.append((sigma.rows, None, 0, None))
-            continue
-        for g, e in seg.letters:
+        elif type(item) is Power:
+            core, derivs = _product_rule(ring, _factors(ring, item.core, point, binding, inverses))
+            gens = list(derivs)
+            steps = [d for i in gens for d in derivs[i]]
+            power, sums = _power_sums(ring, core, steps, item.k)
+            by_gen = {i: sums[3 * j:3 * j + 3] for j, i in enumerate(gens)}
+            factors.append((power, None, 0, by_gen))
+        else:
+            g, e = item
             letter = (point[g - 1] if e > 0 else inverses[g]).rows
-            if abs(e) <= 2:  # two outer terms cost less than T(X) and its sandwich
+            if abs(e) <= 2:
                 factors += [(letter, g - 1, 1 if e > 0 else -1, None)] * abs(e)
             else:
-                power, sums = _syllable_sums(ring, letter, e)
-                factors.append((power, g - 1, e, sums))
+                steps = _tangent_steps(ring, letter, e)
+                power, sums = _power_sums(ring, letter, steps, abs(e))
+                factors.append((power, None, 0, {g - 1: sums}))
+    return factors
 
+
+def _product_rule(ring, factors):
+    """``(value, derivs)`` of a product of factors (see :func:`_factors`):
+    ``derivs[i]`` is the derivative along generator index i at X = E, F, H.
+
+    For V = L_1 ... L_N the derivative is the sum over the factors L_k that
+    move of P_(k-1) D_k S_(k+1), with the prefix and suffix products P and S,
+    and D = X g for a letter g and -g^-1 X for g^-1; constants enter P and S
+    only.  So a letter g adds P_(k-1) X S_k and a letter g^-1 adds
+    -P_k X S_(k+1), outer products that :func:`_outer_sums` adds up, and a
+    factor with sums T adds P_(k-1) T S_(k+1).
+    """
     dot, add, neg = ring.rdot, ring.radd, ring.rneg
-    ident = SquareMatrix.identity(ring, 2).rows
-    suffixes = [ident]
+    suffixes = [SquareMatrix.identity(ring, 2).rows]
     for factor in reversed(factors):
         suffixes.append(_mul2(dot, factor[0], suffixes[-1]))
     suffixes.reverse()  # suffixes[k]: the product of factors k, k + 1, ...
-    terms = [[] for _ in point]  # (A, B) per letter, whose term is A X B
-    syllables = [[SquareMatrix.zero(ring, 2).rows] * 3 for _ in point]
-    prefix = ident
-    for k, (m, gen, e, sums) in enumerate(factors):
+    terms = {}  # (A, B) per letter, whose term is A X B, by generator index
+    sandwiches = {}  # the sum of P T S, by generator index
+    prefix = suffixes[-1]
+    for k, (m, gen, sign, sums) in enumerate(factors):
         after = _mul2(dot, prefix, m)
         if sums is not None:
-            syllables[gen] = [
-                _add2(add, acc, _mul2(dot, _mul2(dot, prefix, t), suffixes[k + 1]))
-                for acc, t in zip(syllables[gen], sums)
-            ]
-        elif e == 1:
-            terms[gen].append((prefix, suffixes[k]))
-        elif e == -1:
-            terms[gen].append((_neg2(neg, after), suffixes[k + 1]))
+            for i, ts in sums.items():
+                new = [_mul2(dot, _mul2(dot, prefix, t), suffixes[k + 1]) for t in ts]
+                sandwiches[i] = _add_each(add, sandwiches[i], new) if i in sandwiches else new
+        elif sign == 1:
+            terms.setdefault(gen, []).append((prefix, suffixes[k]))
+        elif sign == -1:
+            terms.setdefault(gen, []).append((_neg2(neg, after), suffixes[k + 1]))
         prefix = after
-    return value, [
-        SquareMatrix._raw(ring, _add2(add, outer, t))
-        for i in range(len(point))
-        for outer, t in zip(_outer_sums(ring, terms[i]), syllables[i])
-    ]
+    derivs = {i: _outer_sums(ring, t) for i, t in terms.items()}
+    for i, s in sandwiches.items():
+        derivs[i] = _add_each(add, derivs[i], s) if i in derivs else s
+    return suffixes[0], derivs
 
 
 def dominance_probe(w: WordWithConstants, point) -> int:

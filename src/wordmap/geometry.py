@@ -669,6 +669,6 @@ def wsigma_trace_probe(w: Word, sigma: SquareMatrix, rng, samples: int) -> Probe
     def draw():
         tup = [random_sl2(ring, rng) for _ in range(m)]
         tup[1] = sigma
-        return eval_group(ww, tup).trace()
+        return eval_group(ww, tup).trace().value
 
-    return ProbeResult(*_sample_distinct(draw, samples))
+    return ProbeResult(*_sample_distinct(draw, samples, ring))

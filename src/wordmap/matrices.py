@@ -324,14 +324,19 @@ def is_unipotent(m: SquareMatrix) -> bool:
 
 
 def random_sl2(ring: RingDescriptor, rng) -> SquareMatrix:
-    """det-1 matrix: sample a, b, c and solve d; retry while a is not invertible."""
+    """det-1 matrix: sample a, b, c and solve d = (1 + bc) / a on raw values;
+    retry while a is not invertible."""
+    one = ring.raw_from_int(1)
     while True:
-        a = ring.random(rng)
-        b = ring.random(rng)
-        c = ring.random(rng)
-        if a.is_invertible():
-            d = (ring.one + b * c) / a
-            return SquareMatrix.from_rows(ring, [[a, b], [c, d]])
+        a = ring.random(rng).value
+        b = ring.random(rng).value
+        c = ring.random(rng).value
+        try:
+            a_inv = ring.rinv(a)
+        except NotInvertible:
+            continue
+        d = ring.rmul(ring.radd(one, ring.rmul(b, c)), a_inv)
+        return SquareMatrix._raw(ring, ((a, b), (c, d)))
 
 
 def rank(rows, ring: RingDescriptor) -> int:

@@ -14,7 +14,9 @@ Anything else that looks like an identifier is a constant symbol.
 
 from __future__ import annotations
 
+import itertools
 import re
+from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import EmptyInnerWord, WordSyntaxError, ZeroExponent
@@ -29,9 +31,24 @@ class ConstLetter:
 
 
 @dataclass(frozen=True)
+class Power:
+    """A power node of a Word: ``core`` written out ``k`` > 1 times.
+
+    The core is a tuple of syllables and nested nodes, without constants.  It
+    is cyclically reduced and its ends lie on different generators, so the k
+    copies written out one after another are already reduced.
+    """
+
+    core: tuple
+    k: int
+
+
+@dataclass(frozen=True, eq=False)
 class Word:
-    """Reduced word: a tuple of (generator, exponent) syllables in which
-    adjacent syllables never share a generator and exponents are nonzero."""
+    """Reduced word: a tuple of (generator, exponent) syllables and
+    :class:`Power` nodes.  Written out (see :func:`_syllables`), adjacent
+    syllables never share a generator and exponents are nonzero.  Two Words
+    are equal exactly when their written-out syllables are."""
 
     letters: tuple = ()
 
@@ -39,27 +56,95 @@ class Word:
         return not self.letters
 
     def length(self) -> int:
-        return sum(abs(e) for _g, e in self.letters)
+        return _total(self.letters, lambda s: abs(s[1]))
+
+    def generators(self) -> set:
+        return _generators(self.letters, set())
 
     def max_generator(self) -> int:
-        return max((g for g, _e in self.letters), default=0)
+        return max(self.generators(), default=0)
+
+    def __eq__(self, other):
+        if not isinstance(other, Word):
+            return NotImplemented
+        if self.letters == other.letters:
+            return True
+        if _masses(self.letters) != _masses(other.letters):
+            return False
+        # equal masses: neither written-out word is a proper prefix of the other
+        pairs = zip(_syllables(self.letters), _syllables(other.letters))
+        return all(a == b for a, b in pairs)
+
+    def __hash__(self):
+        masses = tuple(sorted((g, tuple(m)) for g, m in _masses(self.letters).items()))
+        return hash((masses, tuple(itertools.islice(_syllables(self.letters), 8))))
+
+
+def _total(letters, value) -> int:
+    """The sum of ``value(syllable)`` over the written-out letters."""
+    return sum(
+        item.k * _total(item.core, value) if type(item) is Power else value(item)
+        for item in letters
+    )
+
+
+def _masses(letters, scale: int = 1, out=None) -> dict:
+    """{generator: [positive mass, negative mass]} of the written-out letters,
+    read off the nodes without writing them out."""
+    out = {} if out is None else out
+    for item in letters:
+        if type(item) is Power:
+            _masses(item.core, scale * item.k, out)
+        else:
+            g, e = item
+            mass = out.setdefault(g, [0, 0])
+            mass[e < 0] += scale * abs(e)
+    return out
+
+
+def _generators(letters, out: set) -> set:
+    for item in letters:
+        if type(item) is Power:
+            _generators(item.core, out)
+        else:
+            out.add(item[0])
+    return out
+
+
+def _syllables(letters):
+    """The written-out syllables of a Word's letters, in order, generated
+    without writing out any node."""
+    for item in letters:
+        if type(item) is Power:
+            for _ in range(item.k):
+                yield from _syllables(item.core)
+        else:
+            yield item
 
 
 # Syllable lists: the word algebra and the parser work on lists of
-# (generator, exponent) pairs and ConstLetters; a Word holds the pairs as a tuple.
+# (generator, exponent) pairs, Power nodes and ConstLetters; a Word holds the
+# pairs and nodes as a tuple.
 
 
 def _append(out: list, items) -> list:
-    """Append (gen, exp) pairs and ConstLetters to the reduced syllable list ``out``.
+    """Append (gen, exp) pairs, Power nodes and ConstLetters to the reduced
+    syllable list ``out``.
 
     A stack: a pair merges with, or cancels, the pair on top, and a
-    cancellation exposes the next one.  Constants are barriers and zero
-    exponents vanish.  The items need not be reduced; for two reduced lists
-    use :func:`_join`.
+    cancellation exposes the next one.  A node, or a pair facing a node, is
+    joined as in :func:`_join`.  Constants are barriers and zero exponents
+    vanish.  The items need not be reduced; for two reduced lists use
+    :func:`_join`.
     """
     for item in items:
         if type(item) is ConstLetter:
             out.append(item)
+        elif type(item) is Power:
+            _join(out, [item])
+        elif out and type(out[-1]) is Power:
+            if item[1]:
+                _join(out, [(item[0], item[1])])
         elif out and type(out[-1]) is not ConstLetter and out[-1][0] == item[0]:
             exp = out[-1][1] + item[1]
             if exp:
@@ -71,68 +156,130 @@ def _append(out: list, items) -> list:
     return out
 
 
+def _end(item, i: int):
+    """The first (i = 0) or last (i = -1) syllable of a pair, node or constant."""
+    while type(item) is Power:
+        item = item.core[i]
+    return item
+
+
+def _repeat(core: list, k: int) -> list:
+    """core^k, k >= 0, for a core whose copies join without reduction: one
+    node, unless k < 2 or a constant forces the copies to be written out."""
+    if k < 2 or any(type(s) is ConstLetter for s in core):
+        return core * k
+    if len(core) == 1 and type(core[0]) is Power:
+        return [Power(core[0].core, core[0].k * k)]
+    return [Power(tuple(core), k)]
+
+
+def _unroll_front(node: Power, m: int = 1) -> list:
+    """The node as its first m copies of the core written out, then the
+    rest of the power."""
+    m = min(m, node.k)
+    return list(node.core) * m + _repeat(list(node.core), node.k - m)
+
+
+def _unroll_back(node: Power, m: int = 1) -> list:
+    m = min(m, node.k)
+    return _repeat(list(node.core), node.k - m) + list(node.core) * m
+
+
 def _join(out: list, term: list) -> list:
     """Concatenate the reduced syllable list ``term`` onto the reduced ``out``.
 
     Only the junction can cancel: facing pairs on one generator merge, or
     cancel and expose the next pair; a constant, a nonzero merge or two
-    different generators end it.  The rest of ``term`` is copied unchanged.
+    different generators end it.  A node at the junction is unrolled, 1, 2,
+    4, ... copies at a time, so the copies written out are at most about
+    twice those that cancel.  The rest of ``term`` is copied unchanged.
     """
-    i = 0
-    while out and i < len(term):
-        top, item = out[-1], term[i]
-        if type(top) is ConstLetter or type(item) is ConstLetter or top[0] != item[0]:
+    stack = term[::-1]  # the front of term on top
+    copies = 1  # doubled at each unroll, so a long cancellation unrolls O(log) times
+    while out and stack:
+        top, item = out[-1], stack[-1]
+        if type(top) is ConstLetter or type(item) is ConstLetter:
             break
-        i += 1
+        if type(top) is Power or type(item) is Power:
+            if _end(top, -1)[0] != _end(item, 0)[0]:
+                break
+            if type(top) is Power:
+                out[-1:] = _unroll_back(top, copies)
+            else:
+                stack[-1:] = _unroll_front(item, copies)[::-1]
+            copies *= 2
+            continue
+        if top[0] != item[0]:
+            break
+        stack.pop()
         exp = top[1] + item[1]
         if exp:
             out[-1] = (item[0], exp)
             break
         out.pop()
-    out += term[i:]
+    out += reversed(stack)
     return out
 
 
+def _inverse(item):
+    if type(item) is ConstLetter:
+        return ConstLetter(item.name, not item.inv)
+    if type(item) is Power:
+        return Power(tuple(_invert(item.core)), item.k)
+    return (item[0], -item[1])
+
+
 def _invert(syllables) -> list:
-    return [
-        ConstLetter(s.name, not s.inv) if type(s) is ConstLetter else (s[0], -s[1])
-        for s in reversed(syllables)
-    ]
+    return [_inverse(s) for s in reversed(syllables)]
 
 
 def _power(syllables, k: int) -> list:
-    """The reduced k-th power of a reduced syllable list, built in time linear
-    in the result rather than in k times the input.
+    """The reduced k-th power of a reduced syllable list, in memory linear in
+    the list rather than in k times it.
 
     Write the word as u c u^-1 with c cyclically reduced (u is peeled off the
     ends while the end syllables are mutual inverses, never across a
-    constant); then w^k = u c^k u^-1.  A one-letter core becomes one letter;
-    a core a m b whose ends share a generator becomes a (m (ba))^(k-1) m b;
-    any other core repeats unchanged.
+    constant; a node at either end is unrolled one copy at a time); then
+    w^k = u c^k u^-1.  A one-letter core becomes one letter; a core a m b
+    whose ends share a generator becomes a (m (ba))^(k-1) m b; any other
+    core becomes (c)^k.  A power is kept as a :class:`Power` node unless its
+    core holds a constant, which is written out k times.
     """
     if k == 0:
         return []
     if k < 0:
         syllables, k = _invert(syllables), -k
-    i, j = 0, len(syllables) - 1
-    while i < j and type(syllables[i]) is not ConstLetter and syllables[j] == (
-        syllables[i][0], -syllables[i][1]
-    ):
-        i, j = i + 1, j - 1
-    core = syllables[i:j + 1]
+    core = deque(syllables)
+    head, tail = [], []  # u, and u^-1 from its end
+    while core:
+        a, b = core[0], core[-1]
+        if ConstLetter in (type(a), type(b)) or _end(b, -1) != _inverse(_end(a, 0)):
+            break
+        if type(a) is Power:
+            core.extendleft(reversed(_unroll_front(core.popleft())))
+        elif type(b) is Power:
+            core.extend(_unroll_back(core.pop()))
+        else:
+            head.append(core.popleft())
+            tail.append(core.pop())
     if not core:
         return []
-    first, last = core[0], core[-1]
-    if ConstLetter not in (type(first), type(last)) and first[0] == last[0]:
+    a, b = core[0], core[-1]
+    if ConstLetter not in (type(a), type(b)) and _end(a, 0)[0] == _end(b, -1)[0]:
+        while type(core[0]) is Power:
+            core.extendleft(reversed(_unroll_front(core.popleft())))
+        while type(core[-1]) is Power:
+            core.extend(_unroll_back(core.pop()))
         if len(core) == 1:
-            core_k = [(first[0], first[1] * k)]
+            core_k = [(core[0][0], core[0][1] * k)]
         else:
-            middle = core[1:-1]
+            first, last = core.popleft(), core.pop()
+            middle = list(core)
             joint = (first[0], first[1] + last[1])
-            core_k = [first] + (middle + [joint]) * (k - 1) + middle + [last]
+            core_k = [first] + _repeat(middle + [joint], k - 1) + middle + [last]
     else:
-        core_k = core * k
-    return syllables[:i] + core_k + syllables[j + 1:]
+        core_k = _repeat(list(core), k)
+    return head + core_k + tail[::-1]
 
 
 def _commutator(u: list, v: list) -> list:
@@ -150,7 +297,8 @@ def word(pairs) -> Word:
 
 def zero_exponent_sum_in_y(w: Word) -> bool:
     """True iff the exponents of the distinguished variable y sum to zero."""
-    return sum(e for g, e in w.letters if g == 2) == 0
+    pos, neg = _masses(w.letters).get(2, (0, 0))
+    return pos == neg
 
 
 @dataclass
@@ -246,10 +394,12 @@ _TOKEN_RE = re.compile(r"\s*(?:(\[)|(\])|(\()|(\))|(,)|(\^)|(-?\d+)|([A-Za-z_][A
 
 _VAR_MAP = {"x": 1, "y": 2, "z": 3}
 
-# The parser works on reduced syllable lists and builds each power from its
-# cyclic core, so its time and memory follow the text and the reduced length
-# (x^9999999 is one syllable).  It still counts the letters of the expansion
-# and refuses a word whose expansion would exceed _MAX_LETTERS.
+# The parser works on reduced syllable lists and keeps each power of a
+# multi-syllable cyclic core as a Power node, so its time and memory follow
+# the text, not the expansion: x^9999999 is one syllable and (y x)^1000000
+# one node.  It still counts the letters of the expansion and refuses a word
+# whose expansion would exceed _MAX_LETTERS, since render writes every
+# syllable out.
 _MAX_LETTERS = 10**7
 
 
@@ -372,7 +522,7 @@ def render(w: WordWithConstants) -> str:
     parts = []
     for i, seg in enumerate(w.segments):
         if i % 2 == 0:
-            for g, e in seg.letters:
+            for g, e in _syllables(seg.letters):
                 name = _render_gen(g)
                 parts.append(name if e == 1 else f"{name}^{e}")
         else:
@@ -412,13 +562,13 @@ def exponent_data(w: WordWithConstants, n: int) -> ExponentData:
     a_pos = {}
     b_neg = {}
     for seg in w.words:
-        for g, e in seg.letters:
-            if e > 0:
-                a += e
-                a_pos[g] = a_pos.get(g, 0) + e
-            else:
-                b -= e
-                b_neg[g] = b_neg.get(g, 0) - e
+        for g, (pos, neg) in _masses(seg.letters).items():
+            if pos:
+                a += pos
+                a_pos[g] = a_pos.get(g, 0) + pos
+            if neg:
+                b += neg
+                b_neg[g] = b_neg.get(g, 0) + neg
     gens = sorted(set(a_pos) | set(b_neg))
     degrees = {
         g: a_pos.get(g, 0) + (n - 1) * b_neg.get(g, 0) for g in gens

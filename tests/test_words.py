@@ -9,6 +9,7 @@ import pytest
 from wordmap import (
     ConstLetter,
     EmptyInnerWord,
+    Power,
     Word,
     WordSyntaxError,
     ZeroExponent,
@@ -109,17 +110,21 @@ def test_powers_parse_in_memory_bounded_by_the_text():
     assert parse("(x^2 y x^3)^3").word == word(merged)
 
 
-def test_long_words_hold_one_pair_per_syllable():
-    """A reduced word is a tuple of (generator, exponent) pairs; a repeated
-    core shares its pairs, so the peak stays a few pointers per syllable."""
+def test_long_powers_hold_their_core_once():
+    """A power of a multi-syllable core is one Power node, so parsing it
+    takes memory in the core, not in the exponent; it still equals, and
+    renders as, the written-out word."""
     tracemalloc.start()
     try:
-        w = parse("(y x)^50000")
+        w = parse("(y x)^1000000")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert w.word.letters == ((2, 1), (1, 1)) * 50000
-    assert peak < 48 * 100000
+    assert w.word.letters == (Power(((2, 1), (1, 1)), 1000000),)
+    assert w.word.length() == 2000000
+    assert peak < 2**20
+    assert parse("(y x)^50") == pure(word([(2, 1), (1, 1)] * 50))
+    assert render(parse("(y x)^3")) == "y x y x y x"
 
 
 def _parse_line_events(text):
