@@ -9,7 +9,9 @@ from enum import Enum
 from .errors import DimensionMismatch, NotInvertible, UnboundConstant
 from .matrices import (
     SquareMatrix,
+    _identity_rows,
     _reduced,
+    _rpow,
     adjugate,
     charpoly,
     det,
@@ -55,7 +57,8 @@ def _items(w: WordWithConstants) -> list:
 
 
 def _eval(w: WordWithConstants, tup, negative_power, inverses=None):
-    """The product of the word's factors.  ``negative_power(g)`` stands in for
+    """The product of the word's factors, multiplied on raw rows by the
+    ring's ``rmatmul`` and boxed once.  ``negative_power(g)`` stands in for
     x_g^-1 and is taken once per generator, as is each constant's inverse;
     both are kept in ``inverses``, by generator or constant name, which may
     start with the ones the caller already has.  A node (core)^k takes the
@@ -63,31 +66,33 @@ def _eval(w: WordWithConstants, tup, negative_power, inverses=None):
     since the substitution is a product of the letters' images."""
     n, ring = _check_tuple(w, tup)
     inverses = {} if inverses is None else inverses
+    mul = ring.rmatmul
 
     def product(items):
         acc = None
         for item in items:
             if type(item) is Power:
-                factor = product(item.core) ** item.k
+                factor = _rpow(ring, product(item.core), item.k)
             elif type(item) is ConstLetter:
-                factor = w.binding[item.name]
+                m = w.binding[item.name]
                 if item.inv:
                     if item.name not in inverses:
-                        inverses[item.name] = factor.inverse()
-                    factor = inverses[item.name]
+                        inverses[item.name] = m.inverse()
+                    m = inverses[item.name]
+                factor = m.rows
             else:
                 g, e = item
                 if e > 0:
-                    factor = tup[g - 1] ** e
+                    factor = _rpow(ring, tup[g - 1].rows, e)
                 else:
                     if g not in inverses:
                         inverses[g] = negative_power(g)
-                    factor = inverses[g] ** -e
-            acc = factor if acc is None else acc * factor
+                    factor = _rpow(ring, inverses[g].rows, -e)
+            acc = factor if acc is None else mul(acc, factor)
         return acc
 
     acc = product(_items(w))
-    return SquareMatrix.identity(ring, n) if acc is None else acc
+    return SquareMatrix._raw(ring, _identity_rows(ring, n) if acc is None else acc)
 
 
 def eval_group(w: WordWithConstants, tup, inverses=None) -> SquareMatrix:
@@ -190,14 +195,6 @@ def chi_probe(
 # jet differential of the word map on SL2
 
 
-def _mul2(dot, x, y):
-    """The product of two 2x2 raw row tuples, one ``rdot`` per entry."""
-    r0, r1 = x
-    (a, b), (c, d) = y
-    c0, c1 = (a, c), (b, d)
-    return ((dot(r0, c0), dot(r0, c1)), (dot(r1, c0), dot(r1, c1)))
-
-
 def _add2(add, x, y):
     return tuple(tuple(map(add, rx, ry)) for rx, ry in zip(x, y))
 
@@ -225,17 +222,14 @@ def _power_sums(ring, base, steps, k):
     of :func:`_tangent_steps`; a node (core)^k is B = C, the core's value,
     with the core's derivatives as the steps.
     """
-    dot, add = ring.rdot, ring.radd
+    mul, add = ring.rmatmul, ring.radd
     power, sums = base, steps
     for bit in bin(k)[3:]:
-        sums = [_add2(add, _mul2(dot, t, power), _mul2(dot, power, t)) for t in sums]
-        power = _mul2(dot, power, power)
+        sums = [_add2(add, mul(t, power), mul(power, t)) for t in sums]
+        power = mul(power, power)
         if bit == "1":
-            sums = [
-                _add2(add, _mul2(dot, t, base), _mul2(dot, power, d))
-                for t, d in zip(sums, steps)
-            ]
-            power = _mul2(dot, power, base)
+            sums = [_add2(add, mul(t, base), mul(power, d)) for t, d in zip(sums, steps)]
+            power = mul(power, base)
     return power, sums
 
 
@@ -332,19 +326,19 @@ def _product_rule(ring, factors):
     -P_k X S_(k+1), outer products that :func:`_outer_sums` adds up, and a
     factor with sums T adds P_(k-1) T S_(k+1).
     """
-    dot, add, neg = ring.rdot, ring.radd, ring.rneg
-    suffixes = [SquareMatrix.identity(ring, 2).rows]
+    mul, add, neg = ring.rmatmul, ring.radd, ring.rneg
+    suffixes = [_identity_rows(ring, 2)]
     for factor in reversed(factors):
-        suffixes.append(_mul2(dot, factor[0], suffixes[-1]))
+        suffixes.append(mul(factor[0], suffixes[-1]))
     suffixes.reverse()  # suffixes[k]: the product of factors k, k + 1, ...
     terms = {}  # (A, B) per letter, whose term is A X B, by generator index
     sandwiches = {}  # the sum of P T S, by generator index
     prefix = suffixes[-1]
     for k, (m, gen, sign, sums) in enumerate(factors):
-        after = _mul2(dot, prefix, m)
+        after = mul(prefix, m)
         if sums is not None:
             for i, ts in sums.items():
-                new = [_mul2(dot, _mul2(dot, prefix, t), suffixes[k + 1]) for t in ts]
+                new = [mul(mul(prefix, t), suffixes[k + 1]) for t in ts]
                 sandwiches[i] = _add_each(add, sandwiches[i], new) if i in sandwiches else new
         elif sign == 1:
             terms.setdefault(gen, []).append((prefix, suffixes[k]))

@@ -26,7 +26,6 @@ from .rings import (
 from .evaluate import (
     ProbeResult,
     _add2,
-    _mul2,
     _sample_distinct,
     _tangent_steps,
     eval_group,
@@ -416,15 +415,15 @@ def parametrization_rank(comp: ComponentInstance) -> int:
 def _parametrization_rows(comp: ComponentInstance) -> list:
     """The rows that :func:`parametrization_rank` ranks, as lists of raw values."""
     ring = comp.ring
-    dot, add = ring.rdot, ring.radd
+    mul, add = ring.rmatmul, ring.radd
     g, g_inv = comp.mats[0].rows, comp.mats[0].inverse().rows
     zero = SquareMatrix.zero(ring, 2).rows
 
     def product(ms):
-        return reduce(partial(_mul2, dot), ms)
+        return reduce(mul, ms)
 
     def conjugated(m):
-        return _mul2(dot, _mul2(dot, g, m), g_inv)
+        return mul(mul(g, m), g_inv)
 
     def tangents(atoms):  # g A g^-1 along each s_k, then along g
         if atoms is None:  # the free h

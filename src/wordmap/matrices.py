@@ -4,10 +4,13 @@ A :class:`SquareMatrix` stores its entries as a ``rows`` tuple of raw ring
 values (see :mod:`wordmap.rings`).  Rows are validated once, where they enter:
 the constructor, :meth:`SquareMatrix.from_rows` and :func:`matrix_from_json`.
 Every operation checks the ring once and then works on raw values through the
-descriptor's ``rdot``/``radd``/``rmul``/``rneg``/``rinv``; a product takes one
-fused ``rdot`` per entry.  :class:`~wordmap.rings.Scalar` objects are built only
-at the API boundary: ``entries``, ``m[i, j]``, ``trace()``, ``det()``,
-``charpoly()`` and :func:`matrix_to_json`.
+descriptor's ``rmatmul``/``rdot``/``radd``/``rmul``/``rneg``/``rinv``.  Every
+matrix product, here and in :mod:`wordmap.evaluate` and
+:mod:`wordmap.geometry`, is one call of the ring's product kernel
+``rmatmul`` on raw rows, and every power is one :func:`_rpow` on raw rows.
+:class:`~wordmap.rings.Scalar` objects are built only at the API boundary:
+``entries``, ``m[i, j]``, ``trace()``, ``det()``, ``charpoly()`` and
+:func:`matrix_to_json`.
 
 Determinant, adjugate, characteristic polynomial and inverse share one kernel,
 Berkowitz's division-free algorithm, which is valid over every commutative
@@ -109,11 +112,7 @@ class SquareMatrix:
         if not isinstance(other, SquareMatrix):
             return NotImplemented
         self._check(other, "matrix product")
-        dot = self.ring.rdot
-        cols = list(zip(*other.rows))
-        return SquareMatrix._raw(
-            self.ring, tuple([tuple([dot(row, col) for col in cols]) for row in self.rows])
-        )
+        return SquareMatrix._raw(self.ring, self.ring.rmatmul(self.rows, other.rows))
 
     def __add__(self, other: "SquareMatrix") -> "SquareMatrix":
         if not isinstance(other, SquareMatrix):
@@ -141,20 +140,11 @@ class SquareMatrix:
         )
 
     def __pow__(self, k: int) -> "SquareMatrix":
-        """Repeated squaring from the base itself: M**1 costs no product."""
         if k < 0:
             return self.inverse() ** (-k)
         if k == 0:
             return SquareMatrix.identity(self.ring, self.n)
-        result = None
-        base = self
-        while True:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if not k:
-                return result
-            base = base * base
+        return SquareMatrix._raw(self.ring, _rpow(self.ring, self.rows, k))
 
     def trace(self) -> Scalar:
         ring = self.ring
@@ -197,6 +187,20 @@ def _identity_rows(ring: RingDescriptor, n: int) -> tuple:
     return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
 
 
+def _rpow(ring: RingDescriptor, rows: tuple, k: int) -> tuple:
+    """rows^k for k >= 1, by repeated squaring from the base itself: k = 1
+    costs no product."""
+    mul = ring.rmatmul
+    result = None
+    while True:
+        if k & 1:
+            result = rows if result is None else mul(result, rows)
+        k >>= 1
+        if not k:
+            return result
+        rows = mul(rows, rows)
+
+
 # ---------------------------------------------------------------------------
 # determinant / adjugate / charpoly, on raw rows
 
@@ -237,7 +241,7 @@ def _det_adjugate(ring: RingDescriptor, rows) -> tuple:
     """(det M, adj M) on raw rows: closed forms for n <= 2, else one Berkowitz pass.
 
     By Cayley-Hamilton, adj M = (-1)^(n-1) (M^(n-1) + c_1 M^(n-2) + ... + c_(n-1) I),
-    taken by Horner with n - 2 fused products.
+    taken by Horner with n - 2 products.
     """
     n = len(rows)
     neg = ring.rneg
@@ -248,18 +252,17 @@ def _det_adjugate(ring: RingDescriptor, rows) -> tuple:
         nb, nc = neg(b), neg(c)
         return ring.rdot((a, b), (d, nc)), ((d, nb), (nc, a))
     coeffs = _berkowitz(ring, rows)
-    dot, add = ring.rdot, ring.radd
+    add = ring.radd
     if n % 2 == 0:  # fold the sign (-1)^(n-1) into M and the coefficients
-        signed, acc = [neg(c) for c in coeffs], [[neg(e) for e in row] for row in rows]
+        signed, acc = [neg(c) for c in coeffs], tuple(tuple(map(neg, row)) for row in rows)
     else:
-        signed, acc = coeffs, [list(row) for row in rows]
-    cols = list(zip(*rows))
+        signed, acc = coeffs, rows
     for k in range(1, n):
         if k > 1:
-            acc = [[dot(row, col) for col in cols] for row in acc]
-        for i in range(n):
-            acc[i][i] = add(acc[i][i], signed[k])
-    return _det_from(ring, coeffs), tuple(map(tuple, acc))
+            acc = ring.rmatmul(acc, rows)
+        c = signed[k]
+        acc = tuple(row[:i] + (add(row[i], c),) + row[i + 1:] for i, row in enumerate(acc))
+    return _det_from(ring, coeffs), acc
 
 
 def det_adjugate(m: SquareMatrix) -> tuple:

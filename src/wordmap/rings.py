@@ -7,10 +7,13 @@ equality is bit-exact.  Raw representations:
 * ``PrimeField(p)``  -- ``int`` residue in ``[0, p)``
 * ``QuadraticExt``   -- pair ``(a, b)`` of base raws, meaning ``a + b*sqrt(d)``
 
-The raw protocol is ``radd``, ``rmul``, ``rneg``, ``rinv``, ``is_zero_raw`` and
-the fused dot product ``rdot``: one reduction mod p per dot product over F_p,
-one :class:`~fractions.Fraction` (one reduction) per dot product over Q, and
-over ``base[sqrt(d)]`` a combination of the base ring's ``rdot``.  The matrix
+The raw protocol is ``radd``, ``rmul``, ``rneg``, ``rinv``, ``is_zero_raw``,
+the fused dot product ``rdot`` and the matrix product ``rmatmul``.  ``rdot``
+takes one reduction mod p per dot product over F_p, one
+:class:`~fractions.Fraction` (one reduction) per dot product over Q, and over
+``base[sqrt(d)]`` a combination of the base ring's ``rdot``.  ``rmatmul`` is
+the one product kernel of every matrix in :mod:`wordmap`: one ``rdot`` per
+entry, and over F_p one reduction per entry written inline.  The matrix
 kernel works on raw values only.  A :class:`Scalar` (descriptor plus raw
 value) is the API-boundary form of an element, with ring-checked operators.
 
@@ -76,6 +79,12 @@ class RingDescriptor:
     def rdot(self, xs, ys):
         """sum(x * y for x, y in zip(xs, ys)) on raw values."""
         raise NotImplementedError
+
+    def rmatmul(self, x, y):
+        """The product of two n x n tuples of raw row tuples: one ``rdot`` per entry."""
+        dot = self.rdot
+        cols = tuple(zip(*y))
+        return tuple([tuple([dot(row, col) for col in cols]) for row in x])
 
     def is_zero_raw(self, x) -> bool:
         return x == self.raw_from_int(0)
@@ -163,6 +172,17 @@ class PrimeField(RingDescriptor):
 
     def rdot(self, xs, ys):
         return sum(map(mul, xs, ys)) % self.p
+
+    def rmatmul(self, x, y):
+        # one reduction per entry, inline; the 2 x 2 case written out
+        p = self.p
+        if len(x) == 2:
+            (a, b), (c, d) = x
+            (e, f), (g, h) = y
+            return (((a * e + b * g) % p, (a * f + b * h) % p),
+                    ((c * e + d * g) % p, (c * f + d * h) % p))
+        cols = tuple(zip(*y))
+        return tuple([tuple([sum(map(mul, row, col)) % p for col in cols]) for row in x])
 
     def is_zero_raw(self, x):
         return x == 0

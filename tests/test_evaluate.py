@@ -390,16 +390,20 @@ def test_dominance_costs_one_evaluation(monkeypatch):
 
 
 def test_jets_of_a_power_take_logarithmically_many_products(monkeypatch):
-    # every product, in the evaluation and in the jets, is made of ring dots
+    # every product, in the evaluation and in the jets, is one rmatmul or is
+    # made of ring dots; over F_p rmatmul takes no rdot, so both are counted
     g = random_sl2(F101, random.Random(53))
     dots = []
-    original = PrimeField.rdot
 
-    def rdot(self, xs, ys):
-        dots.append(1)
-        return original(self, xs, ys)
+    def counted(original):
+        def kernel(self, x, y):
+            dots.append(1)
+            return original(self, x, y)
 
-    monkeypatch.setattr(PrimeField, "rdot", rdot)
+        return kernel
+
+    for name in ("rdot", "rmatmul"):
+        monkeypatch.setattr(PrimeField, name, counted(getattr(PrimeField, name)))
     counts = {}
     for e in (10**3, 10**6, -10**6):
         dots.clear()

@@ -29,6 +29,7 @@ Q = Rationals()
 RINGS = [
     Q,
     PrimeField(101),
+    PrimeField(2**61 - 1),  # products of residues exceed 2^64
     parse_ring("Q[i]"),
     parse_ring("Fp:7[i]"),
     parse_ring("Q[sqrt(2)]"),
@@ -144,7 +145,7 @@ def matrices(ring, n):
 
 
 @st.composite
-def ring_and_matrices(draw, count, max_n=5, rings=RINGS):
+def ring_and_matrices(draw, count, max_n=6, rings=RINGS):
     ring = draw(st.sampled_from(rings))
     n = draw(st.integers(1, max_n))
     return ring, [draw(matrices(ring, n)) for _ in range(count)]
@@ -171,6 +172,19 @@ def test_product_matches_scalar_reference(case):
     ring, (a, b) = case
     product = a * b
     assert [list(row) for row in product.entries] == reference_product(a, b)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+@settings(deterministic, max_examples=4)
+@given(st.data())
+def test_every_product_kernel_branch_matches_scalar_reference(ring, n, data):
+    # the drawn cases above need not reach every ring at every n; this grid
+    # takes each branch of each ring's rmatmul (over F_p: n = 2 and n != 2)
+    a, b, c = (data.draw(matrices(ring, n)) for _ in range(3))
+    assert [list(row) for row in (a * b).entries] == reference_product(a, b)
+    assert (a * b) * c == a * (b * c)
+    assert a * adjugate(a) == SquareMatrix.identity(ring, n).scaled(det(a))
 
 
 @deterministic
