@@ -21,7 +21,7 @@ from .matrices import (
     rank,
 )
 from .rings import RingDescriptor, Scalar, _reductions
-from .words import ConstLetter, Power, WordWithConstants, exponent_data
+from .words import ConstLetter, Power, WordWithConstants, _masses, exponent_data
 
 
 def _check_tuple(w: WordWithConstants, tup):
@@ -32,28 +32,21 @@ def _check_tuple(w: WordWithConstants, tup):
     for m in tup:
         if m.n != n or m.ring != ring:
             raise DimensionMismatch("tuple matrices must share size and ring")
-    gens = set().union(*(u.generators() for u in w.words))
+    masses = _masses(w.word.letters)  # generators and constant names, in order of first sight
+    gens = [g for g in masses if type(g) is int]
     if any(g < 1 for g in gens):
         raise DimensionMismatch("generator indices start at 1")
     if max(gens, default=0) > len(tup):
         raise DimensionMismatch(
             f"word uses generator {max(gens)} but tuple has {len(tup)} entries"
         )
-    for c in w.constants:
-        if c.name not in w.binding:
-            raise UnboundConstant(f"constant {c.name} is unbound")
-        s = w.binding[c.name]
+    for name in (c for c in masses if type(c) is str):
+        if name not in w.binding:
+            raise UnboundConstant(f"constant {name} is unbound")
+        s = w.binding[name]
         if s.n != n or s.ring != ring:
-            raise DimensionMismatch(f"constant {c.name} has wrong size or ring")
+            raise DimensionMismatch(f"constant {name} has wrong size or ring")
     return n, ring
-
-
-def _items(w: WordWithConstants) -> list:
-    """The word's syllables, Power nodes and constants, in order."""
-    items = []
-    for i, seg in enumerate(w.segments):
-        items += (seg,) if i % 2 else seg.letters
-    return items
 
 
 def _eval(w: WordWithConstants, tup, negative_power, inverses=None):
@@ -91,7 +84,7 @@ def _eval(w: WordWithConstants, tup, negative_power, inverses=None):
             acc = factor if acc is None else mul(acc, factor)
         return acc
 
-    acc = product(_items(w))
+    acc = product(w.word.letters)
     return SquareMatrix._raw(ring, _identity_rows(ring, n) if acc is None else acc)
 
 
@@ -273,7 +266,7 @@ def jet_sweep(w: WordWithConstants, point):
         raise DimensionMismatch("jets are implemented for 2x2")
     inverses = {}  # the evaluation's, shared with the jets
     value = eval_group(w, point, inverses=inverses)
-    factors = _factors(ring, _items(w), point, w.binding, inverses)
+    factors = _factors(ring, w.word.letters, point, w.binding, inverses)
     derivs = _product_rule(ring, factors)[1]
     zeros = [SquareMatrix.zero(ring, 2).rows] * 3
     return value, [
@@ -358,23 +351,24 @@ def dominance_probe(w: WordWithConstants, point) -> int:
     at the value V.  A -> A V is injective for invertible V, so the raw
     entries of the d have the rank of the A; V must be invertible.
 
-    Over Q and Q[sqrt(d)], a word without constants is first swept at the
-    image of the point mod p (:func:`wordmap.rings._reductions`).  A value
+    Over Q and Q[sqrt(d)] the word is first swept at the image of the point
+    and of the binding mod p (:func:`wordmap.rings._reductions`).  A value
     with det != 0 mod p is invertible, and the rank mod p is at most the
     exact rank, which is at most 3; so a rank of 3 mod p is the answer.  A
-    prime that meets a vanishing inverse or determinant gives way to the next
-    one; a lower rank mod p, every other ring and every word with constants
-    take the exact sweep.
+    prime that meets a vanishing inverse or determinant, or a denominator it
+    divides, in the point or in a constant, gives way to the next one; a
+    lower rank mod p and every other ring take the exact sweep.
     """
     _n, ring = _check_tuple(w, point)
-    if not w.constants:
-        for field, phi in _reductions(ring):
-            try:
-                if _differential_rank(w, [_reduced(g, field, phi) for g in point]) == 3:
-                    return 3
-            except NotInvertible:
-                continue
-            break
+    for field, phi in _reductions(ring):
+        try:
+            binding = {c: _reduced(w.binding[c], field, phi) for c in w.constant_names()}
+            reduced = [_reduced(g, field, phi) for g in point]
+            if _differential_rank(w.with_binding(binding), reduced) == 3:
+                return 3
+        except NotInvertible:
+            continue
+        break
     return _differential_rank(w, point)
 
 

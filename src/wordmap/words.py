@@ -34,9 +34,10 @@ class ConstLetter:
 class Power:
     """A power node of a Word: ``core`` written out ``k`` > 1 times.
 
-    The core is a tuple of syllables and nested nodes, without constants.  It
-    is cyclically reduced and its ends lie on different generators, so the k
-    copies written out one after another are already reduced.
+    The core is a tuple of syllables, constants and nested nodes.  It is
+    cyclically reduced and its ends lie on different generators, or one of
+    them is a constant, so the k copies written out one after another are
+    already reduced.
     """
 
     core: tuple
@@ -45,10 +46,11 @@ class Power:
 
 @dataclass(frozen=True, eq=False)
 class Word:
-    """Reduced word: a tuple of (generator, exponent) syllables and
-    :class:`Power` nodes.  Written out (see :func:`_syllables`), adjacent
-    syllables never share a generator and exponents are nonzero.  Two Words
-    are equal exactly when their written-out syllables are."""
+    """Reduced word: a tuple of (generator, exponent) syllables,
+    :class:`ConstLetter` constants and :class:`Power` nodes.  Written out (see
+    :func:`_syllables`), adjacent syllables never share a generator,
+    exponents are nonzero and nothing cancels across a constant.  Two Words
+    are equal exactly when their written-out items are."""
 
     letters: tuple = ()
 
@@ -56,10 +58,11 @@ class Word:
         return not self.letters
 
     def length(self) -> int:
-        return _total(self.letters, lambda s: abs(s[1]))
+        """The number of letters written out, constants included."""
+        return sum(sum(mass) for mass in _masses(self.letters).values())
 
     def generators(self) -> set:
-        return _generators(self.letters, set())
+        return {g for g in _masses(self.letters) if type(g) is int}
 
     def max_generator(self) -> int:
         return max(self.generators(), default=0)
@@ -76,44 +79,29 @@ class Word:
         return all(a == b for a, b in pairs)
 
     def __hash__(self):
-        masses = tuple(sorted((g, tuple(m)) for g, m in _masses(self.letters).items()))
+        masses = frozenset((g, tuple(m)) for g, m in _masses(self.letters).items())
         return hash((masses, tuple(itertools.islice(_syllables(self.letters), 8))))
 
 
-def _total(letters, value) -> int:
-    """The sum of ``value(syllable)`` over the written-out letters."""
-    return sum(
-        item.k * _total(item.core, value) if type(item) is Power else value(item)
-        for item in letters
-    )
-
-
 def _masses(letters, scale: int = 1, out=None) -> dict:
-    """{generator: [positive mass, negative mass]} of the written-out letters,
-    read off the nodes without writing them out."""
+    """{generator or constant name: [positive mass, negative mass]} of the
+    written-out letters, in order of first sight, read off the nodes without
+    writing them out."""
     out = {} if out is None else out
     for item in letters:
         if type(item) is Power:
             _masses(item.core, scale * item.k, out)
+        elif type(item) is ConstLetter:
+            out.setdefault(item.name, [0, 0])[item.inv] += scale
         else:
             g, e = item
-            mass = out.setdefault(g, [0, 0])
-            mass[e < 0] += scale * abs(e)
-    return out
-
-
-def _generators(letters, out: set) -> set:
-    for item in letters:
-        if type(item) is Power:
-            _generators(item.core, out)
-        else:
-            out.add(item[0])
+            out.setdefault(g, [0, 0])[e < 0] += scale * abs(e)
     return out
 
 
 def _syllables(letters):
-    """The written-out syllables of a Word's letters, in order, generated
-    without writing out any node."""
+    """The written-out syllables and constants of a Word's letters, in
+    order, generated without writing out any node."""
     for item in letters:
         if type(item) is Power:
             for _ in range(item.k):
@@ -122,9 +110,33 @@ def _syllables(letters):
             yield item
 
 
+def _constants_written_out(letters, before: int = 0) -> int:
+    """The number of constants in the written-out letters, which follow
+    ``before`` constants.  Raises EmptyInnerWord at the first two constants
+    that are adjacent written out, naming the inner word w_j between them;
+    no node is written out."""
+    count, last = before, None
+    for item in letters:
+        first = type(_end(item, 0)) is ConstLetter
+        if last and first:
+            break
+        last = type(_end(item, -1)) is ConstLetter
+        if type(item) is Power:
+            per_copy = _constants_written_out(item.core, count) - count
+            count += per_copy
+            if last and first:  # the copies meet at two constants
+                break
+            count += per_copy * (item.k - 1)
+        else:
+            count += type(item) is ConstLetter
+    else:
+        return count
+    raise EmptyInnerWord(f"inner word w_{count + 1} reduced to the identity")
+
+
 # Syllable lists: the word algebra and the parser work on lists of
-# (generator, exponent) pairs, Power nodes and ConstLetters; a Word holds the
-# pairs and nodes as a tuple.
+# (generator, exponent) pairs, Power nodes and ConstLetters; a Word holds them
+# as a tuple.
 
 
 def _append(out: list, items) -> list:
@@ -165,8 +177,8 @@ def _end(item, i: int):
 
 def _repeat(core: list, k: int) -> list:
     """core^k, k >= 0, for a core whose copies join without reduction: one
-    node, unless k < 2 or a constant forces the copies to be written out."""
-    if k < 2 or any(type(s) is ConstLetter for s in core):
+    node, unless k < 2."""
+    if k < 2:
         return core * k
     if len(core) == 1 and type(core[0]) is Power:
         return [Power(core[0].core, core[0].k * k)]
@@ -192,25 +204,23 @@ def _join(out: list, term: list) -> list:
     cancel and expose the next pair; a constant, a nonzero merge or two
     different generators end it.  A node at the junction is unrolled, 1, 2,
     4, ... copies at a time, so the copies written out are at most about
-    twice those that cancel.  The rest of ``term`` is copied unchanged.
+    twice those that cancel; a node that ends in a constant is a barrier.
+    The rest of ``term`` is copied unchanged.
     """
     stack = term[::-1]  # the front of term on top
     copies = 1  # doubled at each unroll, so a long cancellation unrolls O(log) times
     while out and stack:
         top, item = out[-1], stack[-1]
-        if type(top) is ConstLetter or type(item) is ConstLetter:
+        a, b = _end(top, -1), _end(item, 0)
+        if ConstLetter in (type(a), type(b)) or a[0] != b[0]:
             break
         if type(top) is Power or type(item) is Power:
-            if _end(top, -1)[0] != _end(item, 0)[0]:
-                break
             if type(top) is Power:
                 out[-1:] = _unroll_back(top, copies)
             else:
                 stack[-1:] = _unroll_front(item, copies)[::-1]
             copies *= 2
             continue
-        if top[0] != item[0]:
-            break
         stack.pop()
         exp = top[1] + item[1]
         if exp:
@@ -242,8 +252,8 @@ def _power(syllables, k: int) -> list:
     constant; a node at either end is unrolled one copy at a time); then
     w^k = u c^k u^-1.  A one-letter core becomes one letter; a core a m b
     whose ends share a generator becomes a (m (ba))^(k-1) m b; any other
-    core becomes (c)^k.  A power is kept as a :class:`Power` node unless its
-    core holds a constant, which is written out k times.
+    core, one that ends in a constant too, becomes the :class:`Power` node
+    (c)^k.
     """
     if k == 0:
         return []
@@ -252,20 +262,20 @@ def _power(syllables, k: int) -> list:
     core = deque(syllables)
     head, tail = [], []  # u, and u^-1 from its end
     while core:
-        a, b = core[0], core[-1]
-        if ConstLetter in (type(a), type(b)) or _end(b, -1) != _inverse(_end(a, 0)):
+        a, b = _end(core[0], 0), _end(core[-1], -1)
+        if type(a) is ConstLetter or b != _inverse(a):
             break
-        if type(a) is Power:
+        if type(core[0]) is Power:
             core.extendleft(reversed(_unroll_front(core.popleft())))
-        elif type(b) is Power:
+        elif type(core[-1]) is Power:
             core.extend(_unroll_back(core.pop()))
         else:
             head.append(core.popleft())
             tail.append(core.pop())
     if not core:
         return []
-    a, b = core[0], core[-1]
-    if ConstLetter not in (type(a), type(b)) and _end(a, 0)[0] == _end(b, -1)[0]:
+    a, b = _end(core[0], 0), _end(core[-1], -1)
+    if ConstLetter not in (type(a), type(b)) and a[0] == b[0]:
         while type(core[0]) is Power:
             core.extendleft(reversed(_unroll_front(core.popleft())))
         while type(core[-1]) is Power:
@@ -303,88 +313,53 @@ def zero_exponent_sum_in_y(w: Word) -> bool:
 
 @dataclass
 class WordWithConstants:
-    """Alternating w_1 s_1 w_2 s_2 ... w_r s_r w_{r+1}; constants may bind to matrices.
+    """A reduced word w_1 s_1 w_2 ... s_r w_(r+1) with constants s_i, which
+    may bind to matrices: one :class:`Word` whose items hold the constants,
+    in nodes too, and the binding by constant name.
 
-    ``segments`` has odd length 2r+1: Word at even indices, ConstLetter at odd
-    indices.  Inner words w_2..w_r are nonempty.  A pure word has r = 0.
+    Written out, no two constants are adjacent: the inner words w_2..w_r are
+    nonempty.  A pure word has r = 0.
     """
 
-    segments: tuple
+    word: Word
     binding: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.segments) % 2 != 1:
-            raise ValueError("segments must alternate word, const, ..., word")
-        for i, seg in enumerate(self.segments):
-            if i % 2 == 0 and not isinstance(seg, Word):
-                raise ValueError("even segments must be Words")
-            if i % 2 == 1 and not isinstance(seg, ConstLetter):
-                raise ValueError("odd segments must be constant letters")
-        for i in range(2, len(self.segments) - 1, 2):
-            if self.segments[i].is_identity():
-                raise EmptyInnerWord(f"inner word w_{i // 2 + 1} reduced to the identity")
+        _constants_written_out(self.word.letters)
+
+    # ``words`` and ``r`` are the views that perfbench/tracing.py reads
+    @property
+    def words(self):
+        return (self.word,)
 
     @property
     def r(self) -> int:
-        return len(self.segments) // 2
-
-    @property
-    def is_pure(self) -> bool:
-        return self.r == 0
-
-    @property
-    def word(self) -> Word:
-        if not self.is_pure:
-            raise ValueError("not a pure variable word")
-        return self.segments[0]
-
-    @property
-    def words(self):
-        return self.segments[0::2]
-
-    @property
-    def constants(self):
-        return self.segments[1::2]
+        return _constants_written_out(self.word.letters)
 
     def constant_names(self):
-        return sorted({c.name for c in self.constants})
+        return sorted(c for c in _masses(self.word.letters) if type(c) is str)
 
     def max_generator(self) -> int:
-        return max((w.max_generator() for w in self.words), default=0)
+        return self.word.max_generator()
 
     def with_binding(self, binding: dict) -> "WordWithConstants":
-        return WordWithConstants(self.segments, dict(binding))
+        return WordWithConstants(self.word, dict(binding))
 
     def __eq__(self, other):
-        return isinstance(other, WordWithConstants) and self.segments == other.segments
+        return isinstance(other, WordWithConstants) and self.word == other.word
 
 
 def pure(w: Word) -> WordWithConstants:
-    return WordWithConstants((w,))
+    return WordWithConstants(w)
 
 
 def from_items(items) -> WordWithConstants:
-    """Normalize a flat stream of (gen, exp) pairs and ConstLetters into the
-    alternating shape.
+    """Normalize a flat stream of (gen, exp) pairs and ConstLetters.
 
     The programmatic counterpart of :func:`parse`: the items need not be
     reduced, and the result equals ``parse`` of their rendering.
     """
-    return _segments(_append([], items))
-
-
-def _segments(syllables) -> WordWithConstants:
-    """Split a reduced syllable list at its constants."""
-    segments = []
-    current = []
-    for s in syllables:
-        if type(s) is ConstLetter:
-            segments += (_word(current), s)
-            current = []
-        else:
-            current.append(s)
-    segments.append(_word(current))
-    return WordWithConstants(tuple(segments))
+    return WordWithConstants(word(items))
 
 
 # ---------------------------------------------------------------------------
@@ -514,21 +489,26 @@ def parse(text: str) -> WordWithConstants:
     if parser.peek()[0] != "eof":
         tok = parser.peek()
         raise WordSyntaxError(f"trailing input {tok[1]!r}", tok[2])
-    return _segments(syllables)
+    return WordWithConstants(_word(syllables))
 
 
 def render(w: WordWithConstants) -> str:
     """Inverse of parse up to normalization: parse(render(w)) == w."""
+    # the canonical spelling of the empty word
+    return _render(w.word.letters) or "x x^-1"
+
+
+def _render(letters) -> str:
+    """The written-out letters as text; a node's core is rendered once."""
     parts = []
-    for i, seg in enumerate(w.segments):
-        if i % 2 == 0:
-            for g, e in _syllables(seg.letters):
-                name = _render_gen(g)
-                parts.append(name if e == 1 else f"{name}^{e}")
+    for item in letters:
+        if type(item) is Power:
+            parts += [_render(item.core)] * item.k
+        elif type(item) is ConstLetter:
+            parts.append(item.name if not item.inv else f"{item.name}^-1")
         else:
-            parts.append(seg.name if not seg.inv else f"{seg.name}^-1")
-    if not parts:
-        return "x x^-1"  # canonical spelling of the empty word
+            name = _render_gen(item[0])
+            parts.append(name if item[1] == 1 else f"{name}^{item[1]}")
     return " ".join(parts)
 
 
@@ -557,18 +537,10 @@ class ExponentData:
 
 def exponent_data(w: WordWithConstants, n: int) -> ExponentData:
     """Masses a, b and the degree d_r = a_r+ + (n-1) b_r of the adjugate extension."""
-    a = 0
-    b = 0
-    a_pos = {}
-    b_neg = {}
-    for seg in w.words:
-        for g, (pos, neg) in _masses(seg.letters).items():
-            if pos:
-                a += pos
-                a_pos[g] = a_pos.get(g, 0) + pos
-            if neg:
-                b += neg
-                b_neg[g] = b_neg.get(g, 0) + neg
+    masses = [(g, m) for g, m in _masses(w.word.letters).items() if type(g) is int]
+    a_pos = {g: pos for g, (pos, _neg) in masses if pos}
+    b_neg = {g: neg for g, (_pos, neg) in masses if neg}
+    a, b = sum(a_pos.values()), sum(b_neg.values())
     gens = sorted(set(a_pos) | set(b_neg))
     degrees = {
         g: a_pos.get(g, 0) + (n - 1) * b_neg.get(g, 0) for g in gens

@@ -436,15 +436,15 @@ def test_jet_sweep_matches_the_product_rule(items, p, seed):
     point = [random_sl2(ring, rng) for _ in range(max(w.max_generator(), 1))]
     w = w.with_binding({"s1": random_sl2(ring, rng)})
     factors = []  # (generator, or 0 for a constant; sign of the letter; its value)
-    for i, seg in enumerate(w.segments):
-        if i % 2 == 0:
-            for gen, exp in seg.letters:
-                g = point[gen - 1]
-                sign = 1 if exp > 0 else -1
-                factors += [(gen, sign, g if sign > 0 else g.inverse())] * abs(exp)
+    for item in w.word.letters:
+        if isinstance(item, ConstLetter):
+            s = w.binding[item.name]
+            factors.append((0, 0, s.inverse() if item.inv else s))
         else:
-            s = w.binding[seg.name]
-            factors.append((0, 0, s.inverse() if seg.inv else s))
+            gen, exp = item
+            g = point[gen - 1]
+            sign = 1 if exp > 0 else -1
+            factors += [(gen, sign, g if sign > 0 else g.inverse())] * abs(exp)
 
     def product(part):
         acc = SquareMatrix.identity(ring, 2)

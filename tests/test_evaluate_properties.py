@@ -108,7 +108,8 @@ def letter_by_letter(ring, n, w, tup, letters):
 
 
 def exponents(w, gen):
-    return [e for seg in w.words for g, e in seg.letters if g == gen]
+    return [item[1] for item in w.word.letters
+            if not isinstance(item, ConstLetter) and item[0] == gen]
 
 
 @deterministic

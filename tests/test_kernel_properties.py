@@ -179,29 +179,33 @@ def test_product_matches_scalar_reference(case):
 @settings(deterministic, max_examples=4)
 @given(st.data())
 def test_every_product_kernel_branch_matches_scalar_reference(ring, n, data):
-    # the drawn cases above need not reach every ring at every n; this grid
-    # takes each branch of each ring's rmatmul (over F_p: n = 2 and n != 2)
+    # drawn cases need not reach every ring at every n; this grid, like those
+    # of the two tests below, takes each branch of each ring's rmatmul (over
+    # F_p: n = 2 and n != 2)
     a, b, c = (data.draw(matrices(ring, n)) for _ in range(3))
     assert [list(row) for row in (a * b).entries] == reference_product(a, b)
     assert (a * b) * c == a * (b * c)
     assert a * adjugate(a) == SquareMatrix.identity(ring, n).scaled(det(a))
 
 
-@deterministic
-@given(ring_and_matrices(1))
-def test_adjugate_law(case):
-    ring, (m,) = case
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+@settings(deterministic, max_examples=4)
+@given(st.data())
+def test_adjugate_law(ring, n, data):
+    m = data.draw(matrices(ring, n))
     d_identity = SquareMatrix.identity(ring, m.n).scaled(det(m))
     adj = adjugate(m)
     assert m * adj == d_identity
     assert adj * m == d_identity
 
 
-@deterministic
-@given(ring_and_matrices(1))
-def test_cayley_hamilton_and_inverse(case):
-    ring, (m,) = case
-    n = m.n
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+@settings(deterministic, max_examples=4)
+@given(st.data())
+def test_cayley_hamilton_and_inverse(ring, n, data):
+    m = data.draw(matrices(ring, n))
     # chi_M(M) = sum_k (-1)^k chi_k M^(n-k), with chi_0 = 1
     value = m ** n
     for k, chi_k in enumerate(charpoly(m).chi, start=1):

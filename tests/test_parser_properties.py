@@ -1,9 +1,9 @@
 """Property tests of the word parser against an expand-then-reduce oracle.
 
 The oracle is the parser as it was before powers were kept as syllables: it
-expands every power and commutator letter by letter, then reduces each
-segment between constants.  The parser under test must give equal segments,
-or raise the same exception type with the same message.
+expands every power and commutator letter by letter, then reduces the letters
+between constants.  The parser under test must give the same written-out
+items, or raise the same exception type with the same message.
 """
 
 import re
@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wordmap.words as words
-from wordmap import WordmapError, WordSyntaxError, ZeroExponent, parse, render
-from wordmap.words import ConstLetter, Word, WordWithConstants, _tokenize
+from wordmap import EmptyInnerWord, WordmapError, WordSyntaxError, ZeroExponent, parse, render
+from wordmap.words import ConstLetter, _syllables, _tokenize
 
 deterministic = settings(derandomize=True, deadline=None, database=None, max_examples=400)
 
@@ -35,16 +35,19 @@ def _oracle_invert(items):
     ]
 
 
-def _oracle_reduce(letters):
+def _oracle_reduce(items):
+    """Merge and cancel letters on one generator; a constant is a barrier."""
     out = []
-    for gen, exp in letters:
-        if out and out[-1][0] == gen:
-            merged = out.pop()[1] + exp
+    for item in items:
+        if isinstance(item, tuple) and out and isinstance(out[-1], tuple) and (
+            out[-1][0] == item[0]
+        ):
+            merged = out.pop()[1] + item[1]
             if merged:
-                out.append((gen, merged))
+                out.append((item[0], merged))
         else:
-            out.append((gen, exp))
-    return Word(tuple(out))
+            out.append(item)
+    return out
 
 
 class _OracleParser:
@@ -119,15 +122,17 @@ def oracle_parse(text):
     if parser.peek()[0] != "eof":
         tok = parser.peek()
         raise WordSyntaxError(f"trailing input {tok[1]!r}", tok[2])
-    segments, current = [], []
-    for item in items:
-        if isinstance(item, tuple):
-            current.append(item)
-        else:
-            segments += [_oracle_reduce(current), item]
-            current = []
-    segments.append(_oracle_reduce(current))
-    return WordWithConstants(tuple(segments))
+    items = _oracle_reduce(items)
+    constants = 0
+    for left, right in zip([None] + items, items):
+        if isinstance(left, ConstLetter) and isinstance(right, ConstLetter):
+            raise EmptyInnerWord(f"inner word w_{constants + 1} reduced to the identity")
+        constants += isinstance(right, ConstLetter)
+    return items
+
+
+def written_out_parse(text):
+    return list(_syllables(parse(text).word.letters))
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +175,7 @@ def word_texts(draw):
 
 def outcome(parse_fn, text):
     try:
-        return parse_fn(text).segments
+        return parse_fn(text)
     except WordmapError as exc:
         return type(exc), str(exc)
 
@@ -179,7 +184,7 @@ def outcome(parse_fn, text):
 @given(word_texts(), st.sampled_from([5000, 60]))
 def test_parser_matches_expand_then_reduce_oracle(text, cap):
     with mock.patch.object(words, "_MAX_LETTERS", cap):
-        assert outcome(parse, text) == outcome(oracle_parse, text)
+        assert outcome(written_out_parse, text) == outcome(oracle_parse, text)
 
 
 @deterministic

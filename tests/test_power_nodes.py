@@ -10,13 +10,16 @@ nodes what it gives on the written-out word.
 """
 
 import random
+import tracemalloc
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wordmap.words as words
 from wordmap import (
+    EmptyInnerWord,
     Power,
     PrimeField,
     SquareMatrix,
@@ -83,10 +86,16 @@ def _text(syllables):
     return " ".join(g if e == 1 else f"{g}^{e}" for g, e in syllables)
 
 
-def _core(max_exp):
+def _core(max_exp, constants=False):
     exps = [e for e in range(-max_exp, max_exp + 1) if e]
     syllable = st.tuples(st.sampled_from(_GENS), st.sampled_from(exps))
-    return st.lists(syllable, min_size=1, max_size=6).map(_text)
+    core = st.lists(syllable, min_size=1, max_size=6).map(_text)
+    if not constants:
+        return core
+    # a c b, or a c in one case of four: the constant c is s1, s2 or an
+    # inverse, and where powers and commutators join, it can meet another
+    constant = st.sampled_from(["s1", "s1^-1", "s2", "s2^-1"])
+    return st.tuples(core, constant, st.one_of(core, core, core, st.just(""))).map(" ".join)
 
 
 def _shapes(core, k):
@@ -113,13 +122,18 @@ def _shapes(core, k):
 # k in +-1..60, or two levels of smaller powers, such as ((x y)^3 z)^4
 _WORD = _shapes(_core(3), _K)
 _SMALL = _shapes(_core(2), _SMALL_K)
-WORD_TEXTS = st.one_of(
+_PURE_CORES = st.one_of(
     _WORD,
     _shapes(_SMALL, _SMALL_K),
     st.tuples(_SMALL, st.booleans(), _SMALL).map(  # a bound constant beside a node
         lambda t: f"{t[0]} s1{'^-1' if t[1] else ''} {t[2]}"
     ),
 )
+_CONSTANT_CORES = st.one_of(  # at one level or two
+    _shapes(_core(3, constants=True), _K),
+    _shapes(_shapes(_core(2, constants=True), _SMALL_K), _SMALL_K),
+)
+WORD_TEXTS = st.booleans().flatmap(lambda c: _CONSTANT_CORES if c else _PURE_CORES)
 
 # small integer SL2 matrices, so that exact entries over Q and Q[i] grow by
 # well under a digit per letter
@@ -138,30 +152,38 @@ def _point(ring, rng):
 @st.composite
 def cases(draw):
     text = draw(WORD_TEXTS)
-    w = parse(text)
     ring = parse_ring(draw(st.sampled_from(RINGS)))
     rng = random.Random(draw(st.integers(0, 2**32)))
     point = [_point(ring, rng) for _ in range(3)]
-    if w.constants:
-        w = w.with_binding({"s1": _point(ring, rng)})
-    return text, w, point
+    binding = {c: _point(ring, rng) for c in ("s1", "s2")}
+    return text, point, binding
 
 
-deterministic = settings(derandomize=True, deadline=None, database=None, max_examples=200)
+def outcome(parse_fn, text):
+    try:
+        return parse_fn(text)
+    except EmptyInnerWord as exc:
+        return type(exc), str(exc)
 
 
-@deterministic
-@given(cases())
-def test_power_nodes_match_the_written_out_word(case):
-    text, w, point = case
-    expanded = written_out(text).with_binding(w.binding)
-    assert not any(_nodes(seg.letters) for seg in expanded.words)
-    assert w == expanded
+def check_against_written_out(text, point, binding):
+    """Every reader of the parsed word gives what it gives on the written-out
+    word; where two constants meet, both raise the same error."""
+    expanded = outcome(written_out, text)
+    assert outcome(parse, text) == expanded
+    if isinstance(expanded, tuple):
+        return
+    w, expanded = parse(text).with_binding(binding), expanded.with_binding(binding)
+    assert not _nodes(expanded.word.letters)
+    assert hash(w.word) == hash(expanded.word)
     assert render(w) == render(expanded)
     assert parse(render(w)) == w
-    for seg, plain in zip(w.words, expanded.words):
-        assert seg.length() == plain.length() == sum(abs(e) for _g, e in plain.letters)
-        assert seg.max_generator() == plain.max_generator()
+    plain = expanded.word.letters
+    letters = sum(1 if type(s) is ConstLetter else abs(s[1]) for s in plain)
+    assert w.word.length() == expanded.word.length() == letters
+    assert w.max_generator() == expanded.max_generator()
+    assert w.constant_names() == expanded.constant_names()
+    assert w.r == expanded.r == sum(type(s) is ConstLetter for s in plain)
     for n in (2, 3):
         assert exponent_data(w, n) == exponent_data(expanded, n)
     assert eval_group(w, point) == eval_group(expanded, point)
@@ -170,6 +192,57 @@ def test_power_nodes_match_the_written_out_word(case):
     expected_value, expected = jet_sweep(expanded, point)
     assert value == expected_value
     assert derivs == expected
+
+
+deterministic = settings(derandomize=True, deadline=None, database=None, max_examples=300)
+
+
+@deterministic
+@given(cases())
+def test_power_nodes_match_the_written_out_word(case):
+    check_against_written_out(*case)
+
+
+@pytest.mark.parametrize("spec", RINGS)
+@pytest.mark.parametrize("k", [2, 3, 7, -5])
+@pytest.mark.parametrize("text", [
+    "([x,y] s1)^{k}",
+    "(x s1 y^-1 s2^-1)^{k}",
+    "((x s1)^3 y)^{k}",
+    "(x y s1 z y^-1 x^-1)^{k}",  # a conjugated core
+    "(x s1 x)^{k}",  # ends merged across the copies
+    "(y^-1 s2 ([x,y] s1)^3 z y)^{k} x s1^-1",
+])
+def test_cores_with_constants_match_the_written_out_word(text, k, spec):
+    ring = parse_ring(spec)
+    rng = random.Random(k)
+    point = [_point(ring, rng) for _ in range(3)]
+    text = text.format(k=k)
+    check_against_written_out(text, point, {c: _point(ring, rng) for c in ("s1", "s2")})
+    assert k == 2 or _nodes(parse(text).word.letters)
+
+
+@pytest.mark.parametrize("text,index", [
+    ("(s1 x s2)^3", 3), ("(x s1 x^-1)^2", 2), ("(s1 x s1^-1)^3", 3), ("x (y s1 y^-1)^4", 2),
+    ("(x s1)^4 (s2 y)^2", 5), ("((s1 x)^2 s2)^3", 4),
+])
+def test_constants_that_meet_across_copies_are_an_empty_inner_word(text, index):
+    """The error names the same inner word as on the written-out word."""
+    message = f"inner word w_{index} reduced to the identity"
+    assert outcome(parse, text) == outcome(written_out, text) == (EmptyInnerWord, message)
+
+
+def test_a_long_power_of_a_core_with_a_constant_is_one_node():
+    tracemalloc.start()
+    try:
+        w = parse("([x,y] s1)^1000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    core = ((1, 1), (2, 1), (1, -1), (2, -1), ConstLetter("s1"))
+    assert w.word.letters == (Power(core, 1000000),)
+    assert w.word.length() == 5000000 and w.r == 1000000
+    assert peak < 2**20
 
 
 def test_the_shapes_build_nodes():
@@ -181,10 +254,11 @@ def test_the_shapes_build_nodes():
         "(x^2 y x)^7",
         "(x y)^9 (x y)^-4",
         "s1 (x y)^3",
+        "(x s1 y)^3",
     ]
     for text in texts:
         w = parse(text)
-        assert any(_nodes(seg.letters) for seg in w.words), text
+        assert _nodes(w.word.letters), text
         assert w == written_out(text)
     assert parse("((x y)^3)^4").word.letters == (Power(((1, 1), (2, 1)), 12),)
     assert parse("((x y)^3 z)^4").word.letters == (

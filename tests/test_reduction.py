@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import prevprime
 
-from wordmap import NotInvertible, WordmapError, dominance_probe, evaluate, geometry, rings
+from wordmap import NotInvertible, WordmapError, det, dominance_probe, evaluate, geometry, rings
 from wordmap.cli import main
 from wordmap.geometry import COMPONENT_IDS, component, dimension_certificate
 from wordmap.matrices import matrix_from_json, random_sl2
@@ -27,7 +27,7 @@ from wordmap.rings import (
     _reductions,
     parse_ring,
 )
-from wordmap.words import EmptyInnerWord, from_items, parse
+from wordmap.words import ConstLetter, EmptyInnerWord, from_items, parse
 
 from jet_oracle import DualNumbers
 
@@ -155,9 +155,22 @@ def _special_points(ring):
 
 
 # words in one to three generators; one-generator words at the special
-# points are where ranks drop most
-_WORDS = st.integers(1, 3).flatmap(lambda m: st.lists(
-    st.tuples(st.integers(1, m), st.sampled_from([-3, -2, -1, 1, 2, 3, 4])), min_size=1, max_size=6))
+# points are where ranks drop most.  A word may hold the constants s1 and s2.
+_CONSTANTS = st.builds(ConstLetter, st.sampled_from(["s1", "s2"]), st.booleans())
+_WORDS = st.integers(1, 3).flatmap(lambda m: st.lists(st.one_of(
+    st.tuples(st.integers(1, m), st.sampled_from([-3, -2, -1, 1, 2, 3, 4])), _CONSTANTS,
+), min_size=1, max_size=6))
+
+
+def _small_invertible(ring, rng):
+    """A random invertible matrix with entries of denominator at most 3: the
+    small primes divide some denominators and make some of them singular."""
+    while True:
+        rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(2)]
+                for _ in range(2)]
+        m = matrix_from_json(ring, [[str(v) for v in row] for row in rows])
+        if det(m).is_invertible():
+            return m
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)
@@ -179,6 +192,7 @@ def test_dominance_mod_p_matches_the_exact_path(spec, primes, items, picks, seed
     # a pick of -1 draws a random point
     point = [random_sl2(ring, rng) if k < 0 else special[k] for k in picks]
     point = point[:max(w.max_generator(), 1)]
+    w = w.with_binding({c: _small_invertible(ring, rng) for c in ("s1", "s2")})
     with exact():
         expected = dominance_probe(w, point)
     with with_primes(primes):
@@ -225,13 +239,15 @@ def test_a_lower_rank_mod_p_takes_the_exact_path():
     assert seen == [PrimeField(2**61 - 1), ring]
 
 
-def test_a_word_with_constants_takes_the_exact_path():
-    ring = parse_ring("Q[i]")
+@pytest.mark.parametrize("spec,text,prime", [("Q[i]", "x s1 y s1^-1", 2**61 - 31),
+                                             ("Q", "([x,y] s1)^200", 2**61 - 1)])
+def test_a_word_with_constants_is_decided_mod_p_alone(spec, text, prime):
+    ring = parse_ring(spec)
     rng = random.Random(2)
-    w = parse("x s1 y s1^-1").with_binding({"s1": random_sl2(ring, rng)})
+    w = parse(text).with_binding({"s1": random_sl2(ring, rng)})
     with jet_rings() as seen:
         assert dominance_probe(w, [random_sl2(ring, rng) for _ in range(2)]) == 3
-    assert seen == [ring]
+    assert seen == [PrimeField(prime)]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from wordmap.words import from_items
 
 def test_parse_basic():
     w = parse("x y^-1 x^2")
-    assert w.is_pure
+    assert w.constant_names() == [] and w.r == 0
     assert w.word == word([(1, 1), (2, -1), (1, 2)])
 
 
@@ -47,12 +47,9 @@ def test_parse_nested_commutator():
 
 def test_parse_constants():
     w = parse("s1 x s1^-1 x^-1")
-    assert not w.is_pure
     assert w.r == 2
     assert w.constant_names() == ["s1"]
-    assert w.constants[0] == ConstLetter("s1", False)
-    assert w.constants[1] == ConstLetter("s1", True)
-    assert w.words[1] == word([(1, 1)])
+    assert w.word.letters == (ConstLetter("s1", False), (1, 1), ConstLetter("s1", True), (1, -1))
 
 
 def test_parse_power_and_parens():
