@@ -40,7 +40,7 @@ from .matrices import (
 )
 from .rings import parse_ring, parse_scalar, render_scalar
 from .rootsys import build, star_search, verify_lemma_table, verify_witness
-from .words import parse, pure, render
+from .words import parse, render
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILED = 1
@@ -295,7 +295,7 @@ def _cmd_relscan(args, ring, rng):
     result = relation_scan(pair, args.max_len)
     report = {
         "trivial": result.trivial,
-        "relations": [render(pure(w)) for w in result.relations],
+        "relations": [render(w) for w in result.relations],
     }
     return report, EXIT_OK
 

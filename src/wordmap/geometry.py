@@ -36,7 +36,6 @@ from .words import (
     WordWithConstants,
     parse,
     pure,
-    word,
     zero_exponent_sum_in_y,
 )
 
@@ -521,9 +520,23 @@ class RelationScanResult:
 
 _SCAN_MAX = 12
 
+# the letters x, x^-1, y, y^-1 as (generator, exponent); letter c's inverse is c ^ 1
+_LETTERS = ((1, 1), (1, -1), (2, 1), (2, -1))
+
 
 def relation_scan(pair: Sl2Pair, max_len: int) -> RelationScanResult:
-    """All reduced words in F_2 of length <= max_len vanishing at the pair."""
+    """All reduced words in F_2 of length <= max_len vanishing at the pair,
+    sorted by (length, syllables).
+
+    Meet in the middle: a word ``u t^-1`` with ``|u| = ceil(l/2)`` and
+    ``|t| = floor(l/2)`` vanishes exactly when ``M(u) = M(t)``, and it is
+    reduced exactly when u and t end in different letters.  The reduced
+    half-words up to length ``ceil(max_len/2)`` are built once, level by
+    level, and each level is indexed by its matrices' raw rows, so every
+    relation is one dict hit.  The scan takes about ``2 * 3^ceil(max_len/2)``
+    matrix products, plus the size of the output, which dominates for a
+    dense finite group.
+    """
     if max_len > _SCAN_MAX:
         raise InvalidParams(f"max_len capped at {_SCAN_MAX}")
     if max_len < 1:
@@ -535,29 +548,57 @@ def relation_scan(pair: Sl2Pair, max_len: int) -> RelationScanResult:
     ident = SquareMatrix.identity(ring, 2)
     if pair.g1 == ident and pair.g2 == ident:
         return RelationScanResult(trivial=True, relations=())
-    gens = {
-        (1, 1): pair.g1,
-        (1, -1): pair.g1.inverse(),
-        (2, 1): pair.g2,
-        (2, -1): pair.g2.inverse(),
-    }
-    letters = [(1, 1), (1, -1), (2, 1), (2, -1)]
+    gens = (pair.g1, pair.g1.inverse(), pair.g2, pair.g2.inverse())
+    levels = _half_words(gens, ident, (max_len + 1) // 2)
+    tails = []  # by length: {raw rows of M(t): [(last letter of t, syllables of t^-1)]}
+    for level in levels[: max_len // 2 + 1]:
+        index = {}
+        for m, last, _syllables, inverse in level:
+            index.setdefault(m.rows, []).append((last, inverse))
+        tails.append(index)
     found = []
-
-    def extend(prefix, matrix, remaining):
-        for gen, sgn in letters:
-            if prefix and prefix[-1] == (gen, -sgn):
-                continue  # keep the word reduced
-            m2 = matrix * gens[(gen, sgn)]
-            w2 = prefix + [(gen, sgn)]
-            if m2 == ident:
-                found.append(word(w2))
-            if remaining > 1:
-                extend(w2, m2, remaining - 1)
-
-    extend([], ident, max_len)
-    found.sort(key=lambda w: (w.length(), w.letters))
+    for length in range(1, max_len + 1):
+        index = tails[length // 2]
+        hits = [
+            _joined(syllables, inverse)
+            for m, last, syllables, _inverse in levels[(length + 1) // 2]
+            for t_last, inverse in index.get(m.rows, ())
+            if t_last != last
+        ]
+        hits.sort()
+        found += map(Word, hits)
     return RelationScanResult(trivial=False, relations=tuple(found))
+
+
+def _half_words(gens, ident: SquareMatrix, depth: int) -> list:
+    """The reduced words of length 0..depth, by length, as tuples (matrix,
+    last letter, syllables, syllables of the inverse); the empty word's last
+    letter is -1, which no letter's inverse is."""
+    levels = [[(ident, -1, (), ())]]
+    for _ in range(depth):
+        level = []
+        for m, last, syllables, inverse in levels[-1]:
+            for c, (g, e) in enumerate(_LETTERS):
+                if c == last ^ 1:
+                    continue  # keep the word reduced
+                if syllables and syllables[-1][0] == g:
+                    grown = syllables[:-1] + ((g, syllables[-1][1] + e),)
+                    shrunk = ((g, inverse[0][1] - e),) + inverse[1:]
+                else:
+                    grown, shrunk = syllables + ((g, e),), ((g, -e),) + inverse
+                level.append((m * gens[c], c, grown, shrunk))
+        levels.append(level)
+    return levels
+
+
+def _joined(head: tuple, tail: tuple) -> tuple:
+    """The syllables of the reduced product of a nonempty word and a word,
+    from theirs: the two syllables at the joint merge when they lie on one
+    generator, and then they have one sign."""
+    if tail and head[-1][0] == tail[0][0]:
+        g, e = head[-1]
+        return head[:-1] + ((g, e + tail[0][1]),) + tail[1:]
+    return head + tail
 
 
 def generated_group(mats, cap: int = 10000):

@@ -492,10 +492,13 @@ def parse(text: str) -> WordWithConstants:
     return WordWithConstants(_word(syllables))
 
 
-def render(w: WordWithConstants) -> str:
-    """Inverse of parse up to normalization: parse(render(w)) == w."""
+def render(w: WordWithConstants | Word) -> str:
+    """Inverse of parse up to normalization: parse(render(w)) == w.  A
+    :class:`Word` renders as the word with constants that it is, without
+    the check of its constants that building one takes."""
+    letters = w.letters if type(w) is Word else w.word.letters
     # the canonical spelling of the empty word
-    return _render(w.word.letters) or "x x^-1"
+    return _render(letters) or "x x^-1"
 
 
 def _render(letters) -> str:
@@ -512,11 +515,12 @@ def _render(letters) -> str:
     return " ".join(parts)
 
 
+_GEN_NAMES = {idx: name for name, idx in _VAR_MAP.items()}
+
+
 def _render_gen(gen: int) -> str:
-    for name, idx in _VAR_MAP.items():
-        if idx == gen:
-            return name
-    return f"x{gen}"
+    name = _GEN_NAMES.get(gen)
+    return f"x{gen}" if name is None else name
 
 
 # ---------------------------------------------------------------------------
