@@ -1,5 +1,12 @@
 """Word evaluation on group tuples, the adjugate extension, product-rule jets
-on SL2, and sample-scale probes."""
+on SL2, and sample-scale probes.
+
+Evaluation, the adjugate extension and the probes share one product loop on
+raw rows, :func:`_product`.  A probe checks its word once, then draws raw
+SL_2 points at every sample: a drawn point has det 1, so its inverse is its
+adjugate, while a constant or sigma takes a true inverse once per probe.
+``chi_probe`` reads chi_1 = a + d or chi_2 = ad - bc off the raw value.
+"""
 
 from __future__ import annotations
 
@@ -9,15 +16,15 @@ from enum import Enum
 from .errors import DimensionMismatch, NotInvertible, UnboundConstant
 from .matrices import (
     SquareMatrix,
+    _det,
     _identity_rows,
+    _random_sl2_rows,
     _reduced,
     _rpow,
     adjugate,
-    charpoly,
     det,
     det_adjugate,
     inverse_from,
-    random_sl2,
     rank,
 )
 from .rings import RingDescriptor, Scalar, _reductions
@@ -49,52 +56,66 @@ def _check_tuple(w: WordWithConstants, tup):
     return n, ring
 
 
-def _eval(w: WordWithConstants, tup, negative_power, inverses=None):
-    """The product of the word's factors, multiplied on raw rows by the
-    ring's ``rmatmul`` and boxed once.  ``negative_power(g)`` stands in for
-    x_g^-1 and is taken once per generator, as is each constant's inverse;
-    both are kept in ``inverses``, by generator or constant name, which may
-    start with the ones the caller already has.  A node (core)^k takes the
-    core's value C once and C^k by squaring; for the adjugate extension too,
-    since the substitution is a product of the letters' images."""
-    n, ring = _check_tuple(w, tup)
-    inverses = {} if inverses is None else inverses
+def _product(ring, items, gens, binding, inverses, invert):
+    """The product of a word's ``items`` on raw rows, by the ring's
+    ``rmatmul``; None when there are none.
+
+    ``gens`` holds the generators' raw rows and ``binding`` the constants.
+    x_g^-1 and an inverted constant take ``inverses[g]`` and
+    ``inverses[name]``, raw rows that ``invert(key)`` gives on first need and
+    that stay in ``inverses``.  A node (core)^k takes the core's value C once
+    and C^k by squaring; for the adjugate extension too, since the
+    substitution is a product of the letters' images.
+    """
     mul = ring.rmatmul
-
-    def product(items):
-        acc = None
-        for item in items:
-            if type(item) is Power:
-                factor = _rpow(ring, product(item.core), item.k)
-            elif type(item) is ConstLetter:
-                m = w.binding[item.name]
-                if item.inv:
-                    if item.name not in inverses:
-                        inverses[item.name] = m.inverse()
-                    m = inverses[item.name]
-                factor = m.rows
+    acc = None
+    for item in items:
+        if type(item) is Power:
+            core = _product(ring, item.core, gens, binding, inverses, invert)
+            factor = _rpow(ring, core, item.k)
+        elif type(item) is ConstLetter:
+            if item.inv:
+                if item.name not in inverses:
+                    inverses[item.name] = invert(item.name)
+                factor = inverses[item.name]
             else:
-                g, e = item
-                if e > 0:
-                    factor = _rpow(ring, tup[g - 1].rows, e)
-                else:
-                    if g not in inverses:
-                        inverses[g] = negative_power(g)
-                    factor = _rpow(ring, inverses[g].rows, -e)
-            acc = factor if acc is None else mul(acc, factor)
-        return acc
+                factor = binding[item.name].rows
+        else:
+            g, e = item
+            if e > 0:
+                factor = gens[g - 1]
+            else:
+                if g not in inverses:
+                    inverses[g] = invert(g)
+                factor, e = inverses[g], -e
+            if e > 1:
+                factor = _rpow(ring, factor, e)
+        acc = factor if acc is None else mul(acc, factor)
+    return acc
 
-    acc = product(w.word.letters)
+
+def _eval(w: WordWithConstants, tup, invert_generator, inverses=None):
+    """The word's value at ``tup``, by :func:`_product` and boxed once.
+    ``invert_generator(g)`` gives the raw rows that stand in for x_g^-1;
+    each constant takes its true inverse."""
+    n, ring = _check_tuple(w, tup)
+    binding = w.binding
+
+    def invert(key):
+        return invert_generator(key) if type(key) is int else binding[key].inverse().rows
+
+    gens = [m.rows for m in tup]
+    acc = _product(ring, w.word.letters, gens, binding, {} if inverses is None else inverses, invert)
     return SquareMatrix._raw(ring, _identity_rows(ring, n) if acc is None else acc)
 
 
 def eval_group(w: WordWithConstants, tup, inverses=None) -> SquareMatrix:
     """Literal group evaluation with true inverses; inputs must be invertible.
 
-    ``inverses`` may be a dict of inverses the caller already has, by
-    generator or constant name; the evaluation adds each one it takes.
+    ``inverses`` may be a dict of the raw rows of inverses the caller already
+    has, by generator or constant name; the evaluation adds each one it takes.
     """
-    return _eval(w, tup, lambda g: tup[g - 1].inverse(), inverses)
+    return _eval(w, tup, lambda g: tup[g - 1].inverse().rows, inverses)
 
 
 def eval_adjugate_extension(w: WordWithConstants, tup, adjugates=None) -> SquareMatrix:
@@ -102,9 +123,10 @@ def eval_adjugate_extension(w: WordWithConstants, tup, adjugates=None) -> Square
 
     Constants are fixed invertible matrices, so an inverted constant stays a
     true inverse; only variable letters are replaced by adjugate powers.
-    ``adjugates`` may map generators to adjugates the caller already has.
+    ``adjugates`` may map generators to the raw rows of adjugates the caller
+    already has.
     """
-    return _eval(w, tup, lambda g: adjugate(tup[g - 1]), adjugates)
+    return _eval(w, tup, lambda g: adjugate(tup[g - 1]).rows, adjugates)
 
 
 @dataclass(frozen=True)
@@ -125,9 +147,9 @@ def check_restriction_identities(w: WordWithConstants, tup) -> RestrictionCheck:
     delta = ring.one
     adjugates, inverses = {}, {}
     for g, b_r in data.b_neg.items():
-        d, adjugates[g] = det_adjugate(tup[g - 1])
+        d, adj = det_adjugate(tup[g - 1])
         delta = delta * d ** b_r
-        inverses[g] = inverse_from(d, adjugates[g])
+        adjugates[g], inverses[g] = adj.rows, inverse_from(d, adj).rows
     extended = eval_adjugate_extension(w, tup, adjugates)
     plain = eval_group(w, tup, inverses=inverses)
     holds = extended == plain.scaled(delta)
@@ -172,16 +194,56 @@ def chi_probe(
     rng,
     samples: int,
 ) -> ProbeResult:
-    """Sample chi_i of the word value over SL_2 tuples; dichotomy verdict at sample scale."""
+    """Sample chi_i of the word value over SL_2 tuples; dichotomy verdict at sample scale.
+
+    chi_1 = a + d and chi_2 = ad - bc are read off the raw value."""
     if not 1 <= i <= 2:
         raise ValueError(f"coefficient index {i} out of range 1..2")
-    m = max(w.max_generator(), 1)
+    draw = _word_sampler(w, ring, rng, max(w.max_generator(), 1))
+    add = ring.radd
+
+    def chi():
+        value = draw()
+        return add(value[0][0], value[1][1]) if i == 1 else _det(ring, value)
+
+    return ProbeResult(*_sample_distinct(chi, samples, ring))
+
+
+def _word_sampler(w: WordWithConstants, ring: RingDescriptor, rng, m: int, sigma=None):
+    """``draw()``: the raw 2x2 value of w at m points of SL_2(ring) from
+    :func:`~wordmap.matrices._random_sl2_rows`, drawn in order; with
+    ``sigma``, the second point is drawn and then replaced by sigma.
+
+    The tuple and constant checks run once, here.  A drawn point has det 1,
+    so its inverse is its adjugate ((d, -b), (-c, a)), exact over every ring;
+    the constants and sigma need not have det 1, so each takes a true
+    inverse, once per probe.
+    """
+    points = [SquareMatrix.identity(ring, 2)] * m
+    if sigma is not None:
+        points[1] = sigma
+    _check_tuple(w, points)
+    letters, binding, neg = w.word.letters, w.binding, ring.rneg
+    identity = _identity_rows(ring, 2)
+    fixed = {}  # the true inverses, by constant name or sigma's index 2
+    gens = []
+
+    def invert(key):
+        if type(key) is int and (sigma is None or key != 2):
+            (a, b), (c, d) = gens[key - 1]
+            return (d, neg(b)), (neg(c), a)
+        if key not in fixed:
+            fixed[key] = (sigma if type(key) is int else binding[key]).inverse().rows
+        return fixed[key]
 
     def draw():
-        tup = [random_sl2(ring, rng) for _ in range(m)]
-        return charpoly(eval_group(w, tup)).chi[i - 1].value
+        gens[:] = [_random_sl2_rows(ring, rng) for _ in range(m)]
+        if sigma is not None:
+            gens[1] = sigma.rows
+        acc = _product(ring, letters, gens, binding, {}, invert)
+        return identity if acc is None else acc
 
-    return ProbeResult(*_sample_distinct(draw, samples, ring))
+    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +349,8 @@ def _factors(ring, items, point, binding, inverses) -> list:
     factors = []
     for item in items:
         if type(item) is ConstLetter:
-            sigma = inverses[item.name] if item.inv else binding[item.name]
-            factors.append((sigma.rows, None, 0, None))
+            sigma = inverses[item.name] if item.inv else binding[item.name].rows
+            factors.append((sigma, None, 0, None))
         elif type(item) is Power:
             core, derivs = _product_rule(ring, _factors(ring, item.core, point, binding, inverses))
             gens = list(derivs)
@@ -298,7 +360,7 @@ def _factors(ring, items, point, binding, inverses) -> list:
             factors.append((power, None, 0, by_gen))
         else:
             g, e = item
-            letter = (point[g - 1] if e > 0 else inverses[g]).rows
+            letter = point[g - 1].rows if e > 0 else inverses[g]
             if abs(e) <= 2:
                 factors += [(letter, g - 1, 1 if e > 0 else -1, None)] * abs(e)
             else:

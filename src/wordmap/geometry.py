@@ -14,7 +14,7 @@ from .errors import (
     NotInvertible,
     RingLacksRoots,
 )
-from .matrices import SquareMatrix, _reduced, rank, random_sl2
+from .matrices import SquareMatrix, _reduced, rank
 from .rings import (
     PrimeField,
     RingDescriptor,
@@ -28,6 +28,7 @@ from .evaluate import (
     _add2,
     _sample_distinct,
     _tangent_steps,
+    _word_sampler,
     eval_group,
     jet_sweep,
 )
@@ -703,12 +704,11 @@ def wsigma_trace_probe(w: Word, sigma: SquareMatrix, rng, samples: int) -> Probe
     if not zero_exponent_sum_in_y(w):
         raise InvalidParams("the distinguished-variable exponents must sum to zero")
     ring = sigma.ring
-    m = max(w.max_generator(), 2)
-    ww = pure(w)
+    draw = _word_sampler(pure(w), ring, rng, max(w.max_generator(), 2), sigma)
+    add = ring.radd
 
-    def draw():
-        tup = [random_sl2(ring, rng) for _ in range(m)]
-        tup[1] = sigma
-        return eval_group(ww, tup).trace().value
+    def trace():
+        (a, _b), (_c, d) = draw()
+        return add(a, d)
 
-    return ProbeResult(*_sample_distinct(draw, samples, ring))
+    return ProbeResult(*_sample_distinct(trace, samples, ring))

@@ -327,19 +327,22 @@ def is_unipotent(m: SquareMatrix) -> bool:
 
 
 def random_sl2(ring: RingDescriptor, rng) -> SquareMatrix:
-    """det-1 matrix: sample a, b, c and solve d = (1 + bc) / a on raw values;
-    retry while a is not invertible."""
+    """det-1 matrix drawn by :func:`_random_sl2_rows`."""
+    return SquareMatrix._raw(ring, _random_sl2_rows(ring, rng))
+
+
+def _random_sl2_rows(ring: RingDescriptor, rng) -> tuple:
+    """Raw rows of a det-1 matrix: draw a, b, c and solve d = (1 + bc) / a;
+    draw again while a is not invertible."""
+    draw, mul = ring.rrandom, ring.rmul
     one = ring.raw_from_int(1)
     while True:
-        a = ring.random(rng).value
-        b = ring.random(rng).value
-        c = ring.random(rng).value
+        a, b, c = draw(rng), draw(rng), draw(rng)
         try:
             a_inv = ring.rinv(a)
         except NotInvertible:
             continue
-        d = ring.rmul(ring.radd(one, ring.rmul(b, c)), a_inv)
-        return SquareMatrix._raw(ring, ((a, b), (c, d)))
+        return (a, b), (c, mul(ring.radd(one, mul(b, c)), a_inv))
 
 
 def rank(rows, ring: RingDescriptor) -> int:

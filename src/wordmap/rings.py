@@ -8,14 +8,15 @@ equality is bit-exact.  Raw representations:
 * ``QuadraticExt``   -- pair ``(a, b)`` of base raws, meaning ``a + b*sqrt(d)``
 
 The raw protocol is ``radd``, ``rmul``, ``rneg``, ``rinv``, ``is_zero_raw``,
-the fused dot product ``rdot`` and the matrix product ``rmatmul``.  ``rdot``
-takes one reduction mod p per dot product over F_p, one
-:class:`~fractions.Fraction` (one reduction) per dot product over Q, and over
-``base[sqrt(d)]`` a combination of the base ring's ``rdot``.  ``rmatmul`` is
-the one product kernel of every matrix in :mod:`wordmap`: one ``rdot`` per
-entry, and over F_p one reduction per entry written inline.  The matrix
-kernel works on raw values only.  A :class:`Scalar` (descriptor plus raw
-value) is the API-boundary form of an element, with ring-checked operators.
+the fused dot product ``rdot``, the matrix product ``rmatmul`` and the draw
+``rrandom``.  ``rdot`` takes one reduction mod p per dot product over F_p,
+one :class:`~fractions.Fraction` (one reduction) per dot product over Q, and
+over ``base[sqrt(d)]`` a combination of the base ring's ``rdot``.
+``rmatmul`` is the one product kernel of every matrix in :mod:`wordmap`: one
+``rdot`` per entry, and over F_p one reduction per entry written inline.
+The matrix kernel works on raw values only.  A :class:`Scalar` (descriptor
+plus raw value) is the API-boundary form of an element, with ring-checked
+operators.
 
 Ranks over Q and ``Q[sqrt(d)]`` are first taken mod p: :func:`_reductions`
 maps raw values to F_p for each of a fixed tuple of primes below 2^61 (a
@@ -89,8 +90,8 @@ class RingDescriptor:
     def is_zero_raw(self, x) -> bool:
         return x == self.raw_from_int(0)
 
-    def random(self, rng) -> "Scalar":
-        """Draw a scalar; deterministic for a fixed rng state."""
+    def rrandom(self, rng):
+        """Draw a raw value; deterministic for a fixed rng state."""
         raise NotImplementedError
 
 
@@ -135,8 +136,8 @@ class Rationals(RingDescriptor):
     def is_zero_raw(self, x):
         return x == 0
 
-    def random(self, rng):
-        return self.scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+    def rrandom(self, rng):
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
     def __str__(self):
         return "Q"
@@ -187,8 +188,8 @@ class PrimeField(RingDescriptor):
     def is_zero_raw(self, x):
         return x == 0
 
-    def random(self, rng):
-        return self.scalar(rng.randrange(self.p))
+    def rrandom(self, rng):
+        return rng.randrange(self.p)
 
     def __str__(self):
         return f"Fp:{self.p}"
@@ -256,8 +257,8 @@ class QuadraticExt(RingDescriptor):
         ninv = base.rinv(norm)
         return (base.rmul(a, ninv), base.rmul(base.rneg(b), ninv))
 
-    def random(self, rng):
-        return self.scalar((self.base.random(rng).value, self.base.random(rng).value))
+    def rrandom(self, rng):
+        return (self.base.rrandom(rng), self.base.rrandom(rng))
 
     @property
     def root(self) -> "Scalar":

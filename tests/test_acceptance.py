@@ -52,7 +52,7 @@ def report(n, text):
 def random_matrix(ring, n, rng, invertible=False):
     while True:
         m = SquareMatrix.from_rows(
-            ring, [[ring.random(rng) for _ in range(n)] for _ in range(n)]
+            ring, [[ring.scalar(ring.rrandom(rng)) for _ in range(n)] for _ in range(n)]
         )
         if not invertible or det(m).is_invertible():
             return m
@@ -136,7 +136,7 @@ def test_03_conjugation_example_closed_form():
     for ring in (Q, F13):
         for _ in range(50):
             while True:
-                s = ring.random(rng)
+                s = ring.scalar(ring.rrandom(rng))
                 if s.is_invertible() and s != ring.one:
                     break
             sigma = SquareMatrix.from_rows(ring, [[s, ring.zero], [ring.zero, s.inv()]])

@@ -94,12 +94,12 @@ def test_conjugation_word_matches_closed_form(ring):
     rng = random.Random(21)
     for _ in range(50):
         while True:
-            s = ring.random(rng)
+            s = ring.scalar(ring.rrandom(rng))
             if s.is_invertible() and not (s - ring.one).is_zero():
                 break
         sigma = SquareMatrix.from_rows(ring, [[s, ring.zero], [ring.zero, s.inv()]])
         y = SquareMatrix.from_rows(
-            ring, [[ring.random(rng) for _ in range(2)] for _ in range(2)]
+            ring, [[ring.scalar(ring.rrandom(rng)) for _ in range(2)] for _ in range(2)]
         )
         wb = w.with_binding({"s1": sigma})
         assert eval_adjugate_extension(wb, [y]) == conjugation_word_closed_form(ring, s, y)
@@ -607,7 +607,7 @@ def test_parametrization_rows_match_dual_numbers(case, at_base, seed):
         rng = random.Random(seed)
         ring = comp.ring
         comp = replace(
-            comp, scalars=[ring.random(rng) for _ in comp.scalars],
+            comp, scalars=[ring.scalar(ring.rrandom(rng)) for _ in comp.scalars],
             mats=[random_sl2(ring, rng) for _ in comp.mats],
         )
     try:

@@ -155,6 +155,16 @@ CASES = [
     ["--ring", "Q[sqrt(2)]", "dimcert", "--example", "ex1.T"],
     ["--ring", "Q[i]", "dominance", "--word", "[[x,y],[x,z]]^3", "--seed", "1"],
     ["--ring", "Q", "dominance", "--word", "x^2", "--at", '[["0","1"],["-1","0"]]'],
+    # chi-probes over the quadratic extensions, of a power node, of the empty
+    # word, and of a word with an unbound constant
+    ["chi-probe", "--ring", "Q[i]", "--word", "[x,y^-1] x^2", "--seed", "2", "--samples", "30"],
+    ["chi-probe", "--ring", "Q[sqrt(2)]", "--word", "x y^-2", "--index", "2", "--seed", "4",
+     "--samples", "25"],
+    ["chi-probe", "--ring", "Fp:7[i]", "--word", "[x,y]", "--seed", "8", "--samples", "50"],
+    ["chi-probe", "--ring", "Fp:101", "--word", "([x,y] x)^7", "--seed", "1", "--samples", "40"],
+    ["chi-probe", "--ring", "Fp:101", "--word", "x x^-1", "--index", "1", "--seed", "1",
+     "--samples", "10"],
+    ["chi-probe", "--ring", "Fp:101", "--word", "x s1", "--seed", "1"],
 ]
 
 

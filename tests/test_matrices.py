@@ -48,7 +48,7 @@ def leibniz_oracle(m):
 
 def random_matrix(ring, n, rng):
     return SquareMatrix.from_rows(
-        ring, [[ring.random(rng) for _ in range(n)] for _ in range(n)]
+        ring, [[ring.scalar(ring.rrandom(rng)) for _ in range(n)] for _ in range(n)]
     )
 
 
