@@ -169,7 +169,7 @@ class PrimeField(RingDescriptor):
     def rinv(self, x):
         if x % self.p == 0:
             raise NotInvertible(f"0 has no inverse in F_{self.p}")
-        return pow(x, self.p - 2, self.p)
+        return pow(x, -1, self.p)
 
     def rdot(self, xs, ys):
         return sum(map(mul, xs, ys)) % self.p

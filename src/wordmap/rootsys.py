@@ -55,11 +55,6 @@ def _dot(u, v) -> int:
     return sum(map(mul, u, v))
 
 
-def _reflect(beta, alpha, c):
-    """s_alpha(beta) = beta - c alpha, for the Cartan integer c = <beta, alpha^v>."""
-    return tuple(b - c * a for a, b in zip(alpha, beta))
-
-
 def _chain(dim: int, count: int) -> list:
     """The doubled roots e_i - e_(i+1) for i = 1..count in R^dim."""
     return [tuple(2 * ((k == i) - (k == i + 1)) for k in range(dim)) for i in range(count)]
@@ -97,22 +92,50 @@ _TYPES = {
 }
 
 
-def _closure(simple) -> list:
+def _closure(simple, expected: int, label: str) -> tuple:
     """The orbit of the simple roots under the simple reflections
-    s_a(b) = b - <b, a^v> a.  Every root is a Weyl conjugate of a simple root
-    (Humphreys, Introduction to Lie Algebras, 10.3), so this is the whole system."""
-    coroots = [(alpha, _dot(alpha, alpha)) for alpha in simple]
-    roots = list(simple)
-    seen = set(roots)
-    for beta in roots:  # grows while it is walked: a breadth-first orbit
-        for alpha, aa in coroots:
-            c = 2 * _dot(beta, alpha) // aa
-            if not c:
-                continue
-            image = _reflect(beta, alpha, c)
-            if image not in seen:
-                seen.add(image)
-                roots.append(image)
+    s_a(b) = b - <b, a^v> a, sorted descending, checked as it is walked.
+
+    Every root is a Weyl conjugate of a simple root (Humphreys, Introduction to
+    Lie Algebras, 10.3), so the orbit is the whole system; W is orthogonal, so
+    every ordered pair of roots is a W-translate of a (root, simple root) pair.
+    The walk checks the Cartan integers of those pairs in both orders, is
+    Weyl-stable by construction and stops once it outgrows ``expected``; the
+    sorted orbit is then checked for its count and for negation.
+
+    After the Gram matrix of the simple roots no inner product is taken: each
+    root carries its pairings with the simple roots, as
+    <s_i b, a_j> = <b, a_j> - c <a_i, a_j> by bilinearity, and its norm, as s_i
+    is an isometry once c |a_i|^2 = 2 <b, a_i> is checked.
+    """
+    gram = [[_dot(alpha, beta) for beta in simple] for alpha in simple]
+    norms = [row[i] for i, row in enumerate(gram)]
+    # A Cartan integer that is an integer in both orders has |c| <= 4
+    # (c c' = 4 cos^2 <= 4), so these are every c alpha_i and c row_i needed.
+    steps = [{c: (tuple([c * a for a in alpha]), tuple([c * g for g in row]))
+              for c in (-4, -3, -2, -1, 1, 2, 3, 4)}
+             for alpha, row in zip(simple, gram)]
+    walk = list(zip(simple, gram, norms))  # (root, pairings, norm)
+    seen = set(simple)
+    for beta, pairing, bb in walk:  # grows while it is walked: a breadth-first orbit
+        for ab, aa, step in zip(pairing, norms, steps):
+            if ab:  # a zero pairing is integral and reflects b to itself
+                two_ab = 2 * ab
+                if two_ab % aa or two_ab % bb:
+                    raise InvalidType("Cartan integer is not an integer")
+                c_alpha, c_row = step[two_ab // aa]
+                image = tuple(map(sub, beta, c_alpha))
+                if image not in seen:
+                    if len(seen) == expected:
+                        raise InvalidType(
+                            f"{label}: got more than {expected} roots, expected {expected}")
+                    seen.add(image)
+                    walk.append((image, tuple(map(sub, pairing, c_row)), bb))
+    roots = tuple(sorted(seen, reverse=True))
+    if len(roots) != expected:
+        raise InvalidType(f"{label}: got {len(roots)} roots, expected {expected}")
+    if roots != tuple(map(_neg, reversed(roots))):  # negation reverses the order
+        raise InvalidType("root system is not closed under negation")
     return roots
 
 
@@ -131,43 +154,8 @@ def build(type_label: str, rank: int) -> RootSystem:
     kind = _TYPES[t]
     if rank < kind.least or (kind.most is not None and rank > kind.most):
         raise InvalidType(f"{t} requires {_requirement(kind)}")
-    roots = tuple(sorted(_closure(kind.simple(rank)), reverse=True))
-    system = RootSystem(t, rank, roots, len(roots[0]))
-    _validate(system)
-    return system
-
-
-def _validate(system: RootSystem):
-    """Check the root count, negation, Cartan integrality and that the roots are
-    the Weyl orbit of the simple roots, with r N inner products instead of N^2.
-
-    Once Phi holds the simple roots, is stable under the simple reflections and
-    has the right count, it is W.Delta; every root is then a W-translate of a
-    simple root (Humphreys, Introduction to Lie Algebras, 10.3) and W is
-    orthogonal, so every ordered pair of roots is a W-translate of a pair that
-    includes a simple root.  Integrality is checked on those, in both orders.
-    """
-    expected = _TYPES[system.type_label].count(system.rank)
-    if system.count() != expected:
-        raise InvalidType(
-            f"{system.type_label}{system.rank}: got {system.count()} roots, expected {expected}"
-        )
-    rs = system._root_set
-    if any(_neg(alpha) not in rs for alpha in system.roots):
-        raise InvalidType("root system is not closed under negation")
-    simple = _TYPES[system.type_label].simple(system.rank)
-    if any(alpha not in rs for alpha in simple):
-        raise InvalidType("root system is not the Weyl orbit of its simple roots")
-    coroots = [(alpha, _dot(alpha, alpha)) for alpha in simple]
-    for beta in system.roots:
-        bb = _dot(beta, beta)
-        for alpha, aa in coroots:
-            two_ab = 2 * _dot(alpha, beta)
-            if two_ab % aa or two_ab % bb:
-                raise InvalidType("Cartan integer is not an integer")
-            c = two_ab // aa
-            if c and _reflect(beta, alpha, c) not in rs:
-                raise InvalidType("root system is not the Weyl orbit of its simple roots")
+    roots = _closure(kind.simple(rank), kind.count(rank), f"{t}{rank}")
+    return RootSystem(t, rank, roots, len(roots[0]))
 
 
 def _rank(vectors, enough=None) -> int:
@@ -217,7 +205,9 @@ def star_search(system: RootSystem) -> StarResult:
         first level tries only those roots.
     """
     rs = system._root_set
-    positive = [v for v in system.roots if v > _neg(v)]  # roots are sorted descending
+    # the roots are sorted descending and closed under negation, so the first
+    # half is exactly the v with v > -v
+    positive = system.roots[:system.count() // 2]
     target = system.rank
     later = {}  # index -> bitmask of the later positive roots compatible with it
 

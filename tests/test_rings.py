@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import divisors, isprime, nextprime, primefactors, primerange
 
@@ -80,6 +80,23 @@ def test_field_vs_non_field():
     assert not DQ.root.is_zero() and (DQ.root * DQ.root).is_zero()
     with pytest.raises(NotInvertible):
         DQ.root.inv()
+
+
+@pytest.mark.parametrize("p", [2, 3, 1000003, 2**61 - 1])
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(x=st.integers(-(2**70), 2**70))
+def test_prime_field_inverse_matches_fermat(p, x):
+    assume(x % p)
+    inv = PrimeField(p).rinv(x)
+    assert inv * x % p == 1
+    assert inv == pow(x, p - 2, p)  # Fermat: x^(p-1) = 1 for x != 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 1000003, 2**61 - 1])
+def test_prime_field_inverse_of_zero_raises(p):
+    for zero in (0, p, -3 * p):
+        with pytest.raises(NotInvertible, match=f"^0 has no inverse in F_{p}$"):
+            PrimeField(p).rinv(zero)
 
 
 def test_dual_number_law():

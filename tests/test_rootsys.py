@@ -17,6 +17,8 @@ from wordmap import (
 )
 from wordmap import rootsys
 
+from rootsys_oracle import validate
+
 # ---------------------------------------------------------------------------
 # oracle: every type written out root by root in doubled Bourbaki coordinates,
 # independent of the simple roots and the reflection closure in build
@@ -118,11 +120,11 @@ def test_validate_rejects_a_wrong_count_a_missing_negative_and_a_bad_cartan_inte
     b2 = build("B", 2).roots
     without = tuple(v for v in b2 if v not in ((2, 0), (-2, 0)))
     with pytest.raises(InvalidType, match="got 7 roots, expected 8"):
-        rootsys._validate(rootsys.RootSystem("B", 2, b2[1:], 2))
+        validate(rootsys.RootSystem("B", 2, b2[1:], 2))
     with pytest.raises(InvalidType, match="not closed under negation"):
-        rootsys._validate(rootsys.RootSystem("B", 2, ((4, 4), (-2, 0)) + without, 2))
+        validate(rootsys.RootSystem("B", 2, ((4, 4), (-2, 0)) + without, 2))
     with pytest.raises(InvalidType, match="Cartan integer is not an integer"):
-        rootsys._validate(rootsys.RootSystem("B", 2, ((2, 4), (-2, -4)) + without, 2))
+        validate(rootsys.RootSystem("B", 2, ((2, 4), (-2, -4)) + without, 2))
     # A2 with +-(e1 - e3) swapped for +-(e1 + e2 - 2 e3): six roots, closed under
     # negation, holding both simple roots, and every Cartan integer of every pair
     # is an integer (0, +-1, +-3); but s_(e1 - e2) maps e2 - e3 to e1 - e3
@@ -131,11 +133,73 @@ def test_validate_rejects_a_wrong_count_a_missing_negative_and_a_bad_cartan_inte
     for alpha, beta in product(roots, repeat=2):
         assert 2 * sum(a * b for a, b in zip(alpha, beta)) % sum(b * b for b in beta) == 0
     with pytest.raises(InvalidType, match="not the Weyl orbit of its simple roots"):
-        rootsys._validate(rootsys.RootSystem("A", 2, roots, 3))
+        validate(rootsys.RootSystem("A", 2, roots, 3))
     # the same six vectors rotated off the simple roots: a root system, not this one
     rotated = tuple(v for u in ((2, 2, -4), (2, -4, 2), (-4, 2, 2)) for v in (u, tuple(-c for c in u)))
     with pytest.raises(InvalidType, match="not the Weyl orbit of its simple roots"):
-        rootsys._validate(rootsys.RootSystem("A", 2, rotated, 3))
+        validate(rootsys.RootSystem("A", 2, rotated, 3))
+
+
+def test_every_built_system_passes_the_oracle():
+    for t, r in ORACLE_CELLS:
+        validate(build(t, r))
+
+
+def _patched_type(monkeypatch, label, simple, count):
+    least = rootsys._TYPES[label].least
+    monkeypatch.setitem(rootsys._TYPES, label, rootsys._Type(least, None, count, simple))
+
+
+def test_build_rejects_a_non_integral_cartan_integer(monkeypatch):
+    # 2 <e1, (e1 + 2 e2) / 2> / |(e1 + 2 e2) / 2|^2 = 4 / 5, doubled coordinates
+    _patched_type(monkeypatch, "B", lambda r: [(2, 0), (1, 2)], lambda r: 8)
+    with pytest.raises(InvalidType, match="^Cartan integer is not an integer$"):
+        build("B", 2)
+
+
+def test_build_stops_once_the_orbit_outgrows_the_count(monkeypatch):
+    # E8 with 10 roots expected: the walk stops at the 11th root, after forming
+    # at most 11 r images, each with its carried pairings, where the whole
+    # orbit forms r N = 1920
+    images = 0
+
+    def counting_sub(a, b):
+        nonlocal images
+        images += 1
+        return a - b
+
+    _patched_type(monkeypatch, "E", lambda r: rootsys._E8[:r], lambda r: 10)
+    monkeypatch.setattr(rootsys, "sub", counting_sub)
+    with pytest.raises(InvalidType, match="^E8: got more than 10 roots, expected 10$"):
+        build("E", 8)
+    assert 0 < images <= 2 * 11 * 8 * 8  # two length-8 tuples per image
+    # too small an orbit gives the count it found
+    _patched_type(monkeypatch, "A", lambda r: rootsys._chain(r + 1, r), lambda r: r * (r + 1) + 2)
+    with pytest.raises(InvalidType, match="^A3: got 12 roots, expected 14$"):
+        build("A", 3)
+
+
+def test_build_takes_each_pairing_once(monkeypatch):
+    # every inner product in build goes through _dot; a separate check pass took
+    # another r N + N of them after the closure's r N
+    calls = 0
+    dot = rootsys._dot
+
+    def counting_dot(u, v):
+        nonlocal calls
+        calls += 1
+        return dot(u, v)
+
+    monkeypatch.setattr(rootsys, "_dot", counting_dot)
+    system = build("E", 8)
+    r, n = system.rank, system.count()
+    assert calls <= r * n + n + r * r
+
+
+def test_positive_roots_are_the_first_half():
+    for t, r in ORACLE_CELLS:
+        roots = build(t, r).roots
+        assert roots[:len(roots) // 2] == tuple(v for v in roots if v > tuple(-c for c in v))
 
 
 def test_counts_match_classical_formulas():
@@ -152,7 +216,7 @@ def test_counts_match_classical_formulas():
 
 
 def test_negation_closure_and_cartan_integrality():
-    # _validate runs inside build; spot-check the conditions independently
+    # build checks these in its walk; spot-check them independently
     for label, rank in [("B", 3), ("G", 2), ("E", 6), ("F", 4)]:
         system = build(label, rank)
         roots = set(system.roots)
