@@ -93,15 +93,23 @@ _TYPES = {
 
 
 def _closure(simple, expected: int, label: str) -> tuple:
-    """The orbit of the simple roots under the simple reflections
-    s_a(b) = b - <b, a^v> a, sorted descending, checked as it is walked.
+    """The roots generated by the simple roots under the simple reflections
+    s_a(b) = b - <b, a^v> a, sorted descending, checked as the positive roots
+    P are walked.
 
-    Every root is a Weyl conjugate of a simple root (Humphreys, Introduction to
-    Lie Algebras, 10.3), so the orbit is the whole system; W is orthogonal, so
-    every ordered pair of roots is a W-translate of a (root, simple root) pair.
-    The walk checks the Cartan integers of those pairs in both orders, is
-    Weyl-stable by construction and stops once it outgrows ``expected``; the
-    sorted orbit is then checked for its count and for negation.
+    From the simple roots, each walked root b is reflected by every s_i whose
+    pairing with it is nonzero, except s_i a_i = -a_i.  Since s_i maps every
+    positive root but a_i to a positive root (Humphreys, Introduction to Lie
+    Algebras, 10.2), and every positive root descends to a simple root by
+    such reflections, the walk reaches all of P, and the roots are P and -P:
+    closed under negation by construction, and stable under every s_i as
+    s_i(P minus a_i) lies in P.  Every root is a Weyl conjugate of a simple
+    root (10.3) and W is orthogonal, so every ordered pair of roots is a
+    W-translate of a (root, simple root) pair.  The walk checks the Cartan
+    integers of the pairs (b, a_i) in both orders; those of (-b, a_i) only
+    change sign.  It stops once 2|P| outgrows ``expected``, and then the
+    roots are counted: with 2|P| <= ``expected``, that count also fails when
+    P meets -P, as it does for dependent "simple roots".
 
     After the Gram matrix of the simple roots no inner product is taken: each
     root carries its pairings with the simple roots, as
@@ -115,28 +123,30 @@ def _closure(simple, expected: int, label: str) -> tuple:
     steps = [{c: (tuple([c * a for a in alpha]), tuple([c * g for g in row]))
               for c in (-4, -3, -2, -1, 1, 2, 3, 4)}
              for alpha, row in zip(simple, gram)]
-    walk = list(zip(simple, gram, norms))  # (root, pairings, norm)
-    seen = set(simple)
-    for beta, pairing, bb in walk:  # grows while it is walked: a breadth-first orbit
+    walk = list(zip(simple, gram, norms))  # (positive root, pairings, norm)
+    positive = set(simple)
+    for beta, pairing, bb in walk:  # grows while it is walked: breadth first
         for ab, aa, step in zip(pairing, norms, steps):
-            if ab:  # a zero pairing is integral and reflects b to itself
+            # a zero pairing reflects b to itself, and <b, a_i> = |a_i|^2 = |b|^2
+            # holds for b = a_i alone (Cauchy-Schwarz), whose image is -a_i
+            if ab and not ab == aa == bb:
                 two_ab = 2 * ab
                 if two_ab % aa or two_ab % bb:
                     raise InvalidType("Cartan integer is not an integer")
                 c_alpha, c_row = step[two_ab // aa]
                 image = tuple(map(sub, beta, c_alpha))
-                if image not in seen:
-                    if len(seen) == expected:
+                if image not in positive:
+                    positive.add(image)
+                    if 2 * len(positive) > expected:
                         raise InvalidType(
                             f"{label}: got more than {expected} roots, expected {expected}")
-                    seen.add(image)
                     walk.append((image, tuple(map(sub, pairing, c_row)), bb))
-    roots = tuple(sorted(seen, reverse=True))
+    if 2 * len(positive) > expected:  # the simple roots alone, if no image was new
+        raise InvalidType(f"{label}: got more than {expected} roots, expected {expected}")
+    roots = positive.union(map(_neg, positive))
     if len(roots) != expected:
         raise InvalidType(f"{label}: got {len(roots)} roots, expected {expected}")
-    if roots != tuple(map(_neg, reversed(roots))):  # negation reverses the order
-        raise InvalidType("root system is not closed under negation")
-    return roots
+    return tuple(sorted(roots, reverse=True))
 
 
 def _requirement(kind: _Type) -> str:
@@ -144,6 +154,11 @@ def _requirement(kind: _Type) -> str:
         return f"rank >= {kind.least}"
     *others, last = range(kind.least, kind.most + 1)
     return f"rank {', '.join(map(str, others))} or {last}" if others else f"rank {last}"
+
+
+# build refuses a system of more roots, before it builds any list: the roots
+# and their pairings take O(r^3) integers
+_ROOTS_MAX = 10000
 
 
 def build(type_label: str, rank: int) -> RootSystem:
@@ -154,7 +169,10 @@ def build(type_label: str, rank: int) -> RootSystem:
     kind = _TYPES[t]
     if rank < kind.least or (kind.most is not None and rank > kind.most):
         raise InvalidType(f"{t} requires {_requirement(kind)}")
-    roots = _closure(kind.simple(rank), kind.count(rank), f"{t}{rank}")
+    expected = kind.count(rank)
+    if expected > _ROOTS_MAX:
+        raise InvalidType(f"{t}{rank} has {expected} roots, capped at {_ROOTS_MAX}")
+    roots = _closure(kind.simple(rank), expected, f"{t}{rank}")
     return RootSystem(t, rank, roots, len(roots[0]))
 
 

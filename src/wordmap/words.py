@@ -505,22 +505,29 @@ def _render(letters) -> str:
     """The written-out letters as text; a node's core is rendered once."""
     parts = []
     for item in letters:
-        if type(item) is Power:
+        if type(item) is tuple:
+            text = _SYLLABLE_TEXT.get(item)
+            if text is None:
+                g, e = item
+                name = _SYLLABLE_TEXT.get((g, 1)) or f"x{g}"
+                text = name if e == 1 else f"{name}^{e}"
+            parts.append(text)
+        elif type(item) is Power:
             parts += [_render(item.core)] * item.k
-        elif type(item) is ConstLetter:
-            parts.append(item.name if not item.inv else f"{item.name}^-1")
         else:
-            name = _render_gen(item[0])
-            parts.append(name if item[1] == 1 else f"{name}^{item[1]}")
+            parts.append(item.name if not item.inv else f"{item.name}^-1")
     return " ".join(parts)
 
 
-_GEN_NAMES = {idx: name for name, idx in _VAR_MAP.items()}
-
-
-def _render_gen(gen: int) -> str:
-    name = _GEN_NAMES.get(gen)
-    return f"x{gen}" if name is None else name
+# The text of every syllable of x, y and z with |exponent| <= 16, made once at
+# import; _render spells out any other syllable.  The entry for exponent 1 is
+# the generator's name.
+_SYLLABLE_TEXT = {
+    (g, e): name if e == 1 else f"{name}^{e}"
+    for name, g in _VAR_MAP.items()
+    for e in range(-16, 17)
+    if e
+}
 
 
 # ---------------------------------------------------------------------------

@@ -437,6 +437,13 @@ def test_roots_check_bad_label(capsys, label):
     assert "invalid literal" not in captured.err
 
 
+def test_roots_check_refuses_a_system_past_the_root_cap(capsys):
+    assert main(["roots", "check", "A99999999999"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "A99999999999 has 9999999999900000000000 roots, capped at 10000" in captured.err
+
+
 def test_property_failure_exit_code(capsys):
     # a = 2 forces p = 0, so gamma = 0 and the hit still lands: stays 0
     assert main(["--ring", "Fp:101", "preimage", "--a", "2"]) == 0

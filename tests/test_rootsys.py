@@ -179,6 +179,51 @@ def test_build_stops_once_the_orbit_outgrows_the_count(monkeypatch):
         build("A", 3)
 
 
+def test_build_walks_only_the_positive_roots(monkeypatch):
+    # one sub per entry of a formed root or pairing tuple: walking all 240 roots
+    # of E8 took 9152, walking the 120 positive ones takes 4480
+    subs = 0
+
+    def counting_sub(a, b):
+        nonlocal subs
+        subs += 1
+        return a - b
+
+    monkeypatch.setattr(rootsys, "sub", counting_sub)
+    system = build("E", 8)
+    assert subs < 5000
+    assert set(system.roots) == set(explicit_roots("E", 8))
+
+
+def test_build_rejects_dependent_simple_roots(monkeypatch):
+    # (2, 0) and (-2, 0) reflect into each other, so the walk finds 2 "positive"
+    # roots; their negations are the same two, and the count says so
+    _patched_type(monkeypatch, "B", lambda r: [(2, 0), (-2, 0)], lambda r: 4)
+    with pytest.raises(InvalidType, match="^B2: got 2 roots, expected 4$"):
+        build("B", 2)
+    # with (0, 2) added, the roots are the 4 of A1 x A1, but 3 "positive" roots
+    # and no new image: the walk's own stop never fires
+    _patched_type(monkeypatch, "B", lambda r: [(2, 0), (-2, 0), (0, 2)], lambda r: 4)
+    with pytest.raises(InvalidType, match="^B2: got more than 4 roots, expected 4$"):
+        build("B", 2)
+
+
+def test_build_refuses_a_system_past_the_root_cap(monkeypatch):
+    # the count is read off the type table before any list is built, so the
+    # simple roots of A99999999999 are never asked for
+    def no_simple_roots(r):
+        raise AssertionError("simple roots built past the cap")
+
+    _patched_type(monkeypatch, "A", no_simple_roots, lambda r: r * (r + 1))
+    with pytest.raises(InvalidType, match=(
+            "^A99999999999 has 9999999999900000000000 roots, capped at 10000$")):
+        build("A", 99999999999)
+    with pytest.raises(InvalidType, match="^A100 has 10100 roots, capped at 10000$"):
+        build("A", 100)
+    monkeypatch.undo()
+    assert build("A", 99).count() == 9900 <= rootsys._ROOTS_MAX == 10000
+
+
 def test_build_takes_each_pairing_once(monkeypatch):
     # every inner product in build goes through _dot; a separate check pass took
     # another r N + N of them after the closure's r N

@@ -5,6 +5,8 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordmap import (
     ConstLetter,
@@ -20,7 +22,7 @@ from wordmap import (
     word,
     zero_exponent_sum_in_y,
 )
-from wordmap.words import from_items
+from wordmap.words import _SYLLABLE_TEXT, from_items
 
 
 def test_parse_basic():
@@ -222,6 +224,37 @@ def test_render_round_trip():
     for _ in range(100):
         w = pure(word([(rng.randint(1, 4), rng.choice([1, -1, 2, -3])) for _ in range(6)]))
         assert parse(render(w)) == w
+
+
+def reference_render(w):
+    """Every syllable spelled out, as the parser reads it back."""
+    names = {1: "x", 2: "y", 3: "z"}
+    parts = []
+    for g, e in w.letters:
+        name = names.get(g, f"x{g}")
+        parts.append(name if e == 1 else f"{name}^{e}")
+    return " ".join(parts) or "x x^-1"
+
+
+# generators 1-5 and |e| <= 40 reach the syllable table (x, y, z with
+# |e| <= 16) and both ways past it (x4, x5 and the larger exponents)
+syllable_lists = st.lists(
+    st.tuples(st.integers(1, 5), st.integers(-40, 40).filter(bool)), max_size=12)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(syllable_lists)
+def test_render_matches_the_reference_and_parses_back(syllables):
+    w = word(syllables)
+    text = render(w)
+    assert text == reference_render(w) == render(pure(w))
+    assert parse(text).word == w
+
+
+def test_render_leaves_the_syllable_table_as_it_is():
+    size = len(_SYLLABLE_TEXT)
+    assert render(parse("x^13 x4^-2 y^300")) == "x^13 x4^-2 y^300"
+    assert len(_SYLLABLE_TEXT) == size
 
 
 def test_zero_exponent_sum_in_y():
