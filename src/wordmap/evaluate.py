@@ -1,11 +1,16 @@
 """Word evaluation on group tuples, the adjugate extension, product-rule jets
 on SL2, and sample-scale probes.
 
-Evaluation, the adjugate extension and the probes share one product loop on
-raw rows, :func:`_product`.  A probe checks its word once, then draws raw
-SL_2 points at every sample: a drawn point has det 1, so its inverse is its
-adjugate, while a constant or sigma takes a true inverse once per probe.
-``chi_probe`` reads chi_1 = a + d or chi_2 = ad - bc off the raw value.
+Every walk of a word reads the letters it inverts off the word once
+(:func:`_check_tuple`) and builds one dict of their raw inverse rows before
+it starts: true inverses for evaluation and jets, adjugates for the
+adjugate extension.  A probe checks its word once and takes the constants'
+and sigma's true inverses once; each draw adds its raw SL_2 points'
+adjugates, which are their inverses since det = 1.  Evaluation, the
+adjugate extension and the probes share one product loop on raw rows,
+:func:`_product`; ``chi_probe`` reads chi_1 = a + d or chi_2 = ad - bc off
+the raw value.  :func:`jet_sweep` takes the value and the derivatives from
+one product-rule pass.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DimensionMismatch, NotInvertible, UnboundConstant
+from .errors import DimensionMismatch, InvalidParams, NotInvertible, UnboundConstant
 from .matrices import (
     SquareMatrix,
     _det,
@@ -28,10 +33,22 @@ from .matrices import (
     rank,
 )
 from .rings import RingDescriptor, Scalar, _reductions
-from .words import ConstLetter, Power, WordWithConstants, _masses, exponent_data
+from .words import (
+    ConstLetter,
+    Power,
+    Word,
+    WordWithConstants,
+    _masses,
+    exponent_data,
+    pure,
+    zero_exponent_sum_in_y,
+)
 
 
 def _check_tuple(w: WordWithConstants, tup):
+    """``(n, ring, inverted)`` of a valid tuple for ``w``; ``inverted`` lists
+    the generators and constant names that the word inverts, in order of
+    first sight."""
     if not tup:
         raise DimensionMismatch("empty matrix tuple")
     n = tup[0].n
@@ -53,69 +70,62 @@ def _check_tuple(w: WordWithConstants, tup):
         s = w.binding[name]
         if s.n != n or s.ring != ring:
             raise DimensionMismatch(f"constant {name} has wrong size or ring")
-    return n, ring
+    return n, ring, [key for key, (_pos, neg) in masses.items() if neg]
 
 
-def _product(ring, items, gens, binding, inverses, invert):
+def _inverse_rows(w: WordWithConstants, tup, keys, invert, given=None) -> dict:
+    """The raw rows that stand in for the inverse of each key of ``keys``:
+    ``given[key]`` as it is, else ``invert(tup[g - 1])`` for a generator g
+    and the true inverse for a constant name."""
+    given = given or {}
+    return {
+        key: given[key] if key in given
+        else (w.binding[key].inverse() if type(key) is str else invert(tup[key - 1])).rows
+        for key in keys
+    }
+
+
+def _product(ring, items, gens, binding, inverses):
     """The product of a word's ``items`` on raw rows, by the ring's
     ``rmatmul``; None when there are none.
 
-    ``gens`` holds the generators' raw rows and ``binding`` the constants.
-    x_g^-1 and an inverted constant take ``inverses[g]`` and
-    ``inverses[name]``, raw rows that ``invert(key)`` gives on first need and
-    that stay in ``inverses``.  A node (core)^k takes the core's value C once
-    and C^k by squaring; for the adjugate extension too, since the
-    substitution is a product of the letters' images.
+    ``gens`` holds the generators' raw rows and ``binding`` the constants;
+    x_g^-1 and an inverted constant take the raw rows ``inverses[g]`` and
+    ``inverses[name]``.  A node (core)^k takes the core's value C once and
+    C^k by squaring; for the adjugate extension too, since the substitution
+    is a product of the letters' images.
     """
     mul = ring.rmatmul
     acc = None
     for item in items:
         if type(item) is Power:
-            core = _product(ring, item.core, gens, binding, inverses, invert)
-            factor = _rpow(ring, core, item.k)
+            factor = _rpow(ring, _product(ring, item.core, gens, binding, inverses), item.k)
         elif type(item) is ConstLetter:
-            if item.inv:
-                if item.name not in inverses:
-                    inverses[item.name] = invert(item.name)
-                factor = inverses[item.name]
-            else:
-                factor = binding[item.name].rows
+            factor = inverses[item.name] if item.inv else binding[item.name].rows
         else:
             g, e = item
-            if e > 0:
-                factor = gens[g - 1]
-            else:
-                if g not in inverses:
-                    inverses[g] = invert(g)
-                factor, e = inverses[g], -e
-            if e > 1:
-                factor = _rpow(ring, factor, e)
+            factor = gens[g - 1] if e > 0 else inverses[g]
+            if abs(e) > 1:
+                factor = _rpow(ring, factor, abs(e))
         acc = factor if acc is None else mul(acc, factor)
     return acc
 
 
-def _eval(w: WordWithConstants, tup, invert_generator, inverses=None):
-    """The word's value at ``tup``, by :func:`_product` and boxed once.
-    ``invert_generator(g)`` gives the raw rows that stand in for x_g^-1;
-    each constant takes its true inverse."""
-    n, ring = _check_tuple(w, tup)
-    binding = w.binding
-
-    def invert(key):
-        return invert_generator(key) if type(key) is int else binding[key].inverse().rows
-
-    gens = [m.rows for m in tup]
-    acc = _product(ring, w.word.letters, gens, binding, {} if inverses is None else inverses, invert)
+def _value(w: WordWithConstants, tup, n, ring, inverses) -> SquareMatrix:
+    """The word's value at ``tup`` by :func:`_product`, boxed once."""
+    acc = _product(ring, w.word.letters, [m.rows for m in tup], w.binding, inverses)
     return SquareMatrix._raw(ring, _identity_rows(ring, n) if acc is None else acc)
 
 
 def eval_group(w: WordWithConstants, tup, inverses=None) -> SquareMatrix:
     """Literal group evaluation with true inverses; inputs must be invertible.
 
-    ``inverses`` may be a dict of the raw rows of inverses the caller already
-    has, by generator or constant name; the evaluation adds each one it takes.
+    ``inverses`` may map generators and constant names to the raw rows of
+    inverses the caller already has; they are used as they are, the rest are
+    taken once, and the dict is left unchanged.
     """
-    return _eval(w, tup, lambda g: tup[g - 1].inverse().rows, inverses)
+    n, ring, inverted = _check_tuple(w, tup)
+    return _value(w, tup, n, ring, _inverse_rows(w, tup, inverted, SquareMatrix.inverse, inverses))
 
 
 def eval_adjugate_extension(w: WordWithConstants, tup, adjugates=None) -> SquareMatrix:
@@ -124,9 +134,10 @@ def eval_adjugate_extension(w: WordWithConstants, tup, adjugates=None) -> Square
     Constants are fixed invertible matrices, so an inverted constant stays a
     true inverse; only variable letters are replaced by adjugate powers.
     ``adjugates`` may map generators to the raw rows of adjugates the caller
-    already has.
+    already has, used as they are; the dict is left unchanged.
     """
-    return _eval(w, tup, lambda g: adjugate(tup[g - 1]).rows, adjugates)
+    n, ring, inverted = _check_tuple(w, tup)
+    return _value(w, tup, n, ring, _inverse_rows(w, tup, inverted, adjugate, adjugates))
 
 
 @dataclass(frozen=True)
@@ -142,7 +153,7 @@ def check_restriction_identities(w: WordWithConstants, tup) -> RestrictionCheck:
     One det/adjugate pass per inverted generator gives its factor of Delta,
     its adjugate for w~ and its inverse adj / det for w^.
     """
-    n, ring = _check_tuple(w, tup)
+    n, ring, _inverted = _check_tuple(w, tup)
     data = exponent_data(w, n)
     delta = ring.one
     adjugates, inverses = {}, {}
@@ -209,6 +220,21 @@ def chi_probe(
     return ProbeResult(*_sample_distinct(chi, samples, ring))
 
 
+def wsigma_trace_probe(w: Word, sigma: SquareMatrix, rng, samples: int) -> ProbeResult:
+    """Sample tr(w^_sigma) with sigma substituted for the distinguished variable y."""
+    if not zero_exponent_sum_in_y(w):
+        raise InvalidParams("the distinguished-variable exponents must sum to zero")
+    ring = sigma.ring
+    draw = _word_sampler(pure(w), ring, rng, max(w.max_generator(), 2), sigma)
+    add = ring.radd
+
+    def trace():
+        (a, _b), (_c, d) = draw()
+        return add(a, d)
+
+    return ProbeResult(*_sample_distinct(trace, samples, ring))
+
+
 def _word_sampler(w: WordWithConstants, ring: RingDescriptor, rng, m: int, sigma=None):
     """``draw()``: the raw 2x2 value of w at m points of SL_2(ring) from
     :func:`~wordmap.matrices._random_sl2_rows`, drawn in order; with
@@ -222,25 +248,21 @@ def _word_sampler(w: WordWithConstants, ring: RingDescriptor, rng, m: int, sigma
     points = [SquareMatrix.identity(ring, 2)] * m
     if sigma is not None:
         points[1] = sigma
-    _check_tuple(w, points)
+    _n, _ring, inverted = _check_tuple(w, points)
     letters, binding, neg = w.word.letters, w.binding, ring.rneg
     identity = _identity_rows(ring, 2)
-    fixed = {}  # the true inverses, by constant name or sigma's index 2
-    gens = []
-
-    def invert(key):
-        if type(key) is int and (sigma is None or key != 2):
-            (a, b), (c, d) = gens[key - 1]
-            return (d, neg(b)), (neg(c), a)
-        if key not in fixed:
-            fixed[key] = (sigma if type(key) is int else binding[key]).inverse().rows
-        return fixed[key]
+    drawn = [g for g in inverted if type(g) is int and (sigma is None or g != 2)]
+    fixed = _inverse_rows(w, points, [k for k in inverted if k not in drawn], SquareMatrix.inverse)
 
     def draw():
-        gens[:] = [_random_sl2_rows(ring, rng) for _ in range(m)]
+        gens = [_random_sl2_rows(ring, rng) for _ in range(m)]
         if sigma is not None:
             gens[1] = sigma.rows
-        acc = _product(ring, letters, gens, binding, {}, invert)
+        inverses = dict(fixed)
+        for g in drawn:
+            (a, b), (c, d) = gens[g - 1]
+            inverses[g] = (d, neg(b)), (neg(c), a)
+        acc = _product(ring, letters, gens, binding, inverses)
         return identity if acc is None else acc
 
     return draw
@@ -318,20 +340,17 @@ def jet_sweep(w: WordWithConstants, point):
     """``(value, derivs)``: the word value at an SL2 point and its derivatives
     under g_i -> (I + eps X) g_i, argument-major in E, F, H order.
 
-    The value is one :func:`eval_group` call; the derivatives come from one
-    product-rule pass over the base ring (:func:`_product_rule`).  The
-    inverses are the evaluation's, so each generator and constant is
-    inverted once; no prefix is.
+    One product-rule pass over the base ring (:func:`_product_rule`) gives
+    both; each inverted generator and constant takes its true inverse once,
+    before the pass, and no prefix is inverted.
     """
-    n, ring = _check_tuple(w, point)
+    n, ring, inverted = _check_tuple(w, point)
     if n != 2:
         raise DimensionMismatch("jets are implemented for 2x2")
-    inverses = {}  # the evaluation's, shared with the jets
-    value = eval_group(w, point, inverses=inverses)
-    factors = _factors(ring, w.word.letters, point, w.binding, inverses)
-    derivs = _product_rule(ring, factors)[1]
+    inverses = _inverse_rows(w, point, inverted, SquareMatrix.inverse)
+    value, derivs = _product_rule(ring, _factors(ring, w.word.letters, point, w.binding, inverses))
     zeros = [SquareMatrix.zero(ring, 2).rows] * 3
-    return value, [
+    return SquareMatrix._raw(ring, value), [
         SquareMatrix._raw(ring, d) for i in range(len(point)) for d in derivs.get(i, zeros)
     ]
 
@@ -421,7 +440,7 @@ def dominance_probe(w: WordWithConstants, point) -> int:
     divides, in the point or in a constant, gives way to the next one; a
     lower rank mod p and every other ring take the exact sweep.
     """
-    _n, ring = _check_tuple(w, point)
+    _n, ring, _inverted = _check_tuple(w, point)
     for field, phi in _reductions(ring):
         try:
             binding = {c: _reduced(w.binding[c], field, phi) for c in w.constant_names()}

@@ -23,22 +23,8 @@ from .rings import (
     primitive_root_of_unity,
     sqrt_in_ring,
 )
-from .evaluate import (
-    ProbeResult,
-    _add2,
-    _sample_distinct,
-    _tangent_steps,
-    _word_sampler,
-    eval_group,
-    jet_sweep,
-)
-from .words import (
-    Word,
-    WordWithConstants,
-    parse,
-    pure,
-    zero_exponent_sum_in_y,
-)
+from .evaluate import _add2, _tangent_steps, eval_group, jet_sweep
+from .words import Word, WordWithConstants, parse
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +76,7 @@ def trace_preimage_commutator(a: Scalar, lam: Scalar, be: Scalar) -> Sl2Pair:
         raise DegenerateLambda("lambda must differ from +-1")
     if be.is_zero():
         raise InvalidParams("beta must be nonzero")
-    d = lam - lam.inv()
-    p = (ring.from_int(2) - a) / (d * d)
+    p = _t_level(lam, a)
     q = p + ring.one
     ga = p / be
     if q.is_zero():
@@ -693,22 +678,3 @@ def lemma101_check(ring: RingDescriptor) -> Lemma101Report:
     return Lemma101Report(
         z=z, intermediate=intermediate, final_trace=final.trace(), ok=ok
     )
-
-
-# ---------------------------------------------------------------------------
-# trace probe after substituting a constant for the distinguished variable
-
-
-def wsigma_trace_probe(w: Word, sigma: SquareMatrix, rng, samples: int) -> ProbeResult:
-    """Sample tr(w^_sigma) with sigma substituted for the distinguished variable y."""
-    if not zero_exponent_sum_in_y(w):
-        raise InvalidParams("the distinguished-variable exponents must sum to zero")
-    ring = sigma.ring
-    draw = _word_sampler(pure(w), ring, rng, max(w.max_generator(), 2), sigma)
-    add = ring.radd
-
-    def trace():
-        (a, _b), (_c, d) = draw()
-        return add(a, d)
-
-    return ProbeResult(*_sample_distinct(trace, samples, ring))

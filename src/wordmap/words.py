@@ -139,35 +139,6 @@ def _constants_written_out(letters, before: int = 0) -> int:
 # as a tuple.
 
 
-def _append(out: list, items) -> list:
-    """Append (gen, exp) pairs, Power nodes and ConstLetters to the reduced
-    syllable list ``out``.
-
-    A stack: a pair merges with, or cancels, the pair on top, and a
-    cancellation exposes the next one.  A node, or a pair facing a node, is
-    joined as in :func:`_join`.  Constants are barriers and zero exponents
-    vanish.  The items need not be reduced; for two reduced lists use
-    :func:`_join`.
-    """
-    for item in items:
-        if type(item) is ConstLetter:
-            out.append(item)
-        elif type(item) is Power:
-            _join(out, [item])
-        elif out and type(out[-1]) is Power:
-            if item[1]:
-                _join(out, [(item[0], item[1])])
-        elif out and type(out[-1]) is not ConstLetter and out[-1][0] == item[0]:
-            exp = out[-1][1] + item[1]
-            if exp:
-                out[-1] = (item[0], exp)
-            else:
-                out.pop()
-        elif item[1]:
-            out.append((item[0], item[1]))  # a Word holds hashable pairs
-    return out
-
-
 def _end(item, i: int):
     """The first (i = 0) or last (i = -1) syllable of a pair, node or constant."""
     while type(item) is Power:
@@ -301,8 +272,16 @@ def _word(pairs) -> Word:
 
 
 def word(pairs) -> Word:
-    """Build a reduced Word from (generator, exponent) pairs."""
-    return _word(_append([], pairs))
+    """Build a reduced Word from (generator, exponent) pairs, Power nodes and
+    ConstLetters, which need not be reduced: each is joined by :func:`_join`
+    in turn, so constants are barriers, and zero exponents vanish."""
+    out = []
+    for item in pairs:
+        if type(item) in (Power, ConstLetter):
+            _join(out, [item])
+        elif item[1]:
+            _join(out, [(item[0], item[1])])  # a Word holds hashable pairs
+    return _word(out)
 
 
 def zero_exponent_sum_in_y(w: Word) -> bool:

@@ -198,6 +198,31 @@ def test_evaluation_inverts_each_generator_once(monkeypatch):
     assert value == (x * y.inverse() * x.inverse() * y) ** 50
 
 
+def test_given_inverses_are_used_and_the_rest_taken_once(monkeypatch):
+    # a partial dict of inverses: the given rows are used as they are, the
+    # missing ones are taken once each, and the caller's dict is not changed
+    rng = random.Random(54)
+    sigma = random_sl2(F101, rng)
+    w = parse("x^-2 y s1^-1 x y^-1 z^-1").with_binding({"s1": sigma})
+    tup = [random_sl2(F101, rng) for _ in range(3)]
+    expected = eval_group(w, tup)
+    given = {1: tup[0].inverse().rows}
+    before = dict(given)
+    calls = []
+    inverse = SquareMatrix.inverse
+
+    def counting(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(SquareMatrix, "inverse", counting)
+    assert eval_group(w, tup, inverses=given) == expected
+    assert Counter(calls) == Counter([tup[1], tup[2], sigma])
+    assert given == before
+    # the given rows are used, not retaken: x for x^-1 changes the value
+    assert eval_group(w, tup, inverses={1: tup[0].rows}) != expected
+
+
 def test_restriction_to_sl_is_plain_evaluation():
     rng = random.Random(43)
     for _ in range(50):
@@ -244,6 +269,14 @@ def test_dimension_mismatch():
     w = parse("x y")
     with pytest.raises(DimensionMismatch):
         eval_group(w, [random_sl2(F101, random.Random(0))])
+
+
+def test_jet_sweep_checks_the_size_before_inverting():
+    # a 3x3 tuple is refused for its size, before its singular inverted
+    # generator is met
+    singular = matrix_from_json(F101, [[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+    with pytest.raises(DimensionMismatch, match="jets are implemented for 2x2"):
+        jet_sweep(parse("x^-1 y"), [singular, random_invertible(F101, 3, random.Random(55))])
 
 
 def test_generator_below_one_is_rejected():
@@ -364,9 +397,10 @@ def test_dominance_conjugation_word_rank_two():
         assert dominance_probe(w, [random_sl2(F101, rng)]) == 2
 
 
-def test_dominance_costs_one_evaluation(monkeypatch):
-    # the jets share the evaluation's inverses: each generator and constant is
-    # inverted once, and neither a prefix nor the value is
+def test_dominance_makes_no_evaluation(monkeypatch):
+    # the jet sweep's product-rule pass gives the value too: no eval_group
+    # call; each generator and constant is inverted once, and neither a
+    # prefix nor the value is
     rng = random.Random(50)
     sigma = random_sl2(F101, rng)
     w = parse("[[x,y],[x,z]]^20 s1^-1 x^-3 y^5 s1 z^-2").with_binding({"s1": sigma})
@@ -385,7 +419,7 @@ def test_dominance_costs_one_evaluation(monkeypatch):
     monkeypatch.setattr(evaluate, "eval_group", eval_group_counted)
     monkeypatch.setattr(SquareMatrix, "inverse", inverse)
     dominance_probe(w, point)
-    assert len(evaluations) == 1
+    assert len(evaluations) == 0
     assert Counter(inverted) == Counter(point + [sigma])
 
 
@@ -485,7 +519,7 @@ def dual_jet_sweep(w, point):
     """The dual-number jet sweep that ``jet_sweep`` replaced, kept as an
     oracle: one evaluation of the word over dual numbers per direction,
     g_i -> (I + eps X) g_i, with the binding lifted too."""
-    _n, ring = _check_tuple(w, point)
+    _n, ring, _inverted = _check_tuple(w, point)
     dual = DualNumbers(ring)
     wl = w.with_binding({k: lift_matrix(v, dual) for k, v in w.binding.items()})
     (value,), derivs = _jets(lambda _scalars, mats: (eval_group(wl, mats),), ring, [], point)

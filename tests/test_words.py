@@ -174,6 +174,49 @@ def test_algebra_reduces_hand_built_words():
     assert from_items([[1, 1], ConstLetter("a"), [2, 1]]) == parse("x a y")
 
 
+def free_reduction(items):
+    """The reduced syllables of unreduced (gen, exp) pairs and constants, by a
+    stack over single letters: a letter cancels its inverse on top, a
+    constant is a barrier, and maximal runs of one letter become syllables."""
+    stack = []
+    for item in items:
+        if type(item) is ConstLetter:
+            stack.append(item)
+            continue
+        g, e = item
+        for _ in range(abs(e)):
+            letter = (g, 1 if e > 0 else -1)
+            if stack and stack[-1] == (g, -letter[1]):
+                stack.pop()
+            else:
+                stack.append(letter)
+    syllables = []
+    for letter in stack:
+        if syllables and type(letter) is tuple and type(syllables[-1]) is tuple \
+                and syllables[-1][0] == letter[0]:
+            syllables[-1] = (letter[0], syllables[-1][1] + letter[1])
+        else:
+            syllables.append(letter)
+    return tuple(syllables)
+
+
+# few generators and small exponents, zeros included, so that runs on one
+# generator merge and cancel, with constants between them as barriers
+unreduced_items = st.lists(
+    st.one_of(
+        st.tuples(st.integers(1, 2), st.integers(-3, 3)),
+        st.builds(ConstLetter, st.sampled_from(["a", "b"]), st.booleans()),
+    ),
+    max_size=16,
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(unreduced_items)
+def test_word_matches_a_stack_free_reduction(items):
+    assert word(items).letters == free_reduction(items)
+
+
 def test_expanded_letter_cap_at_default():
     with pytest.raises(WordSyntaxError, match="more than 10000000 letters") as info:
         parse("x^10000001")
