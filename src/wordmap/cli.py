@@ -22,7 +22,6 @@ from .evaluate import (
 )
 from .geometry import (
     COMPONENT_IDS,
-    Sl2Pair,
     component,
     dimension_certificate,
     lemma78_check,
@@ -105,10 +104,6 @@ def _text_value(v):
     if isinstance(v, (list, dict)):
         return json.dumps(v, sort_keys=True)
     return v
-
-
-def _pair_json(p: Sl2Pair):
-    return [matrix_to_json(p.g1), matrix_to_json(p.g2)]
 
 
 @functools.cache
@@ -239,12 +234,12 @@ def _cmd_preimage(args, ring, rng):
     a = parse_scalar(ring, args.a)
     lam = parse_scalar(ring, args.lam)
     beta = parse_scalar(ring, args.beta)
-    pair = trace_preimage_commutator(a, lam, beta)
-    comm = pair.g1 * pair.g2 * pair.g1.inverse() * pair.g2.inverse()
+    t, g = trace_preimage_commutator(a, lam, beta)
+    comm = t * g * t.inverse() * g.inverse()
     hit = comm.trace() == a
     report = {
-        "t": matrix_to_json(pair.g1),
-        "g": matrix_to_json(pair.g2),
+        "t": matrix_to_json(t),
+        "g": matrix_to_json(g),
         "commutator_trace": render_scalar(comm.trace()),
         "hit": hit,
     }
@@ -266,7 +261,7 @@ def _cmd_dimcert(args, ring, rng):
     cert = dimension_certificate(comp)
     report = {
         "component": cert.component,
-        "point": _pair_json(cert.point),
+        "point": [matrix_to_json(g) for g in cert.point],
         "lower": cert.lower,
         "upper": cert.upper,
         "claimed": cert.claimed,
@@ -280,10 +275,10 @@ def _cmd_sep_witness(args, ring, rng):
     point = separation_witness(w, ring)
     if point is None:
         return {"found": False}, EXIT_PROPERTY_FAILED
-    value = eval_group(w, list(point))
+    value = eval_group(w, point)
     report = {
         "found": True,
-        "point": _pair_json(point),
+        "point": [matrix_to_json(g) for g in point],
         "value": matrix_to_json(value),
         "trace": render_scalar(value.trace()),
     }
@@ -291,8 +286,7 @@ def _cmd_sep_witness(args, ring, rng):
 
 
 def _cmd_relscan(args, ring, rng):
-    pair = Sl2Pair(*[_load_matrix(ring, t) for t in args.at])
-    result = relation_scan(pair, args.max_len)
+    result = relation_scan([_load_matrix(ring, t) for t in args.at], args.max_len)
     report = {
         "trivial": result.trivial,
         "relations": [render(w) for w in result.relations],

@@ -32,7 +32,7 @@ from .matrices import (
     inverse_from,
     rank,
 )
-from .rings import RingDescriptor, Scalar, _reductions
+from .rings import RingDescriptor, Scalar, _first_reduction
 from .words import (
     ConstLetter,
     Power,
@@ -40,7 +40,6 @@ from .words import (
     WordWithConstants,
     _masses,
     exponent_data,
-    pure,
     zero_exponent_sum_in_y,
 )
 
@@ -225,7 +224,7 @@ def wsigma_trace_probe(w: Word, sigma: SquareMatrix, rng, samples: int) -> Probe
     if not zero_exponent_sum_in_y(w):
         raise InvalidParams("the distinguished-variable exponents must sum to zero")
     ring = sigma.ring
-    draw = _word_sampler(pure(w), ring, rng, max(w.max_generator(), 2), sigma)
+    draw = _word_sampler(WordWithConstants(w), ring, rng, max(w.max_generator(), 2), sigma)
     add = ring.radd
 
     def trace():
@@ -433,23 +432,20 @@ def dominance_probe(w: WordWithConstants, point) -> int:
     entries of the d have the rank of the A; V must be invertible.
 
     Over Q and Q[sqrt(d)] the word is first swept at the image of the point
-    and of the binding mod p (:func:`wordmap.rings._reductions`).  A value
-    with det != 0 mod p is invertible, and the rank mod p is at most the
-    exact rank, which is at most 3; so a rank of 3 mod p is the answer.  A
-    prime that meets a vanishing inverse or determinant, or a denominator it
-    divides, in the point or in a constant, gives way to the next one; a
-    lower rank mod p and every other ring take the exact sweep.
+    and of the binding mod p, at the first prime where the sweep completes
+    (:func:`wordmap.rings._first_reduction`).  A value with det != 0 mod p is
+    invertible, and the rank mod p is at most the exact rank, which is at
+    most 3; so a rank of 3 mod p is the answer.  A lower rank mod p and every
+    other ring take the exact sweep.
     """
     _n, ring, _inverted = _check_tuple(w, point)
-    for field, phi in _reductions(ring):
-        try:
-            binding = {c: _reduced(w.binding[c], field, phi) for c in w.constant_names()}
-            reduced = [_reduced(g, field, phi) for g in point]
-            if _differential_rank(w.with_binding(binding), reduced) == 3:
-                return 3
-        except NotInvertible:
-            continue
-        break
+
+    def reduced_rank(field, phi):
+        binding = {c: _reduced(w.binding[c], field, phi) for c in w.constant_names()}
+        return _differential_rank(w.with_binding(binding), [_reduced(g, field, phi) for g in point])
+
+    if _first_reduction(ring, reduced_rank) == 3:
+        return 3
     return _differential_rank(w, point)
 
 

@@ -11,7 +11,6 @@ from .errors import (
     DegenerateLambda,
     DimensionMismatch,
     InvalidParams,
-    NotInvertible,
     RingLacksRoots,
 )
 from .matrices import SquareMatrix, _reduced, rank
@@ -19,7 +18,7 @@ from .rings import (
     PrimeField,
     RingDescriptor,
     Scalar,
-    _reductions,
+    _first_reduction,
     primitive_root_of_unity,
     sqrt_in_ring,
 )
@@ -53,19 +52,10 @@ def weyl_rep(ring: RingDescriptor) -> SquareMatrix:
 
 
 # ---------------------------------------------------------------------------
-# pairs, and commutators with a prescribed trace
+# commutators with a prescribed trace
 
 
-@dataclass(frozen=True)
-class Sl2Pair:
-    g1: SquareMatrix
-    g2: SquareMatrix
-
-    def __iter__(self):
-        return iter((self.g1, self.g2))
-
-
-def trace_preimage_commutator(a: Scalar, lam: Scalar, be: Scalar) -> Sl2Pair:
+def trace_preimage_commutator(a: Scalar, lam: Scalar, be: Scalar) -> tuple:
     """A pair (t, g) with tr [t, g] = a exactly.
 
     beta*gamma = p = (2-a)/(lam-1/lam)^2 and alpha*delta = q = p + 1, so
@@ -84,7 +74,7 @@ def trace_preimage_commutator(a: Scalar, lam: Scalar, be: Scalar) -> Sl2Pair:
     else:
         al, de = q, ring.one
     g = SquareMatrix.from_rows(ring, [[al, be], [ga, de]])
-    return Sl2Pair(diag(lam), g)
+    return diag(lam), g
 
 
 # ---------------------------------------------------------------------------
@@ -107,18 +97,19 @@ def value_fiber_membership(value: SquareMatrix) -> FiberMembership:
 
 
 def separation_witness(w: WordWithConstants, ring: RingDescriptor):
-    """A point with tr(w^) = 2 and w^ != 1, from the catalogue parametrizations."""
-    two = ring.from_int(2)
-    three = ring.from_int(3)
+    """A point with tr(w^) = 2 and w^ != 1, from the catalogue parametrizations;
+    a candidate whose torus parameter is 0 in the ring is left out."""
+    two, three = ring.from_int(2), ring.from_int(3)
+    if two.is_zero():  # diag(2) does not exist, and diag(3) is the identity
+        raise InvalidParams(f"separation witnesses need 2 != 0, but {ring} has characteristic 2")
     ident = SquareMatrix.identity(ring, 2)
-    candidates = [
-        Sl2Pair(diag(two), upper_unitriangular(ring.one)),
-        Sl2Pair(diag(two), weyl_rep(ring) * upper_unitriangular(ring.one)),
-        Sl2Pair(diag(three), upper_unitriangular(ring.one)),
-        Sl2Pair(upper_unitriangular(ring.one), diag(two)),
-    ]
+    u = upper_unitriangular(ring.one)
+    candidates = [(diag(two), u), (diag(two), weyl_rep(ring) * u)]
+    if not three.is_zero():
+        candidates.append((diag(three), u))
+    candidates.append((u, diag(two)))
     for p in candidates:
-        value = eval_group(w, list(p))
+        value = eval_group(w, p)
         if value != ident and value.trace() == two:
             return p
     return None
@@ -144,7 +135,7 @@ def jet_jacobian(w: WordWithConstants, point, equations: str = "W") -> JetJacobi
     """
     if equations not in ("W", "T"):
         raise ValueError("equations must be 'W' or 'T'")
-    value, derivs = jet_sweep(w, list(point))
+    value, derivs = jet_sweep(w, point)
     if equations == "W":
         rows = tuple((d.rows[0][0], d.rows[0][1], d.rows[1][0]) for d in derivs)
     else:
@@ -230,14 +221,14 @@ class ComponentInstance:
         }
         return {j: SquareMatrix.from_rows(ring, rows).rows for j, rows in partials.items()}
 
-    def witness(self) -> Sl2Pair:
-        return Sl2Pair(*self.family(self.scalars, self.mats))
+    def witness(self) -> tuple:
+        return self.family(self.scalars, self.mats)
 
 
 @dataclass(frozen=True)
 class DimensionCertificate:
     component: str
-    point: Sl2Pair
+    point: tuple  # (x, y)
     lower: int
     upper: int
     claimed: int
@@ -444,7 +435,7 @@ def dimension_certificate(comp: ComponentInstance) -> DimensionCertificate:
         jac = jet_jacobian(comp.equation, point, comp.kind)
         value, bounds = jac.value, (parametrization_rank(comp), 6 - jac.rank)
     else:
-        value = eval_group(comp.equation, list(point))
+        value = eval_group(comp.equation, point)
     if comp.kind == "W":
         holds = value == SquareMatrix.identity(comp.ring, 2)
     else:
@@ -462,36 +453,33 @@ def dimension_certificate(comp: ComponentInstance) -> DimensionCertificate:
     )
 
 
-def _reduced_bounds(comp: ComponentInstance, point: Sl2Pair):
-    """Both ranks at the first prime of :func:`wordmap.rings._reductions` that
-    carries them, as (lower, upper) when they meet, else None.
+def _reduced_bounds(comp: ComponentInstance, point):
+    """Both ranks at the first prime of :func:`wordmap.rings._first_reduction`
+    where they complete, as (lower, lower) when they meet, else None.
 
     The instance's own data reduce: scalars, matrices, i and the trace
     target, never a component rebuilt over F_p, which could choose another
     torus parameter.  The family satisfies its equations identically, so
     its tangents lie in the kernel of their Jacobian and lower <= dim <=
     upper; a rank mod p is at most the exact rank, so lower_p <= lower and
-    upper <= upper_p.  Hence lower_p == upper_p is both exact numbers.  A
-    prime that meets a vanishing inverse gives way to the next one; bounds
-    that do not meet leave the answer to the exact ranks.
+    upper <= upper_p.  Hence lower_p == upper_p is both exact numbers;
+    bounds that do not meet leave the answer to the exact ranks.
     """
-    for field, phi in _reductions(comp.ring):
 
+    def bounds(field, phi):
         def scalar(s):
             return None if s is None else Scalar(field, phi(s.value))
 
-        try:
-            reduced = replace(
-                comp, ring=field, scalars=[scalar(s) for s in comp.scalars],
-                mats=[_reduced(g, field, phi) for g in comp.mats],
-                target=scalar(comp.target), i_scalar=scalar(comp.i_scalar),
-            )
-            lower = parametrization_rank(reduced)
-            jac = jet_jacobian(comp.equation, [_reduced(g, field, phi) for g in point], comp.kind)
-        except NotInvertible:
-            continue
+        reduced = replace(
+            comp, ring=field, scalars=[scalar(s) for s in comp.scalars],
+            mats=[_reduced(g, field, phi) for g in comp.mats],
+            target=scalar(comp.target), i_scalar=scalar(comp.i_scalar),
+        )
+        lower = parametrization_rank(reduced)
+        jac = jet_jacobian(comp.equation, [_reduced(g, field, phi) for g in point], comp.kind)
         return (lower, lower) if lower == 6 - jac.rank else None
-    return None
+
+    return _first_reduction(comp.ring, bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +498,8 @@ _SCAN_MAX = 12
 _LETTERS = ((1, 1), (1, -1), (2, 1), (2, -1))
 
 
-def relation_scan(pair: Sl2Pair, max_len: int) -> RelationScanResult:
-    """All reduced words in F_2 of length <= max_len vanishing at the pair,
+def relation_scan(pair, max_len: int) -> RelationScanResult:
+    """All reduced words in F_2 of length <= max_len vanishing at the pair (x, y),
     sorted by (length, syllables).
 
     Meet in the middle: a word ``u t^-1`` with ``|u| = ceil(l/2)`` and
@@ -527,14 +515,14 @@ def relation_scan(pair: Sl2Pair, max_len: int) -> RelationScanResult:
         raise InvalidParams(f"max_len capped at {_SCAN_MAX}")
     if max_len < 1:
         raise InvalidParams("max_len must be >= 1")
-    if pair.g1.n != 2 or pair.g2.n != 2:
-        sizes = " and ".join(f"{g.n}x{g.n}" for g in pair)
-        raise DimensionMismatch(f"relation scan is defined for SL2, got {sizes}")
-    ring = pair.g1.ring
+    x, y = pair
+    if x.n != 2 or y.n != 2:
+        raise DimensionMismatch(f"relation scan is defined for SL2, got {x.n}x{x.n} and {y.n}x{y.n}")
+    ring = x.ring
     ident = SquareMatrix.identity(ring, 2)
-    if pair.g1 == ident and pair.g2 == ident:
+    if x == ident and y == ident:
         return RelationScanResult(trivial=True, relations=())
-    gens = (pair.g1, pair.g1.inverse(), pair.g2, pair.g2.inverse())
+    gens = (x, x.inverse(), y, y.inverse())
     levels = _half_words(gens, ident, (max_len + 1) // 2)
     tails = []  # by length: {raw rows of M(t): [(last letter of t, syllables of t^-1)]}
     for level in levels[: max_len // 2 + 1]:

@@ -14,15 +14,13 @@ matrix product, here and in :mod:`wordmap.evaluate` and
 
 Determinant, adjugate, characteristic polynomial and inverse share one kernel,
 Berkowitz's division-free algorithm, which is valid over every commutative
-ring (fields, quadratic extensions, dual numbers) and never branches on the
-ring.  For n <= 2, det and adjugate take their closed forms; for n >= 3 the
-adjugate follows from the characteristic polynomial by Cayley-Hamilton, and
-``inverse()`` takes det and adjugate from a single Berkowitz pass.
+ring and never branches on the ring.  For n <= 2, det and adjugate take their
+closed forms; for n >= 3 the adjugate follows from the characteristic
+polynomial by Cayley-Hamilton, and ``inverse()`` takes det and adjugate from a
+single Berkowitz pass.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import DimensionMismatch, NotInvertible, RingMismatch, WordmapError
 from .rings import RingDescriptor, Scalar, parse_scalar, render_scalar
@@ -296,20 +294,12 @@ def adjugate(m: SquareMatrix) -> SquareMatrix:
     return SquareMatrix._raw(m.ring, _det_adjugate(m.ring, m.rows)[1])
 
 
-@dataclass(frozen=True)
-class CharPolyCoeffs:
-    """Signed elementary symmetric functions of the eigenvalues: chi[0] = trace, chi[-1] = det."""
-
-    chi: tuple
-
-
-def charpoly(m: SquareMatrix) -> CharPolyCoeffs:
-    """chi_i = (-1)^i c_i, so chi_1 = trace and chi_n = det."""
+def charpoly(m: SquareMatrix) -> tuple:
+    """``(chi_1, ..., chi_n)``, the signed elementary symmetric functions of
+    the eigenvalues: chi_i = (-1)^i c_i, so chi_1 = trace and chi_n = det."""
     ring = m.ring
     coeffs = _berkowitz(ring, m.rows)
-    return CharPolyCoeffs(
-        tuple(Scalar(ring, ring.rneg(c) if i % 2 else c) for i, c in enumerate(coeffs) if i)
-    )
+    return tuple(Scalar(ring, ring.rneg(c) if i % 2 else c) for i, c in enumerate(coeffs) if i)
 
 
 # ---------------------------------------------------------------------------

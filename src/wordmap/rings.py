@@ -21,10 +21,10 @@ operators.
 Ranks over Q and ``Q[sqrt(d)]`` are first taken mod p: :func:`_reductions`
 maps raw values to F_p for each of a fixed tuple of primes below 2^61 (a
 ring homomorphism, sqrt(d) going to its least root mod p), and the rank of
-an image is a lower bound for the exact rank.  The callers in
-:mod:`wordmap.evaluate` and :mod:`wordmap.geometry` accept a bound only when
-it decides the answer and otherwise take the exact path, so no output depends
-on the reduction.
+an image is a lower bound for the exact rank.  The callers of
+:func:`_first_reduction`, in :mod:`wordmap.evaluate` and
+:mod:`wordmap.geometry`, accept a bound only when it decides the answer and
+otherwise take the exact path, so no output depends on the reduction.
 """
 
 from __future__ import annotations
@@ -605,6 +605,19 @@ def _reductions(ring: RingDescriptor):
         reduction = _reduction(p, d)
         if reduction is not None:
             yield reduction
+
+
+def _first_reduction(ring: RingDescriptor, attempt):
+    """``attempt(F_p, phi)`` at the first reduction of :func:`_reductions`
+    where it completes; a prime where it raises NotInvertible (a vanishing
+    inverse, or a denominator that p divides) gives way to the next one.
+    None when no prime completes, as over F_p."""
+    for field, phi in _reductions(ring):
+        try:
+            return attempt(field, phi)
+        except NotInvertible:
+            continue
+    return None
 
 
 @cache

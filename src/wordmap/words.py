@@ -328,10 +328,6 @@ class WordWithConstants:
         return isinstance(other, WordWithConstants) and self.word == other.word
 
 
-def pure(w: Word) -> WordWithConstants:
-    return WordWithConstants(w)
-
-
 def from_items(items) -> WordWithConstants:
     """Normalize a flat stream of (gen, exp) pairs and ConstLetters.
 

@@ -7,7 +7,6 @@ against the degree d_r = a_r+ + (n-1) b_r that exponent_data counts.
 """
 
 from wordmap import (
-    Sl2Pair,
     SquareMatrix,
     eval_adjugate_extension,
     exponent_data,
@@ -44,7 +43,7 @@ def q8_witness(ring, mu=None):
     i = sqrt_in_ring(ring, -1)
     assert i is not None, f"{ring} has no square root of -1"
     mu = mu if mu is not None else ring.one
-    return Sl2Pair(
+    return (
         SquareMatrix.from_rows(ring, [[i, ring.zero], [ring.zero, i.inv()]]),
         SquareMatrix.from_rows(ring, [[ring.zero, mu], [-mu.inv(), ring.zero]]),
     )

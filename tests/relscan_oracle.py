@@ -12,13 +12,9 @@ from wordmap import SquareMatrix, word
 def dfs_relations(pair, max_len: int) -> tuple:
     """The reduced words of length <= max_len vanishing at the pair, sorted
     by (length, syllables), for a pair that is not (I, I)."""
-    ident = SquareMatrix.identity(pair.g1.ring, 2)
-    gens = {
-        (1, 1): pair.g1,
-        (1, -1): pair.g1.inverse(),
-        (2, 1): pair.g2,
-        (2, -1): pair.g2.inverse(),
-    }
+    x, y = pair
+    ident = SquareMatrix.identity(x.ring, 2)
+    gens = {(1, 1): x, (1, -1): x.inverse(), (2, 1): y, (2, -1): y.inverse()}
     found = []
 
     def extend(prefix, matrix, remaining):

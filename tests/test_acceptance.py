@@ -174,7 +174,7 @@ def test_05_trace_surjectivity():
     for a_int in range(101):
         a = F101.from_int(a_int)
         pair = trace_preimage_commutator(a, lam, F101.one)
-        if eval_group(parse("[x,y]"), list(pair)).trace() == a:
+        if eval_group(parse("[x,y]"), pair).trace() == a:
             hits += 1
     assert hits == 101
     report(5, "commutator trace preimage hits all 101 values of F_101 exactly")
@@ -209,7 +209,7 @@ def test_08_separation_witnesses():
         w = parse(text)
         point = separation_witness(w, F101)
         assert point is not None, text
-        value = eval_group(w, list(point))
+        value = eval_group(w, point)
         assert value.trace() == F101.from_int(2)
         assert value != SquareMatrix.identity(F101, 2)
     report(8, "nontrivial unipotent value (trace 2, != I) produced for all five example words")
@@ -221,7 +221,7 @@ def test_09_q8_detection():
     assert word([(1, 4)]) in rels
     assert word([(1, 2), (2, -2)]) in rels
     assert word([(1, 1), (2, 1), (1, -1), (2, -1), (1, -2)]) in rels
-    assert len(generated_group(list(pair))) == 8
+    assert len(generated_group(pair)) == 8
     report(9, "Q8 witness: finds x^4, x^2 y^-2, [x,y] x^-2; closure has exactly 8 elements")
 
 

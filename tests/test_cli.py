@@ -243,6 +243,26 @@ def test_sep_witness(capsys):
     assert rep["found"] and rep["trace"] == "2"
 
 
+def test_sep_witness_over_f3_leaves_out_diag_3(capsys):
+    # diag(3) does not exist in F_3, so that candidate is left out, and the
+    # search goes on to (U(1), diag(2)), where x^2 is the unipotent U(2)
+    code, out = run(capsys, ["--ring", "Fp:3", "sep-witness", "--word", "x^2"])
+    assert code == 0
+    assert out == (
+        '{"found": true, "point": [[["1", "1"], ["0", "1"]], [["2", "0"], ["0", "2"]]], '
+        '"trace": "2", "value": [["1", "2"], ["0", "1"]]}\n'
+    )
+    code, rep = run_json(capsys, ["--ring", "Fp:3", "sep-witness", "--word", "[x,y]"])
+    assert (code, rep) == (1, {"found": False})
+
+
+def test_sep_witness_refuses_characteristic_2(capsys):
+    assert main(["--ring", "Fp:2", "sep-witness", "--word", "x^2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: separation witnesses need 2 != 0, but Fp:2 has characteristic 2\n"
+
+
 def test_relscan(capsys):
     code, rep = run_json(
         capsys,

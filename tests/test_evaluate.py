@@ -17,6 +17,7 @@ from wordmap import (
     Rationals,
     SquareMatrix,
     UnboundConstant,
+    WordWithConstants,
     WordmapError,
     check_restriction_identities,
     chi_probe,
@@ -27,7 +28,6 @@ from wordmap import (
     exponent_data,
     jet_sweep,
     parse,
-    pure,
     random_sl2,
     rank,
     word,
@@ -284,7 +284,7 @@ def test_generator_below_one_is_rejected():
     tup = [random_sl2(F101, random.Random(0)) for _ in range(2)]
     for pairs in ([(0, 1)], [(1, 1), (0, -2)]):
         with pytest.raises(DimensionMismatch, match="start at 1"):
-            eval_group(pure(word(pairs)), tup)
+            eval_group(WordWithConstants(word(pairs)), tup)
 
 
 # ---------------------------------------------------------------------------

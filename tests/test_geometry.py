@@ -33,7 +33,6 @@ from wordmap import (
 from wordmap import geometry
 from wordmap.geometry import (
     COMPONENT_IDS,
-    Sl2Pair,
     diag,
     upper_unitriangular,
     value_fiber_membership,
@@ -50,6 +49,12 @@ F17 = PrimeField(17)
 F101 = PrimeField(101)
 
 EX5_TEXT = "[ [x,y] , x [x,y] x^-1 ]"
+
+
+def is_matrix_pair(point) -> bool:
+    """A point of G^2 is a plain tuple (x, y) of matrices."""
+    return type(point) is tuple and len(point) == 2 and all(
+        isinstance(g, SquareMatrix) for g in point)
 
 
 # ---------------------------------------------------------------------------
@@ -80,11 +85,11 @@ def test_trace_preimage_hits_every_value_of_f101():
     lam = F101.from_int(2)
     for a_int in range(101):
         a = F101.from_int(a_int)
-        pair = trace_preimage_commutator(a, lam, F101.one)
-        comm = eval_group(parse("[x,y]"), list(pair))
+        t, g = trace_preimage_commutator(a, lam, F101.one)
+        comm = eval_group(parse("[x,y]"), (t, g))
         assert comm.trace() == a
         # det g = 1 is automatic from q - p = 1
-        assert pair.g2[0, 0] * pair.g2[1, 1] - pair.g2[0, 1] * pair.g2[1, 0] == F101.one
+        assert g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0] == F101.one
 
 
 def test_trace_preimage_q_minus_p_identity():
@@ -107,10 +112,12 @@ def test_trace_preimage_recovers_q8_pair():
     F = F13
     i = sqrt_in_ring(F, -1)
     pair = trace_preimage_commutator(F.from_int(-2), i, F.one)
-    assert pair.g1 == diag(i)
+    assert is_matrix_pair(pair)
+    t, g = pair
+    assert t == diag(i)
     # alpha = delta = 0 branch: g is anti-diagonal
-    assert pair.g2[0, 0].is_zero() and pair.g2[1, 1].is_zero()
-    comm = eval_group(parse("[x,y]"), list(pair))
+    assert g[0, 0].is_zero() and g[1, 1].is_zero()
+    comm = eval_group(parse("[x,y]"), pair)
     assert comm.trace() == F.from_int(-2)
 
 
@@ -152,8 +159,8 @@ FIVE_WORDS = ["[x,y]", "[x^2,y]", "[x,y]^2", "[x,y]^5", EX5_TEXT]
 def test_separation_witness_for_each_example_word(text):
     w = parse(text)
     point = separation_witness(w, F101)
-    assert point is not None
-    value = eval_group(w, list(point))
+    assert is_matrix_pair(point)
+    value = eval_group(w, point)
     assert value.trace() == F101.from_int(2)
     assert value != SquareMatrix.identity(F101, 2)
 
@@ -215,16 +222,20 @@ def test_dimension_certificates_confirm(cid):
     assert 0 <= cert.lower <= cert.upper <= 6
     assert cert.lower == cert.upper == cert.claimed
     assert cert.confirmed
+    assert is_matrix_pair(cert.point)
+    assert cert.point == comp.witness()
 
 
 def test_certificate_witnesses_satisfy_membership():
     # ex1.W points commute; ex5.T2 points have word value I identically;
     # ex4.Tj points have trace([x,y]) = zeta + zeta^-1
     pair = component("ex1.W", F101).witness()
-    assert pair.g1 * pair.g2 == pair.g2 * pair.g1
+    assert is_matrix_pair(pair)
+    x, y = pair
+    assert x * y == y * x
 
     pair = component("ex5.T2", F101).witness()
-    value = eval_group(parse(EX5_TEXT), list(pair))
+    value = eval_group(parse(EX5_TEXT), pair)
     assert value == SquareMatrix.identity(F101, 2)
 
     comp = component("ex4.Tj", F101, p=5, j=2)
@@ -233,18 +244,18 @@ def test_certificate_witnesses_satisfy_membership():
 
     zeta = primitive_root_of_unity(F101, 5)
     target = zeta ** 2 + zeta ** -2
-    comm = eval_group(parse("[x,y]"), list(pair))
+    comm = eval_group(parse("[x,y]"), pair)
     assert comm.trace() == target
     # the word [x,y]^5 itself vanishes there: the commutator has order 5
-    assert eval_group(parse("[x,y]^5"), list(pair)) == SquareMatrix.identity(F101, 2)
+    assert eval_group(parse("[x,y]^5"), pair) == SquareMatrix.identity(F101, 2)
 
 
 def test_ex3_witness_in_w():
     comp = component("ex3.W1", F13)
     pair = comp.witness()
     minus_i2 = SquareMatrix.identity(F13, 2).scaled(F13.from_int(-1))
-    assert eval_group(parse("[x,y]"), list(pair)) == minus_i2
-    assert eval_group(parse("[x,y]^2"), list(pair)) == SquareMatrix.identity(F13, 2)
+    assert eval_group(parse("[x,y]"), pair) == minus_i2
+    assert eval_group(parse("[x,y]^2"), pair) == SquareMatrix.identity(F13, 2)
 
 
 def test_parametrization_rank_bounded_by_parameters():
@@ -332,10 +343,10 @@ def test_relation_scan_q8():
 
 def test_q8_closure_has_eight_elements():
     pair = q8_witness(F13)
-    assert len(generated_group(list(pair))) == 8
+    assert len(generated_group(pair)) == 8
     # and over F_101 with a different mu
     pair = q8_witness(F101, F101.from_int(7))
-    assert len(generated_group(list(pair))) == 8
+    assert len(generated_group(pair)) == 8
 
 
 def test_relation_scan_commuting_infinite_order():
@@ -343,7 +354,7 @@ def test_relation_scan_commuting_infinite_order():
     # with zero exponent sums, i.e. consequences of [x,y]
     t1 = diag(Q.from_int(2))
     t2 = diag(Q.from_int(3))
-    result = relation_scan(Sl2Pair(t1, t2), 6)
+    result = relation_scan((t1, t2), 6)
     assert not result.trivial
     for w in result.relations:
         assert sum(e for g, e in w.letters if g == 1) == 0
@@ -353,7 +364,7 @@ def test_relation_scan_commuting_infinite_order():
 
 def test_relation_scan_trivial_pair():
     ident = SquareMatrix.identity(Q, 2)
-    result = relation_scan(Sl2Pair(ident, ident), 6)
+    result = relation_scan((ident, ident), 6)
     assert result.trivial and result.relations == ()
 
 
@@ -371,7 +382,9 @@ def test_relation_scan_free_pair_finds_nothing():
     # ping-pong pair generating a free group: no short relations
     a = matrix_from_json(Q, [[1, 2], [0, 1]])
     b = matrix_from_json(Q, [[1, 0], [2, 1]])
-    assert relation_scan(Sl2Pair(a, b), 6).relations == ()
+    assert relation_scan((a, b), 6).relations == ()
+    # the pair may be any sequence of two matrices
+    assert relation_scan([a, b], 6) == relation_scan((a, b), 6)
 
 
 # ---------------------------------------------------------------------------

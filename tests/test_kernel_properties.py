@@ -208,7 +208,7 @@ def test_cayley_hamilton_and_inverse(ring, n, data):
     m = data.draw(matrices(ring, n))
     # chi_M(M) = sum_k (-1)^k chi_k M^(n-k), with chi_0 = 1
     value = m ** n
-    for k, chi_k in enumerate(charpoly(m).chi, start=1):
+    for k, chi_k in enumerate(charpoly(m), start=1):
         value = value + (m ** (n - k)).scaled(-chi_k if k % 2 else chi_k)
     assert value == SquareMatrix.zero(ring, n)
     if det(m).is_invertible():

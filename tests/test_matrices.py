@@ -130,7 +130,8 @@ def test_charpoly_against_minor_oracle():
         for n in (2, 3, 4):
             for _ in range(25):
                 m = random_matrix(ring, n, rng)
-                got = charpoly(m).chi
+                got = charpoly(m)
+                assert type(got) is tuple
                 assert got == charpoly_oracle(m)
                 assert got[0] == m.trace()
                 assert got[-1] == det(m)
@@ -144,7 +145,7 @@ def test_charpoly_conjugation_invariant():
             g = random_matrix(F101, 3, rng)
             if det(g).is_invertible():
                 break
-        assert charpoly(g * m * g.inverse()).chi == charpoly(m).chi
+        assert charpoly(g * m * g.inverse()) == charpoly(m)
 
 
 def test_cayley_hamilton_sl2():

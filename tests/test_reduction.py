@@ -58,7 +58,7 @@ def jet_rings():
         return sweep(w, point)
 
     def spy_jacobian(w, point, equations="W"):
-        seen.append(list(point)[0].ring)
+        seen.append(point[0].ring)
         return jacobian(w, point, equations)
 
     with mock.patch.object(evaluate, "jet_sweep", spy_sweep), \
@@ -355,6 +355,25 @@ def _run(argv):
     ],
 )
 def test_the_exact_path_runs_when_no_prime_decides(primes, argv, rings_swept):
+    with exact():
+        expected = _run(argv)
+    with with_primes(primes), jet_rings() as seen:
+        assert _run(argv) == expected
+    assert expected[0] == 0
+    assert [str(ring) for ring in seen] == rings_swept
+
+
+@pytest.mark.parametrize(
+    "primes,argv,rings_swept",
+    [
+        # 1/5 has no image mod 5; -1 is not a square mod 2^61 - 1
+        ((5, 2**61 - 1), ["--ring", "Q", "dimcert", "--example", "Sa", "--a", "1/5"],
+         [f"Fp:{2**61 - 1}"]),
+        ((5, 13, 2**61 - 1, 2**61 - 31),
+         ["--ring", "Q[i]", "dominance", "--word", "[x,y]", "--seed", "1"], [f"Fp:{2**61 - 31}"]),
+    ],
+)
+def test_a_prime_that_meets_a_vanishing_inverse_gives_way_to_the_next(primes, argv, rings_swept):
     with exact():
         expected = _run(argv)
     with with_primes(primes), jet_rings() as seen:

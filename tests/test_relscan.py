@@ -10,7 +10,6 @@ from wordmap import (
     PrimeField,
     QuadraticExt,
     Rationals,
-    Sl2Pair,
     SquareMatrix,
     matrix_from_json,
     random_sl2,
@@ -25,17 +24,17 @@ ORACLE_LEN = 10
 
 
 def _pair(ring, a, b):
-    return Sl2Pair(matrix_from_json(ring, a), matrix_from_json(ring, b))
+    return matrix_from_json(ring, a), matrix_from_json(ring, b)
 
 
 def _seeded(p, seed):
     rng, ring = random.Random(seed), PrimeField(p)
-    return Sl2Pair(random_sl2(ring, rng), random_sl2(ring, rng))
+    return random_sl2(ring, rng), random_sl2(ring, rng)
 
 
 def _with(first, seed):
     """(first, a seeded SL2(F_101) element)."""
-    return Sl2Pair(first, random_sl2(F101, random.Random(seed)))
+    return first, random_sl2(F101, random.Random(seed))
 
 
 PAIRS = {

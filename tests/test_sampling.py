@@ -30,7 +30,6 @@ from wordmap import (
     charpoly,
     parse,
     parse_ring,
-    pure,
     random_sl2,
     wsigma_trace_probe,
 )
@@ -97,7 +96,7 @@ def boxed_chi_probe(w, i, ring, rng, samples):
 
     def draw():
         tup = [boxed_random_sl2(ring, rng) for _ in range(m)]
-        return charpoly(boxed_value(w.word.letters, tup, w.binding)).chi[i - 1]
+        return charpoly(boxed_value(w.word.letters, tup, w.binding))[i - 1]
 
     return ProbeResult(*boxed_sample_distinct(draw, samples))
 

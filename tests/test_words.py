@@ -14,10 +14,10 @@ from wordmap import (
     Power,
     Word,
     WordSyntaxError,
+    WordWithConstants,
     ZeroExponent,
     exponent_data,
     parse,
-    pure,
     render,
     word,
     zero_exponent_sum_in_y,
@@ -84,7 +84,7 @@ def test_parse_errors():
 
 def test_expanded_letter_cap(monkeypatch):
     monkeypatch.setattr("wordmap.words._MAX_LETTERS", 12)
-    assert parse("x^12") == pure(word([(1, 12)]))
+    assert parse("x^12") == WordWithConstants(word([(1, 12)]))
     assert parse("(x y)^6").word.length() == 12
     assert parse("[x^3, y^3]").word.length() == 12
     for text in ("x^13", "(x y)^-7", "[x^3, y^4]", "x^12 y", "(x^6 y^6) x"):
@@ -99,7 +99,7 @@ def test_powers_parse_in_memory_bounded_by_the_text():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert w == pure(word([(1, 9999999)]))
+    assert w == WordWithConstants(word([(1, 9999999)]))
     assert w.word.letters == ((1, 9999999),)
     assert peak < 2**20
     assert parse("x^300123 y^-300456").word.letters == ((1, 300123), (2, -300456))
@@ -122,7 +122,7 @@ def test_long_powers_hold_their_core_once():
     assert w.word.letters == (Power(((2, 1), (1, 1)), 1000000),)
     assert w.word.length() == 2000000
     assert peak < 2**20
-    assert parse("(y x)^50") == pure(word([(2, 1), (1, 1)] * 50))
+    assert parse("(y x)^50") == WordWithConstants(word([(2, 1), (1, 1)] * 50))
     assert render(parse("(y x)^3")) == "y x y x y x"
 
 
@@ -250,7 +250,7 @@ def test_free_group_identities():
     for _ in range(100):
         u = word([(rng.randint(1, 3), rng.choice([1, -1, 2])) for _ in range(5)])
         v = word([(rng.randint(1, 3), rng.choice([1, -1, 2])) for _ in range(5)])
-        U, V = f"({render(pure(u))})", f"({render(pure(v))})"
+        U, V = f"({render(WordWithConstants(u))})", f"({render(WordWithConstants(v))})"
         assert parse(f"{U} {U}^-1").word.is_identity()
         assert parse(f"({U}^-1)^-1").word == u
         assert parse(f"({U} {V})^-1") == parse(f"{V}^-1 {U}^-1")
@@ -265,7 +265,8 @@ def test_render_round_trip():
         w = parse(t)
         assert parse(render(w)) == w
     for _ in range(100):
-        w = pure(word([(rng.randint(1, 4), rng.choice([1, -1, 2, -3])) for _ in range(6)]))
+        syllables = [(rng.randint(1, 4), rng.choice([1, -1, 2, -3])) for _ in range(6)]
+        w = WordWithConstants(word(syllables))
         assert parse(render(w)) == w
 
 
@@ -290,7 +291,7 @@ syllable_lists = st.lists(
 def test_render_matches_the_reference_and_parses_back(syllables):
     w = word(syllables)
     text = render(w)
-    assert text == reference_render(w) == render(pure(w))
+    assert text == reference_render(w) == render(WordWithConstants(w))
     assert parse(text).word == w
 
 
