@@ -289,7 +289,7 @@ def _cmd_relscan(args, ring, rng):
     result = relation_scan([_load_matrix(ring, t) for t in args.at], args.max_len)
     report = {
         "trivial": result.trivial,
-        "relations": [render(w) for w in result.relations],
+        "relations": list(result.relations),
     }
     return report, EXIT_OK
 

@@ -23,7 +23,7 @@ from .rings import (
     sqrt_in_ring,
 )
 from .evaluate import _add2, _tangent_steps, eval_group, jet_sweep
-from .words import Word, WordWithConstants, parse
+from .words import _SYLLABLE_TEXT, WordWithConstants, parse
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +489,7 @@ def _reduced_bounds(comp: ComponentInstance, point):
 @dataclass(frozen=True)
 class RelationScanResult:
     trivial: bool
-    relations: tuple  # of Word
+    relations: tuple  # of canonical texts; parse(text).word is the Word
 
 
 _SCAN_MAX = 12
@@ -500,7 +500,8 @@ _LETTERS = ((1, 1), (1, -1), (2, 1), (2, -1))
 
 def relation_scan(pair, max_len: int) -> RelationScanResult:
     """All reduced words in F_2 of length <= max_len vanishing at the pair (x, y),
-    sorted by (length, syllables).
+    sorted by (length, syllables), as their canonical texts: each is the
+    ``render`` spelling of its word, and ``parse`` reads the word back.
 
     Meet in the middle: a word ``u t^-1`` with ``|u| = ceil(l/2)`` and
     ``|t| = floor(l/2)`` vanishes exactly when ``M(u) = M(t)``, and it is
@@ -509,7 +510,9 @@ def relation_scan(pair, max_len: int) -> RelationScanResult:
     level, and each level is indexed by its matrices' raw rows, so every
     relation is one dict hit.  The scan takes about ``2 * 3^ceil(max_len/2)``
     matrix products, plus the size of the output, which dominates for a
-    dense finite group.
+    dense finite group; each relation is written as text straight from its
+    sorted syllables, from ``render``'s table of syllable texts, which
+    covers every exponent up to ``_SCAN_MAX``.
     """
     if max_len > _SCAN_MAX:
         raise InvalidParams(f"max_len capped at {_SCAN_MAX}")
@@ -531,6 +534,7 @@ def relation_scan(pair, max_len: int) -> RelationScanResult:
             index.setdefault(m.rows, []).append((last, inverse))
         tails.append(index)
     found = []
+    text = _SYLLABLE_TEXT.__getitem__
     for length in range(1, max_len + 1):
         index = tails[length // 2]
         hits = [
@@ -540,7 +544,7 @@ def relation_scan(pair, max_len: int) -> RelationScanResult:
             if t_last != last
         ]
         hits.sort()
-        found += map(Word, hits)
+        found += [" ".join(map(text, key)) for key in hits]
     return RelationScanResult(trivial=False, relations=tuple(found))
 
 

@@ -2,7 +2,9 @@
 
 A :class:`SquareMatrix` stores its entries as a ``rows`` tuple of raw ring
 values (see :mod:`wordmap.rings`).  Rows are validated once, where they enter:
-the constructor, :meth:`SquareMatrix.from_rows` and :func:`matrix_from_json`.
+the constructor, :meth:`SquareMatrix.from_rows` and :func:`matrix_from_json`,
+which reads JSON literals straight to raw rows with
+:func:`~wordmap.rings._parse_raw` and builds no :class:`~wordmap.rings.Scalar`.
 Every operation checks the ring once and then works on raw values through the
 descriptor's ``rmatmul``/``rdot``/``radd``/``rmul``/``rneg``/``rinv``.  Every
 matrix product, here and in :mod:`wordmap.evaluate` and
@@ -23,7 +25,7 @@ single Berkowitz pass.
 from __future__ import annotations
 
 from .errors import DimensionMismatch, NotInvertible, RingMismatch, WordmapError
-from .rings import RingDescriptor, Scalar, parse_scalar, render_scalar
+from .rings import RingDescriptor, Scalar, _parse_raw, render_scalar
 
 _set = object.__setattr__
 
@@ -43,6 +45,16 @@ def _unbox(ring: RingDescriptor, e):
     raise WordmapError(f"matrix entries must be Scalars or ints, not {type(e).__name__}")
 
 
+def _square(rows: tuple) -> tuple:
+    """The row tuples, checked to form a square matrix."""
+    n = len(rows)
+    if not n:
+        raise DimensionMismatch("matrix has no rows")
+    if any(len(row) != n for row in rows):
+        raise DimensionMismatch("matrix is not square")
+    return rows
+
+
 class SquareMatrix:
     """An n x n matrix over an exact ring; immutable, hashable, raw-valued."""
 
@@ -50,12 +62,7 @@ class SquareMatrix:
 
     def __init__(self, ring: RingDescriptor, rows):
         """Rows of Scalars of `ring` or ints (ints are coerced into the ring)."""
-        rows = tuple(tuple(_unbox(ring, e) for e in row) for row in rows)
-        n = len(rows)
-        if not n:
-            raise DimensionMismatch("matrix has no rows")
-        if any(len(row) != n for row in rows):
-            raise DimensionMismatch("matrix is not square")
+        rows = _square(tuple(tuple(_unbox(ring, e) for e in row) for row in rows))
         _set(self, "ring", ring)
         _set(self, "rows", rows)
 
@@ -367,18 +374,22 @@ def rank(rows, ring: RingDescriptor) -> int:
 
 
 def matrix_from_json(ring: RingDescriptor, rows) -> SquareMatrix:
-    """Row-major arrays of scalar literal strings or ints (not bools)."""
+    """Row-major arrays of scalar literal strings or ints (not bools), read
+    straight to raw rows."""
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise WordmapError(f"a matrix is a list of rows, got {rows!r}")
-    return SquareMatrix(ring, [[_json_entry(ring, e) for e in row] for row in rows])
-
-
-def _json_entry(ring: RingDescriptor, e):
-    if isinstance(e, str):
-        return parse_scalar(ring, e)
-    if isinstance(e, int) and not isinstance(e, bool):
-        return e
-    raise WordmapError(f"a matrix entry is a scalar string or an int, got {e!r}")
+    raw = []
+    for row in rows:
+        values = []
+        for e in row:
+            if isinstance(e, str):
+                values.append(_parse_raw(ring, e))
+            elif isinstance(e, int) and not isinstance(e, bool):
+                values.append(ring.raw_from_int(e))
+            else:
+                raise WordmapError(f"a matrix entry is a scalar string or an int, got {e!r}")
+        raw.append(tuple(values))
+    return SquareMatrix._raw(ring, _square(tuple(raw)))
 
 
 def matrix_to_json(m: SquareMatrix):

@@ -14,9 +14,11 @@ one :class:`~fractions.Fraction` (one reduction) per dot product over Q, and
 over ``base[sqrt(d)]`` a combination of the base ring's ``rdot``.
 ``rmatmul`` is the one product kernel of every matrix in :mod:`wordmap`: one
 ``rdot`` per entry, and over F_p one reduction per entry written inline.
-The matrix kernel works on raw values only.  A :class:`Scalar` (descriptor
-plus raw value) is the API-boundary form of an element, with ring-checked
-operators.
+The matrix kernel works on raw values only, and scalar literals are read to
+raw values by :func:`_parse_raw` (a plain integer by one ``int()``), which
+:func:`parse_scalar` boxes and :func:`wordmap.matrices.matrix_from_json` does
+not.  A :class:`Scalar` (descriptor plus raw value) is the API-boundary form
+of an element, with ring-checked operators.
 
 Ranks over Q and ``Q[sqrt(d)]`` are first taken mod p: :func:`_reductions`
 maps raw values to F_p for each of a fixed tuple of primes below 2^61 (a
@@ -666,6 +668,8 @@ _MONOMIAL = r"(?:i|sqrt\(-?\d+\))"
 _TERM_RE = re.compile(
     rf"\s*([+-])?\s*(?:(-?\d+(?:/\d+)?)(?:\s*\*?\s*({_MONOMIAL}))?|({_MONOMIAL}))\s*"
 )
+# a plain integer, the common literal, is read without the term loop
+_INT_RE = re.compile(r"-?\d+")
 
 
 def parse_scalar(ring: RingDescriptor, text: str) -> Scalar:
@@ -675,10 +679,18 @@ def parse_scalar(ring: RingDescriptor, text: str) -> Scalar:
     A term's coefficient may carry its own sign, so rendered literals such as
     ``1+-2*i`` parse back.
     """
+    return Scalar(ring, _parse_raw(ring, text))
+
+
+def _parse_raw(ring: RingDescriptor, text: str):
+    """The raw value of a scalar literal (the grammar of :func:`parse_scalar`).
+    A plain integer is one ``int()``; other literals add up their terms."""
     text = text.strip()
     if not text:
         raise WordmapError("empty scalar literal")
-    result = ring.zero
+    if _INT_RE.fullmatch(text):
+        return ring.raw_from_int(int(text))
+    result = ring.raw_from_int(0)
     pos = 0
     first = True
     while pos < len(text):
@@ -688,22 +700,22 @@ def parse_scalar(ring: RingDescriptor, text: str) -> Scalar:
         sign, coef, mono1, mono2 = m.groups()
         if sign is None and not first:
             raise WordmapError(f"missing sign in scalar literal {text!r}")
-        term = ring.one
-        if coef is not None:
-            if "/" in coef:
-                num, den = coef.split("/")
-                term = ring.from_int(int(num)) / ring.from_int(int(den))
-            else:
-                term = ring.from_int(int(coef))
+        if coef is None:
+            term = ring.raw_from_int(1)
+        elif "/" in coef:
+            num, den = coef.split("/")
+            term = ring.rmul(ring.raw_from_int(int(num)), ring.rinv(ring.raw_from_int(int(den))))
+        else:
+            term = ring.raw_from_int(int(coef))
         mono = mono1 or mono2
         if mono is not None:  # i or sqrt(d)
             s = sqrt_in_ring(ring, -1 if mono == "i" else int(mono[5:-1]))
             if s is None:
                 raise RingLacksRoots(f"no {mono} in {ring}")
-            term = term * s
+            term = ring.rmul(term, s.value)
         if sign == "-":
-            term = -term
-        result = result + term
+            term = ring.rneg(term)
+        result = ring.radd(result, term)
         pos = m.end()
         first = False
     return result

@@ -227,16 +227,21 @@ def star_search(system: RootSystem) -> StarResult:
     # half is exactly the v with v > -v
     positive = system.roots[:system.count() // 2]
     target = system.rank
+    norms = [_dot(alpha, alpha) for alpha in positive]
+    root_norms = set(norms)
     later = {}  # index -> bitmask of the later positive roots compatible with it
 
     def compatible_after(i: int) -> int:
         if i not in later:
-            alpha = positive[i]
+            alpha, aa = positive[i], norms[i]
             mask = 0
             for j in range(i + 1, len(positive)):
                 beta = positive[j]
-                if (_dot(alpha, beta) == 0 and _add(alpha, beta) not in rs
-                        and _sub(alpha, beta) not in rs):
+                # for orthogonal roots |a +- b|^2 = |a|^2 + |b|^2, so neither
+                # is a root unless that sum is a root norm (never in A, D, E)
+                if _dot(alpha, beta) == 0 and (
+                        aa + norms[j] not in root_norms
+                        or (_add(alpha, beta) not in rs and _sub(alpha, beta) not in rs)):
                     mask |= 1 << j
             later[i] = mask
         return later[i]
@@ -260,8 +265,8 @@ def star_search(system: RootSystem) -> StarResult:
         return False
 
     first_of_length = {}
-    for i, alpha in enumerate(positive):
-        first_of_length.setdefault(_dot(alpha, alpha), i)
+    for i, aa in enumerate(norms):
+        first_of_length.setdefault(aa, i)
     for i in sorted(first_of_length.values()):
         chosen.append(positive[i])
         if search(compatible_after(i)):

@@ -496,7 +496,8 @@ def _render(letters) -> str:
 
 # The text of every syllable of x, y and z with |exponent| <= 16, made once at
 # import; _render spells out any other syllable.  The entry for exponent 1 is
-# the generator's name.
+# the generator's name.  geometry.relation_scan writes its relations, whose
+# exponents are at most its length cap of 12, from this table alone.
 _SYLLABLE_TEXT = {
     (g, e): name if e == 1 else f"{name}^{e}"
     for name, g in _VAR_MAP.items()

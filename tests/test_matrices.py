@@ -1,6 +1,7 @@
 """Matrix layer: determinant vs. an independent oracle, adjugate law, charpoly."""
 
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -197,6 +198,37 @@ def test_matrix_json_round_trip():
 def test_matrix_json_takes_only_lists_of_strings_and_ints(rows):
     with pytest.raises(WordmapError):
         matrix_from_json(Q, rows)
+
+
+@pytest.mark.parametrize("rows, error, message", [
+    ("[[1, 2], [3, 4]]", WordmapError, "a matrix is a list of rows, got '[[1, 2], [3, 4]]'"),
+    ({"rows": [[1]]}, WordmapError, "a matrix is a list of rows, got {'rows': [[1]]}"),
+    ([1, 2], WordmapError, "a matrix is a list of rows, got [1, 2]"),
+    ([], DimensionMismatch, "matrix has no rows"),
+    ([[1, 2], [3]], DimensionMismatch, "matrix is not square"),
+    ([[1, 2]], DimensionMismatch, "matrix is not square"),
+    ([[True, 2], [3, 4]], WordmapError, "a matrix entry is a scalar string or an int, got True"),
+    ([[1.5, 2], [3, 4]], WordmapError, "a matrix entry is a scalar string or an int, got 1.5"),
+    ([[None]], WordmapError, "a matrix entry is a scalar string or an int, got None"),
+    # entries are read row by row before the shape is checked
+    ([[1, 2], [False]], WordmapError, "a matrix entry is a scalar string or an int, got False"),
+    ([["1", "x"], [2.5, 4]], WordmapError, "bad scalar literal 'x' at 0"),
+    ([["1/0"]], NotInvertible, "0 has no inverse in Q"),
+])
+def test_matrix_json_errors(rows, error, message):
+    with pytest.raises(error) as info:
+        matrix_from_json(Q, rows)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_matrix_json_reads_raw_values():
+    qi = parse_ring("Q[i]")
+    m = matrix_from_json(qi, [["1+i", 2], [" -3 ", "1/2*i"]])
+    assert m.rows == (((1, 1), (2, 0)), ((-3, 0), (0, Fraction(1, 2))))
+    assert all(type(v) is Fraction for row in m.rows for e in row for v in e)
+    m = matrix_from_json(F101, [["-1", 205], ["1/2", "0"]])
+    assert m.rows == ((100, 3), (51, 0))
+    assert all(type(e) is int for row in m.rows for e in row)
 
 
 def test_a_matrix_needs_at_least_one_row():

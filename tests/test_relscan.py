@@ -11,9 +11,12 @@ from wordmap import (
     QuadraticExt,
     Rationals,
     SquareMatrix,
+    eval_group,
     matrix_from_json,
+    parse,
     random_sl2,
     relation_scan,
+    render,
 )
 from relscan_oracle import dfs_relations
 
@@ -57,20 +60,22 @@ PAIRS = {
 
 @cache
 def _oracle(name):
+    """The pair and its relations up to ORACLE_LEN, as (length, rendered text)."""
     pair = PAIRS[name]()
-    return pair, [w.letters for w in dfs_relations(pair, ORACLE_LEN)]
+    return pair, [(w.length(), render(w)) for w in dfs_relations(pair, ORACLE_LEN)]
 
 
 @pytest.mark.parametrize("name", PAIRS)
 @pytest.mark.parametrize("max_len", range(1, ORACLE_LEN + 1))
 def test_scan_matches_the_dfs_oracle(name, max_len):
     # the DFS at max_len visits exactly the words of length <= max_len, so its
-    # output is the one at ORACLE_LEN cut at that length
+    # output is the one at ORACLE_LEN cut at that length; the scan writes each
+    # relation's text itself, which must be render's, byte for byte
     pair, expected = _oracle(name)
-    expected = [letters for letters in expected if sum(abs(e) for _, e in letters) <= max_len]
+    expected = tuple(text for length, text in expected if length <= max_len)
     result = relation_scan(pair, max_len)
     assert not result.trivial
-    assert [w.letters for w in result.relations] == expected
+    assert result.relations == expected
 
 
 def test_oracle_pairs_reach_every_kind_of_relation():
@@ -78,7 +83,7 @@ def test_oracle_pairs_reach_every_kind_of_relation():
     counts = {name: len(_oracle(name)[1]) for name in PAIRS}
     assert counts["q8-golden"] == 21960
     assert counts["free-f100003"] == counts["sanov-q"] == 0
-    first = {name: min((sum(abs(e) for _, e in w) for w in _oracle(name)[1]), default=None)
+    first = {name: min((length for length, _ in _oracle(name)[1]), default=None)
              for name in PAIRS}
     assert first["identity"] == 1
     assert first["minus-identity"] == first["orders-2-and-3"] == first["scalar-2I"] == 2
@@ -99,3 +104,23 @@ def test_a_free_pair_costs_two_products_per_half_word(monkeypatch):
     pair = PAIRS["free-f100003"]()
     assert relation_scan(pair, 10).relations == ()
     assert len(calls) <= 2 * 3**5 + 4
+
+
+@pytest.mark.parametrize("pair, max_len", [
+    (PAIRS["q8-golden"](), 8),
+    (_seeded(7, 0), 6),  # 44 relations, x^-6 among them
+], ids=["q8-f13", "sl2-f7"])
+def test_relation_texts_parse_back_to_relations(pair, max_len):
+    # each text is a canonical word that vanishes at the pair, and the texts
+    # come by length and, within a length, in the order of their syllables
+    ident = SquareMatrix.identity(pair[0].ring, 2)
+    relations = relation_scan(pair, max_len).relations
+    assert relations
+    keys = []
+    for text in relations:
+        w = parse(text)
+        assert render(w) == text
+        assert eval_group(w, pair) == ident
+        assert 1 <= w.word.length() <= max_len
+        keys.append((w.word.length(), w.word.letters))
+    assert keys == sorted(set(keys))

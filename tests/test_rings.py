@@ -16,6 +16,7 @@ from wordmap import (
     PrimeField,
     QuadraticExt,
     Rationals,
+    RingLacksRoots,
     Scalar,
     WordmapError,
     parse_ring,
@@ -26,6 +27,7 @@ from wordmap import (
 )
 
 from jet_oracle import DualNumbers
+from scalar_parse_oracle import boxed_parse_scalar
 
 Q = Rationals()
 F13 = PrimeField(13)
@@ -271,6 +273,80 @@ def test_eps_is_no_scalar_literal():
     for ring, text in cases + [(QI, "3*i*eps")]:
         with pytest.raises(WordmapError, match="bad scalar literal"):
             parse_scalar(ring, text)
+
+
+LITERAL_RINGS = [Q, F101, parse_ring("Fp:7[i]"), QI, parse_ring("Q[sqrt(2)]")]
+
+
+def _outcome(parse, ring, text):
+    """("ok", repr of the raw value) or (exception type, message)."""
+    try:
+        value = parse(ring, text)
+    except Exception as exc:  # every error is compared, type and message
+        return type(exc), str(exc)
+    return "ok", repr(value.value if isinstance(value, Scalar) else value)
+
+
+def _assert_parses_like_the_oracle(ring, text):
+    expected = _outcome(boxed_parse_scalar, ring, text)
+    assert _outcome(parse_scalar, ring, text) == expected, (ring, text)
+    assert _outcome(rings._parse_raw, ring, text) == expected, (ring, text)
+
+
+_pad = st.sampled_from(["", " ", "  "])
+_int = st.integers(-10**30, 10**30).map(str)
+_coef = st.one_of(_int, st.builds("{}/{}".format, _int, st.integers(0, 40)))
+_mono = st.one_of(st.just("i"), st.integers(-12, 12).map("sqrt({})".format))
+_term = st.one_of(
+    _coef,
+    _mono,
+    st.builds("{}{}{}{}".format, _coef, _pad, st.sampled_from(["*", ""]), _mono),
+)
+_sign = st.sampled_from(["", "+", "-", "+ ", "- "])
+
+
+@st.composite
+def _literals(draw):
+    """Sums of terms in the literal grammar, signed and space-padded, and
+    now and then a missing sign or a stray character."""
+    terms = draw(st.lists(st.tuples(_sign, _term), min_size=1, max_size=4))
+    text = "".join(f"{sign}{draw(_pad)}{term}{draw(_pad)}" for sign, term in terms)
+    return draw(_pad) + text + draw(st.sampled_from(["", "", "", "x", "_0", "*", "/"]))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(ring=st.sampled_from(LITERAL_RINGS), text=_literals())
+def test_raw_literal_parse_matches_the_boxed_oracle(ring, text):
+    _assert_parses_like_the_oracle(ring, text)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(ring=st.sampled_from(LITERAL_RINGS), text=st.text("0123456789+-*/ isqrt()_x", max_size=10))
+def test_raw_literal_parse_matches_the_boxed_oracle_on_any_text(ring, text):
+    _assert_parses_like_the_oracle(ring, text)
+
+
+@pytest.mark.parametrize("ring", LITERAL_RINGS, ids=str)
+@pytest.mark.parametrize("text", [
+    "0", "-0", "7", "-7", " 12 ", "+5", "- 5", "--5", "007", "1_000", "", "   ", "x",
+    "1/0", "3*i", "3 i", "i", "-i", "sqrt(2)", "2*sqrt(2)", "1+-2*i", "1 -2", "1 2",
+    "-3/4", "3/-4", "12345678901234567890123", "9" * 5000,
+])
+def test_raw_literal_parse_matches_the_boxed_oracle_on_edge_cases(ring, text):
+    _assert_parses_like_the_oracle(ring, text)
+
+
+def test_raw_literal_parse_errors_over_q():
+    # the messages that matrix arguments report, pinned on both parsers
+    for text, error, message in [
+        ("1_000", WordmapError, "bad scalar literal '1_000' at 1"),
+        ("", WordmapError, "empty scalar literal"),
+        ("x", WordmapError, "bad scalar literal 'x' at 0"),
+        ("1/0", NotInvertible, "0 has no inverse in Q"),
+        ("3*i", RingLacksRoots, "no i in Q"),
+    ]:
+        for parse in (boxed_parse_scalar, parse_scalar, rings._parse_raw):
+            assert _outcome(parse, Q, text) == (error, message)
 
 
 def test_scalar_pow_and_hash():

@@ -371,6 +371,17 @@ def test_search_matches_plain_backtracking(label, rank):
         assert verify_witness(system, result.witness)
 
 
+def test_orthogonal_roots_whose_sum_is_a_root_are_not_compatible():
+    # B2 with its short positive roots listed first: e1 and e2 are orthogonal,
+    # |e1|^2 + |e2|^2 is the long norm and e1 + e2 is a root, so the search
+    # must pass over them, though its norm test alone would not rule them out
+    positive = [(2, 0), (0, 2), (2, 2), (2, -2)]
+    system = rootsys.RootSystem("B", 2, tuple(positive + [_sub((0, 0), v) for v in positive]), 2)
+    result = star_search(system)
+    assert result == rootsys.StarResult(holds=True, witness=((2, 2), (2, -2)))
+    assert verify_witness(system, result.witness)
+
+
 def _fraction_rank(rows):
     """Rank by Gaussian elimination over Fraction, written out for the oracle."""
     rows = [[Fraction(a) for a in row] for row in rows]
