@@ -165,6 +165,16 @@ CASES = [
     ["chi-probe", "--ring", "Fp:101", "--word", "x x^-1", "--index", "1", "--seed", "1",
      "--samples", "10"],
     ["chi-probe", "--ring", "Fp:101", "--word", "x s1", "--seed", "1"],
+    # extension and fibers through a bound, inverted constant; x s1 x^-1 s1^-1
+    # at x = s1 lies in W
+    ["--ring", "Fp:101", "extend", "--word", "x s1^-1 y^-2 s1", "--sigma", "golden/sigma_s1.json",
+     "--at", '[[3,1],[5,2]]', '[[7,2],[4,3]]'],
+    ["--ring", "Fp:101", "extend", "--word", "(x s1 y^-1)^-2", "--sigma", "golden/sigma_s1.json",
+     "--at", '[[3,1],[5,2]]', '[[7,2],[4,3]]'],
+    ["--ring", "Fp:101", "fiber", "--word", "x s1^-1 y^-2 s1", "--sigma", "golden/sigma_s1.json",
+     "--at", *SL2_PAIR],
+    ["--ring", "Fp:101", "fiber", "--word", "x s1 x^-1 s1^-1", "--sigma", "golden/sigma_s1.json",
+     "--at", '[["4","1"],["3","1"]]'],
 ]
 
 
