@@ -46,9 +46,7 @@ from .words import (
     ExponentData,
     Power,
     Word,
-    WordWithConstants,
     exponent_data,
-    from_items,
     parse,
     render,
     word,

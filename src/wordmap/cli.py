@@ -398,7 +398,7 @@ def _run(argv) -> int:
         if samples < 1:
             raise WordmapError("--samples must be >= 1")
         report, code = _COMMANDS[args.command](args, ring, rng)
-    except (WordmapError, OSError, ValueError, KeyError) as exc:
+    except (WordmapError, OSError, ValueError) as exc:
         if isinstance(exc, UnboundConstant) and hasattr(args, "sigma"):
             exc = f"{exc}; --sigma binds it"
         print(f"error: {exc}", file=sys.stderr)

@@ -37,14 +37,13 @@ from .words import (
     ConstLetter,
     Power,
     Word,
-    WordWithConstants,
     _masses,
     exponent_data,
     zero_exponent_sum_in_y,
 )
 
 
-def _check_tuple(w: WordWithConstants, tup):
+def _check_tuple(w: Word, tup):
     """``(n, ring, inverted)`` of a valid tuple for ``w``; ``inverted`` lists
     the generators and constant names that the word inverts, in order of
     first sight."""
@@ -55,7 +54,7 @@ def _check_tuple(w: WordWithConstants, tup):
     for m in tup:
         if m.n != n or m.ring != ring:
             raise DimensionMismatch("tuple matrices must share size and ring")
-    masses = _masses(w.word.letters)  # generators and constant names, in order of first sight
+    masses = _masses(w.letters)  # generators and constant names, in order of first sight
     gens = [g for g in masses if type(g) is int]
     if any(g < 1 for g in gens):
         raise DimensionMismatch("generator indices start at 1")
@@ -72,7 +71,7 @@ def _check_tuple(w: WordWithConstants, tup):
     return n, ring, [key for key, (_pos, neg) in masses.items() if neg]
 
 
-def _inverse_rows(w: WordWithConstants, tup, keys, invert, given=None) -> dict:
+def _inverse_rows(w: Word, tup, keys, invert, given=None) -> dict:
     """The raw rows that stand in for the inverse of each key of ``keys``:
     ``given[key]`` as it is, else ``invert(tup[g - 1])`` for a generator g
     and the true inverse for a constant name."""
@@ -110,13 +109,13 @@ def _product(ring, items, gens, binding, inverses):
     return acc
 
 
-def _value(w: WordWithConstants, tup, n, ring, inverses) -> SquareMatrix:
+def _value(w: Word, tup, n, ring, inverses) -> SquareMatrix:
     """The word's value at ``tup`` by :func:`_product`, boxed once."""
-    acc = _product(ring, w.word.letters, [m.rows for m in tup], w.binding, inverses)
+    acc = _product(ring, w.letters, [m.rows for m in tup], w.binding, inverses)
     return SquareMatrix._raw(ring, _identity_rows(ring, n) if acc is None else acc)
 
 
-def eval_group(w: WordWithConstants, tup, inverses=None) -> SquareMatrix:
+def eval_group(w: Word, tup, inverses=None) -> SquareMatrix:
     """Literal group evaluation with true inverses; inputs must be invertible.
 
     ``inverses`` may map generators and constant names to the raw rows of
@@ -127,7 +126,7 @@ def eval_group(w: WordWithConstants, tup, inverses=None) -> SquareMatrix:
     return _value(w, tup, n, ring, _inverse_rows(w, tup, inverted, SquareMatrix.inverse, inverses))
 
 
-def eval_adjugate_extension(w: WordWithConstants, tup, adjugates=None) -> SquareMatrix:
+def eval_adjugate_extension(w: Word, tup, adjugates=None) -> SquareMatrix:
     """The polynomial extension to all of Ma_n: x^-k becomes (adjugate)^k.
 
     Constants are fixed invertible matrices, so an inverted constant stays a
@@ -146,7 +145,7 @@ class RestrictionCheck:
     holds: bool
 
 
-def check_restriction_identities(w: WordWithConstants, tup) -> RestrictionCheck:
+def check_restriction_identities(w: Word, tup) -> RestrictionCheck:
     """Verify w~ = Delta * w^ on an invertible tuple, Delta = prod det(mu_r)^{b_r}.
 
     One det/adjugate pass per inverted generator gives its factor of Delta,
@@ -198,7 +197,7 @@ class ProbeResult:
 
 
 def chi_probe(
-    w: WordWithConstants,
+    w: Word,
     i: int,
     ring: RingDescriptor,
     rng,
@@ -224,7 +223,7 @@ def wsigma_trace_probe(w: Word, sigma: SquareMatrix, rng, samples: int) -> Probe
     if not zero_exponent_sum_in_y(w):
         raise InvalidParams("the distinguished-variable exponents must sum to zero")
     ring = sigma.ring
-    draw = _word_sampler(WordWithConstants(w), ring, rng, max(w.max_generator(), 2), sigma)
+    draw = _word_sampler(w, ring, rng, max(w.max_generator(), 2), sigma)
     add = ring.radd
 
     def trace():
@@ -234,7 +233,7 @@ def wsigma_trace_probe(w: Word, sigma: SquareMatrix, rng, samples: int) -> Probe
     return ProbeResult(*_sample_distinct(trace, samples, ring))
 
 
-def _word_sampler(w: WordWithConstants, ring: RingDescriptor, rng, m: int, sigma=None):
+def _word_sampler(w: Word, ring: RingDescriptor, rng, m: int, sigma=None):
     """``draw()``: the raw 2x2 value of w at m points of SL_2(ring) from
     :func:`~wordmap.matrices._random_sl2_rows`, drawn in order; with
     ``sigma``, the second point is drawn and then replaced by sigma.
@@ -248,7 +247,7 @@ def _word_sampler(w: WordWithConstants, ring: RingDescriptor, rng, m: int, sigma
     if sigma is not None:
         points[1] = sigma
     _n, _ring, inverted = _check_tuple(w, points)
-    letters, binding, neg = w.word.letters, w.binding, ring.rneg
+    letters, binding, neg = w.letters, w.binding, ring.rneg
     identity = _identity_rows(ring, 2)
     drawn = [g for g in inverted if type(g) is int and (sigma is None or g != 2)]
     fixed = _inverse_rows(w, points, [k for k in inverted if k not in drawn], SquareMatrix.inverse)
@@ -335,7 +334,7 @@ def _neg2(neg, x):
     return tuple(tuple(map(neg, row)) for row in x)
 
 
-def jet_sweep(w: WordWithConstants, point):
+def jet_sweep(w: Word, point):
     """``(value, derivs)``: the word value at an SL2 point and its derivatives
     under g_i -> (I + eps X) g_i, argument-major in E, F, H order.
 
@@ -347,7 +346,7 @@ def jet_sweep(w: WordWithConstants, point):
     if n != 2:
         raise DimensionMismatch("jets are implemented for 2x2")
     inverses = _inverse_rows(w, point, inverted, SquareMatrix.inverse)
-    value, derivs = _product_rule(ring, _factors(ring, w.word.letters, point, w.binding, inverses))
+    value, derivs = _product_rule(ring, _factors(ring, w.letters, point, w.binding, inverses))
     zeros = [SquareMatrix.zero(ring, 2).rows] * 3
     return SquareMatrix._raw(ring, value), [
         SquareMatrix._raw(ring, d) for i in range(len(point)) for d in derivs.get(i, zeros)
@@ -424,7 +423,7 @@ def _product_rule(ring, factors):
     return suffixes[0], derivs
 
 
-def dominance_probe(w: WordWithConstants, point) -> int:
+def dominance_probe(w: Word, point) -> int:
     """Rank of the differential of the word map at an SL2^m point (0..3).
 
     No direction moves det, so each derivative is d = A V with A trace-free
@@ -449,7 +448,7 @@ def dominance_probe(w: WordWithConstants, point) -> int:
     return _differential_rank(w, point)
 
 
-def _differential_rank(w: WordWithConstants, point) -> int:
+def _differential_rank(w: Word, point) -> int:
     value, derivs = jet_sweep(w, point)
     if not det(value).is_invertible():
         raise NotInvertible("matrix determinant is not a unit")

@@ -23,7 +23,7 @@ from .rings import (
     sqrt_in_ring,
 )
 from .evaluate import _add2, _tangent_steps, eval_group, jet_sweep
-from .words import _SYLLABLE_TEXT, WordWithConstants, parse
+from .words import _SYLLABLE_TEXT, Word, parse
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +96,7 @@ def value_fiber_membership(value: SquareMatrix) -> FiberMembership:
     return FiberMembership(in_W=in_w, in_T=in_t)
 
 
-def separation_witness(w: WordWithConstants, ring: RingDescriptor):
+def separation_witness(w: Word, ring: RingDescriptor):
     """A point with tr(w^) = 2 and w^ != 1, from the catalogue parametrizations;
     a candidate whose torus parameter is 0 in the ring is left out."""
     two, three = ring.from_int(2), ring.from_int(3)
@@ -126,7 +126,7 @@ class JetJacobian:
     value: SquareMatrix  # the word value at the point
 
 
-def jet_jacobian(w: WordWithConstants, point, equations: str = "W") -> JetJacobian:
+def jet_jacobian(w: Word, point, equations: str = "W") -> JetJacobian:
     """Jacobian of the fiber equations at an SL2^m point.
 
     ``W``: the three equations w11 - 1 = w12 = w21 = 0; ``T``: tr(w^) - t = 0
@@ -161,11 +161,11 @@ class ComponentInstance:
 
     id: str
     ring: RingDescriptor
-    word: WordWithConstants
+    word: Word
     claimed: int
     scalars: list
     mats: list
-    equation: WordWithConstants
+    equation: Word
     kind: str
     target: Scalar | None
     first: list  # atoms of the first factor
@@ -489,7 +489,7 @@ def _reduced_bounds(comp: ComponentInstance, point):
 @dataclass(frozen=True)
 class RelationScanResult:
     trivial: bool
-    relations: tuple  # of canonical texts; parse(text).word is the Word
+    relations: tuple  # of canonical texts; parse(text) is the Word
 
 
 _SCAN_MAX = 12

@@ -1,4 +1,4 @@
-"""Free-group words, words with constants, the parser, and exponent bookkeeping.
+"""Words with constants, the parser, and exponent bookkeeping.
 
 Concrete syntax (whitespace-separated juxtaposition is the product):
 
@@ -46,13 +46,23 @@ class Power:
 
 @dataclass(frozen=True, eq=False)
 class Word:
-    """Reduced word: a tuple of (generator, exponent) syllables,
-    :class:`ConstLetter` constants and :class:`Power` nodes.  Written out (see
-    :func:`_syllables`), adjacent syllables never share a generator,
-    exponents are nonzero and nothing cancels across a constant.  Two Words
-    are equal exactly when their written-out items are."""
+    """Reduced word w_1 s_1 w_2 ... s_r w_(r+1) with constants s_i, which may
+    bind to matrices: a tuple of (generator, exponent) syllables,
+    :class:`ConstLetter` constants and :class:`Power` nodes, and the binding
+    by constant name.  A word without constants has r = 0.
+
+    Written out (see :func:`_syllables`), adjacent syllables never share a
+    generator, exponents are nonzero, nothing cancels across a constant and
+    no two constants are adjacent: the inner words w_2..w_r are nonempty.
+    Two Words are equal exactly when their written-out items are; the
+    binding is not compared.
+    """
 
     letters: tuple = ()
+    binding: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        _constants_written_out(self.letters)
 
     def is_identity(self) -> bool:
         return not self.letters
@@ -81,6 +91,21 @@ class Word:
     def __hash__(self):
         masses = frozenset((g, tuple(m)) for g, m in _masses(self.letters).items())
         return hash((masses, tuple(itertools.islice(_syllables(self.letters), 8))))
+
+    # ``words`` and ``r`` are the views that perfbench/tracing.py reads
+    @property
+    def words(self):
+        return (self,)
+
+    @property
+    def r(self) -> int:
+        return _constants_written_out(self.letters)
+
+    def constant_names(self):
+        return sorted(c for c in _masses(self.letters) if type(c) is str)
+
+    def with_binding(self, binding: dict) -> Word:
+        return Word(self.letters, dict(binding))
 
 
 def _masses(letters, scale: int = 1, out=None) -> dict:
@@ -215,8 +240,8 @@ def _invert(syllables) -> list:
 
 
 def _power(syllables, k: int) -> list:
-    """The reduced k-th power of a reduced syllable list, in memory linear in
-    the list rather than in k times it.
+    """The reduced k-th power, k != 0, of a reduced syllable list, in memory
+    linear in the list rather than in k times it.
 
     Write the word as u c u^-1 with c cyclically reduced (u is peeled off the
     ends while the end syllables are mutual inverses, never across a
@@ -226,8 +251,6 @@ def _power(syllables, k: int) -> list:
     core, one that ends in a constant too, becomes the :class:`Power` node
     (c)^k.
     """
-    if k == 0:
-        return []
     if k < 0:
         syllables, k = _invert(syllables), -k
     core = deque(syllables)
@@ -267,74 +290,25 @@ def _commutator(u: list, v: list) -> list:
     return _join(_join(_join(list(u), v), _invert(u)), _invert(v))
 
 
-def _word(pairs) -> Word:
-    return Word(tuple(pairs))
-
-
 def word(pairs) -> Word:
     """Build a reduced Word from (generator, exponent) pairs, Power nodes and
     ConstLetters, which need not be reduced: each is joined by :func:`_join`
-    in turn, so constants are barriers, and zero exponents vanish."""
+    in turn, so constants are barriers, and zero exponents vanish.  The
+    result equals ``parse`` of its rendering; it raises EmptyInnerWord where
+    two constants end up adjacent."""
     out = []
     for item in pairs:
         if type(item) in (Power, ConstLetter):
             _join(out, [item])
         elif item[1]:
             _join(out, [(item[0], item[1])])  # a Word holds hashable pairs
-    return _word(out)
+    return Word(tuple(out))
 
 
 def zero_exponent_sum_in_y(w: Word) -> bool:
     """True iff the exponents of the distinguished variable y sum to zero."""
     pos, neg = _masses(w.letters).get(2, (0, 0))
     return pos == neg
-
-
-@dataclass
-class WordWithConstants:
-    """A reduced word w_1 s_1 w_2 ... s_r w_(r+1) with constants s_i, which
-    may bind to matrices: one :class:`Word` whose items hold the constants,
-    in nodes too, and the binding by constant name.
-
-    Written out, no two constants are adjacent: the inner words w_2..w_r are
-    nonempty.  A pure word has r = 0.
-    """
-
-    word: Word
-    binding: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        _constants_written_out(self.word.letters)
-
-    # ``words`` and ``r`` are the views that perfbench/tracing.py reads
-    @property
-    def words(self):
-        return (self.word,)
-
-    @property
-    def r(self) -> int:
-        return _constants_written_out(self.word.letters)
-
-    def constant_names(self):
-        return sorted(c for c in _masses(self.word.letters) if type(c) is str)
-
-    def max_generator(self) -> int:
-        return self.word.max_generator()
-
-    def with_binding(self, binding: dict) -> "WordWithConstants":
-        return WordWithConstants(self.word, dict(binding))
-
-    def __eq__(self, other):
-        return isinstance(other, WordWithConstants) and self.word == other.word
-
-
-def from_items(items) -> WordWithConstants:
-    """Normalize a flat stream of (gen, exp) pairs and ConstLetters.
-
-    The programmatic counterpart of :func:`parse`: the items need not be
-    reduced, and the result equals ``parse`` of their rendering.
-    """
-    return WordWithConstants(word(items))
 
 
 # ---------------------------------------------------------------------------
@@ -448,13 +422,11 @@ class _Parser:
                 if val[1] == "0":
                     raise WordSyntaxError(f"generator index {val[1:]!r} must start with 1-9", pos)
                 return [(int(val[1:]), 1)], 1
-            m = re.fullmatch(r"s\d+", val)
-            if m or val.isidentifier():
-                return [ConstLetter(val)], 1
+            return [ConstLetter(val)], 1
         raise WordSyntaxError(f"unexpected token {val!r}", pos)
 
 
-def parse(text: str) -> WordWithConstants:
+def parse(text: str) -> Word:
     """Parse word text into a reduced, normalized word with constants."""
     parser = _Parser(text)
     try:
@@ -464,16 +436,13 @@ def parse(text: str) -> WordWithConstants:
     if parser.peek()[0] != "eof":
         tok = parser.peek()
         raise WordSyntaxError(f"trailing input {tok[1]!r}", tok[2])
-    return WordWithConstants(_word(syllables))
+    return Word(tuple(syllables))
 
 
-def render(w: WordWithConstants | Word) -> str:
-    """Inverse of parse up to normalization: parse(render(w)) == w.  A
-    :class:`Word` renders as the word with constants that it is, without
-    the check of its constants that building one takes."""
-    letters = w.letters if type(w) is Word else w.word.letters
+def render(w: Word) -> str:
+    """Inverse of parse up to normalization: parse(render(w)) == w."""
     # the canonical spelling of the empty word
-    return _render(letters) or "x x^-1"
+    return _render(w.letters) or "x x^-1"
 
 
 def _render(letters) -> str:
@@ -522,9 +491,9 @@ class ExponentData:
     total_degree: int
 
 
-def exponent_data(w: WordWithConstants, n: int) -> ExponentData:
+def exponent_data(w: Word, n: int) -> ExponentData:
     """Masses a, b and the degree d_r = a_r+ + (n-1) b_r of the adjugate extension."""
-    masses = [(g, m) for g, m in _masses(w.word.letters).items() if type(g) is int]
+    masses = [(g, m) for g, m in _masses(w.letters).items() if type(g) is int]
     a_pos = {g: pos for g, (pos, _neg) in masses if pos}
     b_neg = {g: neg for g, (_pos, neg) in masses if neg}
     a, b = sum(a_pos.values()), sum(b_neg.values())

@@ -34,7 +34,7 @@ from wordmap.cli import main
 from wordmap.geometry import COMPONENT_IDS, diag
 from wordmap.matrices import matrix_from_json
 from wordmap.rootsys import build
-from wordmap.words import ConstLetter, EmptyInnerWord, from_items
+from wordmap.words import ConstLetter, EmptyInnerWord, word
 
 from closed_forms import commutator_closed_form, commutator_trace, homogeneity_check, q8_witness
 
@@ -65,7 +65,7 @@ def random_word(rng, maxlen, with_constants=True):
         else:
             items.append((rng.randint(1, 2), rng.choice([1, -1, 2, -2])))
     try:
-        return from_items(items)
+        return word(items)
     except EmptyInnerWord:
         return None
 

@@ -157,6 +157,13 @@ def test_fiber(capsys):
     assert rep == {"in_W": False, "in_T": True}
 
 
+def test_fiber_of_a_3x3_value_is_a_usage_error(capsys):
+    g = "[[1,1,0],[0,1,0],[0,0,1]]"
+    assert main(["--ring", "Fp:101", "fiber", "--word", "x", "--at", g]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "fiber membership is defined for SL2" in captured.err
+
+
 @pytest.mark.parametrize(
     "example,flags,claimed",
     [
@@ -304,6 +311,12 @@ def test_lemma_checks(capsys):
     assert code == 0 and rep["ok"]
 
 
+def test_lemma101_over_a_ring_without_sqrt_2_is_a_usage_error(capsys):
+    assert main(["--ring", "Q[i]", "lemma-check", "101"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Q[i] has no sqrt(2)" in captured.err
+
+
 def test_roots_check_and_table(capsys):
     code, rep = run_json(capsys, ["roots", "check", "B3"])
     assert code == 0 and rep["holds"]
@@ -392,7 +405,8 @@ def test_matrix_object_without_rows_is_a_usage_error(capsys, tmp_path, inline):
     ("[1,2]", "a binding file holds a JSON object"),
     ('"x"', "a binding file holds a JSON object"),
     ('{"ring": 5, "s1": [[1,0],[0,1]]}', "binding file ring is a ring spec string"),
-], ids=["list", "string", "ring-not-a-string"])
+    ('{"ring": "Fp:101", "s1": [[1,0],[0,1]]}', "binding file ring 'Fp:101' does not match --ring"),
+], ids=["list", "string", "ring-not-a-string", "ring-mismatch"])
 def test_malformed_binding_file_is_a_usage_error(capsys, tmp_path, content, message):
     # each once ended in a traceback with exit 1
     sigma = tmp_path / "sigma.json"
@@ -472,6 +486,16 @@ def test_property_failure_exit_code(capsys):
 
 
 # main() builds its parser once per process; no call may leave a trace in the next
+
+def test_an_internal_key_error_is_not_reported_as_bad_input(monkeypatch):
+    # exit 2 is for bad input; a KeyError from inside a command is a bug
+    def broken(args, ring, rng):
+        raise KeyError("internal")
+
+    monkeypatch.setitem(cli._COMMANDS, "eval", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["--ring", "Fp:101", "eval", "--word", "x", "--at", G2])
+
 
 def test_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()

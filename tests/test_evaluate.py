@@ -17,7 +17,6 @@ from wordmap import (
     Rationals,
     SquareMatrix,
     UnboundConstant,
-    WordWithConstants,
     WordmapError,
     check_restriction_identities,
     chi_probe,
@@ -37,7 +36,7 @@ from wordmap.evaluate import _check_tuple
 from wordmap.geometry import COMPONENT_IDS, component, jet_jacobian, parametrization_rank
 from wordmap.matrices import matrix_from_json
 from wordmap.rings import parse_ring
-from wordmap.words import ConstLetter, EmptyInnerWord, from_items
+from wordmap.words import ConstLetter, EmptyInnerWord
 
 from closed_forms import homogeneity_check
 from jet_oracle import SL2_BASIS, DualNumbers, _jets, family_jets, lift_matrix
@@ -64,7 +63,7 @@ def random_word_with_constants(rng, maxlen, nconst=2):
         else:
             items.append((rng.randint(1, 2), rng.choice([1, -1, 2, -2])))
     try:
-        return from_items(items)
+        return word(items)
     except EmptyInnerWord:
         return None
 
@@ -271,6 +270,27 @@ def test_dimension_mismatch():
         eval_group(w, [random_sl2(F101, random.Random(0))])
 
 
+@pytest.mark.parametrize("case", ["empty", "sizes", "rings", "constant-size", "constant-ring"])
+def test_a_tuple_and_its_constants_share_size_and_ring(case):
+    rng = random.Random(3)
+    g2, g3 = random_sl2(F101, rng), random_invertible(F101, 3, rng)
+    other = random_sl2(F13, rng)
+    w, tup = parse("x s1 y"), [g2, random_sl2(F101, rng)]
+    binding = {"s1": random_sl2(F101, rng)}
+    message = "tuple matrices must share size and ring"
+    if case == "empty":
+        tup, message = [], "empty matrix tuple"
+    elif case == "sizes":
+        tup = [g2, g3]
+    elif case == "rings":
+        tup = [g2, other]
+    else:
+        binding = {"s1": g3 if case == "constant-size" else other}
+        message = "constant s1 has wrong size or ring"
+    with pytest.raises(DimensionMismatch, match=message):
+        eval_group(w.with_binding(binding), tup)
+
+
 def test_jet_sweep_checks_the_size_before_inverting():
     # a 3x3 tuple is refused for its size, before its singular inverted
     # generator is met
@@ -284,7 +304,7 @@ def test_generator_below_one_is_rejected():
     tup = [random_sl2(F101, random.Random(0)) for _ in range(2)]
     for pairs in ([(0, 1)], [(1, 1), (0, -2)]):
         with pytest.raises(DimensionMismatch, match="start at 1"):
-            eval_group(WordWithConstants(word(pairs)), tup)
+            eval_group(word(pairs), tup)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +482,7 @@ def test_jet_sweep_matches_the_product_rule(items, p, seed):
     # sum over k with gen(L_k) = i of P_{k-1} D_k S_{k+1}, with D_k = X g for
     # the letter g and -g^-1 X for g^-1; constants contribute nothing.
     try:
-        w = from_items(items)
+        w = word(items)
     except EmptyInnerWord:
         assume(False)
     ring = PrimeField(p)
@@ -470,7 +490,7 @@ def test_jet_sweep_matches_the_product_rule(items, p, seed):
     point = [random_sl2(ring, rng) for _ in range(max(w.max_generator(), 1))]
     w = w.with_binding({"s1": random_sl2(ring, rng)})
     factors = []  # (generator, or 0 for a constant; sign of the letter; its value)
-    for item in w.word.letters:
+    for item in w.letters:
         if isinstance(item, ConstLetter):
             s = w.binding[item.name]
             factors.append((0, 0, s.inverse() if item.inv else s))
@@ -550,7 +570,7 @@ def _word_items(draw):
 def test_jet_sweep_matches_dual_numbers(case):
     spec, items, seed = case
     try:
-        w = from_items(items)
+        w = word(items)
     except EmptyInnerWord:
         assume(False)
     ring = parse_ring(spec)
@@ -594,7 +614,7 @@ _RANK_RINGS = ("Fp:2", "Fp:3", "Fp:5", "Fp:101", "Q", "Q[i]", "Fp:7[i]")
 )
 def test_dominance_rank_matches_the_translated_tangents(spec, items, seed):
     try:
-        w = from_items(items)
+        w = word(items)
     except EmptyInnerWord:
         assume(False)
     ring = parse_ring(spec)

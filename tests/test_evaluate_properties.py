@@ -21,8 +21,8 @@ from wordmap import (
     det,
     eval_adjugate_extension,
     eval_group,
-    from_items,
     parse_ring,
+    word,
 )
 from wordmap.words import ConstLetter
 
@@ -58,7 +58,7 @@ def words_and_tuples(draw):
     before reduction."""
     letters = draw(items)
     try:
-        w = from_items(letters)
+        w = word(letters)
     except EmptyInnerWord:
         assume(False)
     ring = draw(st.sampled_from(RINGS))
@@ -108,7 +108,7 @@ def letter_by_letter(ring, n, w, tup, letters):
 
 
 def exponents(w, gen):
-    return [item[1] for item in w.word.letters
+    return [item[1] for item in w.letters
             if not isinstance(item, ConstLetter) and item[0] == gen]
 
 

@@ -356,7 +356,7 @@ def test_relation_scan_commuting_infinite_order():
     result = relation_scan((t1, t2), 6)
     assert not result.trivial
     for text in result.relations:
-        letters = parse(text).word.letters
+        letters = parse(text).letters
         assert sum(e for g, e in letters if g == 1) == 0
         assert sum(e for g, e in letters if g == 2) == 0
     assert "x y x^-1 y^-1" in set(result.relations)  # [x,y]
@@ -437,14 +437,14 @@ def test_lemma101_other_fields_and_refusal():
 def test_wsigma_probe_regular_semisimple():
     rng = random.Random(65)
     sigma = diag(F101.from_int(2))
-    result = wsigma_trace_probe(parse("[x,y]").word, sigma, rng, 100)
+    result = wsigma_trace_probe(parse("[x,y]"), sigma, rng, 100)
     assert result.verdict == ProbeVerdict.TAKES_MANY_VALUES
 
 
 def test_wsigma_probe_central_sigma():
     rng = random.Random(66)
     sigma = SquareMatrix.identity(F101, 2).scaled(F101.from_int(-1))
-    result = wsigma_trace_probe(parse("y x y^-1 x^-1").word, sigma, rng, 50)
+    result = wsigma_trace_probe(parse("y x y^-1 x^-1"), sigma, rng, 50)
     assert isinstance(result, ProbeResult)
     assert result.verdict == ProbeVerdict.CONSTANT_SO_FAR
     assert result.distinct_values == (F101.from_int(2),)
@@ -453,14 +453,14 @@ def test_wsigma_probe_central_sigma():
 def test_wsigma_probe_engel_word():
     rng = random.Random(67)
     sigma = diag(F101.from_int(3))
-    result = wsigma_trace_probe(parse("[[x,y],y]").word, sigma, rng, 100)
+    result = wsigma_trace_probe(parse("[[x,y],y]"), sigma, rng, 100)
     assert result.verdict == ProbeVerdict.TAKES_MANY_VALUES
 
 
 def test_wsigma_probe_reports_samples_drawn():
     # the probe stops at 32 distinct traces; it reports the draws it made
     sigma = diag(F101.from_int(2))
-    result = wsigma_trace_probe(parse("[x,y]").word, sigma, random.Random(69), 1000)
+    result = wsigma_trace_probe(parse("[x,y]"), sigma, random.Random(69), 1000)
     rng = random.Random(69)
     seen, drawn = set(), 0
     while len(seen) < 32:
@@ -471,11 +471,11 @@ def test_wsigma_probe_reports_samples_drawn():
     assert result.samples == drawn < 1000
     # a central sigma gives one trace, so every requested sample is drawn
     central = SquareMatrix.identity(F101, 2).scaled(F101.from_int(-1))
-    result = wsigma_trace_probe(parse("[x,y]").word, central, random.Random(70), 200)
+    result = wsigma_trace_probe(parse("[x,y]"), central, random.Random(70), 200)
     assert result.samples == 200 and len(result.distinct_values) == 1
 
 
 def test_wsigma_probe_requires_zero_y_sum():
     rng = random.Random(68)
     with pytest.raises(InvalidParams):
-        wsigma_trace_probe(parse("x y").word, diag(F101.from_int(2)), rng, 10)
+        wsigma_trace_probe(parse("x y"), diag(F101.from_int(2)), rng, 10)

@@ -132,7 +132,7 @@ def oracle_parse(text):
 
 
 def written_out_parse(text):
-    return list(_syllables(parse(text).word.letters))
+    return list(_syllables(parse(text).letters))
 
 
 # ---------------------------------------------------------------------------

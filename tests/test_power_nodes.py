@@ -26,7 +26,6 @@ from wordmap import (
     eval_adjugate_extension,
     eval_group,
     exponent_data,
-    from_items,
     jet_sweep,
     parse,
     parse_ring,
@@ -174,13 +173,13 @@ def check_against_written_out(text, point, binding):
     if isinstance(expanded, tuple):
         return
     w, expanded = parse(text).with_binding(binding), expanded.with_binding(binding)
-    assert not _nodes(expanded.word.letters)
-    assert hash(w.word) == hash(expanded.word)
+    assert not _nodes(expanded.letters)
+    assert hash(w) == hash(expanded)
     assert render(w) == render(expanded)
     assert parse(render(w)) == w
-    plain = expanded.word.letters
+    plain = expanded.letters
     letters = sum(1 if type(s) is ConstLetter else abs(s[1]) for s in plain)
-    assert w.word.length() == expanded.word.length() == letters
+    assert w.length() == expanded.length() == letters
     assert w.max_generator() == expanded.max_generator()
     assert w.constant_names() == expanded.constant_names()
     assert w.r == expanded.r == sum(type(s) is ConstLetter for s in plain)
@@ -219,7 +218,7 @@ def test_cores_with_constants_match_the_written_out_word(text, k, spec):
     point = [_point(ring, rng) for _ in range(3)]
     text = text.format(k=k)
     check_against_written_out(text, point, {c: _point(ring, rng) for c in ("s1", "s2")})
-    assert k == 2 or _nodes(parse(text).word.letters)
+    assert k == 2 or _nodes(parse(text).letters)
 
 
 @pytest.mark.parametrize("text,index", [
@@ -240,8 +239,8 @@ def test_a_long_power_of_a_core_with_a_constant_is_one_node():
     finally:
         tracemalloc.stop()
     core = ((1, 1), (2, 1), (1, -1), (2, -1), ConstLetter("s1"))
-    assert w.word.letters == (Power(core, 1000000),)
-    assert w.word.length() == 5000000 and w.r == 1000000
+    assert w.letters == (Power(core, 1000000),)
+    assert w.length() == 5000000 and w.r == 1000000
     assert peak < 2**20
 
 
@@ -255,19 +254,23 @@ def test_the_shapes_build_nodes():
         "(x y)^9 (x y)^-4",
         "s1 (x y)^3",
         "(x s1 y)^3",
+        # a core whose ends merge, with a node at its front or back
+        "((x y)^3 x)^2",
+        "(x (y x)^3)^2",
+        "(x^-1 (y x)^3)^4",
     ]
     for text in texts:
         w = parse(text)
-        assert _nodes(w.word.letters), text
+        assert _nodes(w.letters), text
         assert w == written_out(text)
-    assert parse("((x y)^3)^4").word.letters == (Power(((1, 1), (2, 1)), 12),)
-    assert parse("((x y)^3 z)^4").word.letters == (
+    assert parse("((x y)^3)^4").letters == (Power(((1, 1), (2, 1)), 12),)
+    assert parse("((x y)^3 z)^4").letters == (
         Power((Power(((1, 1), (2, 1)), 3), (3, 1)), 4),
     )
     # facing nodes that cancel, in or out of phase, in whole or in part, or
     # whose blocks differ only in an exponent; conjugations by a power
-    assert parse("(x y)^9 (y^-1 x^-1)^9").word.is_identity()
-    assert parse("(x y)^9 y^-1 (x^-1 y^-1)^8 x^-1").word.is_identity()
+    assert parse("(x y)^9 (y^-1 x^-1)^9").is_identity()
+    assert parse("(x y)^9 y^-1 (x^-1 y^-1)^8 x^-1").is_identity()
     for text in (
         "(x y)^9 (y^-1 x^-1 y^-1 x^-1)^4",
         "((x y)^9 z (y^-1 x^-1 y^-1 x^-1)^4)^5",
@@ -280,27 +283,26 @@ def test_the_shapes_build_nodes():
     ):
         assert parse(text) == written_out(text), text
     # x y^5 x^-1 is no node
-    assert parse("(x y x^-1)^5").word.letters == ((1, 1), (2, 5), (1, -1))
+    assert parse("(x y x^-1)^5").letters == ((1, 1), (2, 5), (1, -1))
 
 
 def test_equality_and_hash_follow_the_written_out_word():
-    a, b = parse("(x y)^4").word, parse("x y x y (x y)^2").word
+    a, b = parse("(x y)^4"), parse("x y x y (x y)^2")
     assert a == b and hash(a) == hash(b)
-    assert a != parse("(x y)^3 x").word
-    c = parse("(y x)^4").word  # the same masses, other syllables
+    assert a != parse("(x y)^3 x")
+    c = parse("(y x)^4")  # the same masses, other syllables
     assert a != c and hash(a) != hash(c)
-    assert len({a, b, parse("x y x y x y x y").word}) == 1
+    assert len({a, b, parse("x y x y x y x y")}) == 1
 
 
 def test_words_rebuild_from_their_letters():
-    """word() and from_items() take a Word's letters, nodes included."""
+    """word() takes a Word's letters, nodes included."""
     for text in ("(x y)^3", "((x y)^3 z)^4", "x^-1 (x y)^5 y^2", "(x^2 y x)^7 x^-1"):
-        w = parse(text).word
+        w = parse(text)
         assert word(w.letters) == w, text
-        assert from_items(w.letters) == parse(text), text
-        assert word([(1, 1)] + list(w.letters)) == parse(f"x {text}").word, text
-        assert word(list(w.letters) + [(2, -1)]) == parse(f"{text} y^-1").word, text
-    assert word(parse("(y^-1 x^-1)^4").word.letters + parse("(x y)^6").word.letters) == (
-        parse("(x y)^2").word
+        assert word([(1, 1)] + list(w.letters)) == parse(f"x {text}"), text
+        assert word(list(w.letters) + [(2, -1)]) == parse(f"{text} y^-1"), text
+    assert word(parse("(y^-1 x^-1)^4").letters + parse("(x y)^6").letters) == (
+        parse("(x y)^2")
     )
 

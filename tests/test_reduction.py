@@ -27,7 +27,7 @@ from wordmap.rings import (
     _reductions,
     parse_ring,
 )
-from wordmap.words import ConstLetter, EmptyInnerWord, from_items, parse
+from wordmap.words import ConstLetter, EmptyInnerWord, parse, word
 
 from jet_oracle import DualNumbers
 
@@ -183,7 +183,7 @@ def _small_invertible(ring, rng):
 )
 def test_dominance_mod_p_matches_the_exact_path(spec, primes, items, picks, seed):
     try:
-        w = from_items(items)
+        w = word(items)
     except EmptyInnerWord:
         assume(False)
     ring = parse_ring(spec)
@@ -227,7 +227,7 @@ def test_full_rank_over_q_is_decided_mod_p_alone(spec, prime):
     rng = random.Random(1)
     point = [random_sl2(ring, rng) for _ in range(3)]
     with jet_rings() as seen:
-        assert dominance_probe(from_items([(1, 1), (2, 1), (1, -1), (3, -2)]), point) == 3
+        assert dominance_probe(word([(1, 1), (2, 1), (1, -1), (3, -2)]), point) == 3
     assert seen == [PrimeField(prime)]
 
 
@@ -235,7 +235,7 @@ def test_a_lower_rank_mod_p_takes_the_exact_path():
     ring = parse_ring("Q")
     weyl = _special_points(ring)[2]
     with jet_rings() as seen:
-        assert dominance_probe(from_items([(1, 2)]), [weyl]) == 1
+        assert dominance_probe(word([(1, 2)]), [weyl]) == 1
     assert seen == [PrimeField(2**61 - 1), ring]
 
 

@@ -121,6 +121,6 @@ def test_relation_texts_parse_back_to_relations(pair, max_len):
         w = parse(text)
         assert render(w) == text
         assert eval_group(w, pair) == ident
-        assert 1 <= w.word.length() <= max_len
-        keys.append((w.word.length(), w.word.letters))
+        assert 1 <= w.length() <= max_len
+        keys.append((w.length(), w.letters))
     assert keys == sorted(set(keys))

@@ -96,7 +96,7 @@ def boxed_chi_probe(w, i, ring, rng, samples):
 
     def draw():
         tup = [boxed_random_sl2(ring, rng) for _ in range(m)]
-        return charpoly(boxed_value(w.word.letters, tup, w.binding))[i - 1]
+        return charpoly(boxed_value(w.letters, tup, w.binding))[i - 1]
 
     return ProbeResult(*boxed_sample_distinct(draw, samples))
 
@@ -153,7 +153,7 @@ def test_chi_probe_inverts_constants_truly(spec, text, index):
 @pytest.mark.parametrize("spec", RINGS)
 @pytest.mark.parametrize("text", ("[x,y]", "y x y^-1", "[x, y^2] z"))
 def test_wsigma_trace_probe_matches_the_boxed_sampler(spec, text):
-    ring, w = parse_ring(spec), parse(text).word
+    ring, w = parse_ring(spec), parse(text)
     for seed in range(3):
         sigma = random_sl2(ring, random.Random(seed + 100))
         raw, boxed = random.Random(seed), random.Random(seed)
@@ -165,7 +165,7 @@ def test_wsigma_trace_probe_matches_the_boxed_sampler(spec, text):
 
 @pytest.mark.parametrize("spec", RINGS)
 def test_wsigma_trace_probe_inverts_sigma_truly(spec):
-    ring, w = parse_ring(spec), parse("[x,y]").word
+    ring, w = parse_ring(spec), parse("[x,y]")
     sigma = diag21(ring)
     for seed in range(3):
         raw, boxed = random.Random(seed), random.Random(seed)
@@ -220,6 +220,6 @@ def test_probes_check_once_and_draw_raw(monkeypatch):
 
     checks.clear(), inverted.clear()
     sigma = SquareMatrix.from_rows(ring, [[3, 0], [0, 1]])
-    result = wsigma_trace_probe(parse("[x,y] z^-1").word, sigma, random.Random(1), 200)
+    result = wsigma_trace_probe(parse("[x,y] z^-1"), sigma, random.Random(1), 200)
     assert result.samples == 200
     assert len(checks) == 1 and inverted == [sigma]
