@@ -175,6 +175,26 @@ CASES = [
      "--at", *SL2_PAIR],
     ["--ring", "Fp:101", "fiber", "--word", "x s1 x^-1 s1^-1", "--sigma", "golden/sigma_s1.json",
      "--at", '[["4","1"],["3","1"]]'],
+    # text mode writes matrices, lists and tables as JSON, scalars and enums
+    # as their strings, and ints, bools and None as Python prints them
+    ["--ring", "Fp:101", "--output", "text", "eval", "--word", "[x,y]",
+     "--at", '[["2","0"],["0","51"]]', '[["1","1"],["0","1"]]'],
+    ["--ring", "Fp:101", "--output", "text", "extend", "--word", "x y^-1 x^-1 y",
+     "--at", '[["3","1"],["5","2"]]', '[["7","2"],["4","3"]]'],
+    ["--output", "text", "chi-probe", "--ring", "Fp:101", "--word", "[x,y]", "--seed", "11",
+     "--samples", "60"],
+    ["--output", "text", "dominance", "--ring", "Fp:101", "--word", "[[x,y],y]", "--seed", "4"],
+    ["--ring", "Fp:101", "--output", "text", "preimage", "--a", "77"],
+    ["--ring", "Fp:101", "--output", "text", "fiber", "--word", "x s1 x^-1 s1^-1",
+     "--sigma", "golden/sigma_s1.json", "--at", '[["4","1"],["3","1"]]'],
+    ["--ring", "Fp:101", "--output", "text", "dimcert", "--example", "ex1.W"],
+    ["--ring", "Fp:101", "--output", "text", "sep-witness", "--word", "[x,y]^2"],
+    ["--ring", "Fp:101", "--output", "text", "sep-witness", "--word", "[[x,y],[x,y^2]]"],
+    ["--ring", "Fp:13", "--output", "text", "lemma-check", "78", "--lam", "2", "--u", "1"],
+    ["--ring", "Fp:17", "--output", "text", "lemma-check", "101"],
+    ["--output", "text", "roots", "check", "B3"],
+    ["--output", "text", "roots", "check", "E6"],
+    ["--output", "text", "roots", "table", "--max-rank", "8"],
 ]
 
 
