@@ -12,9 +12,12 @@ import json
 import random
 import re
 import sys
+from dataclasses import fields
+from enum import Enum
 
 from .errors import InvalidType, UnboundConstant, WordmapError
 from .evaluate import (
+    _point_count,
     check_restriction_identities,
     chi_probe,
     dominance_probe,
@@ -37,7 +40,7 @@ from .matrices import (
     matrix_to_json,
     random_sl2,
 )
-from .rings import parse_ring, parse_scalar, render_scalar
+from .rings import Scalar, parse_ring, parse_scalar, render_scalar
 from .rootsys import build, star_search, verify_lemma_table, verify_witness
 from .words import parse, render
 
@@ -92,18 +95,35 @@ def _word_at(args, ring):
     return w, [_load_matrix(ring, t) for t in args.at] if args.at else None
 
 
-def _emit(report: dict, output: str) -> None:
+def _plain(v):
+    """The JSON hook: a matrix as its rows of entry strings, a scalar as its
+    string, an enum as its value and a result dataclass as its fields."""
+    if isinstance(v, SquareMatrix):
+        return matrix_to_json(v)
+    if isinstance(v, Scalar):
+        return render_scalar(v)
+    if isinstance(v, Enum):
+        return v.value
+    return {f.name: getattr(v, f.name) for f in fields(v)}
+
+
+def _emit(report, output: str) -> None:
+    """Write a report, a dict or a result dataclass whose fields are its keys:
+    as one JSON object, or in text mode one ``key: value`` line per key, with
+    str, int, bool and None as Python prints them, scalars and enums by
+    :func:`_plain` and the rest as JSON."""
+    if not isinstance(report, dict):
+        report = _plain(report)
     if output == "json":
-        print(json.dumps(report, sort_keys=True))
-    else:
-        for key in sorted(report):
-            print(f"{key}: {_text_value(report[key])}")
-
-
-def _text_value(v):
-    if isinstance(v, (list, dict)):
-        return json.dumps(v, sort_keys=True)
-    return v
+        print(json.dumps(report, sort_keys=True, default=_plain))
+        return
+    for key in sorted(report):
+        v = report[key]
+        if isinstance(v, (Scalar, Enum)):
+            v = _plain(v)
+        elif not isinstance(v, (str, int, type(None))):
+            v = json.dumps(v, sort_keys=True, default=_plain)
+        print(f"{key}: {v}")
 
 
 @functools.cache
@@ -191,11 +211,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_eval(args, ring, rng):
     w, tup = _word_at(args, ring)
     value = eval_group(w, tup)
-    report = {"value": matrix_to_json(value), "word": render(w)}
+    report = {"value": value, "word": render(w)}
     if value.n == 2:
-        fm = value_fiber_membership(value)
-        report["in_W"] = fm.in_W
-        report["in_T"] = fm.in_T
+        report.update(_plain(value_fiber_membership(value)))
     return report, EXIT_OK
 
 
@@ -203,31 +221,22 @@ def _cmd_extend(args, ring, rng):
     w, tup = _word_at(args, ring)
     check = check_restriction_identities(w, tup)
     report = {
-        "extended": matrix_to_json(check.extended),
-        "delta": render_scalar(check.delta),
+        "extended": check.extended,
+        "delta": check.delta,
         "restriction_identity_holds": check.holds,
     }
     return report, EXIT_OK if check.holds else EXIT_PROPERTY_FAILED
 
 
 def _cmd_chi_probe(args, ring, rng):
-    w = parse(args.word)
-    result = chi_probe(w, args.index, ring, rng, args.samples)
-    report = {
-        "distinct_values": [render_scalar(v) for v in result.distinct_values],
-        "verdict": result.verdict.value,
-        "samples": result.samples,
-    }
-    return report, EXIT_OK
+    return chi_probe(parse(args.word), args.index, ring, rng, args.samples), EXIT_OK
 
 
 def _cmd_dominance(args, ring, rng):
     w, tup = _word_at(args, ring)
     if tup is None:
-        tup = [random_sl2(ring, rng) for _ in range(max(w.max_generator(), 1))]
-    rank_value = dominance_probe(w, tup)
-    report = {"rank": rank_value, "point": [matrix_to_json(g) for g in tup]}
-    return report, EXIT_OK
+        tup = [random_sl2(ring, rng) for _ in range(_point_count(w))]
+    return {"rank": dominance_probe(w, tup), "point": tup}, EXIT_OK
 
 
 def _cmd_preimage(args, ring, rng):
@@ -235,39 +244,23 @@ def _cmd_preimage(args, ring, rng):
     lam = parse_scalar(ring, args.lam)
     beta = parse_scalar(ring, args.beta)
     t, g = trace_preimage_commutator(a, lam, beta)
-    comm = t * g * t.inverse() * g.inverse()
-    hit = comm.trace() == a
-    report = {
-        "t": matrix_to_json(t),
-        "g": matrix_to_json(g),
-        "commutator_trace": render_scalar(comm.trace()),
-        "hit": hit,
-    }
+    trace = (t * g * t.inverse() * g.inverse()).trace()
+    hit = trace == a
+    report = {"t": t, "g": g, "commutator_trace": trace, "hit": hit}
     return report, EXIT_OK if hit else EXIT_PROPERTY_FAILED
 
 
 def _cmd_fiber(args, ring, rng):
     w, tup = _word_at(args, ring)
     fm = value_fiber_membership(eval_group(w, tup))
-    report = {"in_W": fm.in_W, "in_T": fm.in_T}
     # W is contained in T; a point in W but not T breaks the containment
-    ok = fm.in_T or not fm.in_W
-    return report, EXIT_OK if ok else EXIT_PROPERTY_FAILED
+    return fm, EXIT_OK if fm.in_T or not fm.in_W else EXIT_PROPERTY_FAILED
 
 
 def _cmd_dimcert(args, ring, rng):
     a = None if args.a is None else parse_scalar(ring, args.a)
-    comp = component(args.example, ring, p=args.p, j=args.j, a=a)
-    cert = dimension_certificate(comp)
-    report = {
-        "component": cert.component,
-        "point": [matrix_to_json(g) for g in cert.point],
-        "lower": cert.lower,
-        "upper": cert.upper,
-        "claimed": cert.claimed,
-        "confirmed": cert.confirmed,
-    }
-    return report, EXIT_OK if cert.confirmed else EXIT_PROPERTY_FAILED
+    cert = dimension_certificate(component(args.example, ring, p=args.p, j=args.j, a=a))
+    return cert, EXIT_OK if cert.confirmed else EXIT_PROPERTY_FAILED
 
 
 def _cmd_sep_witness(args, ring, rng):
@@ -276,44 +269,22 @@ def _cmd_sep_witness(args, ring, rng):
     if point is None:
         return {"found": False}, EXIT_PROPERTY_FAILED
     value = eval_group(w, point)
-    report = {
-        "found": True,
-        "point": [matrix_to_json(g) for g in point],
-        "value": matrix_to_json(value),
-        "trace": render_scalar(value.trace()),
-    }
+    report = {"found": True, "point": point, "value": value, "trace": value.trace()}
     return report, EXIT_OK
 
 
 def _cmd_relscan(args, ring, rng):
-    result = relation_scan([_load_matrix(ring, t) for t in args.at], args.max_len)
-    report = {
-        "trivial": result.trivial,
-        "relations": list(result.relations),
-    }
-    return report, EXIT_OK
+    return relation_scan([_load_matrix(ring, t) for t in args.at], args.max_len), EXIT_OK
 
 
 def _cmd_lemma_check(args, ring, rng):
     if args.which == "78":
-        lam = parse_scalar(ring, args.lam)
-        u = parse_scalar(ring, args.u)
-        rep = lemma78_check(lam, u)
+        rep = lemma78_check(parse_scalar(ring, args.lam), parse_scalar(ring, args.u))
         ok = rep.in_Uminus and rep.trivial_iff_unit
-        report = {
-            "value": matrix_to_json(rep.value),
-            "in_Uminus": rep.in_Uminus,
-            "trivial_iff_unit": rep.trivial_iff_unit,
-        }
-        return report, EXIT_OK if ok else EXIT_PROPERTY_FAILED
-    rep = lemma101_check(ring)
-    report = {
-        "z": matrix_to_json(rep.z),
-        "intermediate": matrix_to_json(rep.intermediate),
-        "final_trace": render_scalar(rep.final_trace),
-        "ok": rep.ok,
-    }
-    return report, EXIT_OK if rep.ok else EXIT_PROPERTY_FAILED
+    else:
+        rep = lemma101_check(ring)
+        ok = rep.ok
+    return rep, EXIT_OK if ok else EXIT_PROPERTY_FAILED
 
 
 _ROOT_LABEL = re.compile(r"([A-Ga-g])([1-9][0-9]*)")
@@ -339,7 +310,7 @@ def _cmd_roots(args, ring, rng):
             "type": system.type_label,
             "rank": system.rank,
             "holds": result.holds,
-            "witness": [list(v) for v in result.witness] if result.witness else None,
+            "witness": result.witness,
         }
         return report, EXIT_OK if ok else EXIT_PROPERTY_FAILED
     rows = verify_lemma_table(args.max_rank)

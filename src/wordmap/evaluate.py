@@ -71,14 +71,12 @@ def _check_tuple(w: Word, tup):
     return n, ring, [key for key, (_pos, neg) in masses.items() if neg]
 
 
-def _inverse_rows(w: Word, tup, keys, invert, given=None) -> dict:
+def _inverse_rows(w: Word, tup, keys, invert) -> dict:
     """The raw rows that stand in for the inverse of each key of ``keys``:
-    ``given[key]`` as it is, else ``invert(tup[g - 1])`` for a generator g
-    and the true inverse for a constant name."""
-    given = given or {}
+    ``invert(tup[g - 1])`` for a generator g and the true inverse for a
+    constant name."""
     return {
-        key: given[key] if key in given
-        else (w.binding[key].inverse() if type(key) is str else invert(tup[key - 1])).rows
+        key: (w.binding[key].inverse() if type(key) is str else invert(tup[key - 1])).rows
         for key in keys
     }
 
@@ -115,27 +113,20 @@ def _value(w: Word, tup, n, ring, inverses) -> SquareMatrix:
     return SquareMatrix._raw(ring, _identity_rows(ring, n) if acc is None else acc)
 
 
-def eval_group(w: Word, tup, inverses=None) -> SquareMatrix:
-    """Literal group evaluation with true inverses; inputs must be invertible.
-
-    ``inverses`` may map generators and constant names to the raw rows of
-    inverses the caller already has; they are used as they are, the rest are
-    taken once, and the dict is left unchanged.
-    """
+def eval_group(w: Word, tup) -> SquareMatrix:
+    """Literal group evaluation with true inverses; inputs must be invertible."""
     n, ring, inverted = _check_tuple(w, tup)
-    return _value(w, tup, n, ring, _inverse_rows(w, tup, inverted, SquareMatrix.inverse, inverses))
+    return _value(w, tup, n, ring, _inverse_rows(w, tup, inverted, SquareMatrix.inverse))
 
 
-def eval_adjugate_extension(w: Word, tup, adjugates=None) -> SquareMatrix:
+def eval_adjugate_extension(w: Word, tup) -> SquareMatrix:
     """The polynomial extension to all of Ma_n: x^-k becomes (adjugate)^k.
 
     Constants are fixed invertible matrices, so an inverted constant stays a
     true inverse; only variable letters are replaced by adjugate powers.
-    ``adjugates`` may map generators to the raw rows of adjugates the caller
-    already has, used as they are; the dict is left unchanged.
     """
     n, ring, inverted = _check_tuple(w, tup)
-    return _value(w, tup, n, ring, _inverse_rows(w, tup, inverted, adjugate, adjugates))
+    return _value(w, tup, n, ring, _inverse_rows(w, tup, inverted, adjugate))
 
 
 @dataclass(frozen=True)
@@ -148,20 +139,23 @@ class RestrictionCheck:
 def check_restriction_identities(w: Word, tup) -> RestrictionCheck:
     """Verify w~ = Delta * w^ on an invertible tuple, Delta = prod det(mu_r)^{b_r}.
 
-    One det/adjugate pass per inverted generator gives its factor of Delta,
-    its adjugate for w~ and its inverse adj / det for w^.
+    The tuple is checked once.  One det/adjugate pass per inverted generator
+    gives its factor of Delta, its adjugate for w~ and its inverse adj / det
+    for w^; an inverted constant takes its true inverse, once, in both.
     """
-    n, ring, _inverted = _check_tuple(w, tup)
-    data = exponent_data(w, n)
+    n, ring, inverted = _check_tuple(w, tup)
+    b_neg = exponent_data(w, n).b_neg
     delta = ring.one
     adjugates, inverses = {}, {}
-    for g, b_r in data.b_neg.items():
-        d, adj = det_adjugate(tup[g - 1])
-        delta = delta * d ** b_r
-        adjugates[g], inverses[g] = adj.rows, inverse_from(d, adj).rows
-    extended = eval_adjugate_extension(w, tup, adjugates)
-    plain = eval_group(w, tup, inverses=inverses)
-    holds = extended == plain.scaled(delta)
+    for key in inverted:
+        if type(key) is str:
+            adjugates[key] = inverses[key] = w.binding[key].inverse().rows
+        else:
+            d, adj = det_adjugate(tup[key - 1])
+            delta = delta * d ** b_neg[key]
+            adjugates[key], inverses[key] = adj.rows, inverse_from(d, adj).rows
+    extended = _value(w, tup, n, ring, adjugates)
+    holds = extended == _value(w, tup, n, ring, inverses).scaled(delta)
     return RestrictionCheck(extended=extended, delta=delta, holds=holds)
 
 
@@ -171,6 +165,20 @@ class ProbeVerdict(Enum):
 
 
 _DISTINCT_CAP = 32
+
+# a probe draws one SL_2 point per generator up to the word's largest index,
+# so the index is capped: dominance of x1000 takes about 0.3 s with the
+# start-up (2 CPUs, CPython 3.11), and x100000 took 2.6 s
+_GENERATOR_MAX = 1000
+
+
+def _point_count(w: Word, least: int = 1) -> int:
+    """How many SL_2 points a probe of ``w`` draws: its largest generator
+    index, at least ``least``; an index past _GENERATOR_MAX is refused."""
+    m = w.max_generator()
+    if m > _GENERATOR_MAX:
+        raise InvalidParams(f"generator index {m} capped at {_GENERATOR_MAX} for drawn points")
+    return max(m, least)
 
 
 def _sample_distinct(draw, samples: int, ring: RingDescriptor):
@@ -208,7 +216,7 @@ def chi_probe(
     chi_1 = a + d and chi_2 = ad - bc are read off the raw value."""
     if not 1 <= i <= 2:
         raise ValueError(f"coefficient index {i} out of range 1..2")
-    draw = _word_sampler(w, ring, rng, max(w.max_generator(), 1))
+    draw = _word_sampler(w, ring, rng, _point_count(w))
     add = ring.radd
 
     def chi():
@@ -223,7 +231,7 @@ def wsigma_trace_probe(w: Word, sigma: SquareMatrix, rng, samples: int) -> Probe
     if not zero_exponent_sum_in_y(w):
         raise InvalidParams("the distinguished-variable exponents must sum to zero")
     ring = sigma.ring
-    draw = _word_sampler(w, ring, rng, max(w.max_generator(), 2), sigma)
+    draw = _word_sampler(w, ring, rng, _point_count(w, 2), sigma)
     add = ring.radd
 
     def trace():

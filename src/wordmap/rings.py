@@ -325,7 +325,10 @@ class Scalar:
         return self * o.inv()
 
     def __rtruediv__(self, other):
-        return self.ring.from_int(other) * self.inv()
+        o = self._operand(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return o * self.inv()
 
     def __pow__(self, k: int):
         if k < 0:

@@ -17,6 +17,9 @@ SRC = Path(wordmap.__file__).parent
 KEEP = {
     "charpoly": "the chi_i of an n x n value, the API form of the Berkowitz kernel behind "
                 "det and adjugate; the probes read chi_1 and chi_2 off raw 2 x 2 rows",
+    "eval_adjugate_extension": "the adjugate extension w~ of a word at any tuple, singular "
+                               "ones too; extend takes w~ and w^ in one walk each from "
+                               "shared det/adjugate passes",
     "word": "test helper: builds words from unreduced items in seven test files",
     "generated_group": "census: the planned census command closes groups with it",
     "is_unipotent": "census: the planned census command classifies values with it",

@@ -478,6 +478,27 @@ def test_roots_check_refuses_a_system_past_the_root_cap(capsys):
     assert "A99999999999 has 9999999999900000000000 roots, capped at 10000" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["dominance", "--word", "x99999999", "--seed", "1"],
+    ["chi-probe", "--word", "x99999999", "--samples", "1"],
+    ["dominance", "--word", "x1001 y", "--seed", "1"],
+])
+def test_a_drawn_point_tuple_is_refused_past_the_generator_cap(capsys, argv):
+    # one SL_2 point is drawn per generator up to the largest index; x99999999
+    # ran past 10 s before the cap
+    start = time.perf_counter()
+    assert main(["--ring", "Fp:101", *argv]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "capped at 1000" in captured.err
+
+
+def test_the_generator_cap_admits_its_own_index(capsys):
+    code, rep = run_json(capsys, ["--ring", "Fp:101", "dominance", "--word", "x1000",
+                                  "--seed", "1"])
+    assert code == 0 and len(rep["point"]) == 1000 and rep["rank"] == 3
+
+
 def test_property_failure_exit_code(capsys):
     # a = 2 forces p = 0, so gamma = 0 and the hit still lands: stays 0
     assert main(["--ring", "Fp:101", "preimage", "--a", "2"]) == 0

@@ -197,29 +197,37 @@ def test_evaluation_inverts_each_generator_once(monkeypatch):
     assert value == (x * y.inverse() * x.inverse() * y) ** 50
 
 
-def test_given_inverses_are_used_and_the_rest_taken_once(monkeypatch):
-    # a partial dict of inverses: the given rows are used as they are, the
-    # missing ones are taken once each, and the caller's dict is not changed
+def test_restriction_check_takes_each_inverse_once(monkeypatch):
+    # one det/adjugate pass per inverted generator serves Delta, w~ and w^;
+    # the inverted constant takes one true inverse, shared by both walks
     rng = random.Random(54)
     sigma = random_sl2(F101, rng)
     w = parse("x^-2 y s1^-1 x y^-1 z^-1").with_binding({"s1": sigma})
-    tup = [random_sl2(F101, rng) for _ in range(3)]
-    expected = eval_group(w, tup)
-    given = {1: tup[0].inverse().rows}
-    before = dict(given)
-    calls = []
-    inverse = SquareMatrix.inverse
+    # det 3, 5 and 7, so Delta = 3^2 * 5 * 7
+    tup = [random_sl2(F101, rng) * SquareMatrix.from_rows(F101, [[1, 0], [0, k]])
+           for k in (3, 5, 7)]
+    extended, plain = eval_adjugate_extension(w, tup), eval_group(w, tup)
+    passes, inverses = [], []
+    det_adjugate, inverse = evaluate.det_adjugate, SquareMatrix.inverse
 
-    def counting(self):
-        calls.append(self)
+    def counting_pass(m):
+        passes.append(m)
+        return det_adjugate(m)
+
+    def counting_inverse(self):
+        inverses.append(self)
         return inverse(self)
 
-    monkeypatch.setattr(SquareMatrix, "inverse", counting)
-    assert eval_group(w, tup, inverses=given) == expected
-    assert Counter(calls) == Counter([tup[1], tup[2], sigma])
-    assert given == before
-    # the given rows are used, not retaken: x for x^-1 changes the value
-    assert eval_group(w, tup, inverses={1: tup[0].rows}) != expected
+    monkeypatch.setattr(evaluate, "det_adjugate", counting_pass)
+    monkeypatch.setattr(evaluate, "adjugate", None)
+    monkeypatch.setattr(SquareMatrix, "inverse", counting_inverse)
+    check = check_restriction_identities(w, tup)
+    monkeypatch.undo()
+    assert Counter(passes) == Counter(tup)
+    assert inverses == [sigma]
+    assert check.delta == F101.from_int(3 ** 2 * 5 * 7)
+    assert check.extended == extended == plain.scaled(check.delta)
+    assert check.holds
 
 
 def test_restriction_to_sl_is_plain_evaluation():

@@ -356,6 +356,18 @@ def test_scalar_pow_and_hash():
     assert len({F13.from_int(3), F13.from_int(16)}) == 1
 
 
+@pytest.mark.parametrize("ring", [F101, Q, QI], ids=str)
+def test_division_into_an_int_and_only_an_int(ring):
+    s = ring.from_int(3)
+    assert 1 / s == s.inv()
+    assert 2 / s == ring.from_int(2) * s.inv()
+    # a float or a Fraction is no element of the ring, so Scalar does not
+    # coerce it: 2.5 / Scalar(Fp:101, 3) once gave the raw value 85.0
+    for other in (2.5, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            other / s
+
+
 # ---------------------------------------------------------------------------
 # primality and factoring against sympy
 
