@@ -43,6 +43,11 @@ GL6_FP103I = [_gl(6, lambda i, j: f"{_a(i, j)}+{_b(i, j)}*i"),
               _gl(6, lambda i, j: f"{_b(i, j)}+{_a(j, i)}*i")]
 GL7_Q = [_gl(7, lambda i, j: str(_a(i, j))), _gl(7, lambda i, j: str(_b(i, j)))]
 GL4_Q = [_gl(4, lambda i, j: str(_a(i, j))), _gl(4, lambda i, j: str(_b(i, j)))]
+# fractional entries, such as "4/3" and "-5/7", with denominators 1 to 7
+GL3_QFRAC = [_gl(3, lambda i, j: f"{_a(i, j)}/{(3 * i + 2 * j) % 7 + 1}"),
+             _gl(3, lambda i, j: f"{_b(i, j)}/{(2 * i + 5 * j) % 7 + 1}")]
+GL5_QFRAC = [_gl(5, lambda i, j: f"{_a(i, j)}/{(3 * i + 2 * j) % 7 + 1}"),
+             _gl(5, lambda i, j: f"{_b(i, j)}/{(2 * i + 5 * j) % 7 + 1}")]
 SL2_PAIR = ['[["3","5"],["1","2"]]', '[["2","1"],["7","4"]]']
 Q8_PAIR = ['[["5","0"],["0","8"]]', '[["0","1"],["12","0"]]']
 
@@ -195,6 +200,11 @@ CASES = [
     ["--output", "text", "roots", "check", "B3"],
     ["--output", "text", "roots", "check", "E6"],
     ["--output", "text", "roots", "table", "--max-rank", "8"],
+    # adjugate extension on GL_3 and GL_5 over Q with fractional entries, and
+    # a word value that inverts a fractional GL_3 matrix
+    ["--ring", "Q", "extend", "--word", "x^2 y^-1 x^-1 y^-2", "--at", *GL3_QFRAC],
+    ["--ring", "Q", "extend", "--word", "x^2 y^-1 x^-1 y^-2", "--at", *GL5_QFRAC],
+    ["--ring", "Q", "eval", "--word", "x y^-1 x", "--at", *GL3_QFRAC],
 ]
 
 
