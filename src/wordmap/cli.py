@@ -48,6 +48,10 @@ EXIT_OK = 0
 EXIT_PROPERTY_FAILED = 1
 EXIT_USAGE = 2
 
+# a probe's time is linear in --samples, about 4 us a draw over Fp:101 (10^6
+# draws of [x,x] took 3.9 s), so the count is capped
+_SAMPLES_MAX = 100_000
+
 
 def _read_json(text: str):
     try:
@@ -368,6 +372,8 @@ def _run(argv) -> int:
         rng = random.Random(seed)
         if samples < 1:
             raise WordmapError("--samples must be >= 1")
+        if samples > _SAMPLES_MAX:
+            raise WordmapError(f"--samples {samples} capped at {_SAMPLES_MAX}")
         report, code = _COMMANDS[args.command](args, ring, rng)
     except (WordmapError, OSError, ValueError) as exc:
         if isinstance(exc, UnboundConstant) and hasattr(args, "sigma"):

@@ -19,13 +19,21 @@ Berkowitz's division-free algorithm, which is valid over every commutative
 ring and never branches on the ring.  For n <= 2, det and adjugate take their
 closed forms; for n >= 3 the adjugate follows from the characteristic
 polynomial by Cayley-Hamilton, and ``inverse()`` takes det and adjugate from a
-single Berkowitz pass.
+single Berkowitz pass.  Needing no division, the kernel runs over Q on
+integers: on N = D M, with D the lcm of M's denominators
+(:func:`~wordmap.rings._cleared`), over a private ring of Python ints, and
+the results are divided by powers of D once at the end.  So Q det/adjugate
+and Q products from 3 x 3 up run on integer rows over one denominator per
+operand.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from operator import mul
+
 from .errors import DimensionMismatch, NotInvertible, RingMismatch, WordmapError
-from .rings import RingDescriptor, Scalar, _parse_raw, render_scalar
+from .rings import Rationals, RingDescriptor, Scalar, _cleared, _parse_raw, render_scalar
 
 _set = object.__setattr__
 
@@ -236,6 +244,25 @@ def _berkowitz(ring: RingDescriptor, rows) -> list:
     return coeffs
 
 
+class _Integers(RingDescriptor):
+    """Z on Python ints: the ring Berkowitz runs on over Q, on cleared rows."""
+
+    def raw_from_int(self, n):
+        return n
+
+    def radd(self, x, y):
+        return x + y
+
+    def rneg(self, x):
+        return -x
+
+    def rdot(self, xs, ys):
+        return sum(map(mul, xs, ys))
+
+
+_INTEGERS = _Integers()
+
+
 def _det_from(ring: RingDescriptor, coeffs):
     """det M = (-1)^n c_n."""
     c = coeffs[-1]
@@ -245,8 +272,8 @@ def _det_from(ring: RingDescriptor, coeffs):
 def _det_adjugate(ring: RingDescriptor, rows) -> tuple:
     """(det M, adj M) on raw rows: closed forms for n <= 2, else one Berkowitz pass.
 
-    By Cayley-Hamilton, adj M = (-1)^(n-1) (M^(n-1) + c_1 M^(n-2) + ... + c_(n-1) I),
-    taken by Horner with n - 2 products.
+    Over Q the pass runs on the integer rows N = D M of :func:`_cleared`:
+    det M = det N / D^n and adj M = adj N / D^(n-1).
     """
     n = len(rows)
     neg = ring.rneg
@@ -256,8 +283,25 @@ def _det_adjugate(ring: RingDescriptor, rows) -> tuple:
         (a, b), (c, d) = rows
         nb, nc = neg(b), neg(c)
         return ring.rdot((a, b), (d, nc)), ((d, nb), (nc, a))
+    if not isinstance(ring, Rationals):
+        return _cayley_hamilton(ring, rows)
+    d, ints = _cleared(rows)
+    det_n, adj_n = _cayley_hamilton(_INTEGERS, ints)
+    scale = d ** (n - 1)
+    return Fraction(det_n, scale * d), tuple(
+        [tuple([Fraction(e, scale) for e in row]) for row in adj_n]
+    )
+
+
+def _cayley_hamilton(ring: RingDescriptor, rows) -> tuple:
+    """(det M, adj M) from one Berkowitz pass.
+
+    By Cayley-Hamilton, adj M = (-1)^(n-1) (M^(n-1) + c_1 M^(n-2) + ... + c_(n-1) I),
+    taken by Horner with n - 2 products.
+    """
+    n = len(rows)
     coeffs = _berkowitz(ring, rows)
-    add = ring.radd
+    add, neg = ring.radd, ring.rneg
     if n % 2 == 0:  # fold the sign (-1)^(n-1) into M and the coefficients
         signed, acc = [neg(c) for c in coeffs], tuple(tuple(map(neg, row)) for row in rows)
     else:
@@ -286,10 +330,19 @@ def inverse_from(d: Scalar, adj: SquareMatrix) -> SquareMatrix:
     return adj._scaled_raw(dinv)
 
 
+def _coefficients(ring: RingDescriptor, rows) -> list:
+    """Berkowitz's [1, c_1, ..., c_n] of M; over Q taken on the integer rows
+    N = D M of :func:`_cleared`, with c_k(M) = c_k(N) / D^k."""
+    if not isinstance(ring, Rationals):
+        return _berkowitz(ring, rows)
+    d, ints = _cleared(rows)
+    return [Fraction(c, d ** k) for k, c in enumerate(_berkowitz(_INTEGERS, ints))]
+
+
 def _det(ring: RingDescriptor, rows):
     if len(rows) <= 2:
         return _det_adjugate(ring, rows)[0]
-    return _det_from(ring, _berkowitz(ring, rows))
+    return _det_from(ring, _coefficients(ring, rows))
 
 
 def det(m: SquareMatrix) -> Scalar:
@@ -305,7 +358,7 @@ def charpoly(m: SquareMatrix) -> tuple:
     """``(chi_1, ..., chi_n)``, the signed elementary symmetric functions of
     the eigenvalues: chi_i = (-1)^i c_i, so chi_1 = trace and chi_n = det."""
     ring = m.ring
-    coeffs = _berkowitz(ring, m.rows)
+    coeffs = _coefficients(ring, m.rows)
     return tuple(Scalar(ring, ring.rneg(c) if i % 2 else c) for i, c in enumerate(coeffs) if i)
 
 

@@ -12,8 +12,11 @@ the fused dot product ``rdot``, the matrix product ``rmatmul`` and the draw
 ``rrandom``.  ``rdot`` takes one reduction mod p per dot product over F_p,
 one :class:`~fractions.Fraction` (one reduction) per dot product over Q, and
 over ``base[sqrt(d)]`` a combination of the base ring's ``rdot``.
-``rmatmul`` is the one product kernel of every matrix in :mod:`wordmap`: one
-``rdot`` per entry, and over F_p one reduction per entry written inline.
+``rmatmul`` is the one product kernel of every matrix in :mod:`wordmap`: over
+F_p one reduction per entry written inline; over Q, from 3 x 3 up, it clears
+each operand's denominators once, to their lcm (:func:`_cleared`), multiplies
+the integer rows and builds one reduced Fraction per entry; elsewhere one
+``rdot`` per entry.
 The matrix kernel works on raw values only, and scalar literals are read to
 raw values by :func:`_parse_raw` (a plain integer by one ``int()``), which
 :func:`parse_scalar` boxes and :func:`wordmap.matrices.matrix_from_json` does
@@ -122,7 +125,8 @@ class Rationals(RingDescriptor):
     def rdot(self, xs, ys):
         # one Fraction built (and reduced) per dot product of up to 16 terms;
         # its denominator is the product of all the terms' denominators, so a
-        # longer dot (the jet sums of a long word) adds up 8-term Fractions
+        # longer dot (the jet sums of a long word) adds up 8-term Fractions.
+        # Matrix products from 3 x 3 up clear their operands instead (rmatmul)
         if len(xs) > 16:
             return sum(
                 [self.rdot(xs[i:i + 8], ys[i:i + 8]) for i in range(0, len(xs), 8)],
@@ -135,6 +139,19 @@ class Rationals(RingDescriptor):
             den *= d
         return Fraction(num, den)
 
+    def rmatmul(self, x, y):
+        # each operand's denominators are cleared once (see _cleared): the
+        # dots run on integer rows, and each entry is one reduced Fraction.
+        # On 2 x 2 the clearing costs more than it saves: four rdots
+        if len(x) == 2:
+            return super().rmatmul(x, y)
+        dx, nx = _cleared(x)
+        dy, ny = _cleared(y)
+        den = dx * dy
+        cols = tuple(zip(*ny))
+        return tuple([tuple([Fraction(sum(map(mul, row, col)), den) for col in cols])
+                      for row in nx])
+
     def is_zero_raw(self, x):
         return x == 0
 
@@ -143,6 +160,14 @@ class Rationals(RingDescriptor):
 
     def __str__(self):
         return "Q"
+
+
+def _cleared(rows) -> tuple:
+    """``(D, N)`` for raw rows over Q: D is the lcm of the entries'
+    denominators and N = D * rows, a tuple of integer row tuples."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    d = math.lcm(*[q for row in ratios for _p, q in row])
+    return d, tuple([tuple([p * (d // q) for p, q in row]) for row in ratios])
 
 
 @dataclass(frozen=True)

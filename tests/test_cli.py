@@ -493,6 +493,24 @@ def test_a_drawn_point_tuple_is_refused_past_the_generator_cap(capsys, argv):
     assert captured.out == "" and "capped at 1000" in captured.err
 
 
+def test_samples_past_the_cap_are_refused(capsys):
+    # a probe's time is linear in its samples; 10^8 draws of [x,x] ran until
+    # a timeout stopped them
+    start = time.perf_counter()
+    assert main(["--ring", "Fp:101", "chi-probe", "--word", "[x,x]",
+                 "--samples", str(cli._SAMPLES_MAX + 1)]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --samples {cli._SAMPLES_MAX + 1} capped at {cli._SAMPLES_MAX}\n"
+
+
+def test_the_samples_cap_admits_its_own_count(capsys):
+    code, rep = run_json(capsys, ["--ring", "Fp:101", "chi-probe", "--word", "[x,x]",
+                                  "--samples", str(cli._SAMPLES_MAX), "--seed", "1"])
+    assert code == 0 and rep["samples"] == cli._SAMPLES_MAX
+
+
 def test_the_generator_cap_admits_its_own_index(capsys):
     code, rep = run_json(capsys, ["--ring", "Fp:101", "dominance", "--word", "x1000",
                                   "--seed", "1"])

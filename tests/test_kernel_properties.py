@@ -1,7 +1,9 @@
 """Property tests of the raw-value ring and matrix kernels: ring axioms, and
 matrix operations against Scalar-level references."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from wordmap import (
     adjugate,
     charpoly,
     det,
+    det_adjugate,
     matrix_from_json,
     matrix_to_json,
     parse_ring,
@@ -274,3 +277,113 @@ def test_quadratic_entries_are_pairs():
     m = SquareMatrix.from_rows(ring, [[ring.root, 1], [0, ring.root]])
     assert m.rows[0][0] == (Fraction(0), Fraction(1))
     assert (m * m)[0, 0] == ring.from_int(2)
+
+
+# ---------------------------------------------------------------------------
+# the Q kernel against Fraction oracles.  Over Q a product from 3 x 3 up
+# clears each operand's denominators to their lcm, and det, adjugate and
+# charpoly run on the cleared integer rows; the strategies above cap
+# denominators at 9, so these cases bring large and pairwise coprime ones.
+
+
+def _primes_from(start, count):
+    primes, k = [], start
+    while len(primes) < count:
+        if all(k % d for d in range(2, int(k ** 0.5) + 1)):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+_COPRIME = _primes_from(999_000, 36)  # 36 distinct primes just below 10^6
+
+
+def q_matrix(rows):
+    return SquareMatrix._raw(Q, tuple(tuple(Fraction(e) for e in row) for row in rows))
+
+
+def q_product(a, b):
+    """``Q.rmatmul`` on the raw rows of a and b, as lists of Scalars."""
+    return [list(row) for row in SquareMatrix._raw(Q, Q.rmatmul(a.rows, b.rows)).entries]
+
+
+def named_q_matrices(n):
+    """All-integer, pairwise coprime 1/p, singular (a repeated row) and
+    zero-row matrices at size n."""
+    integer = [[(3 * i + 5 * j + i * j) % 7 - 3 for j in range(n)] for i in range(n)]
+    primes = [[Fraction((-1) ** (i + j) * (i + 2 * j + 1), _COPRIME[n * i + j]) for j in range(n)]
+              for i in range(n)]
+    singular = [row[:] for row in primes]
+    singular[-1] = [2 * e for e in singular[0]]
+    zero_row = [row[:] for row in primes]
+    zero_row[n // 2] = [0] * n
+    cases = {"integer": integer, "coprime": primes, "zero-row": zero_row}
+    if n > 1:
+        cases["singular"] = singular
+    return {name: q_matrix(rows) for name, rows in cases.items()}
+
+
+def _minor(rows, i, j):
+    return [row[:j] + row[j + 1:] for k, row in enumerate(rows) if k != i]
+
+
+def laplace_det(rows):
+    """det by cofactor expansion along the first row, on Fractions."""
+    if not rows:
+        return Fraction(1)
+    return sum((-1) ** j * e * laplace_det(_minor(rows, 0, j))
+               for j, e in enumerate(rows[0]) if e)
+
+
+def laplace_adjugate(rows):
+    """adj M with entries (-1)^(i+j) det M_(j,i), on Fractions."""
+    n = len(rows)
+    return [[(-1) ** (i + j) * laplace_det(_minor(rows, j, i)) for j in range(n)]
+            for i in range(n)]
+
+
+def principal_minor_sums(rows):
+    """chi_k, the sum of the k x k principal minors, for k = 1..n."""
+    n = len(rows)
+    return [sum(laplace_det([[rows[i][j] for j in s] for i in s])
+                for s in combinations(range(n), k)) for k in range(1, n + 1)]
+
+
+def assert_matches_laplace(m):
+    rows = [list(row) for row in m.rows]
+    d, adj = det_adjugate(m)
+    assert d.value == det(m).value == laplace_det(rows)
+    assert [list(row) for row in adj.rows] == [list(row) for row in adjugate(m).rows]
+    assert [list(row) for row in adj.rows] == laplace_adjugate(rows)
+    assert [c.value for c in charpoly(m)] == principal_minor_sums(rows)
+    assert all(type(e) is Fraction for row in adj.rows for e in row)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_q_det_adjugate_and_charpoly_match_laplace_on_named_matrices(n):
+    for m in named_q_matrices(n).values():
+        assert_matches_laplace(m)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_q_rmatmul_matches_scalar_reference_on_named_matrices(n):
+    cases = list(named_q_matrices(n).values())
+    for a in cases:
+        for b in cases:
+            assert q_product(a, b) == reference_product(a, b)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_q_kernel_matches_oracles_on_wide_denominators(n):
+    # seeded draws rather than hypothesis: shrinking a failure through the
+    # Laplace oracle on entries this large takes minutes
+    rng = random.Random(n)
+
+    def draw():
+        return q_matrix([[Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+                          for _ in range(n)] for _ in range(n)])
+
+    for _ in range(4):
+        a, b = draw(), draw()
+        assert q_product(a, b) == reference_product(a, b)
+        assert_matches_laplace(a)
