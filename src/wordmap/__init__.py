@@ -35,7 +35,6 @@ from .matrices import (
     det,
     det_adjugate,
     inverse_from,
-    is_unipotent,
     matrix_from_json,
     matrix_to_json,
     random_sl2,
@@ -50,7 +49,6 @@ from .words import (
     parse,
     render,
     word,
-    zero_exponent_sum_in_y,
 )
 from .evaluate import (
     ProbeResult,
@@ -62,7 +60,6 @@ from .evaluate import (
     eval_adjugate_extension,
     eval_group,
     jet_sweep,
-    wsigma_trace_probe,
 )
 from .geometry import (
     COMPONENT_IDS,
@@ -75,7 +72,6 @@ from .geometry import (
     RelationScanResult,
     component,
     dimension_certificate,
-    generated_group,
     jet_jacobian,
     lemma78_check,
     lemma101_check,

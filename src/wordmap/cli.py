@@ -42,7 +42,7 @@ from .matrices import (
 )
 from .rings import Scalar, parse_ring, parse_scalar, render_scalar
 from .rootsys import build, star_search, verify_lemma_table, verify_witness
-from .words import parse, render
+from .words import ConstLetter, parse, render
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILED = 1
@@ -78,7 +78,8 @@ def _load_matrix(ring, text: str) -> SquareMatrix:
 
 
 def _load_sigma(ring, path: str) -> dict:
-    """Binding file: {"ring": "...", "s1": [[...]], ...}."""
+    """Binding file: {"ring": "...", "s1": [[...]], ...}.  Every other key is
+    a constant token; a generator such as y is refused, not dropped."""
     data = _read_json_file(path)
     if not isinstance(data, dict):
         raise WordmapError(f"a binding file holds a JSON object, got {data!r}")
@@ -88,6 +89,14 @@ def _load_sigma(ring, path: str) -> dict:
             raise WordmapError(f"binding file ring is a ring spec string, got {file_ring!r}")
         if parse_ring(file_ring) != ring:
             raise WordmapError(f"binding file ring {file_ring!r} does not match --ring")
+    for name in data:
+        try:
+            constant = parse(name).letters == (ConstLetter(name),)
+        except WordmapError:
+            constant = False
+        if not constant:
+            raise WordmapError(f"binding file key {name!r} is not a constant; "
+                               f"write a constant such as s1 in the word and bind that")
     return {name: matrix_from_json(ring, rows) for name, rows in data.items()}
 
 

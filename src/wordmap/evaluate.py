@@ -5,12 +5,11 @@ Every walk of a word reads the letters it inverts off the word once
 (:func:`_check_tuple`) and builds one dict of their raw inverse rows before
 it starts: true inverses for evaluation and jets, adjugates for the
 adjugate extension.  A probe checks its word once and takes the constants'
-and sigma's true inverses once; each draw adds its raw SL_2 points'
-adjugates, which are their inverses since det = 1.  Evaluation, the
-adjugate extension and the probes share one product loop on raw rows,
-:func:`_product`; ``chi_probe`` reads chi_1 = a + d or chi_2 = ad - bc off
-the raw value.  :func:`jet_sweep` takes the value and the derivatives from
-one product-rule pass.
+true inverses once; each draw adds its raw SL_2 points' adjugates, which are
+their inverses since det = 1.  Evaluation, the adjugate extension and the
+probes share one product loop on raw rows, :func:`_product`; ``chi_probe``
+reads chi_1 = a + d or chi_2 = ad - bc off the raw value.  :func:`jet_sweep`
+takes the value and the derivatives from one product-rule pass.
 """
 
 from __future__ import annotations
@@ -33,14 +32,7 @@ from .matrices import (
     rank,
 )
 from .rings import RingDescriptor, Scalar, _first_reduction
-from .words import (
-    ConstLetter,
-    Power,
-    Word,
-    _masses,
-    exponent_data,
-    zero_exponent_sum_in_y,
-)
+from .words import ConstLetter, Power, Word, _masses, exponent_data
 
 
 def _check_tuple(w: Word, tup):
@@ -172,13 +164,13 @@ _DISTINCT_CAP = 32
 _GENERATOR_MAX = 1000
 
 
-def _point_count(w: Word, least: int = 1) -> int:
+def _point_count(w: Word) -> int:
     """How many SL_2 points a probe of ``w`` draws: its largest generator
-    index, at least ``least``; an index past _GENERATOR_MAX is refused."""
+    index, at least one; an index past _GENERATOR_MAX is refused."""
     m = w.max_generator()
     if m > _GENERATOR_MAX:
         raise InvalidParams(f"generator index {m} capped at {_GENERATOR_MAX} for drawn points")
-    return max(m, least)
+    return max(m, 1)
 
 
 def _sample_distinct(draw, samples: int, ring: RingDescriptor):
@@ -216,7 +208,7 @@ def chi_probe(
     chi_1 = a + d and chi_2 = ad - bc are read off the raw value."""
     if not 1 <= i <= 2:
         raise ValueError(f"coefficient index {i} out of range 1..2")
-    draw = _word_sampler(w, ring, rng, _point_count(w))
+    draw = _word_sampler(w, ring, rng)
     add = ring.radd
 
     def chi():
@@ -226,44 +218,25 @@ def chi_probe(
     return ProbeResult(*_sample_distinct(chi, samples, ring))
 
 
-def wsigma_trace_probe(w: Word, sigma: SquareMatrix, rng, samples: int) -> ProbeResult:
-    """Sample tr(w^_sigma) with sigma substituted for the distinguished variable y."""
-    if not zero_exponent_sum_in_y(w):
-        raise InvalidParams("the distinguished-variable exponents must sum to zero")
-    ring = sigma.ring
-    draw = _word_sampler(w, ring, rng, _point_count(w, 2), sigma)
-    add = ring.radd
-
-    def trace():
-        (a, _b), (_c, d) = draw()
-        return add(a, d)
-
-    return ProbeResult(*_sample_distinct(trace, samples, ring))
-
-
-def _word_sampler(w: Word, ring: RingDescriptor, rng, m: int, sigma=None):
-    """``draw()``: the raw 2x2 value of w at m points of SL_2(ring) from
-    :func:`~wordmap.matrices._random_sl2_rows`, drawn in order; with
-    ``sigma``, the second point is drawn and then replaced by sigma.
+def _word_sampler(w: Word, ring: RingDescriptor, rng):
+    """``draw()``: the raw 2x2 value of w at :func:`_point_count` points of
+    SL_2(ring) from :func:`~wordmap.matrices._random_sl2_rows`, drawn in order.
 
     The tuple and constant checks run once, here.  A drawn point has det 1,
     so its inverse is its adjugate ((d, -b), (-c, a)), exact over every ring;
-    the constants and sigma need not have det 1, so each takes a true
-    inverse, once per probe.
+    the constants need not have det 1, so each takes a true inverse, once
+    per probe.
     """
+    m = _point_count(w)
     points = [SquareMatrix.identity(ring, 2)] * m
-    if sigma is not None:
-        points[1] = sigma
     _n, _ring, inverted = _check_tuple(w, points)
     letters, binding, neg = w.letters, w.binding, ring.rneg
     identity = _identity_rows(ring, 2)
-    drawn = [g for g in inverted if type(g) is int and (sigma is None or g != 2)]
-    fixed = _inverse_rows(w, points, [k for k in inverted if k not in drawn], SquareMatrix.inverse)
+    drawn = [g for g in inverted if type(g) is int]
+    fixed = _inverse_rows(w, points, [k for k in inverted if type(k) is str], SquareMatrix.inverse)
 
     def draw():
         gens = [_random_sl2_rows(ring, rng) for _ in range(m)]
-        if sigma is not None:
-            gens[1] = sigma.rows
         inverses = dict(fixed)
         for g in drawn:
             (a, b), (c, d) = gens[g - 1]

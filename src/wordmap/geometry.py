@@ -483,7 +483,7 @@ def _reduced_bounds(comp: ComponentInstance, point):
 
 
 # ---------------------------------------------------------------------------
-# relation scanning and group closure
+# relation scanning
 
 
 @dataclass(frozen=True)
@@ -577,25 +577,6 @@ def _joined(head: tuple, tail: tuple) -> tuple:
         g, e = head[-1]
         return head[:-1] + ((g, e + tail[0][1]),) + tail[1:]
     return head + tail
-
-
-def generated_group(mats, cap: int = 10000):
-    """Closure of the given SL2 elements under multiplication (BFS)."""
-    frontier = list(mats)
-    seen = set(frontier)
-    gens = list(mats) + [m.inverse() for m in mats]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                prod = m * g
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-                    if len(seen) > cap:
-                        raise InvalidParams(f"group closure exceeded cap {cap}")
-        frontier = nxt
-    return seen
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exact square matrices: determinant, adjugate, characteristic polynomial, group predicates.
+"""Exact square matrices: determinant, adjugate, characteristic polynomial, sampling, rank.
 
 A :class:`SquareMatrix` stores its entries as a ``rows`` tuple of raw ring
 values (see :mod:`wordmap.rings`).  Rows are validated once, where they enter:
@@ -360,16 +360,6 @@ def charpoly(m: SquareMatrix) -> tuple:
     ring = m.ring
     coeffs = _coefficients(ring, m.rows)
     return tuple(Scalar(ring, ring.rneg(c) if i % 2 else c) for i, c in enumerate(coeffs) if i)
-
-
-# ---------------------------------------------------------------------------
-# group predicates
-
-
-def is_unipotent(m: SquareMatrix) -> bool:
-    """(M - I)^n = 0; correct over every ring."""
-    d = m - SquareMatrix.identity(m.ring, m.n)
-    return d ** m.n == SquareMatrix.zero(m.ring, m.n)
 
 
 # ---------------------------------------------------------------------------

@@ -305,12 +305,6 @@ def word(pairs) -> Word:
     return Word(tuple(out))
 
 
-def zero_exponent_sum_in_y(w: Word) -> bool:
-    """True iff the exponents of the distinguished variable y sum to zero."""
-    pos, neg = _masses(w.letters).get(2, (0, 0))
-    return pos == neg
-
-
 # ---------------------------------------------------------------------------
 # parser
 

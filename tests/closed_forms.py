@@ -1,16 +1,20 @@
 """Closed forms and witnesses that the tests check wordmap against.
 
 Each is written out by hand from the formula it names: the commutator with
-a torus element entrywise, its trace, and the pair generating Q8.  The
-homogeneity check scales one argument of the adjugate extension and compares
-against the degree d_r = a_r+ + (n-1) b_r that exponent_data counts.
+a torus element entrywise, its trace, the pair generating Q8 and the order
+of the group it generates.  The homogeneity check scales one argument of the
+adjugate extension and compares against the degree d_r = a_r+ + (n-1) b_r
+that exponent_data counts.
 """
 
 from wordmap import (
     SquareMatrix,
     eval_adjugate_extension,
+    eval_group,
     exponent_data,
+    parse,
     sqrt_in_ring,
+    word,
 )
 
 
@@ -47,6 +51,22 @@ def q8_witness(ring, mu=None):
         SquareMatrix.from_rows(ring, [[i, ring.zero], [ring.zero, i.inv()]]),
         SquareMatrix.from_rows(ring, [[ring.zero, mu], [-mu.inv(), ring.zero]]),
     )
+
+
+def assert_q8_order_eight(pair):
+    """<x, y> at ``pair`` has order 8.
+
+    x^4 = 1, y^2 = x^2 and y x y^-1 = x^-1 let every element be written
+    x^i y^j with i < 4 and j < 2, so the order is at most 8; the eight values
+    are distinct, so it is exactly 8.
+    """
+    def at(text):
+        return eval_group(parse(text), pair)
+
+    assert at("x^4") == SquareMatrix.identity(pair[0].ring, 2)
+    assert at("y^2") == at("x^2")
+    assert at("y x y^-1") == at("x^-1")
+    assert len({eval_group(word([(1, i), (2, j)]), pair) for i in range(4) for j in range(2)}) == 8
 
 
 def homogeneity_check(w, tup, r, c):

@@ -20,10 +20,7 @@ KEEP = {
     "eval_adjugate_extension": "the adjugate extension w~ of a word at any tuple, singular "
                                "ones too; extend takes w~ and w^ in one walk each from "
                                "shared det/adjugate passes",
-    "word": "test helper: builds words from unreduced items in seven test files",
-    "generated_group": "census: the planned census command closes groups with it",
-    "is_unipotent": "census: the planned census command classifies values with it",
-    "wsigma_trace_probe": "census: the planned census command probes w_sigma with it",
+    "word": "test helper: builds words from unreduced items in eight test files",
 }
 
 

@@ -406,7 +406,8 @@ def test_matrix_object_without_rows_is_a_usage_error(capsys, tmp_path, inline):
     ('"x"', "a binding file holds a JSON object"),
     ('{"ring": 5, "s1": [[1,0],[0,1]]}', "binding file ring is a ring spec string"),
     ('{"ring": "Fp:101", "s1": [[1,0],[0,1]]}', "binding file ring 'Fp:101' does not match --ring"),
-], ids=["list", "string", "ring-not-a-string", "ring-mismatch"])
+    ('{"y": [[2,0],[0,1]]}', "binding file key 'y' is not a constant; write a constant such as s1"),
+], ids=["list", "string", "ring-not-a-string", "ring-mismatch", "generator-key"])
 def test_malformed_binding_file_is_a_usage_error(capsys, tmp_path, content, message):
     # each once ended in a traceback with exit 1
     sigma = tmp_path / "sigma.json"

@@ -44,7 +44,7 @@ BINDINGS = ['{"s1": [[1,1],[0,1]]}', '{"ring": "Fp:7", "s1": [[2,0],[0,4]]}',
             '{"s1": [[0,0],[0,0]]}', '{"s1": [[1,0,0],[0,1,0],[0,0,1]]}', '{"s1": "abc"}',
             '{"s1": [[1.5,0],[0,1]]}', '{"ring": "Fp:12"}', '{"ring": null}', '{}',
             '[1,2]', '"x"', '5', 'null', '{"ring": 5, "s1": [[1,0],[0,1]]}',
-            '{"ring": ["Q"]}', '{', '', '[' * 5000, b'\xff\xfe', None]
+            '{"ring": ["Q"]}', '{', '', '[' * 5000, b'\xff\xfe', '{"y": [[2,0],[0,1]]}', None]
 
 COMPONENTS = ["ex1.W", "ex1.T", "ex2.Wj", "ex3.W1", "ex4.Tj", "ex5.W1", "ex5.T1",
               "ex5.T2", "Sa", "ex9"]

@@ -13,10 +13,10 @@ from wordmap import (
     Rationals,
     RingLacksRoots,
     SquareMatrix,
+    chi_probe,
     component,
     dimension_certificate,
     eval_group,
-    generated_group,
     jet_jacobian,
     lemma78_check,
     lemma101_check,
@@ -24,10 +24,10 @@ from wordmap import (
     parse,
     random_sl2,
     relation_scan,
+    render,
     separation_witness,
     sqrt_in_ring,
     trace_preimage_commutator,
-    wsigma_trace_probe,
 )
 from wordmap import geometry
 from wordmap.geometry import (
@@ -39,7 +39,7 @@ from wordmap.geometry import (
 )
 from wordmap.matrices import matrix_from_json
 
-from closed_forms import commutator_closed_form, commutator_trace, q8_witness
+from closed_forms import assert_q8_order_eight, commutator_closed_form, commutator_trace, q8_witness
 from jet_oracle import DualNumbers, lift_matrix
 
 Q = Rationals()
@@ -327,7 +327,7 @@ def test_certificates_over_alternative_fields():
 
 
 # ---------------------------------------------------------------------------
-# relation scan and group closure
+# relation scan and the Q8 witness
 
 
 def test_relation_scan_q8():
@@ -340,12 +340,10 @@ def test_relation_scan_q8():
     assert "x y x^-1 y^-1 x^-2" in rels  # [x,y] x^-2
 
 
-def test_q8_closure_has_eight_elements():
-    pair = q8_witness(F13)
-    assert len(generated_group(pair)) == 8
+def test_q8_witness_generates_eight_elements():
+    assert_q8_order_eight(q8_witness(F13))
     # and over F_101 with a different mu
-    pair = q8_witness(F101, F101.from_int(7))
-    assert len(generated_group(pair)) == 8
+    assert_q8_order_eight(q8_witness(F101, F101.from_int(7)))
 
 
 def test_relation_scan_commuting_infinite_order():
@@ -431,51 +429,49 @@ def test_lemma101_other_fields_and_refusal():
 
 
 # ---------------------------------------------------------------------------
-# trace probe with a constant substituted for y
+# trace probe of w_sigma: the word with a constant s1 bound to sigma for y
+
+
+def wsigma(text, sigma):
+    return parse(text).with_binding({"s1": sigma})
 
 
 def test_wsigma_probe_regular_semisimple():
     rng = random.Random(65)
-    sigma = diag(F101.from_int(2))
-    result = wsigma_trace_probe(parse("[x,y]"), sigma, rng, 100)
+    result = chi_probe(wsigma("[x,s1]", diag(F101.from_int(2))), 1, F101, rng, 100)
     assert result.verdict == ProbeVerdict.TAKES_MANY_VALUES
 
 
 def test_wsigma_probe_central_sigma():
     rng = random.Random(66)
     sigma = SquareMatrix.identity(F101, 2).scaled(F101.from_int(-1))
-    result = wsigma_trace_probe(parse("y x y^-1 x^-1"), sigma, rng, 50)
+    result = chi_probe(wsigma("s1 x s1^-1 x^-1", sigma), 1, F101, rng, 50)
     assert isinstance(result, ProbeResult)
     assert result.verdict == ProbeVerdict.CONSTANT_SO_FAR
     assert result.distinct_values == (F101.from_int(2),)
 
 
 def test_wsigma_probe_engel_word():
+    # adjacent constants are refused, so [[x,y],y] is written out reduced
+    # before s1 takes the place of y
+    assert render(parse("[[x,y],y]")) == "x y x^-1 y x y^-1 x^-1 y^-1"
     rng = random.Random(67)
-    sigma = diag(F101.from_int(3))
-    result = wsigma_trace_probe(parse("[[x,y],y]"), sigma, rng, 100)
-    assert result.verdict == ProbeVerdict.TAKES_MANY_VALUES
+    w = wsigma("x s1 x^-1 s1 x s1^-1 x^-1 s1^-1", diag(F101.from_int(3)))
+    assert chi_probe(w, 1, F101, rng, 100).verdict == ProbeVerdict.TAKES_MANY_VALUES
 
 
 def test_wsigma_probe_reports_samples_drawn():
     # the probe stops at 32 distinct traces; it reports the draws it made
-    sigma = diag(F101.from_int(2))
-    result = wsigma_trace_probe(parse("[x,y]"), sigma, random.Random(69), 1000)
+    w = wsigma("[x,s1]", diag(F101.from_int(2)))
+    result = chi_probe(w, 1, F101, random.Random(69), 1000)
     rng = random.Random(69)
     seen, drawn = set(), 0
     while len(seen) < 32:
         drawn += 1
-        tup = [random_sl2(F101, rng), random_sl2(F101, rng)]
-        seen.add(eval_group(parse("[x,y]"), [tup[0], sigma]).trace())
+        seen.add(eval_group(w, [random_sl2(F101, rng)]).trace())
     assert len(result.distinct_values) == 32
     assert result.samples == drawn < 1000
     # a central sigma gives one trace, so every requested sample is drawn
     central = SquareMatrix.identity(F101, 2).scaled(F101.from_int(-1))
-    result = wsigma_trace_probe(parse("[x,y]"), central, random.Random(70), 200)
+    result = chi_probe(wsigma("[x,s1]", central), 1, F101, random.Random(70), 200)
     assert result.samples == 200 and len(result.distinct_values) == 1
-
-
-def test_wsigma_probe_requires_zero_y_sum():
-    rng = random.Random(68)
-    with pytest.raises(InvalidParams):
-        wsigma_trace_probe(parse("x y"), diag(F101.from_int(2)), rng, 10)

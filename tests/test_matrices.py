@@ -16,7 +16,6 @@ from wordmap import (
     adjugate,
     charpoly,
     det,
-    is_unipotent,
     matrix_from_json,
     matrix_to_json,
     parse_ring,
@@ -157,13 +156,6 @@ def test_cayley_hamilton_sl2():
         t = m.trace()
         lhs = m * m - m.scaled(t) + SquareMatrix.identity(F101, 2)
         assert lhs == SquareMatrix.zero(F101, 2)
-
-
-def test_predicates():
-    ident = SquareMatrix.identity(Q, 2)
-    u = matrix_from_json(Q, [[1, 5], [0, 1]])
-    assert is_unipotent(u) and is_unipotent(ident)
-    assert not is_unipotent(matrix_from_json(Q, [[2, 0], [0, 1]]))
 
 
 def test_random_sl2_deterministic_and_special():

@@ -31,15 +31,15 @@ from wordmap import (
     parse,
     parse_ring,
     random_sl2,
-    wsigma_trace_probe,
 )
 from wordmap.evaluate import _DISTINCT_CAP
 
 RINGS = ("Fp:5", "Fp:10007", "Q", "Q[i]", "Fp:7[i]", "Q[sqrt(2)]")
 WORDS = ("[x,y]", "x^2", "[x^2,y^-1]", "x y x^-1", "(x y)^5 z", "x x^-1", "([x,y] x)^7",
          "x^5 y^-3")
-# words with a bound constant s1 = diag(2, 1), whose det is not 1
-CONSTANT_WORDS = ("x s1^-1 y", "(s1 x)^3 y^-1 s1^-1")
+# words with a bound constant s1 = diag(2, 1), whose det is not 1; the last is
+# w_sigma for [x,y] with s1 = sigma in place of y
+CONSTANT_WORDS = ("x s1^-1 y", "(s1 x)^3 y^-1 s1^-1", "x s1 x^-1 s1^-1")
 
 
 def boxed_draw(ring, rng):
@@ -101,18 +101,6 @@ def boxed_chi_probe(w, i, ring, rng, samples):
     return ProbeResult(*boxed_sample_distinct(draw, samples))
 
 
-def boxed_wsigma_trace_probe(w, sigma, rng, samples):
-    ring = sigma.ring
-    m = max(w.max_generator(), 2)
-
-    def draw():
-        tup = [boxed_random_sl2(ring, rng) for _ in range(m)]
-        tup[1] = sigma
-        return boxed_value(w.letters, tup, {}).trace()
-
-    return ProbeResult(*boxed_sample_distinct(draw, samples))
-
-
 def diag21(ring):
     return SquareMatrix.from_rows(ring, [[2, 0], [0, 1]])
 
@@ -147,31 +135,6 @@ def test_chi_probe_inverts_constants_truly(spec, text, index):
     for seed in range(3):
         raw, boxed = random.Random(seed), random.Random(seed)
         assert chi_probe(w, index, ring, raw, 40) == boxed_chi_probe(w, index, ring, boxed, 40)
-        assert raw.getstate() == boxed.getstate()
-
-
-@pytest.mark.parametrize("spec", RINGS)
-@pytest.mark.parametrize("text", ("[x,y]", "y x y^-1", "[x, y^2] z"))
-def test_wsigma_trace_probe_matches_the_boxed_sampler(spec, text):
-    ring, w = parse_ring(spec), parse(text)
-    for seed in range(3):
-        sigma = random_sl2(ring, random.Random(seed + 100))
-        raw, boxed = random.Random(seed), random.Random(seed)
-        assert wsigma_trace_probe(w, sigma, raw, 40) == boxed_wsigma_trace_probe(
-            w, sigma, boxed, 40
-        )
-        assert raw.getstate() == boxed.getstate()
-
-
-@pytest.mark.parametrize("spec", RINGS)
-def test_wsigma_trace_probe_inverts_sigma_truly(spec):
-    ring, w = parse_ring(spec), parse("[x,y]")
-    sigma = diag21(ring)
-    for seed in range(3):
-        raw, boxed = random.Random(seed), random.Random(seed)
-        assert wsigma_trace_probe(w, sigma, raw, 40) == boxed_wsigma_trace_probe(
-            w, sigma, boxed, 40
-        )
         assert raw.getstate() == boxed.getstate()
 
 
@@ -220,6 +183,7 @@ def test_probes_check_once_and_draw_raw(monkeypatch):
 
     checks.clear(), inverted.clear()
     sigma = SquareMatrix.from_rows(ring, [[3, 0], [0, 1]])
-    result = wsigma_trace_probe(parse("[x,y] z^-1"), sigma, random.Random(1), 200)
+    w = parse("[x,s1] z^-1").with_binding({"s1": sigma})
+    result = chi_probe(w, 1, ring, random.Random(1), 200)
     assert result.samples == 200
     assert len(checks) == 1 and inverted == [sigma]

@@ -19,7 +19,6 @@ from wordmap import (
     parse,
     render,
     word,
-    zero_exponent_sum_in_y,
 )
 from wordmap.words import _SYLLABLE_TEXT
 
@@ -308,12 +307,6 @@ def test_render_leaves_the_syllable_table_as_it_is():
     size = len(_SYLLABLE_TEXT)
     assert render(parse("x^13 x4^-2 y^300")) == "x^13 x4^-2 y^300"
     assert len(_SYLLABLE_TEXT) == size
-
-
-def test_zero_exponent_sum_in_y():
-    assert zero_exponent_sum_in_y(parse("[x,y]"))
-    assert zero_exponent_sum_in_y(parse("[[x,y],y]"))  # Engel word
-    assert not zero_exponent_sum_in_y(parse("x y"))
 
 
 def test_exponent_data_sect2_word():
