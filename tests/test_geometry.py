@@ -340,7 +340,7 @@ def test_relation_scan_q8():
     assert "x y x^-1 y^-1 x^-2" in rels  # [x,y] x^-2
 
 
-def test_q8_witness_generates_eight_elements():
+def test_q8_closure_has_eight_elements():
     assert_q8_order_eight(q8_witness(F13))
     # and over F_101 with a different mu
     assert_q8_order_eight(q8_witness(F101, F101.from_int(7)))

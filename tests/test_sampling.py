@@ -37,9 +37,11 @@ from wordmap.evaluate import _DISTINCT_CAP
 RINGS = ("Fp:5", "Fp:10007", "Q", "Q[i]", "Fp:7[i]", "Q[sqrt(2)]")
 WORDS = ("[x,y]", "x^2", "[x^2,y^-1]", "x y x^-1", "(x y)^5 z", "x x^-1", "([x,y] x)^7",
          "x^5 y^-3")
-# words with a bound constant s1 = diag(2, 1), whose det is not 1; the last is
-# w_sigma for [x,y] with s1 = sigma in place of y
-CONSTANT_WORDS = ("x s1^-1 y", "(s1 x)^3 y^-1 s1^-1", "x s1 x^-1 s1^-1")
+# words with bound constants s1 = diag(2, 1), whose det is not 1, and s2 = s1^2;
+# the last three are w_sigma for [x,y], y x y^-1 and [x,y^2] z with s1 = sigma
+# in place of y (s2 = sigma^2 for y^2, as adjacent constants are refused)
+CONSTANT_WORDS = ("x s1^-1 y", "(s1 x)^3 y^-1 s1^-1", "x s1 x^-1 s1^-1", "s1 x s1^-1",
+                  "x s2 x^-1 s2^-1 z")
 
 
 def boxed_draw(ring, rng):
@@ -131,7 +133,7 @@ def test_chi_probe_matches_the_boxed_sampler(spec, text, index):
 def test_chi_probe_inverts_constants_truly(spec, text, index):
     # an adjugate in place of the inverse of s1 would scale each value
     ring = parse_ring(spec)
-    w = parse(text).with_binding({"s1": diag21(ring)})
+    w = parse(text).with_binding({"s1": diag21(ring), "s2": diag21(ring) ** 2})
     for seed in range(3):
         raw, boxed = random.Random(seed), random.Random(seed)
         assert chi_probe(w, index, ring, raw, 40) == boxed_chi_probe(w, index, ring, boxed, 40)
