@@ -205,6 +205,17 @@ CASES = [
     ["--ring", "Q", "extend", "--word", "x^2 y^-1 x^-1 y^-2", "--at", *GL3_QFRAC],
     ["--ring", "Q", "extend", "--word", "x^2 y^-1 x^-1 y^-2", "--at", *GL5_QFRAC],
     ["--ring", "Q", "eval", "--word", "x y^-1 x", "--at", *GL3_QFRAC],
+    # word walks over Q: a fractional GL_3 constant of det -6/5, inverted, and
+    # inside a negative power; a fractional 2 x 2 pair whose inverted y has
+    # det -13/20; a huge power of an order-4 matrix on denominators near 10^6
+    ["--ring", "Q", "extend", "--word", "x s1^-1 y^-2 s1", "--sigma", "golden/sigma_q3.json",
+     "--at", *GL3_QFRAC],
+    ["--ring", "Q", "eval", "--word", "(x s1 y^-1)^-3", "--sigma", "golden/sigma_q3.json",
+     "--at", *GL3_QFRAC],
+    ["--ring", "Q", "extend", "--word", "x^2 y^-3 x y",
+     "--at", '[["1/2","3"],["-2/3","5/7"]]', '[["2/3","-1/5"],["7/4","-3/2"]]'],
+    ["--ring", "Q", "eval", "--word", "x^1000001",
+     "--at", '[["1/1001","-1002002/1002001"],["1","-1/1001"]]'],
 ]
 
 
