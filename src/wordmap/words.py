@@ -14,12 +14,13 @@ Anything else that looks like an identifier is a constant symbol.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import EmptyInnerWord, WordSyntaxError, ZeroExponent
+from .errors import EmptyInnerWord, WordmapError, WordSyntaxError, ZeroExponent
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,22 @@ class Word:
         return sorted(c for c in _masses(self.letters) if type(c) is str)
 
     def with_binding(self, binding: dict) -> Word:
+        """This word with ``binding``, keyed by constant tokens such as s1; a
+        generator such as y or x1 is refused, not kept."""
+        for name in binding:
+            if not _is_constant_token(name):
+                raise WordmapError(f"{name!r} is not a constant; "
+                                   f"write a constant such as s1 in the word and bind that")
         return Word(self.letters, dict(binding))
+
+
+@functools.cache
+def _is_constant_token(name) -> bool:
+    """Whether :func:`parse` reads ``name`` as one constant of that name."""
+    try:
+        return isinstance(name, str) and parse(name).letters == (ConstLetter(name),)
+    except WordmapError:
+        return False
 
 
 def _masses(letters, scale: int = 1, out=None) -> dict:

@@ -12,11 +12,14 @@ from wordmap import (
     ConstLetter,
     EmptyInnerWord,
     Power,
+    SquareMatrix,
     Word,
+    WordmapError,
     WordSyntaxError,
     ZeroExponent,
     exponent_data,
     parse,
+    parse_ring,
     render,
     word,
 )
@@ -333,3 +336,14 @@ def test_word_with_constants_shape():
     assert w.max_generator() == 3
     items = [(1, 1), ConstLetter("a"), (2, 1)]
     assert word(items).r == 1
+
+
+@pytest.mark.parametrize("key", ["y", "x1"])
+def test_with_binding_refuses_a_generator_key(key):
+    # a generator key was once kept: chi_probe of [x,y] bound by {"y": sigma}
+    # drew y all the same and read TakesManyValues without a word
+    sigma = SquareMatrix.from_rows(parse_ring("Fp:101"), [[2, 0], [0, 51]])
+    w = parse("[x,y]")
+    with pytest.raises(WordmapError, match=f"'{key}' is not a constant; write a constant such as s1"):
+        w.with_binding({key: sigma})
+    assert w.with_binding({"s1": sigma, "sigma": sigma}).binding == {"s1": sigma, "sigma": sigma}
