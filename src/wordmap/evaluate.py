@@ -2,36 +2,56 @@
 on SL2, and sample-scale probes.
 
 Every walk of a word reads the letters it inverts off the word once
-(:func:`_check_tuple`) and builds one dict of their raw inverse rows before
+(:func:`_check_tuple`) and builds one dict of their inverse rows before
 it starts: true inverses for evaluation and jets, adjugates for the
-adjugate extension.  A probe checks its word once and takes the constants'
+adjugate extension.  Over Q, evaluation, the adjugate extension and the
+restriction-identity check walk on one denominator: the letters become
+integer rows over their lcm denominator once, with the inverses and
+adjugates taken from the integer det and adjugate, every product stays on
+integers (:class:`~wordmap.rings._QWalk`), and the value becomes Fractions
+once, at the end.  A probe checks its word once and takes the constants'
 true inverses once; each draw adds its raw SL_2 points' adjugates, which are
 their inverses since det = 1.  Evaluation, the adjugate extension and the
-probes share one product loop on raw rows, :func:`_product`; ``chi_probe``
+probes share one product loop, :func:`_product`; ``chi_probe``
 reads chi_1 = a + d or chi_2 = ad - bc off the raw value.  :func:`jet_sweep`
 takes the value and the derivatives from one product-rule pass.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 from .errors import DimensionMismatch, InvalidParams, NotInvertible, UnboundConstant
 from .matrices import (
+    _INTEGERS,
     SquareMatrix,
+    _cleared_det_adjugate,
     _det,
     _identity_rows,
     _random_sl2_rows,
     _reduced,
     _rpow,
+    _walk_adjugate,
+    _walk_inverse,
     adjugate,
     det,
     det_adjugate,
     inverse_from,
     rank,
 )
-from .rings import RingDescriptor, Scalar, _first_reduction
+from .rings import (
+    _Q_WALK,
+    Rationals,
+    RingDescriptor,
+    Scalar,
+    _boxed,
+    _cleared,
+    _first_reduction,
+    _lowest,
+)
 from .words import ConstLetter, Power, Word, _masses, exponent_data
 
 
@@ -74,12 +94,13 @@ def _inverse_rows(w: Word, tup, keys, invert) -> dict:
 
 
 def _product(ring, items, gens, binding, inverses):
-    """The product of a word's ``items`` on raw rows, by the ring's
-    ``rmatmul``; None when there are none.
+    """The product of a word's ``items`` by the ring's ``rmatmul``; None
+    when there are none.  The ring may be :class:`~wordmap.rings._QWalk`,
+    whose values are pairs, and not raw rows.
 
-    ``gens`` holds the generators' raw rows and ``binding`` the constants;
-    x_g^-1 and an inverted constant take the raw rows ``inverses[g]`` and
-    ``inverses[name]``.  A node (core)^k takes the core's value C once and
+    ``gens`` holds the generators' values and ``binding`` the constants' by
+    name; x_g^-1 and an inverted constant take the values ``inverses[g]``
+    and ``inverses[name]``.  A node (core)^k takes the core's value C once and
     C^k by squaring; for the adjugate extension too, since the substitution
     is a product of the letters' images.
     """
@@ -89,7 +110,7 @@ def _product(ring, items, gens, binding, inverses):
         if type(item) is Power:
             factor = _rpow(ring, _product(ring, item.core, gens, binding, inverses), item.k)
         elif type(item) is ConstLetter:
-            factor = inverses[item.name] if item.inv else binding[item.name].rows
+            factor = inverses[item.name] if item.inv else binding[item.name]
         else:
             g, e = item
             factor = gens[g - 1] if e > 0 else inverses[g]
@@ -99,16 +120,55 @@ def _product(ring, items, gens, binding, inverses):
     return acc
 
 
-def _value(w: Word, tup, n, ring, inverses) -> SquareMatrix:
-    """The word's value at ``tup`` by :func:`_product`, boxed once."""
-    acc = _product(ring, w.letters, [m.rows for m in tup], w.binding, inverses)
-    return SquareMatrix._raw(ring, _identity_rows(ring, n) if acc is None else acc)
+def _walk(w: Word, tup, n, ring, inverses):
+    """The word's value at ``tup`` by :func:`_product`, unboxed, with the
+    stand-ins ``inverses`` of :func:`_walk_inverses`.
+
+    Over Q the walk runs on :class:`~wordmap.rings._QWalk`: the generators
+    and the binding are lifted to their pairs ``(D, N)`` here, once, and the
+    value is such a pair.  Elsewhere it runs on raw rows.
+    """
+    if not isinstance(ring, Rationals):
+        binding = {name: s.rows for name, s in w.binding.items()}
+        acc = _product(ring, w.letters, [m.rows for m in tup], binding, inverses)
+        return _identity_rows(ring, n) if acc is None else acc
+    binding = {name: _cleared(w.binding[name].rows) for name in w.constant_names()}
+    acc = _product(_Q_WALK, w.letters, [_cleared(m.rows) for m in tup], binding, inverses)
+    return (1, _identity_rows(_INTEGERS, n)) if acc is None else acc
+
+
+def _walk_inverses(w: Word, tup, ring, keys, adjugates: bool) -> dict:
+    """The stand-ins in a walk of :func:`_walk` for the inverse of each key
+    of ``keys``: the true inverse of a constant, and of a generator its true
+    inverse or, with ``adjugates``, its adjugate.
+
+    Over Q each is a pair of :class:`~wordmap.rings._QWalk` from one
+    det/adjugate pass on the integer rows (:func:`_cleared_det_adjugate`),
+    with no Fraction built.
+    """
+    if not isinstance(ring, Rationals):
+        return _inverse_rows(w, tup, keys, adjugate if adjugates else SquareMatrix.inverse)
+    stand_ins = {}
+    for key in keys:
+        if type(key) is str:
+            stand_ins[key] = _walk_inverse(*_cleared_det_adjugate(w.binding[key].rows))
+        else:
+            cleared = _cleared_det_adjugate(tup[key - 1].rows)
+            stand_ins[key] = (_walk_adjugate if adjugates else _walk_inverse)(*cleared)
+    return stand_ins
+
+
+def _value(w: Word, tup, adjugates: bool) -> SquareMatrix:
+    """The word's value at ``tup`` by :func:`_walk`, boxed once: over Q one
+    Fraction per entry of the value and none before."""
+    n, ring, inverted = _check_tuple(w, tup)
+    value = _walk(w, tup, n, ring, _walk_inverses(w, tup, ring, inverted, adjugates))
+    return SquareMatrix._raw(ring, _boxed(value) if isinstance(ring, Rationals) else value)
 
 
 def eval_group(w: Word, tup) -> SquareMatrix:
     """Literal group evaluation with true inverses; inputs must be invertible."""
-    n, ring, inverted = _check_tuple(w, tup)
-    return _value(w, tup, n, ring, _inverse_rows(w, tup, inverted, SquareMatrix.inverse))
+    return _value(w, tup, adjugates=False)
 
 
 def eval_adjugate_extension(w: Word, tup) -> SquareMatrix:
@@ -117,8 +177,7 @@ def eval_adjugate_extension(w: Word, tup) -> SquareMatrix:
     Constants are fixed invertible matrices, so an inverted constant stays a
     true inverse; only variable letters are replaced by adjugate powers.
     """
-    n, ring, inverted = _check_tuple(w, tup)
-    return _value(w, tup, n, ring, _inverse_rows(w, tup, inverted, adjugate))
+    return _value(w, tup, adjugates=True)
 
 
 @dataclass(frozen=True)
@@ -134,9 +193,13 @@ def check_restriction_identities(w: Word, tup) -> RestrictionCheck:
     The tuple is checked once.  One det/adjugate pass per inverted generator
     gives its factor of Delta, its adjugate for w~ and its inverse adj / det
     for w^; an inverted constant takes its true inverse, once, in both.
+    Over Q the pass runs on the integer rows N = D M and everything stays on
+    pairs of :class:`~wordmap.rings._QWalk` (see :func:`_q_restriction`).
     """
     n, ring, inverted = _check_tuple(w, tup)
     b_neg = exponent_data(w, n).b_neg
+    if isinstance(ring, Rationals):
+        return _q_restriction(w, tup, n, ring, inverted, b_neg)
     delta = ring.one
     adjugates, inverses = {}, {}
     for key in inverted:
@@ -146,9 +209,36 @@ def check_restriction_identities(w: Word, tup) -> RestrictionCheck:
             d, adj = det_adjugate(tup[key - 1])
             delta = delta * d ** b_neg[key]
             adjugates[key], inverses[key] = adj.rows, inverse_from(d, adj).rows
-    extended = _value(w, tup, n, ring, adjugates)
-    holds = extended == _value(w, tup, n, ring, inverses).scaled(delta)
+    extended = SquareMatrix._raw(ring, _walk(w, tup, n, ring, adjugates))
+    holds = extended == SquareMatrix._raw(ring, _walk(w, tup, n, ring, inverses)).scaled(delta)
     return RestrictionCheck(extended=extended, delta=delta, holds=holds)
+
+
+def _q_restriction(w: Word, tup, n, ring, inverted, b_neg) -> RestrictionCheck:
+    """:func:`check_restriction_identities` over Q, with no Fraction arithmetic.
+
+    A generator M = N / D inverted b times takes adj M = (D^(n-1), adj N) and
+    M^-1 = (det N, D adj N) and puts (det N / D^n)^b into Delta; w~ and
+    Delta * w^ are compared as canonical pairs, and only w~ and Delta are
+    boxed.
+    """
+    num = den = 1  # Delta = num / den
+    adjugates, inverses = {}, {}
+    for key in inverted:
+        if type(key) is str:
+            adjugates[key] = inverses[key] = _walk_inverse(
+                *_cleared_det_adjugate(w.binding[key].rows))
+        else:
+            cleared = d, det_n, _adj_n = _cleared_det_adjugate(tup[key - 1].rows)
+            # det M = det N / D^n in lowest terms, before the power
+            g = math.gcd(det_n, d ** n)
+            num, den = num * (det_n // g) ** b_neg[key], den * (d ** n // g) ** b_neg[key]
+            adjugates[key], inverses[key] = _walk_adjugate(*cleared), _walk_inverse(*cleared)
+    extended = _walk(w, tup, n, ring, adjugates)
+    d_hat, n_hat = _walk(w, tup, n, ring, inverses)
+    scaled = _lowest(den * d_hat, tuple([tuple([num * e for e in row]) for row in n_hat]))
+    return RestrictionCheck(extended=SquareMatrix._raw(ring, _boxed(extended)),
+                            delta=Scalar(ring, Fraction(num, den)), holds=extended == scaled)
 
 
 class ProbeVerdict(Enum):
@@ -230,7 +320,8 @@ def _word_sampler(w: Word, ring: RingDescriptor, rng):
     m = _point_count(w)
     points = [SquareMatrix.identity(ring, 2)] * m
     _n, _ring, inverted = _check_tuple(w, points)
-    letters, binding, neg = w.letters, w.binding, ring.rneg
+    letters, neg = w.letters, ring.rneg
+    binding = {name: s.rows for name, s in w.binding.items()}
     identity = _identity_rows(ring, 2)
     drawn = [g for g in inverted if type(g) is int]
     fixed = _inverse_rows(w, points, [k for k in inverted if type(k) is str], SquareMatrix.inverse)

@@ -22,9 +22,11 @@ polynomial by Cayley-Hamilton, and ``inverse()`` takes det and adjugate from a
 single Berkowitz pass.  Needing no division, the kernel runs over Q on
 integers: on N = D M, with D the lcm of M's denominators
 (:func:`~wordmap.rings._cleared`), over a private ring of Python ints, and
-the results are divided by powers of D once at the end.  So Q det/adjugate
-and Q products from 3 x 3 up run on integer rows over one denominator per
-operand.
+the results are divided by powers of D once at the end.  A word walk over Q
+keeps them on one denominator: :func:`_walk_adjugate` and
+:func:`_walk_inverse` give adj M and M^-1 as pairs ``(D', N')`` of
+:class:`~wordmap.rings._QWalk`, straight from the integer det and adjugate,
+with no Fraction built.
 """
 
 from __future__ import annotations
@@ -33,7 +35,15 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import DimensionMismatch, NotInvertible, RingMismatch, WordmapError
-from .rings import Rationals, RingDescriptor, Scalar, _cleared, _parse_raw, render_scalar
+from .rings import (
+    Rationals,
+    RingDescriptor,
+    Scalar,
+    _cleared,
+    _lowest,
+    _parse_raw,
+    render_scalar,
+)
 
 _set = object.__setattr__
 
@@ -285,8 +295,7 @@ def _det_adjugate(ring: RingDescriptor, rows) -> tuple:
         return ring.rdot((a, b), (d, nc)), ((d, nb), (nc, a))
     if not isinstance(ring, Rationals):
         return _cayley_hamilton(ring, rows)
-    d, ints = _cleared(rows)
-    det_n, adj_n = _cayley_hamilton(_INTEGERS, ints)
+    d, det_n, adj_n = _cleared_det_adjugate(rows)
     scale = d ** (n - 1)
     return Fraction(det_n, scale * d), tuple(
         [tuple([Fraction(e, scale) for e in row]) for row in adj_n]
@@ -312,6 +321,30 @@ def _cayley_hamilton(ring: RingDescriptor, rows) -> tuple:
         c = signed[k]
         acc = tuple(row[:i] + (add(row[i], c),) + row[i + 1:] for i, row in enumerate(acc))
     return _det_from(ring, coeffs), acc
+
+
+def _cleared_det_adjugate(rows) -> tuple:
+    """``(D, det N, adj N)`` for raw rows M over Q and their integer rows
+    N = D M of :func:`_cleared`: det M = det N / D^n and adj M = adj N / D^(n-1)."""
+    d, ints = _cleared(rows)
+    return (d, *_det_adjugate(_INTEGERS, ints))
+
+
+def _walk_adjugate(d: int, det_n: int, adj_n) -> tuple:
+    """adj M = adj N / D^(n-1) as a pair of :class:`~wordmap.rings._QWalk`,
+    from :func:`_cleared_det_adjugate`."""
+    return _lowest(d ** (len(adj_n) - 1), adj_n)
+
+
+def _walk_inverse(d: int, det_n: int, adj_n) -> tuple:
+    """M^-1 = D adj N / det N as a pair of :class:`~wordmap.rings._QWalk`,
+    from :func:`_cleared_det_adjugate`; the sign moves so that the
+    denominator is positive."""
+    if not det_n:
+        raise NotInvertible("matrix determinant is not a unit")
+    if det_n < 0:
+        d, det_n = -d, -det_n
+    return _lowest(det_n, tuple([tuple([d * e for e in row]) for row in adj_n]))
 
 
 def det_adjugate(m: SquareMatrix) -> tuple:

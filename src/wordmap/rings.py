@@ -13,10 +13,16 @@ the fused dot product ``rdot``, the matrix product ``rmatmul`` and the draw
 one :class:`~fractions.Fraction` (one reduction) per dot product over Q, and
 over ``base[sqrt(d)]`` a combination of the base ring's ``rdot``.
 ``rmatmul`` is the one product kernel of every matrix in :mod:`wordmap`: over
-F_p one reduction per entry written inline; over Q, from 3 x 3 up, it clears
-each operand's denominators once, to their lcm (:func:`_cleared`), multiplies
-the integer rows and builds one reduced Fraction per entry; elsewhere one
-``rdot`` per entry.
+F_p one reduction per entry written inline; elsewhere one ``rdot`` per entry,
+except over Q from 3 x 3 up.
+
+Over Q there is one integer product kernel, :class:`_QWalk`: a matrix M is
+the pair ``(D, N)`` of the lcm D of its denominators and the integer rows
+N = D M (:func:`_cleared`), a product multiplies the integer rows and
+divides the pair by its gcd, and :func:`_boxed` turns a pair back into
+reduced Fractions.  A word walk over Q (:mod:`wordmap.evaluate`) lifts its
+letters to pairs once, runs every product on them and boxes its value once;
+``Rationals.rmatmul`` from 3 x 3 up is one such product, lifted and boxed.
 The matrix kernel works on raw values only, and scalar literals are read to
 raw values by :func:`_parse_raw` (a plain integer by one ``int()``), which
 :func:`parse_scalar` boxes and :func:`wordmap.matrices.matrix_from_json` does
@@ -40,6 +46,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
+from itertools import chain
 from operator import mul
 
 from .errors import NotInvertible, RingMismatch, RingLacksRoots, WordmapError
@@ -126,7 +133,7 @@ class Rationals(RingDescriptor):
         # one Fraction built (and reduced) per dot product of up to 16 terms;
         # its denominator is the product of all the terms' denominators, so a
         # longer dot (the jet sums of a long word) adds up 8-term Fractions.
-        # Matrix products from 3 x 3 up clear their operands instead (rmatmul)
+        # Matrix products from 3 x 3 up run on integer rows instead (rmatmul)
         if len(xs) > 16:
             return sum(
                 [self.rdot(xs[i:i + 8], ys[i:i + 8]) for i in range(0, len(xs), 8)],
@@ -140,17 +147,12 @@ class Rationals(RingDescriptor):
         return Fraction(num, den)
 
     def rmatmul(self, x, y):
-        # each operand's denominators are cleared once (see _cleared): the
-        # dots run on integer rows, and each entry is one reduced Fraction.
-        # On 2 x 2 the clearing costs more than it saves: four rdots
+        # from 3 x 3 up, one product of the walk ring: lift each operand to
+        # its pair (see _cleared), multiply, box.  On a lone 2 x 2 product
+        # the lifting costs more than it saves: four rdots
         if len(x) == 2:
             return super().rmatmul(x, y)
-        dx, nx = _cleared(x)
-        dy, ny = _cleared(y)
-        den = dx * dy
-        cols = tuple(zip(*ny))
-        return tuple([tuple([Fraction(sum(map(mul, row, col)), den) for col in cols])
-                      for row in nx])
+        return _boxed(_Q_WALK.rmatmul(_cleared(x), _cleared(y)))
 
     def is_zero_raw(self, x):
         return x == 0
@@ -164,10 +166,58 @@ class Rationals(RingDescriptor):
 
 def _cleared(rows) -> tuple:
     """``(D, N)`` for raw rows over Q: D is the lcm of the entries'
-    denominators and N = D * rows, a tuple of integer row tuples."""
+    denominators and N = D * rows, a tuple of integer row tuples.  As the
+    entries are reduced, gcd(D, N) = 1: this is the pair of :class:`_QWalk`."""
     ratios = [[x.as_integer_ratio() for x in row] for row in rows]
     d = math.lcm(*[q for row in ratios for _p, q in row])
     return d, tuple([tuple([p * (d // q) for p, q in row]) for row in ratios])
+
+
+class _QWalk:
+    """The ring a word walk over Q multiplies on: Q matrices on one denominator.
+
+    A value is a pair ``(D, N)`` of an int D > 0 and integer row tuples
+    N = D M with gcd(D, N) = 1.  Then D is the lcm of the denominators of M's
+    entries, as :func:`_cleared` gives it, so the pair is canonical: equal
+    matrices have equal pairs.  It is as large as M's reduced Fractions, so a
+    matrix of finite order stays small at any power.  ``rmatmul`` multiplies
+    the integer rows and divides the pair by its gcd (:func:`_lowest`);
+    :func:`_boxed` builds one reduced Fraction per entry, once per walk.
+    """
+
+    @staticmethod
+    def rmatmul(x, y):
+        (dx, nx), (dy, ny) = x, y
+        den = dx * dy
+        if len(nx) == 2:  # the 2 x 2 case written out, gcd step included
+            (a, b), (c, d) = nx
+            (e, f), (g, h) = ny
+            p, q, r, s = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+            k = math.gcd(den, p, q, r, s)
+            if k > 1:
+                den, p, q, r, s = den // k, p // k, q // k, r // k, s // k
+            return den, ((p, q), (r, s))
+        cols = tuple(zip(*ny))
+        return _lowest(den, tuple([tuple([sum(map(mul, row, col)) for col in cols])
+                                   for row in nx]))
+
+
+_Q_WALK = _QWalk()
+
+
+def _lowest(d: int, rows: tuple) -> tuple:
+    """The pair of :class:`_QWalk` for the matrix rows / d, d > 0: d and the
+    integer rows divided by the gcd of them all."""
+    g = math.gcd(d, *chain.from_iterable(rows))
+    if g == 1:
+        return d, rows
+    return d // g, tuple([tuple([e // g for e in row]) for row in rows])
+
+
+def _boxed(pair) -> tuple:
+    """The raw rows over Q of a pair ``(D, N)``: one reduced Fraction per entry."""
+    d, rows = pair
+    return tuple([tuple([Fraction(e, d) for e in row]) for row in rows])
 
 
 @dataclass(frozen=True)
