@@ -34,8 +34,6 @@ from .matrices import (
     _random_sl2_rows,
     _reduced,
     _rpow,
-    _walk_adjugate,
-    _walk_inverse,
     adjugate,
     det,
     det_adjugate,
@@ -47,10 +45,7 @@ from .rings import (
     Rationals,
     RingDescriptor,
     Scalar,
-    _boxed,
-    _cleared,
     _first_reduction,
-    _lowest,
 )
 from .words import ConstLetter, Power, Word, _masses, exponent_data
 
@@ -132,8 +127,9 @@ def _walk(w: Word, tup, n, ring, inverses):
         binding = {name: s.rows for name, s in w.binding.items()}
         acc = _product(ring, w.letters, [m.rows for m in tup], binding, inverses)
         return _identity_rows(ring, n) if acc is None else acc
-    binding = {name: _cleared(w.binding[name].rows) for name in w.constant_names()}
-    acc = _product(_Q_WALK, w.letters, [_cleared(m.rows) for m in tup], binding, inverses)
+    lift = _Q_WALK.lift
+    binding = {name: lift(w.binding[name].rows) for name in w.constant_names()}
+    acc = _product(_Q_WALK, w.letters, [lift(m.rows) for m in tup], binding, inverses)
     return (1, _identity_rows(_INTEGERS, n)) if acc is None else acc
 
 
@@ -151,10 +147,10 @@ def _walk_inverses(w: Word, tup, ring, keys, adjugates: bool) -> dict:
     stand_ins = {}
     for key in keys:
         if type(key) is str:
-            stand_ins[key] = _walk_inverse(*_cleared_det_adjugate(w.binding[key].rows))
+            stand_ins[key] = _Q_WALK.inverse(*_cleared_det_adjugate(w.binding[key].rows))
         else:
             cleared = _cleared_det_adjugate(tup[key - 1].rows)
-            stand_ins[key] = (_walk_adjugate if adjugates else _walk_inverse)(*cleared)
+            stand_ins[key] = (_Q_WALK.adjugate if adjugates else _Q_WALK.inverse)(*cleared)
     return stand_ins
 
 
@@ -163,7 +159,7 @@ def _value(w: Word, tup, adjugates: bool) -> SquareMatrix:
     Fraction per entry of the value and none before."""
     n, ring, inverted = _check_tuple(w, tup)
     value = _walk(w, tup, n, ring, _walk_inverses(w, tup, ring, inverted, adjugates))
-    return SquareMatrix._raw(ring, _boxed(value) if isinstance(ring, Rationals) else value)
+    return SquareMatrix._raw(ring, _Q_WALK.box(value) if isinstance(ring, Rationals) else value)
 
 
 def eval_group(w: Word, tup) -> SquareMatrix:
@@ -226,19 +222,18 @@ def _q_restriction(w: Word, tup, n, ring, inverted, b_neg) -> RestrictionCheck:
     adjugates, inverses = {}, {}
     for key in inverted:
         if type(key) is str:
-            adjugates[key] = inverses[key] = _walk_inverse(
+            adjugates[key] = inverses[key] = _Q_WALK.inverse(
                 *_cleared_det_adjugate(w.binding[key].rows))
         else:
             cleared = d, det_n, _adj_n = _cleared_det_adjugate(tup[key - 1].rows)
             # det M = det N / D^n in lowest terms, before the power
             g = math.gcd(det_n, d ** n)
             num, den = num * (det_n // g) ** b_neg[key], den * (d ** n // g) ** b_neg[key]
-            adjugates[key], inverses[key] = _walk_adjugate(*cleared), _walk_inverse(*cleared)
+            adjugates[key], inverses[key] = _Q_WALK.adjugate(*cleared), _Q_WALK.inverse(*cleared)
     extended = _walk(w, tup, n, ring, adjugates)
-    d_hat, n_hat = _walk(w, tup, n, ring, inverses)
-    scaled = _lowest(den * d_hat, tuple([tuple([num * e for e in row]) for row in n_hat]))
-    return RestrictionCheck(extended=SquareMatrix._raw(ring, _boxed(extended)),
-                            delta=Scalar(ring, Fraction(num, den)), holds=extended == scaled)
+    holds = extended == _Q_WALK.scaled(_walk(w, tup, n, ring, inverses), num, den)
+    return RestrictionCheck(extended=SquareMatrix._raw(ring, _Q_WALK.box(extended)),
+                            delta=Scalar(ring, Fraction(num, den)), holds=holds)
 
 
 class ProbeVerdict(Enum):

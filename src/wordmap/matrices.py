@@ -22,11 +22,10 @@ polynomial by Cayley-Hamilton, and ``inverse()`` takes det and adjugate from a
 single Berkowitz pass.  Needing no division, the kernel runs over Q on
 integers: on N = D M, with D the lcm of M's denominators
 (:func:`~wordmap.rings._cleared`), over a private ring of Python ints, and
-the results are divided by powers of D once at the end.  A word walk over Q
-keeps them on one denominator: :func:`_walk_adjugate` and
-:func:`_walk_inverse` give adj M and M^-1 as pairs ``(D', N')`` of
-:class:`~wordmap.rings._QWalk`, straight from the integer det and adjugate,
-with no Fraction built.
+the results are divided by powers of D once at the end, or, for a word walk
+over Q, kept on one denominator: :func:`_cleared_det_adjugate` gives D,
+det N and adj N, from which :class:`~wordmap.rings._QWalk` takes M^-1 and
+adj M as integer pairs.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from .rings import (
     RingDescriptor,
     Scalar,
     _cleared,
-    _lowest,
     _parse_raw,
     render_scalar,
 )
@@ -328,23 +326,6 @@ def _cleared_det_adjugate(rows) -> tuple:
     N = D M of :func:`_cleared`: det M = det N / D^n and adj M = adj N / D^(n-1)."""
     d, ints = _cleared(rows)
     return (d, *_det_adjugate(_INTEGERS, ints))
-
-
-def _walk_adjugate(d: int, det_n: int, adj_n) -> tuple:
-    """adj M = adj N / D^(n-1) as a pair of :class:`~wordmap.rings._QWalk`,
-    from :func:`_cleared_det_adjugate`."""
-    return _lowest(d ** (len(adj_n) - 1), adj_n)
-
-
-def _walk_inverse(d: int, det_n: int, adj_n) -> tuple:
-    """M^-1 = D adj N / det N as a pair of :class:`~wordmap.rings._QWalk`,
-    from :func:`_cleared_det_adjugate`; the sign moves so that the
-    denominator is positive."""
-    if not det_n:
-        raise NotInvertible("matrix determinant is not a unit")
-    if det_n < 0:
-        d, det_n = -d, -det_n
-    return _lowest(det_n, tuple([tuple([d * e for e in row]) for row in adj_n]))
 
 
 def det_adjugate(m: SquareMatrix) -> tuple:

@@ -19,8 +19,8 @@ except over Q from 3 x 3 up.
 Over Q there is one integer product kernel, :class:`_QWalk`: a matrix M is
 the pair ``(D, N)`` of the lcm D of its denominators and the integer rows
 N = D M (:func:`_cleared`), a product multiplies the integer rows and
-divides the pair by its gcd, and :func:`_boxed` turns a pair back into
-reduced Fractions.  A word walk over Q (:mod:`wordmap.evaluate`) lifts its
+divides the pair by its gcd, and ``box`` turns a pair back into reduced
+Fractions.  A word walk over Q (:mod:`wordmap.evaluate`) lifts its
 letters to pairs once, runs every product on them and boxes its value once;
 ``Rationals.rmatmul`` from 3 x 3 up is one such product, lifted and boxed.
 The matrix kernel works on raw values only, and scalar literals are read to
@@ -152,7 +152,7 @@ class Rationals(RingDescriptor):
         # the lifting costs more than it saves: four rdots
         if len(x) == 2:
             return super().rmatmul(x, y)
-        return _boxed(_Q_WALK.rmatmul(_cleared(x), _cleared(y)))
+        return _Q_WALK.box(_Q_WALK.rmatmul(_cleared(x), _cleared(y)))
 
     def is_zero_raw(self, x):
         return x == 0
@@ -180,10 +180,14 @@ class _QWalk:
     N = D M with gcd(D, N) = 1.  Then D is the lcm of the denominators of M's
     entries, as :func:`_cleared` gives it, so the pair is canonical: equal
     matrices have equal pairs.  It is as large as M's reduced Fractions, so a
-    matrix of finite order stays small at any power.  ``rmatmul`` multiplies
-    the integer rows and divides the pair by its gcd (:func:`_lowest`);
-    :func:`_boxed` builds one reduced Fraction per entry, once per walk.
+    matrix of finite order stays small at any power.  ``lift`` takes raw rows
+    to their pair, ``rmatmul`` multiplies the integer rows and divides the
+    pair by its gcd, and ``box`` builds one reduced Fraction per entry, once
+    per walk.  The inverse and the adjugate of M come as pairs straight from
+    the integer det N and adj N, with no Fraction built.
     """
+
+    lift = staticmethod(_cleared)
 
     @staticmethod
     def rmatmul(x, y):
@@ -201,6 +205,33 @@ class _QWalk:
         return _lowest(den, tuple([tuple([sum(map(mul, row, col)) for col in cols])
                                    for row in nx]))
 
+    @staticmethod
+    def box(pair) -> tuple:
+        """The raw rows over Q of a pair: one reduced Fraction per entry."""
+        d, rows = pair
+        return tuple([tuple([Fraction(e, d) for e in row]) for row in rows])
+
+    @staticmethod
+    def adjugate(d: int, det_n: int, adj_n) -> tuple:
+        """adj M = adj N / D^(n-1), for M = N / D with det N and adj N."""
+        return _lowest(d ** (len(adj_n) - 1), adj_n)
+
+    @staticmethod
+    def inverse(d: int, det_n: int, adj_n) -> tuple:
+        """M^-1 = D adj N / det N, for M = N / D with det N and adj N; the
+        sign moves so that the denominator is positive."""
+        if not det_n:
+            raise NotInvertible("matrix determinant is not a unit")
+        if det_n < 0:
+            d, det_n = -d, -det_n
+        return _lowest(det_n, tuple([tuple([d * e for e in row]) for row in adj_n]))
+
+    @staticmethod
+    def scaled(pair, num: int, den: int) -> tuple:
+        """(num / den) M for the pair of M and den > 0."""
+        d, rows = pair
+        return _lowest(den * d, tuple([tuple([num * e for e in row]) for row in rows]))
+
 
 _Q_WALK = _QWalk()
 
@@ -212,12 +243,6 @@ def _lowest(d: int, rows: tuple) -> tuple:
     if g == 1:
         return d, rows
     return d // g, tuple([tuple([e // g for e in row]) for row in rows])
-
-
-def _boxed(pair) -> tuple:
-    """The raw rows over Q of a pair ``(D, N)``: one reduced Fraction per entry."""
-    d, rows = pair
-    return tuple([tuple([Fraction(e, d) for e in row]) for row in rows])
 
 
 @dataclass(frozen=True)

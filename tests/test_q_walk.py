@@ -20,7 +20,7 @@ from wordmap import (
     matrix_from_json,
     parse,
 )
-from wordmap.rings import _Q_WALK, _boxed, _cleared
+from wordmap.rings import _Q_WALK
 from wordmap.words import ConstLetter, Power
 
 Q = Rationals()
@@ -190,15 +190,15 @@ def test_a_singular_generator_or_constant_is_not_inverted(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_walk_pairs_are_canonical(n):
-    # D is the lcm of the entries' denominators: the pair _cleared reads off
+    # D is the lcm of the entries' denominators: the pair lift reads off
     # the boxed value, also after a product that cancels
     rng = random.Random(n)
     for _ in range(5):
         a, b = _draw(rng, n, 1), _draw(rng, n, -1)
         for x, y in ((a, b), (a, _inv(a)), (_inv(b), b)):
-            pair = _Q_WALK.rmatmul(_cleared(_box(x).rows), _cleared(_box(y).rows))
-            assert pair[0] > 0 and pair == _cleared(_boxed(pair))
-            assert [list(row) for row in _boxed(pair)] == _mul(x, y)
+            pair = _Q_WALK.rmatmul(_Q_WALK.lift(_box(x).rows), _Q_WALK.lift(_box(y).rows))
+            assert pair[0] > 0 and pair == _Q_WALK.lift(_Q_WALK.box(pair))
+            assert [list(row) for row in _Q_WALK.box(pair)] == _mul(x, y)
 
 
 def test_huge_powers_stay_on_a_reduced_denominator():
