@@ -42,7 +42,7 @@ from .matrices import (
 )
 from .rings import Scalar, parse_ring, parse_scalar, render_scalar
 from .rootsys import build, star_search, verify_lemma_table, verify_witness
-from .words import parse, render
+from .words import _check_constant_keys, parse, render
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILED = 1
@@ -79,8 +79,9 @@ def _load_matrix(ring, text: str) -> SquareMatrix:
 
 def _load_sigma(ring, path: str) -> dict:
     """Binding file: {"ring": "...", "s1": [[...]], ...}.  Every other key
-    must be a constant token, which :meth:`~wordmap.words.Word.with_binding`
-    checks: a generator such as y is refused, not dropped."""
+    must be a constant token, checked as :meth:`~wordmap.words.Word.with_binding`
+    checks it and before any matrix is read: a generator such as y is
+    refused, not dropped."""
     data = _read_json_file(path)
     if not isinstance(data, dict):
         raise WordmapError(f"a binding file holds a JSON object, got {data!r}")
@@ -90,6 +91,10 @@ def _load_sigma(ring, path: str) -> dict:
             raise WordmapError(f"binding file ring is a ring spec string, got {file_ring!r}")
         if parse_ring(file_ring) != ring:
             raise WordmapError(f"binding file ring {file_ring!r} does not match --ring")
+    try:
+        _check_constant_keys(data)
+    except WordmapError as exc:
+        raise WordmapError(f"binding file key {exc}") from None
     return {name: matrix_from_json(ring, rows) for name, rows in data.items()}
 
 
@@ -97,11 +102,7 @@ def _word_at(args, ring):
     """The --word, bound by --sigma if given, and the --at matrices (None if absent)."""
     w = parse(args.word)
     if args.sigma:
-        binding = _load_sigma(ring, args.sigma)
-        try:
-            w = w.with_binding(binding)
-        except WordmapError as exc:  # a key that is not a constant
-            raise WordmapError(f"binding file key {exc}") from None
+        w = w.with_binding(_load_sigma(ring, args.sigma))
     return w, [_load_matrix(ring, t) for t in args.at] if args.at else None
 
 

@@ -6,12 +6,12 @@ Every walk of a word reads the letters it inverts off the word once
 it starts: true inverses for evaluation and jets, adjugates for the
 adjugate extension.  Over Q, evaluation, the adjugate extension and the
 restriction-identity check walk on one denominator: the letters become
-integer rows over their lcm denominator once, with the inverses and
-adjugates taken from the integer det and adjugate, every product stays on
-integers (:class:`~wordmap.rings._QWalk`), and the value becomes Fractions
-once, at the end.  A probe checks its word once and takes the constants'
-true inverses once; each draw adds its raw SL_2 points' adjugates, which are
-their inverses since det = 1.  Evaluation, the adjugate extension and the
+integer rows over their lcm denominator once, with the inverses, the
+adjugates and Delta taken from the integer det and adjugate, every product
+stays on integers (:class:`~wordmap.matrices._QWalk`), and the value
+becomes Fractions once, at the end.  A probe checks its word once and takes
+the constants' true inverses once; each draw adds its raw SL_2 points'
+adjugates, which are their inverses since det = 1.  Evaluation, the adjugate extension and the
 probes share one product loop, :func:`_product`; ``chi_probe``
 reads chi_1 = a + d or chi_2 = ad - bc off the raw value.  :func:`jet_sweep`
 takes the value and the derivatives from one product-rule pass.
@@ -19,16 +19,13 @@ takes the value and the derivatives from one product-rule pass.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .errors import DimensionMismatch, InvalidParams, NotInvertible, UnboundConstant
 from .matrices import (
-    _INTEGERS,
     SquareMatrix,
-    _cleared_det_adjugate,
+    _QWalk,
     _det,
     _identity_rows,
     _random_sl2_rows,
@@ -41,7 +38,6 @@ from .matrices import (
     rank,
 )
 from .rings import (
-    _Q_WALK,
     Rationals,
     RingDescriptor,
     Scalar,
@@ -90,7 +86,7 @@ def _inverse_rows(w: Word, tup, keys, invert) -> dict:
 
 def _product(ring, items, gens, binding, inverses):
     """The product of a word's ``items`` by the ring's ``rmatmul``; None
-    when there are none.  The ring may be :class:`~wordmap.rings._QWalk`,
+    when there are none.  The ring may be :class:`~wordmap.matrices._QWalk`,
     whose values are pairs, and not raw rows.
 
     ``gens`` holds the generators' values and ``binding`` the constants' by
@@ -117,49 +113,50 @@ def _product(ring, items, gens, binding, inverses):
 
 def _walk(w: Word, tup, n, ring, inverses):
     """The word's value at ``tup`` by :func:`_product`, unboxed, with the
-    stand-ins ``inverses`` of :func:`_walk_inverses`.
+    stand-ins ``inverses`` for the inverted letters.
 
-    Over Q the walk runs on :class:`~wordmap.rings._QWalk`: the generators
-    and the binding are lifted to their pairs ``(D, N)`` here, once, and the
-    value is such a pair.  Elsewhere it runs on raw rows.
+    Over Q the walk runs on :class:`~wordmap.matrices._QWalk`: the
+    generators and the binding are lifted to their pairs ``(D, N)`` here,
+    once, and the value is such a pair.  Elsewhere it runs on raw rows.
     """
     if not isinstance(ring, Rationals):
         binding = {name: s.rows for name, s in w.binding.items()}
         acc = _product(ring, w.letters, [m.rows for m in tup], binding, inverses)
         return _identity_rows(ring, n) if acc is None else acc
-    lift = _Q_WALK.lift
+    lift = _QWalk.lift
     binding = {name: lift(w.binding[name].rows) for name in w.constant_names()}
-    acc = _product(_Q_WALK, w.letters, [lift(m.rows) for m in tup], binding, inverses)
-    return (1, _identity_rows(_INTEGERS, n)) if acc is None else acc
+    acc = _product(_QWalk, w.letters, [lift(m.rows) for m in tup], binding, inverses)
+    return _QWalk.identity(n) if acc is None else acc
 
 
-def _walk_inverses(w: Word, tup, ring, keys, adjugates: bool) -> dict:
-    """The stand-ins in a walk of :func:`_walk` for the inverse of each key
-    of ``keys``: the true inverse of a constant, and of a generator its true
-    inverse or, with ``adjugates``, its adjugate.
-
-    Over Q each is a pair of :class:`~wordmap.rings._QWalk` from one
-    det/adjugate pass on the integer rows (:func:`_cleared_det_adjugate`),
-    with no Fraction built.
-    """
-    if not isinstance(ring, Rationals):
-        return _inverse_rows(w, tup, keys, adjugate if adjugates else SquareMatrix.inverse)
-    stand_ins = {}
+def _q_inverses(w: Word, tup, keys) -> tuple:
+    """``(constants, passes)`` over Q for the keys that a word inverts: the
+    true inverse of each constant, and one det/adjugate pass
+    (:meth:`~wordmap.matrices._QWalk.det_adjugate`) of each generator, from
+    which :class:`~wordmap.matrices._QWalk` takes its inverse, its adjugate
+    and its determinant, with no Fraction built."""
+    constants, passes = {}, {}
     for key in keys:
         if type(key) is str:
-            stand_ins[key] = _Q_WALK.inverse(*_cleared_det_adjugate(w.binding[key].rows))
+            constants[key] = _QWalk.inverse(*_QWalk.det_adjugate(w.binding[key].rows))
         else:
-            cleared = _cleared_det_adjugate(tup[key - 1].rows)
-            stand_ins[key] = (_Q_WALK.adjugate if adjugates else _Q_WALK.inverse)(*cleared)
-    return stand_ins
+            passes[key] = _QWalk.det_adjugate(tup[key - 1].rows)
+    return constants, passes
 
 
 def _value(w: Word, tup, adjugates: bool) -> SquareMatrix:
-    """The word's value at ``tup`` by :func:`_walk`, boxed once: over Q one
-    Fraction per entry of the value and none before."""
+    """The word's value at ``tup`` by :func:`_walk`, with each inverted
+    generator standing for its true inverse or, with ``adjugates``, its
+    adjugate; over Q boxed once, one Fraction per entry of the value and
+    none before."""
     n, ring, inverted = _check_tuple(w, tup)
-    value = _walk(w, tup, n, ring, _walk_inverses(w, tup, ring, inverted, adjugates))
-    return SquareMatrix._raw(ring, _Q_WALK.box(value) if isinstance(ring, Rationals) else value)
+    if not isinstance(ring, Rationals):
+        inverses = _inverse_rows(w, tup, inverted, adjugate if adjugates else SquareMatrix.inverse)
+        return SquareMatrix._raw(ring, _walk(w, tup, n, ring, inverses))
+    constants, passes = _q_inverses(w, tup, inverted)
+    stand_in = _QWalk.adjugate if adjugates else _QWalk.inverse
+    value = _walk(w, tup, n, ring, constants | {g: stand_in(*p) for g, p in passes.items()})
+    return SquareMatrix._raw(ring, _QWalk.box(value))
 
 
 def eval_group(w: Word, tup) -> SquareMatrix:
@@ -189,13 +186,21 @@ def check_restriction_identities(w: Word, tup) -> RestrictionCheck:
     The tuple is checked once.  One det/adjugate pass per inverted generator
     gives its factor of Delta, its adjugate for w~ and its inverse adj / det
     for w^; an inverted constant takes its true inverse, once, in both.
-    Over Q the pass runs on the integer rows N = D M and everything stays on
-    pairs of :class:`~wordmap.rings._QWalk` (see :func:`_q_restriction`).
+    Over Q the pass runs on the integer rows N = D M (:func:`_q_inverses`),
+    w~ and Delta * w^ are compared as canonical pairs of
+    :class:`~wordmap.matrices._QWalk`, and only w~ and Delta are boxed.
     """
     n, ring, inverted = _check_tuple(w, tup)
     b_neg = exponent_data(w, n).b_neg
     if isinstance(ring, Rationals):
-        return _q_restriction(w, tup, n, ring, inverted, b_neg)
+        constants, passes = _q_inverses(w, tup, inverted)
+        adjugates = constants | {g: _QWalk.adjugate(*p) for g, p in passes.items()}
+        inverses = constants | {g: _QWalk.inverse(*p) for g, p in passes.items()}
+        delta = _QWalk.delta([(p, b_neg[g]) for g, p in passes.items()])
+        extended = _walk(w, tup, n, ring, adjugates)
+        holds = extended == _QWalk.scaled(_walk(w, tup, n, ring, inverses), delta)
+        return RestrictionCheck(extended=SquareMatrix._raw(ring, _QWalk.box(extended)),
+                                delta=Scalar(ring, _QWalk.box_scalar(delta)), holds=holds)
     delta = ring.one
     adjugates, inverses = {}, {}
     for key in inverted:
@@ -208,32 +213,6 @@ def check_restriction_identities(w: Word, tup) -> RestrictionCheck:
     extended = SquareMatrix._raw(ring, _walk(w, tup, n, ring, adjugates))
     holds = extended == SquareMatrix._raw(ring, _walk(w, tup, n, ring, inverses)).scaled(delta)
     return RestrictionCheck(extended=extended, delta=delta, holds=holds)
-
-
-def _q_restriction(w: Word, tup, n, ring, inverted, b_neg) -> RestrictionCheck:
-    """:func:`check_restriction_identities` over Q, with no Fraction arithmetic.
-
-    A generator M = N / D inverted b times takes adj M = (D^(n-1), adj N) and
-    M^-1 = (det N, D adj N) and puts (det N / D^n)^b into Delta; w~ and
-    Delta * w^ are compared as canonical pairs, and only w~ and Delta are
-    boxed.
-    """
-    num = den = 1  # Delta = num / den
-    adjugates, inverses = {}, {}
-    for key in inverted:
-        if type(key) is str:
-            adjugates[key] = inverses[key] = _Q_WALK.inverse(
-                *_cleared_det_adjugate(w.binding[key].rows))
-        else:
-            cleared = d, det_n, _adj_n = _cleared_det_adjugate(tup[key - 1].rows)
-            # det M = det N / D^n in lowest terms, before the power
-            g = math.gcd(det_n, d ** n)
-            num, den = num * (det_n // g) ** b_neg[key], den * (d ** n // g) ** b_neg[key]
-            adjugates[key], inverses[key] = _Q_WALK.adjugate(*cleared), _Q_WALK.inverse(*cleared)
-    extended = _walk(w, tup, n, ring, adjugates)
-    holds = extended == _Q_WALK.scaled(_walk(w, tup, n, ring, inverses), num, den)
-    return RestrictionCheck(extended=SquareMatrix._raw(ring, _Q_WALK.box(extended)),
-                            delta=Scalar(ring, Fraction(num, den)), holds=holds)
 
 
 class ProbeVerdict(Enum):

@@ -22,14 +22,18 @@ polynomial by Cayley-Hamilton, and ``inverse()`` takes det and adjugate from a
 single Berkowitz pass.  Needing no division, the kernel runs over Q on
 integers: on N = D M, with D the lcm of M's denominators
 (:func:`~wordmap.rings._cleared`), over a private ring of Python ints, and
-the results are divided by powers of D once at the end, or, for a word walk
-over Q, kept on one denominator: :func:`_cleared_det_adjugate` gives D,
-det N and adj N, from which :class:`~wordmap.rings._QWalk` takes M^-1 and
-adj M as integer pairs.
+the results are divided by powers of D once at the end.
+
+A word walk over Q (:mod:`wordmap.evaluate`) multiplies on
+:class:`_QWalk`, which keeps every matrix on one denominator, as the
+canonical pair ``(D, N)``, at every n, and takes M^-1, adj M and det M from
+one integer pass ``(D, det N, adj N)``: no Fraction is built before the
+value is boxed.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import mul
 
@@ -38,7 +42,10 @@ from .rings import (
     Rationals,
     RingDescriptor,
     Scalar,
+    _boxed,
     _cleared,
+    _lowest,
+    _pair_product,
     _parse_raw,
     render_scalar,
 )
@@ -293,7 +300,7 @@ def _det_adjugate(ring: RingDescriptor, rows) -> tuple:
         return ring.rdot((a, b), (d, nc)), ((d, nb), (nc, a))
     if not isinstance(ring, Rationals):
         return _cayley_hamilton(ring, rows)
-    d, det_n, adj_n = _cleared_det_adjugate(rows)
+    d, det_n, adj_n = _QWalk.det_adjugate(rows)
     scale = d ** (n - 1)
     return Fraction(det_n, scale * d), tuple(
         [tuple([Fraction(e, scale) for e in row]) for row in adj_n]
@@ -321,13 +328,6 @@ def _cayley_hamilton(ring: RingDescriptor, rows) -> tuple:
     return _det_from(ring, coeffs), acc
 
 
-def _cleared_det_adjugate(rows) -> tuple:
-    """``(D, det N, adj N)`` for raw rows M over Q and their integer rows
-    N = D M of :func:`_cleared`: det M = det N / D^n and adj M = adj N / D^(n-1)."""
-    d, ints = _cleared(rows)
-    return (d, *_det_adjugate(_INTEGERS, ints))
-
-
 def det_adjugate(m: SquareMatrix) -> tuple:
     """(det M, adj M) from one pass: a caller that needs both, or the inverse
     as well (see :func:`inverse_from`), pays for one Berkowitz pass."""
@@ -342,6 +342,78 @@ def inverse_from(d: Scalar, adj: SquareMatrix) -> SquareMatrix:
     except NotInvertible:
         raise NotInvertible("matrix determinant is not a unit") from None
     return adj._scaled_raw(dinv)
+
+
+# ---------------------------------------------------------------------------
+# the ring a word walk over Q multiplies on (see wordmap.evaluate)
+
+
+class _QWalk:
+    """The walk ring over Q: matrices on one denominator.
+
+    A value is a pair ``(D, N)`` of an int D > 0 and integer row tuples
+    N = D M with gcd(D, N) = 1.  Then D is the lcm of the denominators of M's
+    entries, as :func:`~wordmap.rings._cleared` gives it, so the pair is
+    canonical: equal matrices have equal pairs.  It is as large as M's
+    reduced Fractions, so a matrix of finite order stays small at any power.
+    ``lift`` takes raw rows to their pair, ``rmatmul`` multiplies the integer
+    rows and divides the pair by its gcd, and ``box`` builds one reduced
+    Fraction per entry, once per walk.  ``det_adjugate`` is one pass on the
+    integer rows, ``(D, det N, adj N)``, from which the inverse, the adjugate
+    and the determinant of M come with no Fraction built; a scalar, such as
+    Delta, is a pair ``(num, den)`` of ints with den > 0.
+    """
+
+    lift = staticmethod(_cleared)
+    rmatmul = staticmethod(_pair_product)
+    box = staticmethod(_boxed)
+
+    @staticmethod
+    def identity(n: int) -> tuple:
+        return 1, _identity_rows(_INTEGERS, n)
+
+    @staticmethod
+    def det_adjugate(rows) -> tuple:
+        """``(D, det N, adj N)`` for raw rows M over Q and their integer rows
+        N = D M: det M = det N / D^n and adj M = adj N / D^(n-1)."""
+        d, ints = _cleared(rows)
+        return (d, *_det_adjugate(_INTEGERS, ints))
+
+    @staticmethod
+    def adjugate(d: int, det_n: int, adj_n) -> tuple:
+        """adj M = adj N / D^(n-1)."""
+        return _lowest(d ** (len(adj_n) - 1), adj_n)
+
+    @staticmethod
+    def inverse(d: int, det_n: int, adj_n) -> tuple:
+        """M^-1 = D adj N / det N; the sign moves so that the denominator is
+        positive."""
+        if not det_n:
+            raise NotInvertible("matrix determinant is not a unit")
+        if det_n < 0:
+            d, det_n = -d, -det_n
+        return _lowest(det_n, tuple([tuple([d * e for e in row]) for row in adj_n]))
+
+    @staticmethod
+    def delta(factors) -> tuple:
+        """prod det(M)^b over ``factors``, pairs of a pass of ``det_adjugate``
+        and b; det M = det N / D^n is put in lowest terms before the power."""
+        num = den = 1
+        for (d, det_n, adj_n), b in factors:
+            d_n = d ** len(adj_n)
+            g = math.gcd(det_n, d_n)
+            num, den = num * (det_n // g) ** b, den * (d_n // g) ** b
+        return num, den
+
+    @staticmethod
+    def scaled(pair, c) -> tuple:
+        """c M for a scalar c = (num, den)."""
+        (num, den), (d, rows) = c, pair
+        return _lowest(den * d, tuple([tuple([num * e for e in row]) for row in rows]))
+
+    @staticmethod
+    def box_scalar(c):
+        return Fraction(*c)
 
 
 def _coefficients(ring: RingDescriptor, rows) -> list:

@@ -16,13 +16,14 @@ over ``base[sqrt(d)]`` a combination of the base ring's ``rdot``.
 F_p one reduction per entry written inline; elsewhere one ``rdot`` per entry,
 except over Q from 3 x 3 up.
 
-Over Q there is one integer product kernel, :class:`_QWalk`: a matrix M is
-the pair ``(D, N)`` of the lcm D of its denominators and the integer rows
-N = D M (:func:`_cleared`), a product multiplies the integer rows and
-divides the pair by its gcd, and ``box`` turns a pair back into reduced
-Fractions.  A word walk over Q (:mod:`wordmap.evaluate`) lifts its
-letters to pairs once, runs every product on them and boxes its value once;
-``Rationals.rmatmul`` from 3 x 3 up is one such product, lifted and boxed.
+Over Q there is one integer product kernel, :func:`_pair_product`: a
+matrix M is the pair ``(D, N)`` of the lcm D of its denominators and the
+integer rows N = D M (:func:`_cleared`), a product multiplies the integer
+rows and divides the pair by its gcd, and :func:`_boxed` turns a pair back
+into reduced Fractions.  A word walk over Q lifts its letters to pairs
+once, runs every product on them and boxes its value once (the walk ring
+:class:`~wordmap.matrices._QWalk`); ``Rationals.rmatmul`` from 3 x 3 up is
+one such product, lifted and boxed.
 The matrix kernel works on raw values only, and scalar literals are read to
 raw values by :func:`_parse_raw` (a plain integer by one ``int()``), which
 :func:`parse_scalar` boxes and :func:`wordmap.matrices.matrix_from_json` does
@@ -147,12 +148,12 @@ class Rationals(RingDescriptor):
         return Fraction(num, den)
 
     def rmatmul(self, x, y):
-        # from 3 x 3 up, one product of the walk ring: lift each operand to
-        # its pair (see _cleared), multiply, box.  On a lone 2 x 2 product
-        # the lifting costs more than it saves: four rdots
+        # from 3 x 3 up, one product of the Q walk ring: lift each operand
+        # to its pair (see _cleared), multiply, box.  On a lone 2 x 2
+        # product the lifting costs more than it saves: four rdots
         if len(x) == 2:
             return super().rmatmul(x, y)
-        return _Q_WALK.box(_Q_WALK.rmatmul(_cleared(x), _cleared(y)))
+        return _boxed(_pair_product(_cleared(x), _cleared(y)))
 
     def is_zero_raw(self, x):
         return x == 0
@@ -167,78 +168,32 @@ class Rationals(RingDescriptor):
 def _cleared(rows) -> tuple:
     """``(D, N)`` for raw rows over Q: D is the lcm of the entries'
     denominators and N = D * rows, a tuple of integer row tuples.  As the
-    entries are reduced, gcd(D, N) = 1: this is the pair of :class:`_QWalk`."""
+    entries are reduced, gcd(D, N) = 1: this is the pair of
+    :class:`~wordmap.matrices._QWalk`."""
     ratios = [[x.as_integer_ratio() for x in row] for row in rows]
     d = math.lcm(*[q for row in ratios for _p, q in row])
     return d, tuple([tuple([p * (d // q) for p, q in row]) for row in ratios])
 
 
-class _QWalk:
-    """The ring a word walk over Q multiplies on: Q matrices on one denominator.
-
-    A value is a pair ``(D, N)`` of an int D > 0 and integer row tuples
-    N = D M with gcd(D, N) = 1.  Then D is the lcm of the denominators of M's
-    entries, as :func:`_cleared` gives it, so the pair is canonical: equal
-    matrices have equal pairs.  It is as large as M's reduced Fractions, so a
-    matrix of finite order stays small at any power.  ``lift`` takes raw rows
-    to their pair, ``rmatmul`` multiplies the integer rows and divides the
-    pair by its gcd, and ``box`` builds one reduced Fraction per entry, once
-    per walk.  The inverse and the adjugate of M come as pairs straight from
-    the integer det N and adj N, with no Fraction built.
-    """
-
-    lift = staticmethod(_cleared)
-
-    @staticmethod
-    def rmatmul(x, y):
-        (dx, nx), (dy, ny) = x, y
-        den = dx * dy
-        if len(nx) == 2:  # the 2 x 2 case written out, gcd step included
-            (a, b), (c, d) = nx
-            (e, f), (g, h) = ny
-            p, q, r, s = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-            k = math.gcd(den, p, q, r, s)
-            if k > 1:
-                den, p, q, r, s = den // k, p // k, q // k, r // k, s // k
-            return den, ((p, q), (r, s))
-        cols = tuple(zip(*ny))
-        return _lowest(den, tuple([tuple([sum(map(mul, row, col)) for col in cols])
+def _pair_product(x, y) -> tuple:
+    """The product of two pairs ``(D, N)`` of :func:`_cleared`: the integer
+    rows are multiplied and the pair is divided by its gcd, so it stays
+    canonical."""
+    (dx, nx), (dy, ny) = x, y
+    cols = tuple(zip(*ny))
+    return _lowest(dx * dy, tuple([tuple([sum(map(mul, row, col)) for col in cols])
                                    for row in nx]))
 
-    @staticmethod
-    def box(pair) -> tuple:
-        """The raw rows over Q of a pair: one reduced Fraction per entry."""
-        d, rows = pair
-        return tuple([tuple([Fraction(e, d) for e in row]) for row in rows])
 
-    @staticmethod
-    def adjugate(d: int, det_n: int, adj_n) -> tuple:
-        """adj M = adj N / D^(n-1), for M = N / D with det N and adj N."""
-        return _lowest(d ** (len(adj_n) - 1), adj_n)
-
-    @staticmethod
-    def inverse(d: int, det_n: int, adj_n) -> tuple:
-        """M^-1 = D adj N / det N, for M = N / D with det N and adj N; the
-        sign moves so that the denominator is positive."""
-        if not det_n:
-            raise NotInvertible("matrix determinant is not a unit")
-        if det_n < 0:
-            d, det_n = -d, -det_n
-        return _lowest(det_n, tuple([tuple([d * e for e in row]) for row in adj_n]))
-
-    @staticmethod
-    def scaled(pair, num: int, den: int) -> tuple:
-        """(num / den) M for the pair of M and den > 0."""
-        d, rows = pair
-        return _lowest(den * d, tuple([tuple([num * e for e in row]) for row in rows]))
-
-
-_Q_WALK = _QWalk()
+def _boxed(pair) -> tuple:
+    """The raw rows over Q of a pair ``(D, N)``: one reduced Fraction per entry."""
+    d, rows = pair
+    return tuple([tuple([Fraction(e, d) for e in row]) for row in rows])
 
 
 def _lowest(d: int, rows: tuple) -> tuple:
-    """The pair of :class:`_QWalk` for the matrix rows / d, d > 0: d and the
-    integer rows divided by the gcd of them all."""
+    """The pair ``(D, N)`` for the matrix rows / d, d > 0: d and the integer
+    rows divided by the gcd of them all."""
     g = math.gcd(d, *chain.from_iterable(rows))
     if g == 1:
         return d, rows

@@ -14,7 +14,6 @@ Anything else that looks like an identifier is a constant symbol.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from collections import deque
@@ -108,20 +107,21 @@ class Word:
     def with_binding(self, binding: dict) -> Word:
         """This word with ``binding``, keyed by constant tokens such as s1; a
         generator such as y or x1 is refused, not kept."""
-        for name in binding:
-            if not _is_constant_token(name):
-                raise WordmapError(f"{name!r} is not a constant; "
-                                   f"write a constant such as s1 in the word and bind that")
+        _check_constant_keys(binding)
         return Word(self.letters, dict(binding))
 
 
-@functools.cache
-def _is_constant_token(name) -> bool:
-    """Whether :func:`parse` reads ``name`` as one constant of that name."""
-    try:
-        return isinstance(name, str) and parse(name).letters == (ConstLetter(name),)
-    except WordmapError:
-        return False
+def _check_constant_keys(names) -> None:
+    """Refuse the first of ``names`` that :func:`parse` does not read as one
+    constant of that name."""
+    for name in names:
+        try:
+            constant = isinstance(name, str) and parse(name).letters == (ConstLetter(name),)
+        except WordmapError:
+            constant = False
+        if not constant:
+            raise WordmapError(f"{name!r} is not a constant; "
+                               f"write a constant such as s1 in the word and bind that")
 
 
 def _masses(letters, scale: int = 1, out=None) -> dict:

@@ -407,7 +407,11 @@ def test_matrix_object_without_rows_is_a_usage_error(capsys, tmp_path, inline):
     ('{"ring": 5, "s1": [[1,0],[0,1]]}', "binding file ring is a ring spec string"),
     ('{"ring": "Fp:101", "s1": [[1,0],[0,1]]}', "binding file ring 'Fp:101' does not match --ring"),
     ('{"y": [[2,0],[0,1]]}', "binding file key 'y' is not a constant; write a constant such as s1"),
-], ids=["list", "string", "ring-not-a-string", "ring-mismatch", "generator-key"])
+    ('{"y": "junk"}', "binding file key 'y' is not a constant; write a constant such as s1"),
+    ('{"s1": [[1,0],[0,1]], "y": [[1,2]]}',
+     "binding file key 'y' is not a constant; write a constant such as s1"),
+], ids=["list", "string", "ring-not-a-string", "ring-mismatch", "generator-key",
+        "generator-key-junk-value", "generator-key-non-square-value"])
 def test_malformed_binding_file_is_a_usage_error(capsys, tmp_path, content, message):
     # each once ended in a traceback with exit 1
     sigma = tmp_path / "sigma.json"

@@ -20,7 +20,7 @@ from wordmap import (
     matrix_from_json,
     parse,
 )
-from wordmap.rings import _Q_WALK
+from wordmap.matrices import _QWalk
 from wordmap.words import ConstLetter, Power
 
 Q = Rationals()
@@ -196,9 +196,9 @@ def test_walk_pairs_are_canonical(n):
     for _ in range(5):
         a, b = _draw(rng, n, 1), _draw(rng, n, -1)
         for x, y in ((a, b), (a, _inv(a)), (_inv(b), b)):
-            pair = _Q_WALK.rmatmul(_Q_WALK.lift(_box(x).rows), _Q_WALK.lift(_box(y).rows))
-            assert pair[0] > 0 and pair == _Q_WALK.lift(_Q_WALK.box(pair))
-            assert [list(row) for row in _Q_WALK.box(pair)] == _mul(x, y)
+            pair = _QWalk.rmatmul(_QWalk.lift(_box(x).rows), _QWalk.lift(_box(y).rows))
+            assert pair[0] > 0 and pair == _QWalk.lift(_QWalk.box(pair))
+            assert [list(row) for row in _QWalk.box(pair)] == _mul(x, y)
 
 
 def test_huge_powers_stay_on_a_reduced_denominator():
