@@ -44,8 +44,8 @@ from .rings import (
     Scalar,
     _boxed,
     _cleared,
+    _int_product,
     _lowest,
-    _pair_product,
     _parse_raw,
     render_scalar,
 )
@@ -365,8 +365,12 @@ class _QWalk:
     """
 
     lift = staticmethod(_cleared)
-    rmatmul = staticmethod(_pair_product)
     box = staticmethod(_boxed)
+
+    @staticmethod
+    def rmatmul(x, y) -> tuple:
+        (dx, nx), (dy, ny) = x, y
+        return _lowest(dx * dy, _int_product(nx, ny))
 
     @staticmethod
     def identity(n: int) -> tuple:

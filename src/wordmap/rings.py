@@ -16,14 +16,15 @@ over ``base[sqrt(d)]`` a combination of the base ring's ``rdot``.
 F_p one reduction per entry written inline; elsewhere one ``rdot`` per entry,
 except over Q from 3 x 3 up.
 
-Over Q there is one integer product kernel, :func:`_pair_product`: a
+Over Q there is one integer product kernel, :func:`_int_product`: a
 matrix M is the pair ``(D, N)`` of the lcm D of its denominators and the
 integer rows N = D M (:func:`_cleared`), a product multiplies the integer
-rows and divides the pair by its gcd, and :func:`_boxed` turns a pair back
-into reduced Fractions.  A word walk over Q lifts its letters to pairs
-once, runs every product on them and boxes its value once (the walk ring
-:class:`~wordmap.matrices._QWalk`); ``Rationals.rmatmul`` from 3 x 3 up is
-one such product, lifted and boxed.
+rows, and :func:`_boxed` turns a pair back into reduced Fractions.  A word
+walk over Q lifts its letters to pairs once, runs every product on them,
+dividing the pair by its gcd (:func:`_lowest`) so that it stays canonical,
+and boxes its value once (the walk ring :class:`~wordmap.matrices._QWalk`);
+``Rationals.rmatmul`` from 3 x 3 up is one product of the kernel, lifted
+and boxed.
 The matrix kernel works on raw values only, and scalar literals are read to
 raw values by :func:`_parse_raw` (a plain integer by one ``int()``), which
 :func:`parse_scalar` boxes and :func:`wordmap.matrices.matrix_from_json` does
@@ -148,12 +149,14 @@ class Rationals(RingDescriptor):
         return Fraction(num, den)
 
     def rmatmul(self, x, y):
-        # from 3 x 3 up, one product of the Q walk ring: lift each operand
-        # to its pair (see _cleared), multiply, box.  On a lone 2 x 2
-        # product the lifting costs more than it saves: four rdots
+        # from 3 x 3 up, on the integer kernel of the Q walk ring: lift each
+        # operand to its pair (see _cleared), multiply, box; each Fraction
+        # reduces itself, so no gcd step.  On a lone 2 x 2 product the
+        # lifting costs more than it saves: four rdots
         if len(x) == 2:
             return super().rmatmul(x, y)
-        return _boxed(_pair_product(_cleared(x), _cleared(y)))
+        (dx, nx), (dy, ny) = _cleared(x), _cleared(y)
+        return _boxed((dx * dy, _int_product(nx, ny)))
 
     def is_zero_raw(self, x):
         return x == 0
@@ -175,14 +178,10 @@ def _cleared(rows) -> tuple:
     return d, tuple([tuple([p * (d // q) for p, q in row]) for row in ratios])
 
 
-def _pair_product(x, y) -> tuple:
-    """The product of two pairs ``(D, N)`` of :func:`_cleared`: the integer
-    rows are multiplied and the pair is divided by its gcd, so it stays
-    canonical."""
-    (dx, nx), (dy, ny) = x, y
-    cols = tuple(zip(*ny))
-    return _lowest(dx * dy, tuple([tuple([sum(map(mul, row, col)) for col in cols])
-                                   for row in nx]))
+def _int_product(x, y) -> tuple:
+    """The product of two matrices of integer row tuples."""
+    cols = tuple(zip(*y))
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in x])
 
 
 def _boxed(pair) -> tuple:
