@@ -30,11 +30,8 @@ from .rings import (
 )
 from .matrices import (
     SquareMatrix,
-    adjugate,
     charpoly,
     det,
-    det_adjugate,
-    inverse_from,
     matrix_from_json,
     matrix_to_json,
     random_sl2,

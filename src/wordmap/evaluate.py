@@ -2,19 +2,19 @@
 on SL2, and sample-scale probes.
 
 Every walk of a word reads the letters it inverts off the word once
-(:func:`_check_tuple`) and builds one dict of their inverse rows before
-it starts: true inverses for evaluation and jets, adjugates for the
-adjugate extension.  Over Q, evaluation, the adjugate extension and the
-restriction-identity check walk on one denominator: the letters become
-integer rows over their lcm denominator once, with the inverses, the
-adjugates and Delta taken from the integer det and adjugate, every product
-stays on integers (:class:`~wordmap.matrices._QWalk`), and the value
-becomes Fractions once, at the end.  A probe checks its word once and takes
-the constants' true inverses once; each draw adds its raw SL_2 points'
-adjugates, which are their inverses since det = 1.  Evaluation, the adjugate extension and the
-probes share one product loop, :func:`_product`; ``chi_probe``
-reads chi_1 = a + d or chi_2 = ad - bc off the raw value.  :func:`jet_sweep`
-takes the value and the derivatives from one product-rule pass.
+(:func:`_check_tuple`) and, before it starts, takes one det/adjugate pass of
+each inverted generator and the true inverse of each inverted constant
+(:func:`_passes`).  Evaluation, the adjugate extension and the
+restriction-identity check walk on the walk ring of the tuple's ring
+(:func:`~wordmap.matrices._walk_ring`), one path for every ring: the letters
+are lifted once, the passes give the inverses, the adjugates and Delta, and
+the value is boxed once, at the end.  Over Q every product of the walk stays
+on integer rows over one denominator.  A probe checks its word once and
+takes the constants' true inverses once; each draw adds its raw SL_2 points'
+adjugates, which are their inverses since det = 1.  The walks and the probes
+share one product loop, :func:`_product`; ``chi_probe`` reads chi_1 = a + d
+or chi_2 = ad - bc off the raw value.  :func:`jet_sweep` takes the value and
+the derivatives from one product-rule pass.
 """
 
 from __future__ import annotations
@@ -25,20 +25,16 @@ from enum import Enum
 from .errors import DimensionMismatch, InvalidParams, NotInvertible, UnboundConstant
 from .matrices import (
     SquareMatrix,
-    _QWalk,
     _det,
     _identity_rows,
     _random_sl2_rows,
     _reduced,
     _rpow,
-    adjugate,
+    _walk_ring,
     det,
-    det_adjugate,
-    inverse_from,
     rank,
 )
 from .rings import (
-    Rationals,
     RingDescriptor,
     Scalar,
     _first_reduction,
@@ -74,20 +70,20 @@ def _check_tuple(w: Word, tup):
     return n, ring, [key for key, (_pos, neg) in masses.items() if neg]
 
 
-def _inverse_rows(w: Word, tup, keys, invert) -> dict:
-    """The raw rows that stand in for the inverse of each key of ``keys``:
-    ``invert(tup[g - 1])`` for a generator g and the true inverse for a
-    constant name."""
+def _inverse_rows(w: Word, tup, keys) -> dict:
+    """The raw rows of the true inverse of each key of ``keys``: of
+    ``tup[g - 1]`` for a generator g and of the bound matrix for a constant
+    name."""
     return {
-        key: (w.binding[key].inverse() if type(key) is str else invert(tup[key - 1])).rows
+        key: (w.binding[key] if type(key) is str else tup[key - 1]).inverse().rows
         for key in keys
     }
 
 
 def _product(ring, items, gens, binding, inverses):
     """The product of a word's ``items`` by the ring's ``rmatmul``; None
-    when there are none.  The ring may be :class:`~wordmap.matrices._QWalk`,
-    whose values are pairs, and not raw rows.
+    when there are none.  The ring may be a walk ring
+    (:func:`~wordmap.matrices._walk_ring`), whose values need not be raw rows.
 
     ``gens`` holds the generators' values and ``binding`` the constants' by
     name; x_g^-1 and an inverted constant take the values ``inverses[g]``
@@ -111,52 +107,41 @@ def _product(ring, items, gens, binding, inverses):
     return acc
 
 
-def _walk(w: Word, tup, n, ring, inverses):
-    """The word's value at ``tup`` by :func:`_product`, unboxed, with the
-    stand-ins ``inverses`` for the inverted letters.
-
-    Over Q the walk runs on :class:`~wordmap.matrices._QWalk`: the
-    generators and the binding are lifted to their pairs ``(D, N)`` here,
-    once, and the value is such a pair.  Elsewhere it runs on raw rows.
-    """
-    if not isinstance(ring, Rationals):
-        binding = {name: s.rows for name, s in w.binding.items()}
-        acc = _product(ring, w.letters, [m.rows for m in tup], binding, inverses)
-        return _identity_rows(ring, n) if acc is None else acc
-    lift = _QWalk.lift
+def _walk(w: Word, tup, n, walk, inverses):
+    """The word's value at ``tup`` by :func:`_product` on the walk ring
+    ``walk`` (:func:`~wordmap.matrices._walk_ring`), as a walk value, with the
+    stand-ins ``inverses`` for the inverted letters.  The generators and the
+    binding are lifted here, once."""
+    lift = walk.lift
     binding = {name: lift(w.binding[name].rows) for name in w.constant_names()}
-    acc = _product(_QWalk, w.letters, [lift(m.rows) for m in tup], binding, inverses)
-    return _QWalk.identity(n) if acc is None else acc
+    acc = _product(walk, w.letters, [lift(m.rows) for m in tup], binding, inverses)
+    return walk.identity(n) if acc is None else acc
 
 
-def _q_inverses(w: Word, tup, keys) -> tuple:
-    """``(constants, passes)`` over Q for the keys that a word inverts: the
-    true inverse of each constant, and one det/adjugate pass
-    (:meth:`~wordmap.matrices._QWalk.det_adjugate`) of each generator, from
-    which :class:`~wordmap.matrices._QWalk` takes its inverse, its adjugate
-    and its determinant, with no Fraction built."""
+def _passes(w: Word, tup, keys, walk) -> tuple:
+    """``(constants, passes)`` for the keys that a word inverts: the true
+    inverse of each constant as a walk value, and one det/adjugate pass of
+    each generator, from which ``walk`` takes its inverse, its adjugate and
+    its factor of Delta."""
     constants, passes = {}, {}
     for key in keys:
         if type(key) is str:
-            constants[key] = _QWalk.inverse(*_QWalk.det_adjugate(w.binding[key].rows))
+            constants[key] = walk.inverse(walk.det_adjugate(w.binding[key].rows))
         else:
-            passes[key] = _QWalk.det_adjugate(tup[key - 1].rows)
+            passes[key] = walk.det_adjugate(tup[key - 1].rows)
     return constants, passes
 
 
 def _value(w: Word, tup, adjugates: bool) -> SquareMatrix:
     """The word's value at ``tup`` by :func:`_walk`, with each inverted
     generator standing for its true inverse or, with ``adjugates``, its
-    adjugate; over Q boxed once, one Fraction per entry of the value and
-    none before."""
+    adjugate; boxed once, at the end."""
     n, ring, inverted = _check_tuple(w, tup)
-    if not isinstance(ring, Rationals):
-        inverses = _inverse_rows(w, tup, inverted, adjugate if adjugates else SquareMatrix.inverse)
-        return SquareMatrix._raw(ring, _walk(w, tup, n, ring, inverses))
-    constants, passes = _q_inverses(w, tup, inverted)
-    stand_in = _QWalk.adjugate if adjugates else _QWalk.inverse
-    value = _walk(w, tup, n, ring, constants | {g: stand_in(*p) for g, p in passes.items()})
-    return SquareMatrix._raw(ring, _QWalk.box(value))
+    walk = _walk_ring(ring)
+    constants, passes = _passes(w, tup, inverted, walk)
+    stand_in = walk.adjugate if adjugates else walk.inverse
+    value = _walk(w, tup, n, walk, constants | {g: stand_in(p) for g, p in passes.items()})
+    return SquareMatrix._raw(ring, walk.box(value))
 
 
 def eval_group(w: Word, tup) -> SquareMatrix:
@@ -184,35 +169,22 @@ def check_restriction_identities(w: Word, tup) -> RestrictionCheck:
     """Verify w~ = Delta * w^ on an invertible tuple, Delta = prod det(mu_r)^{b_r}.
 
     The tuple is checked once.  One det/adjugate pass per inverted generator
-    gives its factor of Delta, its adjugate for w~ and its inverse adj / det
-    for w^; an inverted constant takes its true inverse, once, in both.
-    Over Q the pass runs on the integer rows N = D M (:func:`_q_inverses`),
-    w~ and Delta * w^ are compared as canonical pairs of
-    :class:`~wordmap.matrices._QWalk`, and only w~ and Delta are boxed.
+    (:func:`_passes`) gives its factor of Delta, its adjugate for w~ and its
+    inverse adj / det for w^; an inverted constant takes its true inverse,
+    once, in both.  w~ and Delta * w^ are compared as walk values, and only
+    w~ and Delta are boxed.
     """
     n, ring, inverted = _check_tuple(w, tup)
     b_neg = exponent_data(w, n).b_neg
-    if isinstance(ring, Rationals):
-        constants, passes = _q_inverses(w, tup, inverted)
-        adjugates = constants | {g: _QWalk.adjugate(*p) for g, p in passes.items()}
-        inverses = constants | {g: _QWalk.inverse(*p) for g, p in passes.items()}
-        delta = _QWalk.delta([(p, b_neg[g]) for g, p in passes.items()])
-        extended = _walk(w, tup, n, ring, adjugates)
-        holds = extended == _QWalk.scaled(_walk(w, tup, n, ring, inverses), delta)
-        return RestrictionCheck(extended=SquareMatrix._raw(ring, _QWalk.box(extended)),
-                                delta=Scalar(ring, _QWalk.box_scalar(delta)), holds=holds)
-    delta = ring.one
-    adjugates, inverses = {}, {}
-    for key in inverted:
-        if type(key) is str:
-            adjugates[key] = inverses[key] = w.binding[key].inverse().rows
-        else:
-            d, adj = det_adjugate(tup[key - 1])
-            delta = delta * d ** b_neg[key]
-            adjugates[key], inverses[key] = adj.rows, inverse_from(d, adj).rows
-    extended = SquareMatrix._raw(ring, _walk(w, tup, n, ring, adjugates))
-    holds = extended == SquareMatrix._raw(ring, _walk(w, tup, n, ring, inverses)).scaled(delta)
-    return RestrictionCheck(extended=extended, delta=delta, holds=holds)
+    walk = _walk_ring(ring)
+    constants, passes = _passes(w, tup, inverted, walk)
+    adjugates = constants | {g: walk.adjugate(p) for g, p in passes.items()}
+    inverses = constants | {g: walk.inverse(p) for g, p in passes.items()}
+    delta = walk.delta([(p, b_neg[g]) for g, p in passes.items()])
+    extended = _walk(w, tup, n, walk, adjugates)
+    holds = extended == walk.scaled(_walk(w, tup, n, walk, inverses), delta)
+    return RestrictionCheck(extended=SquareMatrix._raw(ring, walk.box(extended)),
+                            delta=Scalar(ring, walk.box_scalar(delta)), holds=holds)
 
 
 class ProbeVerdict(Enum):
@@ -298,7 +270,7 @@ def _word_sampler(w: Word, ring: RingDescriptor, rng):
     binding = {name: s.rows for name, s in w.binding.items()}
     identity = _identity_rows(ring, 2)
     drawn = [g for g in inverted if type(g) is int]
-    fixed = _inverse_rows(w, points, [k for k in inverted if type(k) is str], SquareMatrix.inverse)
+    fixed = _inverse_rows(w, points, [k for k in inverted if type(k) is str])
 
     def draw():
         gens = [_random_sl2_rows(ring, rng) for _ in range(m)]
@@ -391,7 +363,7 @@ def jet_sweep(w: Word, point):
     n, ring, inverted = _check_tuple(w, point)
     if n != 2:
         raise DimensionMismatch("jets are implemented for 2x2")
-    inverses = _inverse_rows(w, point, inverted, SquareMatrix.inverse)
+    inverses = _inverse_rows(w, point, inverted)
     value, derivs = _product_rule(ring, _factors(ring, w.letters, point, w.binding, inverses))
     zeros = [SquareMatrix.zero(ring, 2).rows] * 3
     return SquareMatrix._raw(ring, value), [

@@ -18,17 +18,17 @@ Determinant, adjugate, characteristic polynomial and inverse share one kernel,
 Berkowitz's division-free algorithm, which is valid over every commutative
 ring and never branches on the ring.  For n <= 2, det and adjugate take their
 closed forms; for n >= 3 the adjugate follows from the characteristic
-polynomial by Cayley-Hamilton, and ``inverse()`` takes det and adjugate from a
-single Berkowitz pass.  Needing no division, the kernel runs over Q on
-integers: on N = D M, with D the lcm of M's denominators
-(:func:`~wordmap.rings._cleared`), over a private ring of Python ints, and
-the results are divided by powers of D once at the end.
+polynomial by Cayley-Hamilton (:func:`_det_adjugate`), so one pass gives both.
+Needing no division, the kernel runs over Q on integers: on N = D M, with D
+the lcm of M's denominators (:func:`~wordmap.rings._cleared`), over a private
+ring of Python ints, and the results are divided by powers of D once.
 
-A word walk over Q (:mod:`wordmap.evaluate`) multiplies on
-:class:`_QWalk`, which keeps every matrix on one denominator, as the
-canonical pair ``(D, N)``, at every n, and takes M^-1, adj M and det M from
-one integer pass ``(D, det N, adj N)``: no Fraction is built before the
-value is boxed.
+A word walk (:mod:`wordmap.evaluate`) and ``inverse()`` run on the walk ring
+that :func:`_walk_ring` picks, the one place that chooses a representation:
+over Q :class:`_QWalk`, which keeps every matrix on one denominator as the
+canonical pair ``(D, N)`` and takes M^-1, adj M and det M from one integer
+pass ``(D, det N, adj N)``, so that no Fraction is built before the value is
+boxed; over every other ring :class:`_RawWalk`, on raw rows.
 """
 
 from __future__ import annotations
@@ -155,17 +155,12 @@ class SquareMatrix:
     def __sub__(self, other: "SquareMatrix") -> "SquareMatrix":
         if not isinstance(other, SquareMatrix):
             return NotImplemented
-        return self + other._scaled_raw(other.ring.raw_from_int(-1))
+        return self + other.scaled(-1)
 
     def scaled(self, c) -> "SquareMatrix":
         """c * M for a Scalar (or int) c."""
-        return self._scaled_raw(_unbox(self.ring, c))
-
-    def _scaled_raw(self, c) -> "SquareMatrix":
-        mul = self.ring.rmul
-        return SquareMatrix._raw(
-            self.ring, tuple(tuple([mul(c, e) for e in row]) for row in self.rows)
-        )
+        ring = self.ring
+        return SquareMatrix._raw(ring, _scaled_rows(ring, self.rows, _unbox(ring, c)))
 
     def __pow__(self, k: int) -> "SquareMatrix":
         if k < 0:
@@ -185,7 +180,8 @@ class SquareMatrix:
         return SquareMatrix._raw(self.ring, tuple(zip(*self.rows)))
 
     def inverse(self) -> "SquareMatrix":
-        return inverse_from(*det_adjugate(self))
+        walk = _walk_ring(self.ring)
+        return SquareMatrix._raw(self.ring, walk.box(walk.inverse(walk.det_adjugate(self.rows))))
 
     def map_entries(self, fn, new_ring: RingDescriptor) -> "SquareMatrix":
         """Apply a Scalar -> Scalar function entrywise; the results must lie in new_ring."""
@@ -213,6 +209,12 @@ class SquareMatrix:
 def _identity_rows(ring: RingDescriptor, n: int) -> tuple:
     z, o = ring.raw_from_int(0), ring.raw_from_int(1)
     return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
+
+
+def _scaled_rows(ring: RingDescriptor, rows: tuple, c) -> tuple:
+    """c M on raw rows, for a raw scalar c."""
+    mul = ring.rmul
+    return tuple(tuple([mul(c, e) for e in row]) for row in rows)
 
 
 def _rpow(ring: RingDescriptor, rows: tuple, k: int) -> tuple:
@@ -287,8 +289,8 @@ def _det_from(ring: RingDescriptor, coeffs):
 def _det_adjugate(ring: RingDescriptor, rows) -> tuple:
     """(det M, adj M) on raw rows: closed forms for n <= 2, else one Berkowitz pass.
 
-    Over Q the pass runs on the integer rows N = D M of :func:`_cleared`:
-    det M = det N / D^n and adj M = adj N / D^(n-1).
+    By Cayley-Hamilton, adj M = (-1)^(n-1) (M^(n-1) + c_1 M^(n-2) + ... + c_(n-1) I),
+    taken by Horner with n - 2 products.
     """
     n = len(rows)
     neg = ring.rneg
@@ -298,24 +300,7 @@ def _det_adjugate(ring: RingDescriptor, rows) -> tuple:
         (a, b), (c, d) = rows
         nb, nc = neg(b), neg(c)
         return ring.rdot((a, b), (d, nc)), ((d, nb), (nc, a))
-    if not isinstance(ring, Rationals):
-        return _cayley_hamilton(ring, rows)
-    d, det_n, adj_n = _QWalk.det_adjugate(rows)
-    scale = d ** (n - 1)
-    return Fraction(det_n, scale * d), tuple(
-        [tuple([Fraction(e, scale) for e in row]) for row in adj_n]
-    )
-
-
-def _cayley_hamilton(ring: RingDescriptor, rows) -> tuple:
-    """(det M, adj M) from one Berkowitz pass.
-
-    By Cayley-Hamilton, adj M = (-1)^(n-1) (M^(n-1) + c_1 M^(n-2) + ... + c_(n-1) I),
-    taken by Horner with n - 2 products.
-    """
-    n = len(rows)
-    coeffs = _berkowitz(ring, rows)
-    add, neg = ring.radd, ring.rneg
+    coeffs, add = _berkowitz(ring, rows), ring.radd
     if n % 2 == 0:  # fold the sign (-1)^(n-1) into M and the coefficients
         signed, acc = [neg(c) for c in coeffs], tuple(tuple(map(neg, row)) for row in rows)
     else:
@@ -328,24 +313,62 @@ def _cayley_hamilton(ring: RingDescriptor, rows) -> tuple:
     return _det_from(ring, coeffs), acc
 
 
-def det_adjugate(m: SquareMatrix) -> tuple:
-    """(det M, adj M) from one pass: a caller that needs both, or the inverse
-    as well (see :func:`inverse_from`), pays for one Berkowitz pass."""
-    d, adj = _det_adjugate(m.ring, m.rows)
-    return Scalar(m.ring, d), SquareMatrix._raw(m.ring, adj)
-
-
-def inverse_from(d: Scalar, adj: SquareMatrix) -> SquareMatrix:
-    """M^-1 = det(M)^-1 adj(M), from the pair that :func:`det_adjugate` returns."""
-    try:
-        dinv = adj.ring.rinv(_unbox(adj.ring, d))
-    except NotInvertible:
-        raise NotInvertible("matrix determinant is not a unit") from None
-    return adj._scaled_raw(dinv)
-
-
 # ---------------------------------------------------------------------------
-# the ring a word walk over Q multiplies on (see wordmap.evaluate)
+# walk rings: the representation a word walk multiplies on (see wordmap.evaluate)
+#
+# A walk ring has ``lift`` (raw rows to a walk value), ``box`` (back),
+# ``identity(n)``, ``rmatmul``, ``det_adjugate`` (raw rows to an opaque pass),
+# ``adjugate(pass)``, ``inverse(pass)``, ``delta`` (prod det^b over pairs of a
+# pass and b, as a walk scalar), ``scaled(value, c)`` and ``box_scalar``.
+
+
+def _walk_ring(ring: RingDescriptor):
+    """The walk ring over ``ring``: :class:`_QWalk` over Q, raw rows elsewhere."""
+    return _QWalk if isinstance(ring, Rationals) else _RawWalk(ring)
+
+
+class _RawWalk:
+    """The walk ring on raw rows: a value is the rows, a pass is
+    ``(det M, adj M)`` from :func:`_det_adjugate` and a scalar is raw."""
+
+    def __init__(self, ring: RingDescriptor):
+        self.ring = ring
+        self.rmatmul = ring.rmatmul
+
+    @staticmethod
+    def lift(value):
+        return value
+
+    box = box_scalar = lift
+
+    def identity(self, n: int) -> tuple:
+        return _identity_rows(self.ring, n)
+
+    def det_adjugate(self, rows) -> tuple:
+        return _det_adjugate(self.ring, rows)
+
+    @staticmethod
+    def adjugate(p) -> tuple:
+        return p[1]
+
+    def inverse(self, p) -> tuple:
+        """M^-1 = det(M)^-1 adj M."""
+        d, adj = p
+        try:
+            dinv = self.ring.rinv(d)
+        except NotInvertible:
+            raise NotInvertible("matrix determinant is not a unit") from None
+        return self.scaled(adj, dinv)
+
+    def delta(self, factors):
+        """prod det(M)^b over ``factors``, pairs of a pass and b."""
+        acc = self.ring.one
+        for (d, _adj), b in factors:
+            acc = acc * Scalar(self.ring, d) ** b
+        return acc.value
+
+    def scaled(self, rows, c) -> tuple:
+        return _scaled_rows(self.ring, rows, c)
 
 
 class _QWalk:
@@ -384,14 +407,16 @@ class _QWalk:
         return (d, *_det_adjugate(_INTEGERS, ints))
 
     @staticmethod
-    def adjugate(d: int, det_n: int, adj_n) -> tuple:
+    def adjugate(p) -> tuple:
         """adj M = adj N / D^(n-1)."""
+        d, _det_n, adj_n = p
         return _lowest(d ** (len(adj_n) - 1), adj_n)
 
     @staticmethod
-    def inverse(d: int, det_n: int, adj_n) -> tuple:
+    def inverse(p) -> tuple:
         """M^-1 = D adj N / det N; the sign moves so that the denominator is
         positive."""
+        d, det_n, adj_n = p
         if not det_n:
             raise NotInvertible("matrix determinant is not a unit")
         if det_n < 0:
@@ -437,11 +462,6 @@ def _det(ring: RingDescriptor, rows):
 
 def det(m: SquareMatrix) -> Scalar:
     return Scalar(m.ring, _det(m.ring, m.rows))
-
-
-def adjugate(m: SquareMatrix) -> SquareMatrix:
-    """The matrix M* with M M* = M* M = det(M) I, by Cayley-Hamilton for n >= 3."""
-    return SquareMatrix._raw(m.ring, _det_adjugate(m.ring, m.rows)[1])
 
 
 def charpoly(m: SquareMatrix) -> tuple:

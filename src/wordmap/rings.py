@@ -19,12 +19,12 @@ except over Q from 3 x 3 up.
 Over Q there is one integer product kernel, :func:`_int_product`: a
 matrix M is the pair ``(D, N)`` of the lcm D of its denominators and the
 integer rows N = D M (:func:`_cleared`), a product multiplies the integer
-rows, and :func:`_boxed` turns a pair back into reduced Fractions.  A word
-walk over Q lifts its letters to pairs once, runs every product on them,
-dividing the pair by its gcd (:func:`_lowest`) so that it stays canonical,
-and boxes its value once (the walk ring :class:`~wordmap.matrices._QWalk`);
-``Rationals.rmatmul`` from 3 x 3 up is one product of the kernel, lifted
-and boxed.
+rows, :func:`_lowest` divides a pair by its gcd so that it stays canonical,
+and :func:`_boxed` turns a pair back into reduced Fractions.
+``Rationals.rmatmul`` from 3 x 3 up is one product of the kernel, lifted and
+boxed; a word walk over Q keeps its pairs from the first letter to the value
+(the walk ring that :func:`wordmap.matrices._walk_ring` picks).
+
 The matrix kernel works on raw values only, and scalar literals are read to
 raw values by :func:`_parse_raw` (a plain integer by one ``int()``), which
 :func:`parse_scalar` boxes and :func:`wordmap.matrices.matrix_from_json` does

@@ -31,7 +31,7 @@ from wordmap import (
     rank,
     word,
 )
-from wordmap import evaluate, geometry
+from wordmap import evaluate, geometry, matrices
 from wordmap.evaluate import _check_tuple
 from wordmap.geometry import COMPONENT_IDS, component, jet_jacobian, parametrization_rank
 from wordmap.matrices import matrix_from_json
@@ -158,8 +158,6 @@ def test_restriction_identities_100_random():
 def test_restriction_check_runs_one_berkowitz_pass_per_generator(monkeypatch):
     """Delta, the adjugate extension and the plain value share one det/adjugate
     pass per inverted generator, however often it occurs."""
-    import wordmap.matrices as matrices
-
     rng = random.Random(45)
     w = parse("x^2 y^-1 x^-1 y^-2 x^-1 y^-1")
     tup = [random_invertible(Q, 4, rng) for _ in range(2)]
@@ -179,55 +177,62 @@ def test_restriction_check_runs_one_berkowitz_pass_per_generator(monkeypatch):
     assert check.delta == det(tup[0]) ** 2 * det(tup[1]) ** 4
 
 
+def count_passes(monkeypatch) -> list:
+    """The rows of every det/adjugate pass taken on a walk ring, in
+    :mod:`wordmap.evaluate` and in ``SquareMatrix.inverse`` alike, recorded
+    until ``monkeypatch.undo()``."""
+    passes = []
+    walk_ring = matrices._walk_ring
+
+    class Counting:
+        def __init__(self, walk):
+            self.walk = walk
+
+        def __getattr__(self, name):
+            return getattr(self.walk, name)
+
+        def det_adjugate(self, rows):
+            passes.append(rows)
+            return self.walk.det_adjugate(rows)
+
+    for module in (evaluate, matrices):
+        monkeypatch.setattr(module, "_walk_ring", lambda ring: Counting(walk_ring(ring)))
+    return passes
+
+
 def test_evaluation_inverts_each_generator_once(monkeypatch):
-    calls = []
-    inverse = SquareMatrix.inverse
-
-    def counting(self):
-        calls.append(self)
-        return inverse(self)
-
-    rng = random.Random(46)
-    tup = [random_sl2(F101, rng) for _ in range(2)]
-    monkeypatch.setattr(SquareMatrix, "inverse", counting)
-    value = eval_group(parse("(x y^-1 x^-1 y)^50"), tup)
-    assert len(calls) == 2
-    monkeypatch.undo()
-    x, y = tup
-    assert value == (x * y.inverse() * x.inverse() * y) ** 50
+    # one pass per inverted generator, however often the word inverts it;
+    # over Q the pass runs on the integer rows
+    for ring in (F101, Q):
+        rng = random.Random(46)
+        tup = [random_sl2(ring, rng) for _ in range(2)]
+        passes = count_passes(monkeypatch)
+        value = eval_group(parse("(x y^-1 x^-1 y)^50"), tup)
+        monkeypatch.undo()
+        assert Counter(passes) == Counter(m.rows for m in tup)
+        x, y = tup
+        assert value == (x * y.inverse() * x.inverse() * y) ** 50
 
 
 def test_restriction_check_takes_each_inverse_once(monkeypatch):
     # one det/adjugate pass per inverted generator serves Delta, w~ and w^;
-    # the inverted constant takes one true inverse, shared by both walks
-    rng = random.Random(54)
-    sigma = random_sl2(F101, rng)
-    w = parse("x^-2 y s1^-1 x y^-1 z^-1").with_binding({"s1": sigma})
-    # det 3, 5 and 7, so Delta = 3^2 * 5 * 7
-    tup = [random_sl2(F101, rng) * SquareMatrix.from_rows(F101, [[1, 0], [0, k]])
-           for k in (3, 5, 7)]
-    extended, plain = eval_adjugate_extension(w, tup), eval_group(w, tup)
-    passes, inverses = [], []
-    det_adjugate, inverse = evaluate.det_adjugate, SquareMatrix.inverse
-
-    def counting_pass(m):
-        passes.append(m)
-        return det_adjugate(m)
-
-    def counting_inverse(self):
-        inverses.append(self)
-        return inverse(self)
-
-    monkeypatch.setattr(evaluate, "det_adjugate", counting_pass)
-    monkeypatch.setattr(evaluate, "adjugate", None)
-    monkeypatch.setattr(SquareMatrix, "inverse", counting_inverse)
-    check = check_restriction_identities(w, tup)
-    monkeypatch.undo()
-    assert Counter(passes) == Counter(tup)
-    assert inverses == [sigma]
-    assert check.delta == F101.from_int(3 ** 2 * 5 * 7)
-    assert check.extended == extended == plain.scaled(check.delta)
-    assert check.holds
+    # the inverted constant takes one pass for its true inverse, shared by
+    # both walks
+    for ring in (F101, Q):
+        rng = random.Random(54)
+        sigma = random_sl2(ring, rng)
+        w = parse("x^-2 y s1^-1 x y^-1 z^-1").with_binding({"s1": sigma})
+        # det 3, 5 and 7, so Delta = 3^2 * 5 * 7
+        tup = [random_sl2(ring, rng) * SquareMatrix.from_rows(ring, [[1, 0], [0, k]])
+               for k in (3, 5, 7)]
+        extended, plain = eval_adjugate_extension(w, tup), eval_group(w, tup)
+        passes = count_passes(monkeypatch)
+        check = check_restriction_identities(w, tup)
+        monkeypatch.undo()
+        assert Counter(passes) == Counter([sigma.rows] + [m.rows for m in tup])
+        assert check.delta == ring.from_int(3 ** 2 * 5 * 7)
+        assert check.extended == extended == plain.scaled(check.delta)
+        assert check.holds
 
 
 def test_restriction_to_sl_is_plain_evaluation():

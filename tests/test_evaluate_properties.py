@@ -28,7 +28,8 @@ from wordmap.words import ConstLetter
 
 from closed_forms import homogeneity_check
 
-RINGS = [PrimeField(101), PrimeField(2**61 - 1), Rationals(), parse_ring("Fp:103[i]")]
+RINGS = [PrimeField(101), PrimeField(2**61 - 1), Rationals(), parse_ring("Fp:103[i]"),
+         parse_ring("Q[i]"), parse_ring("Q[sqrt(2)]")]
 
 deterministic = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 

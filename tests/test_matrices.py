@@ -13,11 +13,12 @@ from wordmap import (
     Rationals,
     SquareMatrix,
     WordmapError,
-    adjugate,
     charpoly,
     det,
+    eval_adjugate_extension,
     matrix_from_json,
     matrix_to_json,
+    parse,
     parse_ring,
     random_sl2,
     rank,
@@ -29,6 +30,11 @@ Q = Rationals()
 F101 = PrimeField(101)
 # quadratic extensions and dual numbers (which have zero divisors)
 OTHER_RINGS = [parse_ring("Fp:7[i]"), parse_ring("Q[sqrt(2)]"), DualNumbers(PrimeField(5)), DualNumbers(Q)]
+
+
+def adjugate(m):
+    """adj M, which is by definition the adjugate extension of x^-1 at M."""
+    return eval_adjugate_extension(parse("x^-1"), [m])
 
 
 def leibniz_oracle(m):
