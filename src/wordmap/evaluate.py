@@ -1,10 +1,10 @@
 """Word evaluation on group tuples, the adjugate extension, product-rule jets
 on SL2, and sample-scale probes.
 
-Every walk of a word reads the letters it inverts off the word once
-(:func:`_check_tuple`) and, before it starts, takes one det/adjugate pass of
-each inverted generator and the true inverse of each inverted constant
-(:func:`_passes`).  Evaluation, the adjugate extension and the
+Every walk of a word reads the letters it inverts and the constants it uses
+off the word once (:func:`_check_tuple`) and, before it starts, takes one
+det/adjugate pass of each inverted generator and the true inverse of each
+inverted constant (:func:`_passes`).  Evaluation, the adjugate extension and the
 restriction-identity check walk on the walk ring of the tuple's ring
 (:func:`~wordmap.matrices._walk_ring`), one path for every ring: the letters
 are lifted once, the passes give the inverses, the adjugates and Delta, and
@@ -43,9 +43,11 @@ from .words import ConstLetter, Power, Word, _masses, exponent_data
 
 
 def _check_tuple(w: Word, tup):
-    """``(n, ring, inverted)`` of a valid tuple for ``w``; ``inverted`` lists
-    the generators and constant names that the word inverts, in order of
-    first sight."""
+    """``(n, ring, inverted, names)`` of a valid tuple for ``w``; ``inverted``
+    lists the generators and constant names that the word inverts and
+    ``names`` the constant names it uses, checked against the binding, both in
+    order of first sight.  An entry of the binding that the word does not use
+    is not read."""
     if not tup:
         raise DimensionMismatch("empty matrix tuple")
     n = tup[0].n
@@ -61,13 +63,14 @@ def _check_tuple(w: Word, tup):
         raise DimensionMismatch(
             f"word uses generator {max(gens)} but tuple has {len(tup)} entries"
         )
-    for name in (c for c in masses if type(c) is str):
+    names = [c for c in masses if type(c) is str]
+    for name in names:
         if name not in w.binding:
             raise UnboundConstant(f"constant {name} is unbound")
         s = w.binding[name]
         if s.n != n or s.ring != ring:
             raise DimensionMismatch(f"constant {name} has wrong size or ring")
-    return n, ring, [key for key, (_pos, neg) in masses.items() if neg]
+    return n, ring, [key for key, (_pos, neg) in masses.items() if neg], names
 
 
 def _inverse_rows(w: Word, tup, keys) -> dict:
@@ -107,13 +110,13 @@ def _product(ring, items, gens, binding, inverses):
     return acc
 
 
-def _walk(w: Word, tup, n, walk, inverses):
+def _walk(w: Word, tup, n, names, walk, inverses):
     """The word's value at ``tup`` by :func:`_product` on the walk ring
     ``walk`` (:func:`~wordmap.matrices._walk_ring`), as a walk value, with the
     stand-ins ``inverses`` for the inverted letters.  The generators and the
-    binding are lifted here, once."""
+    constants ``names`` of the binding are lifted here, once."""
     lift = walk.lift
-    binding = {name: lift(w.binding[name].rows) for name in w.constant_names()}
+    binding = {name: lift(w.binding[name].rows) for name in names}
     acc = _product(walk, w.letters, [lift(m.rows) for m in tup], binding, inverses)
     return walk.identity(n) if acc is None else acc
 
@@ -136,11 +139,11 @@ def _value(w: Word, tup, adjugates: bool) -> SquareMatrix:
     """The word's value at ``tup`` by :func:`_walk`, with each inverted
     generator standing for its true inverse or, with ``adjugates``, its
     adjugate; boxed once, at the end."""
-    n, ring, inverted = _check_tuple(w, tup)
+    n, ring, inverted, names = _check_tuple(w, tup)
     walk = _walk_ring(ring)
     constants, passes = _passes(w, tup, inverted, walk)
     stand_in = walk.adjugate if adjugates else walk.inverse
-    value = _walk(w, tup, n, walk, constants | {g: stand_in(p) for g, p in passes.items()})
+    value = _walk(w, tup, n, names, walk, constants | {g: stand_in(p) for g, p in passes.items()})
     return SquareMatrix._raw(ring, walk.box(value))
 
 
@@ -174,15 +177,15 @@ def check_restriction_identities(w: Word, tup) -> RestrictionCheck:
     once, in both.  w~ and Delta * w^ are compared as walk values, and only
     w~ and Delta are boxed.
     """
-    n, ring, inverted = _check_tuple(w, tup)
+    n, ring, inverted, names = _check_tuple(w, tup)
     b_neg = exponent_data(w, n).b_neg
     walk = _walk_ring(ring)
     constants, passes = _passes(w, tup, inverted, walk)
     adjugates = constants | {g: walk.adjugate(p) for g, p in passes.items()}
     inverses = constants | {g: walk.inverse(p) for g, p in passes.items()}
     delta = walk.delta([(p, b_neg[g]) for g, p in passes.items()])
-    extended = _walk(w, tup, n, walk, adjugates)
-    holds = extended == walk.scaled(_walk(w, tup, n, walk, inverses), delta)
+    extended = _walk(w, tup, n, names, walk, adjugates)
+    holds = extended == walk.scaled(_walk(w, tup, n, names, walk, inverses), delta)
     return RestrictionCheck(extended=SquareMatrix._raw(ring, walk.box(extended)),
                             delta=Scalar(ring, walk.box_scalar(delta)), holds=holds)
 
@@ -265,9 +268,9 @@ def _word_sampler(w: Word, ring: RingDescriptor, rng):
     """
     m = _point_count(w)
     points = [SquareMatrix.identity(ring, 2)] * m
-    _n, _ring, inverted = _check_tuple(w, points)
+    _n, _ring, inverted, names = _check_tuple(w, points)
     letters, neg = w.letters, ring.rneg
-    binding = {name: s.rows for name, s in w.binding.items()}
+    binding = {name: w.binding[name].rows for name in names}
     identity = _identity_rows(ring, 2)
     drawn = [g for g in inverted if type(g) is int]
     fixed = _inverse_rows(w, points, [k for k in inverted if type(k) is str])
@@ -360,7 +363,7 @@ def jet_sweep(w: Word, point):
     both; each inverted generator and constant takes its true inverse once,
     before the pass, and no prefix is inverted.
     """
-    n, ring, inverted = _check_tuple(w, point)
+    n, ring, inverted, _names = _check_tuple(w, point)
     if n != 2:
         raise DimensionMismatch("jets are implemented for 2x2")
     inverses = _inverse_rows(w, point, inverted)
@@ -455,10 +458,10 @@ def dominance_probe(w: Word, point) -> int:
     most 3; so a rank of 3 mod p is the answer.  A lower rank mod p and every
     other ring take the exact sweep.
     """
-    _n, ring, _inverted = _check_tuple(w, point)
+    _n, ring, _inverted, names = _check_tuple(w, point)
 
     def reduced_rank(field, phi):
-        binding = {c: _reduced(w.binding[c], field, phi) for c in w.constant_names()}
+        binding = {c: _reduced(w.binding[c], field, phi) for c in names}
         return _differential_rank(w.with_binding(binding), [_reduced(g, field, phi) for g in point])
 
     if _first_reduction(ring, reduced_rank) == 3:

@@ -8,8 +8,9 @@ which reads JSON literals straight to raw rows with
 Every operation checks the ring once and then works on raw values through the
 descriptor's ``rmatmul``/``rdot``/``radd``/``rmul``/``rneg``/``rinv``.  Every
 matrix product, here and in :mod:`wordmap.evaluate` and
-:mod:`wordmap.geometry`, is one call of the ring's product kernel
-``rmatmul`` on raw rows, and every power is one :func:`_rpow` on raw rows.
+:mod:`wordmap.geometry`, is one call of a product kernel ``rmatmul``: the
+ring's on raw rows, or a walk ring's (below); every power is one
+:func:`_rpow`.
 :class:`~wordmap.rings.Scalar` objects are built only at the API boundary:
 ``entries``, ``m[i, j]``, ``trace()``, ``det()``, ``charpoly()`` and
 :func:`matrix_to_json`.
@@ -19,36 +20,29 @@ Berkowitz's division-free algorithm, which is valid over every commutative
 ring and never branches on the ring.  For n <= 2, det and adjugate take their
 closed forms; for n >= 3 the adjugate follows from the characteristic
 polynomial by Cayley-Hamilton (:func:`_det_adjugate`), so one pass gives both.
-Needing no division, the kernel runs over Q on integers: on N = D M, with D
-the lcm of M's denominators (:func:`~wordmap.rings._cleared`), over a private
-ring of Python ints, and the results are divided by powers of D once.
 
-A word walk (:mod:`wordmap.evaluate`) and ``inverse()`` run on the walk ring
-that :func:`_walk_ring` picks, the one place that chooses a representation:
-over Q :class:`_QWalk`, which keeps every matrix on one denominator as the
-canonical pair ``(D, N)`` and takes M^-1, adj M and det M from one integer
-pass ``(D, det N, adj N)``, so that no Fraction is built before the value is
-boxed; over every other ring :class:`_RawWalk`, on raw rows.
+A word walk (:mod:`wordmap.evaluate`), ``inverse()``, ``charpoly`` and ``det``
+from 3 x 3 up run on the walk ring that :func:`_walk_ring` picks, the one
+place that chooses a representation and the one place that knows Q's integer
+rows.  Over Q it is :class:`_QWalk`, which keeps every matrix on one
+denominator as the canonical pair ``(D, N)``, N = D M with D the lcm of M's
+denominators.  Needing no division, Berkowitz runs there on N over a private
+ring of Python ints, :class:`_Integers`, whose ``rmatmul`` is the one integer
+product, and the results are divided by powers of D once: M^-1, adj M and
+det M come from one integer pass ``(D, det N, adj N)``, and no Fraction is
+built before the value is boxed.  Over every other ring the walk ring is
+:class:`_RawWalk`, on raw rows.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 
 from .errors import DimensionMismatch, NotInvertible, RingMismatch, WordmapError
-from .rings import (
-    Rationals,
-    RingDescriptor,
-    Scalar,
-    _boxed,
-    _cleared,
-    _int_product,
-    _lowest,
-    _parse_raw,
-    render_scalar,
-)
+from .rings import Rationals, RingDescriptor, Scalar, _parse_raw, render_scalar
 
 _set = object.__setattr__
 
@@ -262,7 +256,8 @@ def _berkowitz(ring: RingDescriptor, rows) -> list:
 
 
 class _Integers(RingDescriptor):
-    """Z on Python ints: the ring Berkowitz runs on over Q, on cleared rows."""
+    """Z on Python ints: the ring of the integer rows N = D M of
+    :class:`_QWalk`, on which its products and Berkowitz run."""
 
     def raw_from_int(self, n):
         return n
@@ -275,6 +270,10 @@ class _Integers(RingDescriptor):
 
     def rdot(self, xs, ys):
         return sum(map(mul, xs, ys))
+
+    def rmatmul(self, x, y):
+        cols = tuple(zip(*y))
+        return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in x])
 
 
 _INTEGERS = _Integers()
@@ -319,7 +318,8 @@ def _det_adjugate(ring: RingDescriptor, rows) -> tuple:
 # A walk ring has ``lift`` (raw rows to a walk value), ``box`` (back),
 # ``identity(n)``, ``rmatmul``, ``det_adjugate`` (raw rows to an opaque pass),
 # ``adjugate(pass)``, ``inverse(pass)``, ``delta`` (prod det^b over pairs of a
-# pass and b, as a walk scalar), ``scaled(value, c)`` and ``box_scalar``.
+# pass and b, as a walk scalar), ``scaled(value, c)``, ``box_scalar`` and
+# ``coefficients`` (raw rows to Berkowitz's list, as raw values of the ring).
 
 
 def _walk_ring(ring: RingDescriptor):
@@ -370,30 +370,55 @@ class _RawWalk:
     def scaled(self, rows, c) -> tuple:
         return _scaled_rows(self.ring, rows, c)
 
+    def coefficients(self, rows) -> list:
+        return _berkowitz(self.ring, rows)
+
+
+def _lowest(d: int, rows: tuple) -> tuple:
+    """The pair ``(D, N)`` of :class:`_QWalk` for the matrix rows / d, d > 0:
+    d and the integer rows divided by the gcd of them all."""
+    g = math.gcd(d, *chain.from_iterable(rows))
+    if g == 1:
+        return d, rows
+    return d // g, tuple([tuple([e // g for e in row]) for row in rows])
+
 
 class _QWalk:
     """The walk ring over Q: matrices on one denominator.
 
     A value is a pair ``(D, N)`` of an int D > 0 and integer row tuples
     N = D M with gcd(D, N) = 1.  Then D is the lcm of the denominators of M's
-    entries, as :func:`~wordmap.rings._cleared` gives it, so the pair is
-    canonical: equal matrices have equal pairs.  It is as large as M's
-    reduced Fractions, so a matrix of finite order stays small at any power.
-    ``lift`` takes raw rows to their pair, ``rmatmul`` multiplies the integer
-    rows and divides the pair by its gcd, and ``box`` builds one reduced
-    Fraction per entry, once per walk.  ``det_adjugate`` is one pass on the
-    integer rows, ``(D, det N, adj N)``, from which the inverse, the adjugate
-    and the determinant of M come with no Fraction built; a scalar, such as
-    Delta, is a pair ``(num, den)`` of ints with den > 0.
+    entries, as ``lift`` gives it, so the pair is canonical: equal matrices
+    have equal pairs.  It is as large as M's reduced Fractions, so a matrix
+    of finite order stays small at any power.  ``lift`` takes raw rows to
+    their pair, ``rmatmul`` multiplies the integer rows
+    (``_Integers.rmatmul``) and divides the pair by its gcd, and ``box``
+    builds one reduced Fraction per entry, once per walk.  ``det_adjugate``
+    is one pass on the integer rows, ``(D, det N, adj N)``, from which the
+    inverse, the adjugate and the determinant of M come with no Fraction
+    built; a scalar, such as Delta, is a pair ``(num, den)`` of ints with
+    den > 0.
     """
 
-    lift = staticmethod(_cleared)
-    box = staticmethod(_boxed)
+    @staticmethod
+    def lift(rows) -> tuple:
+        """``(D, N)`` for raw rows over Q: D is the lcm of the entries'
+        denominators and N = D * rows; as the entries are reduced,
+        gcd(D, N) = 1."""
+        ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+        d = math.lcm(*[q for row in ratios for _p, q in row])
+        return d, tuple([tuple([p * (d // q) for p, q in row]) for row in ratios])
+
+    @staticmethod
+    def box(pair) -> tuple:
+        """The raw rows over Q of a pair: one reduced Fraction per entry."""
+        d, rows = pair
+        return tuple([tuple([Fraction(e, d) for e in row]) for row in rows])
 
     @staticmethod
     def rmatmul(x, y) -> tuple:
         (dx, nx), (dy, ny) = x, y
-        return _lowest(dx * dy, _int_product(nx, ny))
+        return _lowest(dx * dy, _INTEGERS.rmatmul(nx, ny))
 
     @staticmethod
     def identity(n: int) -> tuple:
@@ -403,7 +428,7 @@ class _QWalk:
     def det_adjugate(rows) -> tuple:
         """``(D, det N, adj N)`` for raw rows M over Q and their integer rows
         N = D M: det M = det N / D^n and adj M = adj N / D^(n-1)."""
-        d, ints = _cleared(rows)
+        d, ints = _QWalk.lift(rows)
         return (d, *_det_adjugate(_INTEGERS, ints))
 
     @staticmethod
@@ -444,20 +469,18 @@ class _QWalk:
     def box_scalar(c):
         return Fraction(*c)
 
-
-def _coefficients(ring: RingDescriptor, rows) -> list:
-    """Berkowitz's [1, c_1, ..., c_n] of M; over Q taken on the integer rows
-    N = D M of :func:`_cleared`, with c_k(M) = c_k(N) / D^k."""
-    if not isinstance(ring, Rationals):
-        return _berkowitz(ring, rows)
-    d, ints = _cleared(rows)
-    return [Fraction(c, d ** k) for k, c in enumerate(_berkowitz(_INTEGERS, ints))]
+    @staticmethod
+    def coefficients(rows) -> list:
+        """Berkowitz's [1, c_1, ..., c_n] of M, taken on the integer rows:
+        c_k(M) = c_k(N) / D^k."""
+        d, ints = _QWalk.lift(rows)
+        return [Fraction(c, d ** k) for k, c in enumerate(_berkowitz(_INTEGERS, ints))]
 
 
 def _det(ring: RingDescriptor, rows):
     if len(rows) <= 2:
         return _det_adjugate(ring, rows)[0]
-    return _det_from(ring, _coefficients(ring, rows))
+    return _det_from(ring, _walk_ring(ring).coefficients(rows))
 
 
 def det(m: SquareMatrix) -> Scalar:
@@ -468,7 +491,7 @@ def charpoly(m: SquareMatrix) -> tuple:
     """``(chi_1, ..., chi_n)``, the signed elementary symmetric functions of
     the eigenvalues: chi_i = (-1)^i c_i, so chi_1 = trace and chi_n = det."""
     ring = m.ring
-    coeffs = _coefficients(ring, m.rows)
+    coeffs = _walk_ring(ring).coefficients(m.rows)
     return tuple(Scalar(ring, ring.rneg(c) if i % 2 else c) for i, c in enumerate(coeffs) if i)
 
 

@@ -12,18 +12,11 @@ the fused dot product ``rdot``, the matrix product ``rmatmul`` and the draw
 ``rrandom``.  ``rdot`` takes one reduction mod p per dot product over F_p,
 one :class:`~fractions.Fraction` (one reduction) per dot product over Q, and
 over ``base[sqrt(d)]`` a combination of the base ring's ``rdot``.
-``rmatmul`` is the one product kernel of every matrix in :mod:`wordmap`: over
-F_p one reduction per entry written inline; elsewhere one ``rdot`` per entry,
-except over Q from 3 x 3 up.
-
-Over Q there is one integer product kernel, :func:`_int_product`: a
-matrix M is the pair ``(D, N)`` of the lcm D of its denominators and the
-integer rows N = D M (:func:`_cleared`), a product multiplies the integer
-rows, :func:`_lowest` divides a pair by its gcd so that it stays canonical,
-and :func:`_boxed` turns a pair back into reduced Fractions.
-``Rationals.rmatmul`` from 3 x 3 up is one product of the kernel, lifted and
-boxed; a word walk over Q keeps its pairs from the first letter to the value
-(the walk ring that :func:`wordmap.matrices._walk_ring` picks).
+``rmatmul`` is the product kernel of raw rows: over F_p one reduction per
+entry written inline; elsewhere one ``rdot`` per entry.  This module knows
+scalars and per-ring products only, and no matrix format: Q's integer rows
+over one denominator belong to the walk ring that
+:func:`wordmap.matrices._walk_ring` picks.
 
 The matrix kernel works on raw values only, and scalar literals are read to
 raw values by :func:`_parse_raw` (a plain integer by one ``int()``), which
@@ -48,7 +41,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from itertools import chain
 from operator import mul
 
 from .errors import NotInvertible, RingMismatch, RingLacksRoots, WordmapError
@@ -135,7 +127,7 @@ class Rationals(RingDescriptor):
         # one Fraction built (and reduced) per dot product of up to 16 terms;
         # its denominator is the product of all the terms' denominators, so a
         # longer dot (the jet sums of a long word) adds up 8-term Fractions.
-        # Matrix products from 3 x 3 up run on integer rows instead (rmatmul)
+        # A word walk multiplies integer rows instead (matrices._QWalk)
         if len(xs) > 16:
             return sum(
                 [self.rdot(xs[i:i + 8], ys[i:i + 8]) for i in range(0, len(xs), 8)],
@@ -148,16 +140,6 @@ class Rationals(RingDescriptor):
             den *= d
         return Fraction(num, den)
 
-    def rmatmul(self, x, y):
-        # from 3 x 3 up, on the integer kernel of the Q walk ring: lift each
-        # operand to its pair (see _cleared), multiply, box; each Fraction
-        # reduces itself, so no gcd step.  On a lone 2 x 2 product the
-        # lifting costs more than it saves: four rdots
-        if len(x) == 2:
-            return super().rmatmul(x, y)
-        (dx, nx), (dy, ny) = _cleared(x), _cleared(y)
-        return _boxed((dx * dy, _int_product(nx, ny)))
-
     def is_zero_raw(self, x):
         return x == 0
 
@@ -166,37 +148,6 @@ class Rationals(RingDescriptor):
 
     def __str__(self):
         return "Q"
-
-
-def _cleared(rows) -> tuple:
-    """``(D, N)`` for raw rows over Q: D is the lcm of the entries'
-    denominators and N = D * rows, a tuple of integer row tuples.  As the
-    entries are reduced, gcd(D, N) = 1: this is the pair of
-    :class:`~wordmap.matrices._QWalk`."""
-    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
-    d = math.lcm(*[q for row in ratios for _p, q in row])
-    return d, tuple([tuple([p * (d // q) for p, q in row]) for row in ratios])
-
-
-def _int_product(x, y) -> tuple:
-    """The product of two matrices of integer row tuples."""
-    cols = tuple(zip(*y))
-    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in x])
-
-
-def _boxed(pair) -> tuple:
-    """The raw rows over Q of a pair ``(D, N)``: one reduced Fraction per entry."""
-    d, rows = pair
-    return tuple([tuple([Fraction(e, d) for e in row]) for row in rows])
-
-
-def _lowest(d: int, rows: tuple) -> tuple:
-    """The pair ``(D, N)`` for the matrix rows / d, d > 0: d and the integer
-    rows divided by the gcd of them all."""
-    g = math.gcd(d, *chain.from_iterable(rows))
-    if g == 1:
-        return d, rows
-    return d // g, tuple([tuple([e // g for e in row]) for row in rows])
 
 
 @dataclass(frozen=True)

@@ -304,6 +304,27 @@ def test_a_tuple_and_its_constants_share_size_and_ring(case):
         eval_group(w.with_binding(binding), tup)
 
 
+def test_an_unused_binding_entry_is_ignored(monkeypatch):
+    # the word uses s1 over Q only; s2, a 3x3 matrix over F_13, is neither
+    # checked nor lifted to the walk ring nor reduced mod p
+    s1 = matrix_from_json(Q, [["2", "1"], ["1", "1"]])
+    s2 = matrix_from_json(F13, [[1, 2, 3], [0, 1, 4], [0, 0, 1]])
+    w = parse("[x,s1] x^-2 s1^-1")
+    used, both = w.with_binding({"s1": s1}), w.with_binding({"s1": s1, "s2": s2})
+    point = [matrix_from_json(Q, [["1", "1/2"], ["2", "2"]])]
+    read = []
+    lift, reduced = matrices._QWalk.lift, evaluate._reduced
+    monkeypatch.setattr(matrices._QWalk, "lift",
+                        staticmethod(lambda rows: read.append(rows) or lift(rows)))
+    monkeypatch.setattr(evaluate, "_reduced",
+                        lambda m, field, phi: read.append(m.rows) or reduced(m, field, phi))
+    assert eval_group(both, point) == eval_group(used, point)
+    assert check_restriction_identities(both, point) == check_restriction_identities(used, point)
+    assert check_restriction_identities(both, point).holds
+    assert dominance_probe(both, point) == dominance_probe(used, point) == 3
+    assert s1.rows in read and s2.rows not in read
+
+
 def test_jet_sweep_checks_the_size_before_inverting():
     # a 3x3 tuple is refused for its size, before its singular inverted
     # generator is met
@@ -552,7 +573,7 @@ def dual_jet_sweep(w, point):
     """The dual-number jet sweep that ``jet_sweep`` replaced, kept as an
     oracle: one evaluation of the word over dual numbers per direction,
     g_i -> (I + eps X) g_i, with the binding lifted too."""
-    _n, ring, _inverted = _check_tuple(w, point)
+    _n, ring, _inverted, _names = _check_tuple(w, point)
     dual = DualNumbers(ring)
     wl = w.with_binding({k: lift_matrix(v, dual) for k, v in w.binding.items()})
     (value,), derivs = _jets(lambda _scalars, mats: (eval_group(wl, mats),), ring, [], point)

@@ -26,6 +26,8 @@ from wordmap import (
     parse_ring,
 )
 
+from wordmap.matrices import _QWalk
+
 from jet_oracle import DualNumbers
 
 Q = Rationals()
@@ -312,6 +314,13 @@ def q_product(a, b):
     return [list(row) for row in SquareMatrix._raw(Q, Q.rmatmul(a.rows, b.rows)).entries]
 
 
+def q_walk_product(a, b):
+    """``_QWalk.rmatmul``, the integer product, on the pairs of a and b,
+    boxed, as lists of Scalars."""
+    pair = _QWalk.rmatmul(_QWalk.lift(a.rows), _QWalk.lift(b.rows))
+    return [list(row) for row in SquareMatrix._raw(Q, _QWalk.box(pair)).entries]
+
+
 def named_q_matrices(n):
     """All-integer, pairwise coprime 1/p, singular (a repeated row) and
     zero-row matrices at size n."""
@@ -377,7 +386,8 @@ def test_q_rmatmul_matches_scalar_reference_on_named_matrices(n):
     cases = list(named_q_matrices(n).values())
     for a in cases:
         for b in cases:
-            assert q_product(a, b) == reference_product(a, b)
+            for product in (q_product, q_walk_product):
+                assert product(a, b) == reference_product(a, b)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
