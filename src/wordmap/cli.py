@@ -150,6 +150,13 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--samples", type=int, default=argparse.SUPPRESS)
     shared.add_argument("--output", choices=("json", "text"), default=argparse.SUPPRESS)
 
+    word = argparse.ArgumentParser(add_help=False)
+    word.add_argument("--word", required=True)
+    at = argparse.ArgumentParser(add_help=False)
+    at.add_argument("--at", nargs="+", required=True, metavar="MATRIX")
+    sigma = argparse.ArgumentParser(add_help=False)
+    sigma.add_argument("--sigma", help="JSON binding file for constant symbols")
+
     top = argparse.ArgumentParser(
         prog="wordmap",
         description="Exact word-map probes and certificates on SL2/SLn.",
@@ -157,59 +164,54 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[shared], **kw)
+    def add_parser(name, run, parents=(), **kw):
+        """A subcommand whose handler is ``run(args, ring, rng)``."""
+        p = sub.add_parser(name, parents=[shared, *parents], **kw)
+        p.set_defaults(run=run)
+        return p
 
-    p = add_parser("eval", help="evaluate a word at a matrix tuple")
-    p.add_argument("--word", required=True)
-    p.add_argument("--at", nargs="+", required=True, metavar="MATRIX")
-    p.add_argument("--sigma", help="JSON binding file for constant symbols")
+    add_parser("eval", _cmd_eval, (word, at, sigma), help="evaluate a word at a matrix tuple")
 
-    p = add_parser("extend", help="adjugate extension + restriction identity")
-    p.add_argument("--word", required=True)
-    p.add_argument("--at", nargs="+", required=True, metavar="MATRIX")
-    p.add_argument("--sigma")
+    add_parser("extend", _cmd_extend, (word, at, sigma),
+               help="adjugate extension + restriction identity")
 
-    p = add_parser("chi-probe", help="sample a charpoly coefficient of the word value")
-    p.add_argument("--word", required=True)
+    p = add_parser("chi-probe", _cmd_chi_probe, (word,),
+                   help="sample a charpoly coefficient of the word value")
     p.add_argument("--index", type=int, default=1)
 
-    p = add_parser("dominance", help="jet-Jacobian rank of the word map at a point")
-    p.add_argument("--word", required=True)
+    p = add_parser("dominance", _cmd_dominance, (word, sigma),
+                   help="jet-Jacobian rank of the word map at a point")
     p.add_argument("--at", nargs="+", metavar="MATRIX", default=None)
-    p.add_argument("--sigma")
 
-    p = add_parser("preimage", help="commutator with prescribed trace")
+    p = add_parser("preimage", _cmd_preimage, help="commutator with prescribed trace")
     p.add_argument("--a", required=True)
     p.add_argument("--lam", default="2")
     p.add_argument("--beta", default="1")
 
-    p = add_parser("fiber", help="membership in W (word = 1) and T (trace = 2)")
-    p.add_argument("--word", required=True)
-    p.add_argument("--at", nargs="+", required=True, metavar="MATRIX")
-    p.add_argument("--sigma")
+    add_parser("fiber", _cmd_fiber, (word, at, sigma),
+               help="membership in W (word = 1) and T (trace = 2)")
 
-    p = add_parser("dimcert", help="dimension certificate for a catalogued component")
+    p = add_parser("dimcert", _cmd_dimcert, help="dimension certificate for a catalogued component")
     p.add_argument("--example", required=True, choices=COMPONENT_IDS)
     p.add_argument("--p", type=int, default=None, help="Ex4 power (ex4.Tj; default 5)")
     p.add_argument("--j", type=int, default=None,
                    help="Ex2 exponent (ex2.Wj: only 4, the default) or "
-                        "Ex4 root index (ex4.Tj; default 1)")
+                        "Ex4 root index (ex4.Tj; default 1; p must not divide 2j)")
     p.add_argument("--a", default=None, help="trace level (Sa)")
 
-    p = add_parser("sep-witness", help="point with trace 2 but word value != 1")
-    p.add_argument("--word", required=True)
+    add_parser("sep-witness", _cmd_sep_witness, (word,),
+               help="point with trace 2 but word value != 1")
 
-    p = add_parser("relscan", help="short relations of a two-generator matrix group")
+    p = add_parser("relscan", _cmd_relscan, help="short relations of a two-generator matrix group")
     p.add_argument("--at", nargs=2, required=True, metavar="MATRIX")
     p.add_argument("--max-len", type=int, default=8)
 
-    p = add_parser("lemma-check", help="executable checks of the explicit lemmas")
+    p = add_parser("lemma-check", _cmd_lemma_check, help="executable checks of the explicit lemmas")
     p.add_argument("which", choices=("78", "101"))
     p.add_argument("--lam", default="2")
     p.add_argument("--u", default="1")
 
-    p = add_parser("roots", help="root-system property-(*) search")
+    p = add_parser("roots", _cmd_roots, help="root-system property-(*) search")
     rsub = p.add_subparsers(dest="roots_command", required=True)
     pc = rsub.add_parser("check", parents=[shared])
     pc.add_argument("system", metavar="TYPERANK", help="e.g. B3, E8")
@@ -335,21 +337,6 @@ def _cmd_roots(args, ring, rng):
     return report, EXIT_OK if not discrepancies else EXIT_PROPERTY_FAILED
 
 
-_COMMANDS = {
-    "eval": _cmd_eval,
-    "extend": _cmd_extend,
-    "chi-probe": _cmd_chi_probe,
-    "dominance": _cmd_dominance,
-    "preimage": _cmd_preimage,
-    "fiber": _cmd_fiber,
-    "dimcert": _cmd_dimcert,
-    "sep-witness": _cmd_sep_witness,
-    "relscan": _cmd_relscan,
-    "lemma-check": _cmd_lemma_check,
-    "roots": _cmd_roots,
-}
-
-
 def main(argv=None) -> int:
     # an exact result may have more digits than Python converts between int
     # and str by default (4300 since 3.10.7), so the limit is lifted for the call
@@ -381,7 +368,7 @@ def _run(argv) -> int:
             raise WordmapError("--samples must be >= 1")
         if samples > _SAMPLES_MAX:
             raise WordmapError(f"--samples {samples} capped at {_SAMPLES_MAX}")
-        report, code = _COMMANDS[args.command](args, ring, rng)
+        report, code = args.run(args, ring, rng)
     except (WordmapError, OSError, ValueError) as exc:
         if isinstance(exc, UnboundConstant) and hasattr(args, "sigma"):
             exc = f"{exc}; --sigma binds it"

@@ -118,7 +118,7 @@ def _walk(w: Word, tup, n, names, walk, inverses):
     lift = walk.lift
     binding = {name: lift(w.binding[name].rows) for name in names}
     acc = _product(walk, w.letters, [lift(m.rows) for m in tup], binding, inverses)
-    return walk.identity(n) if acc is None else acc
+    return walk.lift(_identity_rows(tup[0].ring, n)) if acc is None else acc
 
 
 def _passes(w: Word, tup, keys, walk) -> tuple:
@@ -187,7 +187,7 @@ def check_restriction_identities(w: Word, tup) -> RestrictionCheck:
     extended = _walk(w, tup, n, names, walk, adjugates)
     holds = extended == walk.scaled(_walk(w, tup, n, names, walk, inverses), delta)
     return RestrictionCheck(extended=SquareMatrix._raw(ring, walk.box(extended)),
-                            delta=Scalar(ring, walk.box_scalar(delta)), holds=holds)
+                            delta=Scalar(ring, delta), holds=holds)
 
 
 class ProbeVerdict(Enum):

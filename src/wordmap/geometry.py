@@ -334,6 +334,8 @@ def component(
         zeta = primitive_root_of_unity(ring, p)
         if zeta is None:
             raise RingLacksRoots(f"F_{ring.p} has no primitive {p}-th root of unity")
+        if 2 * j % p == 0:  # zeta^j = +-1: the target +-2 lies off w = 1
+            raise InvalidParams(f"ex4.Tj needs p = {p} not to divide 2j = {2 * j}")
         target = zeta ** j + zeta ** (-j)
     if a is not None:
         target = a

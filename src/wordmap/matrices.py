@@ -29,9 +29,9 @@ denominator as the canonical pair ``(D, N)``, N = D M with D the lcm of M's
 denominators.  Needing no division, Berkowitz runs there on N over a private
 ring of Python ints, :class:`_Integers`, whose ``rmatmul`` is the one integer
 product, and the results are divided by powers of D once: M^-1, adj M and
-det M come from one integer pass ``(D, det N, adj N)``, and no Fraction is
-built before the value is boxed.  Over every other ring the walk ring is
-:class:`_RawWalk`, on raw rows.
+det M come from one integer pass ``(D, det N, adj N)``, and no Fraction but
+Delta is built before the value is boxed.  Over every other ring the walk
+ring is :class:`_RawWalk`, on raw rows.
 """
 
 from __future__ import annotations
@@ -316,10 +316,12 @@ def _det_adjugate(ring: RingDescriptor, rows) -> tuple:
 # walk rings: the representation a word walk multiplies on (see wordmap.evaluate)
 #
 # A walk ring has ``lift`` (raw rows to a walk value), ``box`` (back),
-# ``identity(n)``, ``rmatmul``, ``det_adjugate`` (raw rows to an opaque pass),
-# ``adjugate(pass)``, ``inverse(pass)``, ``delta`` (prod det^b over pairs of a
-# pass and b, as a walk scalar), ``scaled(value, c)``, ``box_scalar`` and
+# ``rmatmul``, ``det_adjugate`` (raw rows to an opaque pass), ``adjugate(pass)``,
+# ``inverse(pass)``, ``delta`` (prod det^b over pairs of a pass and b, as a raw
+# scalar of the ring), ``scaled(value, c)`` for a raw scalar c and
 # ``coefficients`` (raw rows to Berkowitz's list, as raw values of the ring).
+# It holds only the representation: the identity is the lift of the raw
+# identity rows.
 
 
 def _walk_ring(ring: RingDescriptor):
@@ -328,8 +330,8 @@ def _walk_ring(ring: RingDescriptor):
 
 
 class _RawWalk:
-    """The walk ring on raw rows: a value is the rows, a pass is
-    ``(det M, adj M)`` from :func:`_det_adjugate` and a scalar is raw."""
+    """The walk ring on raw rows: a value is the rows and a pass is
+    ``(det M, adj M)`` from :func:`_det_adjugate`."""
 
     def __init__(self, ring: RingDescriptor):
         self.ring = ring
@@ -339,10 +341,7 @@ class _RawWalk:
     def lift(value):
         return value
 
-    box = box_scalar = lift
-
-    def identity(self, n: int) -> tuple:
-        return _identity_rows(self.ring, n)
+    box = lift
 
     def det_adjugate(self, rows) -> tuple:
         return _det_adjugate(self.ring, rows)
@@ -396,8 +395,8 @@ class _QWalk:
     builds one reduced Fraction per entry, once per walk.  ``det_adjugate``
     is one pass on the integer rows, ``(D, det N, adj N)``, from which the
     inverse, the adjugate and the determinant of M come with no Fraction
-    built; a scalar, such as Delta, is a pair ``(num, den)`` of ints with
-    den > 0.
+    built; a scalar, such as Delta, is a Fraction, and the only one built
+    before the value is boxed.
     """
 
     @staticmethod
@@ -419,10 +418,6 @@ class _QWalk:
     def rmatmul(x, y) -> tuple:
         (dx, nx), (dy, ny) = x, y
         return _lowest(dx * dy, _INTEGERS.rmatmul(nx, ny))
-
-    @staticmethod
-    def identity(n: int) -> tuple:
-        return 1, _identity_rows(_INTEGERS, n)
 
     @staticmethod
     def det_adjugate(rows) -> tuple:
@@ -449,7 +444,7 @@ class _QWalk:
         return _lowest(det_n, tuple([tuple([d * e for e in row]) for row in adj_n]))
 
     @staticmethod
-    def delta(factors) -> tuple:
+    def delta(factors) -> Fraction:
         """prod det(M)^b over ``factors``, pairs of a pass of ``det_adjugate``
         and b; det M = det N / D^n is put in lowest terms before the power."""
         num = den = 1
@@ -457,17 +452,13 @@ class _QWalk:
             d_n = d ** len(adj_n)
             g = math.gcd(det_n, d_n)
             num, den = num * (det_n // g) ** b, den * (d_n // g) ** b
-        return num, den
+        return Fraction(num, den)
 
     @staticmethod
-    def scaled(pair, c) -> tuple:
-        """c M for a scalar c = (num, den)."""
-        (num, den), (d, rows) = c, pair
+    def scaled(pair, c: Fraction) -> tuple:
+        """c M for a scalar c."""
+        (num, den), (d, rows) = c.as_integer_ratio(), pair
         return _lowest(den * d, tuple([tuple([num * e for e in row]) for row in rows]))
-
-    @staticmethod
-    def box_scalar(c):
-        return Fraction(*c)
 
     @staticmethod
     def coefficients(rows) -> list:

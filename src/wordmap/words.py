@@ -101,9 +101,6 @@ class Word:
     def r(self) -> int:
         return _constants_written_out(self.letters)
 
-    def constant_names(self):
-        return sorted(c for c in _masses(self.letters) if type(c) is str)
-
     def with_binding(self, binding: dict) -> Word:
         """This word with ``binding``, keyed by constant tokens such as s1; a
         generator such as y or x1 is refused, not kept."""

@@ -533,10 +533,10 @@ def test_property_failure_exit_code(capsys):
 
 def test_an_internal_key_error_is_not_reported_as_bad_input(monkeypatch):
     # exit 2 is for bad input; a KeyError from inside a command is a bug
-    def broken(args, ring, rng):
+    def broken(w, tup):
         raise KeyError("internal")
 
-    monkeypatch.setitem(cli._COMMANDS, "eval", broken)
+    monkeypatch.setattr(cli, "eval_group", broken)
     with pytest.raises(KeyError, match="internal"):
         main(["--ring", "Fp:101", "eval", "--word", "x", "--at", G2])
 
@@ -573,6 +573,15 @@ def test_help_and_usage_errors_leave_the_next_call_alone(capsys, interruption, c
     assert main(interruption) == code
     capsys.readouterr()
     assert run(capsys, argv) == before
+
+
+@pytest.mark.parametrize("command", [
+    "eval", "extend", "chi-probe", "dominance", "preimage", "fiber", "dimcert", "sep-witness",
+    "relscan", "lemma-check", "roots", "roots check", "roots table",
+])
+def test_every_subcommand_has_help(capsys, command):
+    assert main([*command.split(), "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: wordmap {command}")
 
 
 def test_subcommand_ring_wins_over_top_level_ring(capsys):

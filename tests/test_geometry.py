@@ -278,6 +278,22 @@ def test_component_needs_roots():
         component("ex4.Tj", Q)  # needs a prime field
 
 
+@pytest.mark.parametrize("p,j", [(5, 0), (5, 5), (5, 10), (4, 2), (2, 1), (1, 1)])
+def test_ex4_refuses_p_dividing_2j(p, j):
+    # zeta_p^j = +-1 there, so the trace target +-2 puts the witness off w = 1
+    with pytest.raises(InvalidParams, match="not to divide 2j"):
+        component("ex4.Tj", F101, p=p, j=j)
+
+
+@pytest.mark.parametrize("ring,p,j", [
+    (F101, 5, 1), (F101, 5, 2), (F101, 5, 3), (F101, 5, 4), (F101, 4, 1), (F101, 4, 3),
+    (F101, 10, 3), (PrimeField(11), 5, 1),
+])
+def test_ex4_witness_lies_on_w_equal_1(ring, p, j):
+    comp = component("ex4.Tj", ring, p=p, j=j)
+    assert eval_group(comp.word, list(comp.witness())) == SquareMatrix.identity(ring, 2)
+
+
 @pytest.mark.parametrize(
     "cid,params",
     [

@@ -13,6 +13,7 @@ import pytest
 
 from wordmap import (
     NotInvertible,
+    PrimeField,
     Rationals,
     check_restriction_identities,
     eval_adjugate_extension,
@@ -20,7 +21,7 @@ from wordmap import (
     matrix_from_json,
     parse,
 )
-from wordmap.matrices import _QWalk
+from wordmap.matrices import _QWalk, _RawWalk
 from wordmap.words import ConstLetter, Power
 
 Q = Rationals()
@@ -231,3 +232,12 @@ def test_a_q_walk_builds_fractions_only_to_box_its_value(monkeypatch):
         built.clear()
         f(w, tup)
         assert len(built) == boxed, f.__name__
+
+
+def test_walk_rings_carry_only_their_representation():
+    # the identity is the lift of the raw identity rows, and a scalar is raw
+    names = {"lift", "box", "rmatmul", "det_adjugate", "adjugate", "inverse", "delta", "scaled",
+             "coefficients"}
+    assert {a for a in dir(_QWalk) if not a.startswith("_")} == names
+    assert {a for a in dir(_RawWalk(PrimeField(101))) if not a.startswith("_")} - {"ring"} == names
+    assert type(_QWalk.delta([])) is Fraction
