@@ -24,6 +24,7 @@ from .evaluate import (
     eval_group,
 )
 from .geometry import (
+    _SCAN_MAX,
     COMPONENT_IDS,
     component,
     dimension_certificate,
@@ -204,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("relscan", _cmd_relscan, help="short relations of a two-generator matrix group")
     p.add_argument("--at", nargs=2, required=True, metavar="MATRIX")
-    p.add_argument("--max-len", type=int, default=8)
+    p.add_argument("--max-len", type=int, default=8, help=f"1 to {_SCAN_MAX}, default %(default)s")
 
     p = add_parser("lemma-check", _cmd_lemma_check, help="executable checks of the explicit lemmas")
     p.add_argument("which", choices=("78", "101"))

@@ -494,10 +494,26 @@ class RelationScanResult:
     relations: tuple  # of canonical texts; parse(text) is the Word
 
 
-_SCAN_MAX = 12
+_SCAN_MAX = 12  # every exponent of a scanned word fits _code's byte
 
-# the letters x, x^-1, y, y^-1 as (generator, exponent); letter c's inverse is c ^ 1
-_LETTERS = ((1, 1), (1, -1), (2, 1), (2, -1))
+
+def _code(g: int, e: int) -> int:
+    """The byte of the syllable (g, e) of the scan, for |e| <= 15: its
+    generator is the byte >> 5, and the byte increases with (g, e), so a
+    word's syllables are one bytes string, and bytes compare as the syllable
+    tuples do."""
+    return 32 * g + e + 16
+
+
+_BYTE = [bytes((code,)) for code in range(256)]
+# _CODE_TEXT[code] is render's text of the syllable, from its table
+_CODE_TEXT = [_SYLLABLE_TEXT.get((code >> 5, (code & 31) - 16)) for code in range(256)]
+
+# the letters x, x^-1, y, y^-1, c = 0..3, as (its syllable, its inverse's
+# syllable, its exponent); letter c's inverse is c ^ 1
+_LETTERS = tuple(
+    (_BYTE[_code(g, e)], _BYTE[_code(g, -e)], e) for g, e in ((1, 1), (1, -1), (2, 1), (2, -1))
+)
 
 
 def relation_scan(pair, max_len: int) -> RelationScanResult:
@@ -512,9 +528,10 @@ def relation_scan(pair, max_len: int) -> RelationScanResult:
     level, and each level is indexed by its matrices' raw rows, so every
     relation is one dict hit.  The scan takes about ``2 * 3^ceil(max_len/2)``
     matrix products, plus the size of the output, which dominates for a
-    dense finite group; each relation is written as text straight from its
-    sorted syllables, from ``render``'s table of syllable texts, which
-    covers every exponent up to ``_SCAN_MAX``.
+    dense finite group.  Each word's syllables are a bytes string, one byte
+    per syllable, so a relation is joined, sorted and written as text from
+    ``render``'s table of syllable texts without a tuple per syllable; the
+    byte holds exponents up to 15, and the cap ``_SCAN_MAX`` stays within it.
     """
     if max_len > _SCAN_MAX:
         raise InvalidParams(f"max_len capped at {_SCAN_MAX}")
@@ -536,15 +553,19 @@ def relation_scan(pair, max_len: int) -> RelationScanResult:
             index.setdefault(m.rows, []).append((last, inverse))
         tails.append(index)
     found = []
-    text = _SYLLABLE_TEXT.__getitem__
+    text = _CODE_TEXT.__getitem__
     for length in range(1, max_len + 1):
         index = tails[length // 2]
-        hits = [
-            _joined(syllables, inverse)
-            for m, last, syllables, _inverse in levels[(length + 1) // 2]
-            for t_last, inverse in index.get(m.rows, ())
-            if t_last != last
-        ]
+        hits = []
+        for m, last, head, _inverse in levels[(length + 1) // 2]:
+            # t^-1 begins with the inverse of t's last letter, so the facing
+            # syllables lie on one generator, and then have one sign, exactly
+            # when t ends in the inverse of u's last letter
+            for t_last, tail in index.get(m.rows, ()):
+                if t_last == last ^ 1:
+                    hits.append(head[:-1] + _BYTE[head[-1] + (tail[0] & 31) - 16] + tail[1:])
+                elif t_last != last:
+                    hits.append(head + tail)
         hits.sort()
         found += [" ".join(map(text, key)) for key in hits]
     return RelationScanResult(trivial=False, relations=tuple(found))
@@ -552,33 +573,25 @@ def relation_scan(pair, max_len: int) -> RelationScanResult:
 
 def _half_words(gens, ident: SquareMatrix, depth: int) -> list:
     """The reduced words of length 0..depth, by length, as tuples (matrix,
-    last letter, syllables, syllables of the inverse); the empty word's last
-    letter is -1, which no letter's inverse is."""
-    levels = [[(ident, -1, (), ())]]
+    last letter, syllables, syllables of the inverse), the syllables as bytes;
+    the empty word's last letter is -1, which no letter's inverse is.  A
+    letter equal to the last one grows the last syllable, and the first
+    syllable of the inverse, by one byte step."""
+    levels = [[(ident, -1, b"", b"")]]
     for _ in range(depth):
         level = []
         for m, last, syllables, inverse in levels[-1]:
-            for c, (g, e) in enumerate(_LETTERS):
+            for c, (letter, inverse_letter, e) in enumerate(_LETTERS):
                 if c == last ^ 1:
                     continue  # keep the word reduced
-                if syllables and syllables[-1][0] == g:
-                    grown = syllables[:-1] + ((g, syllables[-1][1] + e),)
-                    shrunk = ((g, inverse[0][1] - e),) + inverse[1:]
+                if c == last:
+                    grown = syllables[:-1] + _BYTE[syllables[-1] + e]
+                    shrunk = _BYTE[inverse[0] - e] + inverse[1:]
                 else:
-                    grown, shrunk = syllables + ((g, e),), ((g, -e),) + inverse
+                    grown, shrunk = syllables + letter, inverse_letter + inverse
                 level.append((m * gens[c], c, grown, shrunk))
         levels.append(level)
     return levels
-
-
-def _joined(head: tuple, tail: tuple) -> tuple:
-    """The syllables of the reduced product of a nonempty word and a word,
-    from theirs: the two syllables at the joint merge when they lie on one
-    generator, and then they have one sign."""
-    if tail and head[-1][0] == tail[0][0]:
-        g, e = head[-1]
-        return head[:-1] + ((g, e + tail[0][1]),) + tail[1:]
-    return head + tail
 
 
 # ---------------------------------------------------------------------------

@@ -196,7 +196,14 @@ class PrimeField(RingDescriptor):
         return x == 0
 
     def rrandom(self, rng):
-        return rng.randrange(self.p)
+        # randrange(p)'s own rejection loop, without its argument checks: the
+        # same values, and the generator left in the same state
+        p = self.p
+        k = p.bit_length()
+        r = rng.getrandbits(k)
+        while r >= p:
+            r = rng.getrandbits(k)
+        return r
 
     def __str__(self):
         return f"Fp:{self.p}"

@@ -12,7 +12,7 @@ from jsonschema import validate
 import test_golden_cli as golden
 from wordmap import cli
 from wordmap.cli import main
-from wordmap.geometry import COMPONENT_IDS
+from wordmap.geometry import _SCAN_MAX, COMPONENT_IDS
 
 G1 = '[["2","0"],["0","51"]]'
 G2 = '[["1","1"],["0","1"]]'
@@ -289,6 +289,11 @@ def test_relscan_max_len_below_one_is_a_usage_error(capsys, max_len):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "max_len must be >= 1" in captured.err
+
+
+def test_relscan_max_len_help_names_the_cap(capsys):
+    assert main(["relscan", "--help"]) == 0
+    assert f"1 to {_SCAN_MAX}, default 8" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("at,sizes", [

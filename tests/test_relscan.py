@@ -5,6 +5,8 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordmap import (
     PrimeField,
@@ -18,6 +20,8 @@ from wordmap import (
     relation_scan,
     render,
 )
+from wordmap.geometry import _CODE_TEXT, _SCAN_MAX, _code
+from wordmap.words import _SYLLABLE_TEXT
 from relscan_oracle import dfs_relations
 
 Q = Rationals()
@@ -106,10 +110,16 @@ def test_a_free_pair_costs_two_products_per_half_word(monkeypatch):
     assert len(calls) <= 2 * 3**5 + 4
 
 
+# x has order 12: at the cap its relations include x^12 and x^-12, syllables
+# merged where the two half-words meet, at the largest exponent a scan writes
+ORDER_12 = _pair(PrimeField(13), [[2, 0], [0, 7]], [[1, 1], [0, 1]])
+
+
 @pytest.mark.parametrize("pair, max_len", [
     (PAIRS["q8-golden"](), 8),
     (_seeded(7, 0), 6),  # 44 relations, x^-6 among them
-], ids=["q8-f13", "sl2-f7"])
+    (ORDER_12, _SCAN_MAX),
+], ids=["q8-f13", "sl2-f7", "order-12-f13"])
 def test_relation_texts_parse_back_to_relations(pair, max_len):
     # each text is a canonical word that vanishes at the pair, and the texts
     # come by length and, within a length, in the order of their syllables
@@ -124,3 +134,41 @@ def test_relation_texts_parse_back_to_relations(pair, max_len):
         assert 1 <= w.length() <= max_len
         keys.append((w.length(), w.letters))
     assert keys == sorted(set(keys))
+
+
+def test_the_scan_writes_syllables_up_to_its_cap():
+    relations = relation_scan(ORDER_12, _SCAN_MAX).relations
+    assert len(relations) == 9600
+    assert {"x^12", "x^-12"} <= set(relations)
+
+
+def test_every_exponent_up_to_the_cap_fits_the_syllable_byte():
+    # a byte holds |e| <= 15; a larger cap would spill into the generator bits
+    assert _SCAN_MAX <= 15
+    for g in (1, 2):
+        for e in range(-_SCAN_MAX, _SCAN_MAX + 1):
+            if e:
+                code = _code(g, e)
+                assert code >> 5 == g
+                assert _CODE_TEXT[code] == _SYLLABLE_TEXT[g, e] == render(parse(_SYLLABLE_TEXT[g, e]))
+
+
+@st.composite
+def _reduced_syllables(draw):
+    """A reduced word in x and y as its syllables (g, e), |e| <= _SCAN_MAX."""
+    first = draw(st.sampled_from([1, 2]))
+    exponents = draw(st.lists(st.integers(-_SCAN_MAX, _SCAN_MAX).filter(bool), max_size=_SCAN_MAX))
+    return tuple((first if i % 2 == 0 else 3 - first, e) for i, e in enumerate(exponents))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_reduced_syllables(), _reduced_syllables())
+def test_the_byte_key_orders_syllables_as_their_tuples(a, b):
+    # the scan joins, sorts and writes its relations by these keys, so two
+    # words share a key only if they are equal, and keys compare as words do
+    def key(syllables):
+        return bytes(_code(g, e) for g, e in syllables)
+
+    assert (key(a) == key(b)) == (a == b)
+    assert (key(a) < key(b)) == (a < b)
+    assert [_CODE_TEXT[code] for code in key(a)] == [_SYLLABLE_TEXT[s] for s in a]

@@ -71,6 +71,16 @@ def test_rrandom_draws_canonical_raw_values(ring):
         assert type(ring.canon(x)) is type(x)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101, 65537, 1000003, 2**61 - 1, 2**127 - 1])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_prime_field_draws_are_randranges(p, seed):
+    # F_p draws by randrange's rejection loop, so every seeded output over F_p
+    # stays the same on each Python: the same values, the same final state
+    ring, mine, theirs = PrimeField(p), random.Random(seed), random.Random(seed)
+    assert [ring.rrandom(mine) for _ in range(2000)] == [theirs.randrange(p) for _ in range(2000)]
+    assert mine.getstate() == theirs.getstate()
+
+
 def test_field_vs_non_field():
     rng = random.Random(57)
     for ring in (Q, F13, QI):
