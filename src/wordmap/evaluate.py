@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 from .errors import DimensionMismatch, InvalidParams, NotInvertible, UnboundConstant
 from .matrices import (
@@ -29,7 +30,6 @@ from .matrices import (
     _identity_rows,
     _random_sl2_rows,
     _reduced,
-    _rpow,
     _walk_ring,
     det,
     rank,
@@ -38,6 +38,7 @@ from .rings import (
     RingDescriptor,
     Scalar,
     _first_reduction,
+    _rpow,
 )
 from .words import ConstLetter, Power, Word, _masses, exponent_data
 
@@ -90,22 +91,23 @@ def _product(ring, items, gens, binding, inverses):
 
     ``gens`` holds the generators' values and ``binding`` the constants' by
     name; x_g^-1 and an inverted constant take the values ``inverses[g]``
-    and ``inverses[name]``.  A node (core)^k takes the core's value C once and
-    C^k by squaring; for the adjugate extension too, since the substitution
-    is a product of the letters' images.
+    and ``inverses[name]``.  A syllable g^e is ``_rpow`` of its letter and a
+    node (core)^k ``_rpow`` of the core's value, under ``rmatmul``; for the
+    adjugate extension too, since the substitution is a product of the
+    letters' images.
     """
     mul = ring.rmatmul
     acc = None
     for item in items:
         if type(item) is Power:
-            factor = _rpow(ring, _product(ring, item.core, gens, binding, inverses), item.k)
+            factor = _rpow(mul, _product(ring, item.core, gens, binding, inverses), item.k)
         elif type(item) is ConstLetter:
             factor = inverses[item.name] if item.inv else binding[item.name]
         else:
             g, e = item
             factor = gens[g - 1] if e > 0 else inverses[g]
             if abs(e) > 1:
-                factor = _rpow(ring, factor, abs(e))
+                factor = _rpow(mul, factor, abs(e))
         acc = factor if acc is None else mul(acc, factor)
     return acc
 
@@ -292,7 +294,7 @@ def _word_sampler(w: Word, ring: RingDescriptor, rng):
 
 
 def _add2(add, x, y):
-    return tuple(tuple(map(add, rx, ry)) for rx, ry in zip(x, y))
+    return tuple([tuple(map(add, rx, ry)) for rx, ry in zip(x, y)])
 
 
 def _tangent_steps(ring, m, sign) -> list:
@@ -307,26 +309,6 @@ def _tangent_steps(ring, m, sign) -> list:
         return [((c, d), (z, z)), ((z, z), (a, b)), ((a, b), (neg(c), neg(d)))]
     a, b, c, d = neg(a), neg(b), neg(c), neg(d)
     return [((z, a), (z, c)), ((b, z), (d, z)), ((a, neg(b)), (c, neg(d)))]
-
-
-def _power_sums(ring, base, steps, k):
-    """``(B^k, [T(D) for D in steps])`` for a factor B that moves by D.
-
-    T(D) = sum_{j<k} B^j D B^(k-1-j) is the derivative of B^k.  Doubling from
-    the top bit of k, T_2a = T_a B^a + B^a T_a and T_(a+1) = T_a B + B^a D,
-    takes O(log k) products.  A syllable g^e is B = g or g^-1 with the steps
-    of :func:`_tangent_steps`; a node (core)^k is B = C, the core's value,
-    with the core's derivatives as the steps.
-    """
-    mul, add = ring.rmatmul, ring.radd
-    power, sums = base, steps
-    for bit in bin(k)[3:]:
-        sums = [_add2(add, mul(t, power), mul(power, t)) for t in sums]
-        power = mul(power, power)
-        if bit == "1":
-            sums = [_add2(add, mul(t, base), mul(power, d)) for t, d in zip(sums, steps)]
-            power = mul(power, base)
-    return power, sums
 
 
 def _outer_sums(ring, terms) -> list:
@@ -374,37 +356,49 @@ def jet_sweep(w: Word, point):
     ]
 
 
+def _jet_product(mul, add, x, y):
+    """The product of two jets ``(V, {generator index: [dE, dF, dH]})`` by
+    the product rule, d(AB) = dA B + A dB, on raw rows, with the ring's
+    ``rmatmul`` and ``radd``."""
+    (a, da), (b, db) = x, y
+    derivs = {i: [mul(t, b) for t in ts] for i, ts in da.items() if i not in db}
+    for i, ts in db.items():
+        left = da.get(i)
+        derivs[i] = [mul(a, s) for s in ts] if left is None else [
+            _add2(add, mul(t, b), mul(a, s)) for t, s in zip(left, ts)]
+    return mul(a, b), derivs
+
+
 def _factors(ring, items, point, binding, inverses) -> list:
     """The product-rule factors of ``items`` on raw 2x2 rows.
 
     A letter g^(+-1) is ``(value, i, +-1, None)`` for generator index i; a
     syllable g^e with |e| > 2 and a node (core)^k are ``(value, None, 0,
-    sums)`` with ``sums`` the derivatives of the factor by generator index,
-    from :func:`_power_sums`; a constant is ``(value, None, 0, None)``.  A
+    derivs)``, from the jet ``(value, derivs)`` of the factor: ``_rpow`` of
+    the letter's jet, whose derivatives are :func:`_tangent_steps`, or of
+    the core's jet from :func:`_product_rule`, under :func:`_jet_product`,
+    in O(log k) products.  A constant is ``(value, None, 0, None)``.  A
     syllable with |e| = 2 is two letters: two outer terms cost less than
-    T(X) and its sandwich.
+    the jet product and its sandwich.
     """
-    factors = []
+    factors, jet_product = [], partial(_jet_product, ring.rmatmul, ring.radd)
     for item in items:
         if type(item) is ConstLetter:
             sigma = inverses[item.name] if item.inv else binding[item.name].rows
             factors.append((sigma, None, 0, None))
         elif type(item) is Power:
-            core, derivs = _product_rule(ring, _factors(ring, item.core, point, binding, inverses))
-            gens = list(derivs)
-            steps = [d for i in gens for d in derivs[i]]
-            power, sums = _power_sums(ring, core, steps, item.k)
-            by_gen = {i: sums[3 * j:3 * j + 3] for j, i in enumerate(gens)}
-            factors.append((power, None, 0, by_gen))
+            core = _product_rule(ring, _factors(ring, item.core, point, binding, inverses))
+            value, derivs = _rpow(jet_product, core, item.k)
+            factors.append((value, None, 0, derivs))
         else:
             g, e = item
             letter = point[g - 1].rows if e > 0 else inverses[g]
             if abs(e) <= 2:
                 factors += [(letter, g - 1, 1 if e > 0 else -1, None)] * abs(e)
             else:
-                steps = _tangent_steps(ring, letter, e)
-                power, sums = _power_sums(ring, letter, steps, abs(e))
-                factors.append((power, None, 0, {g - 1: sums}))
+                jet = letter, {g - 1: _tangent_steps(ring, letter, e)}
+                value, derivs = _rpow(jet_product, jet, abs(e))
+                factors.append((value, None, 0, derivs))
     return factors
 
 

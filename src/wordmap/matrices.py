@@ -10,7 +10,7 @@ descriptor's ``rmatmul``/``rdot``/``radd``/``rmul``/``rneg``/``rinv``.  Every
 matrix product, here and in :mod:`wordmap.evaluate` and
 :mod:`wordmap.geometry`, is one call of a product kernel ``rmatmul``: the
 ring's on raw rows, or a walk ring's (below); every power is one
-:func:`_rpow`.
+:func:`~wordmap.rings._rpow` under that product.
 :class:`~wordmap.rings.Scalar` objects are built only at the API boundary:
 ``entries``, ``m[i, j]``, ``trace()``, ``det()``, ``charpoly()`` and
 :func:`matrix_to_json`.
@@ -42,7 +42,7 @@ from itertools import chain
 from operator import mul
 
 from .errors import DimensionMismatch, NotInvertible, RingMismatch, WordmapError
-from .rings import Rationals, RingDescriptor, Scalar, _parse_raw, render_scalar
+from .rings import Rationals, RingDescriptor, Scalar, _parse_raw, _rpow, render_scalar
 
 _set = object.__setattr__
 
@@ -161,7 +161,7 @@ class SquareMatrix:
             return self.inverse() ** (-k)
         if k == 0:
             return SquareMatrix.identity(self.ring, self.n)
-        return SquareMatrix._raw(self.ring, _rpow(self.ring, self.rows, k))
+        return SquareMatrix._raw(self.ring, _rpow(self.ring.rmatmul, self.rows, k))
 
     def trace(self) -> Scalar:
         ring = self.ring
@@ -209,20 +209,6 @@ def _scaled_rows(ring: RingDescriptor, rows: tuple, c) -> tuple:
     """c M on raw rows, for a raw scalar c."""
     mul = ring.rmul
     return tuple(tuple([mul(c, e) for e in row]) for row in rows)
-
-
-def _rpow(ring: RingDescriptor, rows: tuple, k: int) -> tuple:
-    """rows^k for k >= 1, by repeated squaring from the base itself: k = 1
-    costs no product."""
-    mul = ring.rmatmul
-    result = None
-    while True:
-        if k & 1:
-            result = rows if result is None else mul(result, rows)
-        k >>= 1
-        if not k:
-            return result
-        rows = mul(rows, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +346,12 @@ class _RawWalk:
         return self.scaled(adj, dinv)
 
     def delta(self, factors):
-        """prod det(M)^b over ``factors``, pairs of a pass and b."""
-        acc = self.ring.one
+        """prod det(M)^b over ``factors``, pairs of a pass and b >= 1."""
+        mul = self.ring.rmul
+        acc = self.ring.raw_from_int(1)
         for (d, _adj), b in factors:
-            acc = acc * Scalar(self.ring, d) ** b
-        return acc.value
+            acc = mul(acc, _rpow(mul, d, b))
+        return acc
 
     def scaled(self, rows, c) -> tuple:
         return _scaled_rows(self.ring, rows, c)

@@ -13,10 +13,11 @@ the fused dot product ``rdot``, the matrix product ``rmatmul`` and the draw
 one :class:`~fractions.Fraction` (one reduction) per dot product over Q, and
 over ``base[sqrt(d)]`` a combination of the base ring's ``rdot``.
 ``rmatmul`` is the product kernel of raw rows: over F_p one reduction per
-entry written inline; elsewhere one ``rdot`` per entry.  This module knows
-scalars and per-ring products only, and no matrix format: Q's integer rows
-over one denominator belong to the walk ring that
-:func:`wordmap.matrices._walk_ring` picks.
+entry written inline; elsewhere one ``rdot`` per entry.  Every power, of a
+scalar, of matrix rows, of a walk value or of a jet, is one :func:`_rpow`
+under the product that fits.  This module knows scalars and per-ring
+products only, and no matrix format: Q's integer rows over one denominator
+belong to the walk ring that :func:`wordmap.matrices._walk_ring` picks.
 
 The matrix kernel works on raw values only, and scalar literals are read to
 raw values by :func:`_parse_raw` (a plain integer by one ``int()``), which
@@ -288,6 +289,21 @@ class QuadraticExt(RingDescriptor):
         return f"{self.base}[{self.symbol}]"
 
 
+def _rpow(mul, x, k: int):
+    """x^k for k >= 1 under the product ``mul``, by repeated squaring from x
+    itself: k = 1 costs no product.  The one square-and-multiply over ring
+    values: ``mul`` is ``rmul`` on raw scalars, an ``rmatmul`` on raw rows or
+    walk values, or the product rule on jets (:mod:`wordmap.evaluate`)."""
+    result = None
+    while True:
+        if k & 1:
+            result = x if result is None else mul(result, x)
+        k >>= 1
+        if not k:
+            return result
+        x = mul(x, x)
+
+
 @dataclass(frozen=True)
 class Scalar:
     ring: RingDescriptor
@@ -343,16 +359,10 @@ class Scalar:
         return o * self.inv()
 
     def __pow__(self, k: int):
+        ring, x = self.ring, self.value
         if k < 0:
-            return self.inv() ** (-k)
-        result = self.ring.one
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+            x, k = ring.rinv(x), -k
+        return Scalar(ring, _rpow(ring.rmul, x, k) if k else ring.raw_from_int(1))
 
     def inv(self) -> "Scalar":
         return Scalar(self.ring, self.ring.rinv(self.value))

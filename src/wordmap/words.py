@@ -321,7 +321,10 @@ def word(pairs) -> Word:
 # ---------------------------------------------------------------------------
 # parser
 
-_TOKEN_RE = re.compile(r"\s*(?:(\[)|(\])|(\()|(\))|(,)|(\^)|(-?\d+)|([A-Za-z_][A-Za-z0-9_]*))")
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<lbrack>\[)|(?P<rbrack>\])|(?P<lparen>\()|(?P<rparen>\))|(?P<comma>,)"
+    r"|(?P<caret>\^)|(?P<int>-?\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*))"
+)
 
 _VAR_MAP = {"x": 1, "y": 2, "z": 3}
 
@@ -344,18 +347,12 @@ def _tokenize(text: str):
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
+        if m is None:
             if text[pos:].strip():
                 raise WordSyntaxError(f"unexpected character {text[pos]!r}", pos)
             break
-        groups = m.groups()
-        for kind, val in zip(
-            ("lbrack", "rbrack", "lparen", "rparen", "comma", "caret", "int", "ident"),
-            groups,
-        ):
-            if val is not None:
-                tokens.append((kind, val, m.start()))
-                break
+        kind = m.lastgroup
+        tokens.append((kind, m[kind], pos))
         pos = m.end()
     tokens.append(("eof", "", len(text)))
     return tokens

@@ -287,6 +287,75 @@ def test_quadratic_entries_are_pairs():
 
 
 # ---------------------------------------------------------------------------
+# powers: every power of a scalar or a matrix is one square-and-multiply,
+# checked here against products taken one factor at a time
+
+POWER_RINGS = [
+    PrimeField(101), Q, parse_ring("Q[i]"), parse_ring("Q[sqrt(2)]"), parse_ring("Fp:7[i]"),
+]
+
+
+def repeated_products(one, base, count):
+    """``[base^0, base^1, ..., base^count]``, each the last times ``base``."""
+    powers = [one]
+    for _ in range(count):
+        powers.append(powers[-1] * base)
+    return powers
+
+
+def power_scalars():
+    return st.sampled_from(POWER_RINGS).flatmap(lambda ring: raw_values(ring).map(ring.scalar))
+
+
+def power_matrices():
+    rings_and_sizes = st.tuples(st.sampled_from(POWER_RINGS), st.sampled_from([2, 3]))
+    return rings_and_sizes.flatmap(lambda rn: matrices(*rn))
+
+
+@deterministic
+@given(power_scalars())
+def test_scalar_powers_are_repeated_products(s):
+    assert [s ** k for k in range(41)] == repeated_products(s.ring.one, s, 40)
+    if s.is_zero():
+        for k in range(-6, 0):
+            with pytest.raises(NotInvertible):
+                s ** k
+    else:
+        assert [s ** -k for k in range(7)] == repeated_products(s.ring.one, s.inv(), 6)
+
+
+@deterministic
+@given(power_matrices())
+def test_matrix_powers_are_repeated_products(m):
+    identity = SquareMatrix.identity(m.ring, m.n)
+    assert [m ** k for k in range(41)] == repeated_products(identity, m, 40)
+    if det(m).is_invertible():
+        assert [m ** -k for k in range(7)] == repeated_products(identity, m.inverse(), 6)
+    else:
+        for k in range(-6, 0):
+            with pytest.raises(NotInvertible):
+                m ** k
+
+
+@pytest.mark.parametrize("ring", POWER_RINGS, ids=str)
+def test_zeroth_powers_of_non_units_are_one_and_negative_powers_raise(ring):
+    singular = [
+        SquareMatrix.from_rows(ring, [[1, 2], [2, 4]]),
+        SquareMatrix.from_rows(ring, [[1, 2, 3], [0, 1, 1], [2, 4, 6]]),
+    ]
+    zeros = [SquareMatrix.zero(ring, 2), SquareMatrix.zero(ring, 3)]
+    assert ring.zero ** 0 == ring.one
+    for m in singular + zeros:
+        assert m ** 0 == SquareMatrix.identity(ring, m.n)
+    for k in range(-6, 0):
+        with pytest.raises(NotInvertible):
+            ring.zero ** k
+        for m in singular + zeros:
+            with pytest.raises(NotInvertible):
+                m ** k
+
+
+# ---------------------------------------------------------------------------
 # the Q kernel against Fraction oracles.  Over Q a product from 3 x 3 up
 # clears each operand's denominators to their lcm, and det, adjugate and
 # charpoly run on the cleared integer rows; the strategies above cap
