@@ -216,6 +216,11 @@ CASES = [
      "--at", '[["1/2","3"],["-2/3","5/7"]]', '[["2/3","-1/5"],["7/4","-3/2"]]'],
     ["--ring", "Q", "eval", "--word", "x^1000001",
      "--at", '[["1/1001","-1002002/1002001"],["1","-1/1001"]]'],
+    # dimcert over quadratic rings: the I atom over an adjoined i, a finite
+    # Fp[sqrt(d)], and the T atom over Q[sqrt(-3)] on the mod-p path
+    ["--ring", "Fp:7[i]", "dimcert", "--example", "ex3.W1"],
+    ["--ring", "Fp:13[sqrt(2)]", "dimcert", "--example", "ex5.T1"],
+    ["--ring", "Q[sqrt(-3)]", "dimcert", "--example", "Sa", "--a", "7"],
 ]
 
 
