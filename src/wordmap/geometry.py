@@ -5,7 +5,7 @@ certificates, and relation scanning."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial, reduce
+from functools import reduce
 
 from .errors import (
     DegenerateLambda,
@@ -22,7 +22,7 @@ from .rings import (
     primitive_root_of_unity,
     sqrt_in_ring,
 )
-from .evaluate import _add2, _tangent_steps, eval_group, jet_sweep
+from .evaluate import _product_rule, _tangent_steps, eval_group, jet_sweep
 from .words import _SYLLABLE_TEXT, Word, parse
 
 
@@ -38,12 +38,6 @@ def diag(lam: Scalar) -> SquareMatrix:
 def upper_unitriangular(u: Scalar) -> SquareMatrix:
     ring = u.ring
     return SquareMatrix.from_rows(ring, [[ring.one, u], [ring.zero, ring.one]])
-
-
-def off_diagonal(mu: Scalar) -> SquareMatrix:
-    """[[0, mu], [-1/mu, 0]]; the Q8-type generator."""
-    ring = mu.ring
-    return SquareMatrix.from_rows(ring, [[ring.zero, mu], [-mu.inv(), ring.zero]])
 
 
 def weyl_rep(ring: RingDescriptor) -> SquareMatrix:
@@ -173,53 +167,57 @@ class ComponentInstance:
     i_scalar: Scalar | None
 
     def family(self, scalars, mats) -> tuple:
-        """The catalogued pair at the given parameters: g A g^-1 and g B g^-1, or h."""
-        g = mats[0]
-        g_inv = g.inverse()
-        x = g * self._factor(self.first, scalars, g.ring) * g_inv
-        if self.second is None:
-            return x, mats[1]
-        return x, g * self._factor(self.second, scalars, g.ring) * g_inv
+        """The catalogued pair at the given parameters: g A g^-1 and g B g^-1,
+        or h, on raw rows over the ring of ``mats``."""
+        ring = mats[0].ring
+        mul = ring.rmatmul
+        g, g_inv = mats[0].rows, mats[0].inverse().rows
 
-    def _factor(self, atoms, scalars, ring) -> SquareMatrix:
-        return reduce(SquareMatrix.__mul__, [self._atom(a, k, scalars, ring) for a, k in atoms])
+        def conjugated(atoms):
+            a = reduce(mul, [self._atom(atom, k, scalars, ring) for atom, k in atoms])
+            return SquareMatrix._raw(ring, mul(mul(g, a), g_inv))
 
-    def _atom(self, atom, k, scalars, ring) -> SquareMatrix:
-        if atom == "D":
-            return diag(scalars[k])
+        return conjugated(self.first), mats[1] if self.second is None else conjugated(self.second)
+
+    def _atom(self, atom, k, scalars, ring) -> tuple:
+        """The atom's raw rows at the given scalars."""
+        z, one, rinv = ring.raw_from_int(0), ring.raw_from_int(1), ring.rinv
+        if atom in ("D", "I"):
+            s = (scalars[k] if atom == "D" else self.i_scalar).value
+            return (s, z), (z, rinv(s))
         if atom == "U":
-            return upper_unitriangular(scalars[k])
-        if atom == "O":
-            return off_diagonal(scalars[k])
+            return (one, scalars[k].value), (z, one)
+        if atom == "O":  # the Q8-type generator
+            s = scalars[k].value
+            return (z, s), (ring.rneg(rinv(s)), z)
         if atom == "W":
-            return weyl_rep(ring)
-        if atom == "I":
-            return diag(self.i_scalar)
+            return (z, one), (ring.raw_from_int(-1), z)
         lam, b, c = scalars  # T
         p = _t_level(lam, self.target)
-        return SquareMatrix.from_rows(ring, [[c, b], [p / b, (p + 1) / c]])
+        return (c.value, b.value), ((p / b).value, ((p + 1) / c).value)
 
     def _atom_partials(self, atom, k, m) -> dict:
-        """``{j: the derivative of the atom along s_j}`` for each scalar s_j
-        that it reads, at the base scalars; m is the atom's value.  Raw rows."""
+        """``{j: [the derivative of the atom along s_j]}`` for each scalar s_j
+        that it reads, at the base scalars; m is the atom's value.  Raw rows,
+        as the sums of a :func:`wordmap.evaluate._product_rule` factor."""
         ring = self.ring
         if atom in ("W", "I"):  # they read no scalar
             return {}
         if atom != "T":
             e_m, _f_m, h_m = _tangent_steps(ring, m, 1)
             if atom == "U":
-                return {k: e_m}
+                return {k: [e_m]}
             c = ring.rinv(self.scalars[k].value)  # D<k> and O<k>: s_k^-1 H m
-            return {k: tuple(tuple(ring.rmul(c, e) for e in row) for row in h_m)}
+            return {k: [tuple(tuple(ring.rmul(c, e) for e in row) for row in h_m)]}
         lam, b, c = self.scalars
         p = _t_level(lam, self.target)
         dp = -2 * p * (1 + lam.inv() ** 2) / (lam - lam.inv())
-        partials = {
-            0: [[0, 0], [dp / b, dp / c]],
-            1: [[0, 1], [-p / (b * b), 0]],
-            2: [[1, 0], [0, -(p + 1) / (c * c)]],
+        z, one = ring.raw_from_int(0), ring.raw_from_int(1)
+        return {
+            0: [((z, z), ((dp / b).value, (dp / c).value))],
+            1: [((z, one), ((-p / (b * b)).value, z))],
+            2: [((one, z), (z, (-(p + 1) / (c * c)).value))],
         }
-        return {j: SquareMatrix.from_rows(ring, rows).rows for j, rows in partials.items()}
 
     def witness(self) -> tuple:
         return self.family(self.scalars, self.mats)
@@ -242,7 +240,7 @@ _EX5_TEXT = "[ [x,y] , x [x,y] x^-1 ]"
 # Each family is (g A g^-1, g B g^-1), or (g A g^-1, h) for a free matrix h,
 # with g and h perturbed as matrix parameters.  The base scalars are ints or L,
 # a generic torus parameter.  A and B are products of atoms: D<k> = diag(s_k),
-# U<k> = [[1, s_k], [0, 1]], O<k> = off_diagonal(s_k), W = weyl_rep,
+# U<k> = [[1, s_k], [0, 1]], O<k> = [[0, s_k], [-1/s_k, 0]], W = weyl_rep,
 # I = diag(i), and T = [[s_2, s_1], [p/s_1, (p+1)/s_2]] with
 # p = (2 - target)/(s_0 - 1/s_0)^2, so that tr [diag(s_0), T] = target.
 #
@@ -317,6 +315,8 @@ def component(
         raise InvalidParams(f"{cid} does not read {', '.join('--' + k for k in unread)}")
     if p is None:
         p = 5
+    if p < 1:  # named as its flag, before the parser sees it as an exponent
+        raise InvalidParams(f"ex4.Tj needs --p >= 1, got {p}")
     if j is None:
         j = 4 if cid == "ex2.Wj" else 1
     text, claimed, equation, kind, target, base, first, second = _CATALOGUE[cid]
@@ -373,9 +373,12 @@ def parametrization_rank(comp: ComponentInstance) -> int:
     - g -> (I + eps X) g: ([X, x], [X, y]), or 0 for h;
     - h -> (I + eps X) h: (0, X h),
 
-    where X v and v X are sign and permutation patterns of the entries of v
-    (:func:`wordmap.evaluate._tangent_steps`).  A'_k follows from the
-    product rule over the atoms of A, whose derivatives are
+    where X h is a sign and permutation pattern of the entries of h
+    (:func:`wordmap.evaluate._tangent_steps`).  One pass of
+    :func:`wordmap.evaluate._product_rule`, the pass of ``jet_sweep``, over
+    the factors g, the atoms of A and g^-1 gives the first two: g and g^-1
+    are letters under one key past every scalar index, and each atom carries
+    its derivatives along the scalars that it reads, which are
 
     - D<k>: s_k^-1 H D, O<k>: s_k^-1 H O, U<k>: E U; W and I read no scalar;
     - T = [[s_2, s_1], [p/s_1, (p+1)/s_2]] with p = (2 - t)/(s_0 - 1/s_0)^2:
@@ -393,28 +396,19 @@ def parametrization_rank(comp: ComponentInstance) -> int:
 def _parametrization_rows(comp: ComponentInstance) -> list:
     """The rows that :func:`parametrization_rank` ranks, as lists of raw values."""
     ring = comp.ring
-    mul, add = ring.rmatmul, ring.radd
     g, g_inv = comp.mats[0].rows, comp.mats[0].inverse().rows
     zero = SquareMatrix.zero(ring, 2).rows
+    n = len(comp.scalars)  # the key of g, past every scalar index
 
-    def product(ms):
-        return reduce(mul, ms)
-
-    def conjugated(m):
-        return mul(mul(g, m), g_inv)
-
-    def tangents(atoms):  # g A g^-1 along each s_k, then along g
+    def tangents(atoms):  # g A g^-1 along each s_k, then [X, x] along g
         if atoms is None:  # the free h
-            return [zero] * (len(comp.scalars) + 3)
-        ms = [comp._atom(atom, k, comp.scalars, ring).rows for atom, k in atoms]
-        partials = [comp._atom_partials(atom, k, m) for (atom, k), m in zip(atoms, ms)]
-        rows = []
-        for k in range(len(comp.scalars)):  # the product rule over the atoms
-            terms = [product(ms[:i] + [d[k]] + ms[i + 1:]) for i, d in enumerate(partials) if k in d]
-            rows.append(conjugated(reduce(partial(_add2, add), terms)) if terms else zero)
-        x = conjugated(product(ms))
-        steps = zip(_tangent_steps(ring, x, 1), _tangent_steps(ring, x, -1))
-        return rows + [_add2(add, left, right) for left, right in steps]  # [X, x]
+            return [zero] * (n + 3)
+        factors = [(g, n, 1, None)]
+        for atom, k in atoms:
+            m = comp._atom(atom, k, comp.scalars, ring)
+            factors.append((m, None, 0, comp._atom_partials(atom, k, m)))
+        _x, derivs = _product_rule(ring, factors + [(g_inv, n, -1, None)])
+        return [d for k in range(n + 1) for d in derivs.get(k, [zero])]
 
     pairs = list(zip(tangents(comp.first), tangents(comp.second)))
     if comp.second is None:

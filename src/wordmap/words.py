@@ -348,8 +348,9 @@ def _tokenize(text: str):
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            if text[pos:].strip():
-                raise WordSyntaxError(f"unexpected character {text[pos]!r}", pos)
+            rest = text[pos:].lstrip()
+            if rest:  # named at its own position, past the spaces before it
+                raise WordSyntaxError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
             break
         kind = m.lastgroup
         tokens.append((kind, m[kind], pos))

@@ -242,6 +242,15 @@ def test_dimcert_refuses_a_huge_ex4_power_at_once(capsys):
     assert captured.out == "" and "letters" in captured.err
 
 
+@pytest.mark.parametrize("p", ["0", "-5"])
+def test_dimcert_refuses_an_ex4_power_below_1_by_its_flag(capsys, p):
+    # once "zero exponent at position 6" and "order must be positive"
+    code = main(["--ring", "Fp:11", "dimcert", "--example", "ex4.Tj", "--p", p])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"ex4.Tj needs --p >= 1, got {p}" in captured.err
+
+
 def test_sep_witness(capsys):
     code, rep = run_json(
         capsys, ["--ring", "Fp:101", "sep-witness", "--word", "[x,y]^2"]

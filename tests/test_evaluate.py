@@ -673,7 +673,8 @@ def _constructs(spec, cid):
 
 
 _PARAMETRIZATIONS = [
-    (spec, cid) for spec in ("Fp:101", "Fp:5", "Q", "Q[i]", "Fp:7[i]", "Q[sqrt(2)]")
+    (spec, cid)
+    for spec in ("Fp:101", "Fp:5", "Q", "Q[i]", "Fp:7[i]", "Q[sqrt(2)]", "Fp:13[sqrt(2)]")
     for cid in COMPONENT_IDS if _constructs(spec, cid)
 ]
 

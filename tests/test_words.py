@@ -87,6 +87,16 @@ def test_parse_errors():
         parse("x ^")
 
 
+@pytest.mark.parametrize(
+    "text, char, pos", [("x @", "@", 2), ("[x, y] # z", "#", 7), ("  @", "@", 2)]
+)
+def test_parse_errors_name_the_bad_character_at_its_position(text, char, pos):
+    with pytest.raises(WordSyntaxError, match=f"unexpected character {char!r}") as info:
+        parse(text)
+    assert info.value.pos == pos
+    assert str(info.value).endswith(f"(at position {pos})")
+
+
 def test_expanded_letter_cap(monkeypatch):
     monkeypatch.setattr("wordmap.words._MAX_LETTERS", 12)
     assert parse("x^12") == word([(1, 12)])
