@@ -404,11 +404,9 @@ def _factors(ring, items, point, binding, inverses) -> list:
 
 def _product_rule(ring, factors):
     """``(value, derivs)`` of a product of factors (see :func:`_factors`):
-    ``derivs[i]`` is the derivative along the direction keyed i, a list as
-    long as the letters' X = E, F, H or the factors' sums under that key.
-    ``jet_sweep`` keys generator indices; the catalogue's family tangents
-    (:func:`wordmap.geometry.parametrization_rank`) key each scalar, whose
-    sums hold one matrix, and the conjugator g, whose letters give [X, x].
+    ``derivs[i]`` is the derivative along direction i, at X = E, F, H for
+    letters keyed i, else per sum keyed i.  ``jet_sweep`` keys generators;
+    :func:`wordmap.geometry.parametrization_rank` keys scalars and g.
 
     For V = L_1 ... L_N the derivative is the sum over the factors L_k that
     move of P_(k-1) D_k S_(k+1), with the prefix and suffix products P and S,
