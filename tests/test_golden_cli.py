@@ -145,6 +145,9 @@ CASES = [
     # a failing D of odd rank and a failing A beyond the roots table
     ["roots", "check", "D9"],
     ["roots", "check", "A11"],
+    # witnesses of systems whose roots span 16 to 21 coordinates, wider than
+    # a machine word at one byte per coordinate
+    *[["roots", "check", label] for label in ("B16", "C16", "D16", "A20")],
     # jets through negative and huge syllables, an inverted constant, and Q[i]
     ["--ring", "Fp:101", "dominance", "--word", "x^-3 y^5 x^2 y^-1", "--seed", "3"],
     ["--ring", "Fp:101", "dominance", "--word", "x^5000000 y^-4000000", "--seed", "1"],
