@@ -4,11 +4,21 @@ Each type is given by its simple roots (Bourbaki, Plates I-IX); the roots are
 their orbit under the simple reflections.  Coordinates are stored doubled, so
 the half-integer roots of the E and F types become integer vectors and all
 inner products stay in Z.
+
+The walk and the search work on each root's code, one int: a byte per
+coordinate, big-endian, each biased by 128 (``_encode``), so codes compare as
+the coordinate tuples do.  With ``zero`` the code of the zero vector,
+code(u) + code(v) - zero = code(u + v) and 2 zero - code(v) = code(-v) as long
+as every coordinate formed fits a signed byte.  Every root keeps the norm of a
+simple root, so its coordinates are at most 4 in absolute value (|a|^2 <= 24,
+from G2's long roots) and those of a sum or difference of two roots at most 8.
+A hand-built RootSystem is encoded with as many bytes a coordinate as the sums
+of its roots need.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from math import gcd
@@ -18,12 +28,20 @@ from typing import Callable, NamedTuple
 from .errors import InvalidType
 
 
+class _Codes(NamedTuple):
+    zero: int  # the code of the zero vector
+    codes: tuple  # the roots' codes, in the order of the roots
+    lengths: int | None  # the number of root lengths, None when not known
+
+
 @dataclass(frozen=True)
 class RootSystem:
     type_label: str
     rank: int
     roots: tuple  # doubled integer coordinate tuples
     ambient_dim: int
+    # build hands over the codes of its walk; a hand-built system encodes its own
+    _codes: _Codes | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def _root_set(self) -> frozenset:
@@ -53,6 +71,27 @@ def _sub(u, v):
 
 def _dot(u, v) -> int:
     return sum(map(mul, u, v))
+
+
+def _zero(dim: int, width: int = 1) -> int:
+    """The code of the zero vector of R^dim, ``width`` bytes a coordinate:
+    0x80 in the first byte of each."""
+    return int.from_bytes((b"\x80" + bytes(width - 1)) * dim, "big")
+
+
+def _encode(v, zero: int, width: int = 1) -> int:
+    """The code of v: each coordinate in ``width`` signed bytes, big-endian,
+    and the top bit of each flipped by ``zero``."""
+    return int.from_bytes(b"".join([a.to_bytes(width, "big", signed=True) for a in v]),
+                          "big") ^ zero
+
+
+def _decode(codes, zero: int, dim: int) -> tuple:
+    """The coordinate tuples of codes: their bytes, unbiased and joined, read
+    back in C as signed bytes and grouped dim at a time."""
+    signed = iter(memoryview(b"".join([(code ^ zero).to_bytes(dim, "big") for code in codes])
+                             ).cast("b"))
+    return tuple(zip(*[signed] * dim))
 
 
 def _chain(dim: int, count: int) -> list:
@@ -94,8 +133,8 @@ _TYPES = {
 
 def _closure(simple, expected: int, label: str) -> tuple:
     """The roots generated by the simple roots under the simple reflections
-    s_a(b) = b - <b, a^v> a, sorted descending, checked as the positive roots
-    P are walked.
+    s_a(b) = b - <b, a^v> a, and their codes, both sorted descending, checked
+    as the positive roots P are walked.
 
     From the simple roots, each walked root b is reflected by every s_i whose
     pairing with it is nonzero, except s_i a_i = -a_i.  Since s_i maps every
@@ -114,39 +153,43 @@ def _closure(simple, expected: int, label: str) -> tuple:
     After the Gram matrix of the simple roots no inner product is taken: each
     root carries its pairings with the simple roots, as
     <s_i b, a_j> = <b, a_j> - c <a_i, a_j> by bilinearity, and its norm, as s_i
-    is an isometry once c |a_i|^2 = 2 <b, a_i> is checked.
+    is an isometry once c |a_i|^2 = 2 <b, a_i> is checked.  So every image has
+    the norm of a simple root, its coordinates fit a byte, and the image
+    s_i b = b - c a_i is the one int operation code(b) - c (code(a_i) - zero);
+    a new image alone gets its pairings, one tuple.  The roots are sorted as
+    codes and decoded once.
     """
+    dim = len(simple[0])
+    zero = _zero(dim)
     gram = [[_dot(alpha, beta) for beta in simple] for alpha in simple]
     norms = [row[i] for i, row in enumerate(gram)]
-    # A Cartan integer that is an integer in both orders has |c| <= 4
-    # (c c' = 4 cos^2 <= 4), so these are every c alpha_i and c row_i needed.
-    steps = [{c: (tuple([c * a for a in alpha]), tuple([c * g for g in row]))
-              for c in (-4, -3, -2, -1, 1, 2, 3, 4)}
-             for alpha, row in zip(simple, gram)]
-    walk = list(zip(simple, gram, norms))  # (positive root, pairings, norm)
-    positive = set(simple)
+    shifts = [_encode(alpha, zero) - zero for alpha in simple]  # code(a_i) - zero
+    walk = [(shift + zero, row, aa) for shift, row, aa in zip(shifts, gram, norms)]
+    # walk: (positive root's code, pairings, norm); positive: the codes walked
+    positive = set([code for code, _, _ in walk])
     for beta, pairing, bb in walk:  # grows while it is walked: breadth first
-        for ab, aa, step in zip(pairing, norms, steps):
+        for ab, aa, shift, row in zip(pairing, norms, shifts, gram):
             # a zero pairing reflects b to itself, and <b, a_i> = |a_i|^2 = |b|^2
             # holds for b = a_i alone (Cauchy-Schwarz), whose image is -a_i
             if ab and not ab == aa == bb:
                 two_ab = 2 * ab
                 if two_ab % aa or two_ab % bb:
                     raise InvalidType("Cartan integer is not an integer")
-                c_alpha, c_row = step[two_ab // aa]
-                image = tuple(map(sub, beta, c_alpha))
+                c = two_ab // aa
+                image = beta - c * shift
                 if image not in positive:
                     positive.add(image)
                     if 2 * len(positive) > expected:
                         raise InvalidType(
                             f"{label}: got more than {expected} roots, expected {expected}")
-                    walk.append((image, tuple(map(sub, pairing, c_row)), bb))
+                    walk.append((image, tuple([p - c * g for p, g in zip(pairing, row)]), bb))
     if 2 * len(positive) > expected:  # the simple roots alone, if no image was new
         raise InvalidType(f"{label}: got more than {expected} roots, expected {expected}")
-    roots = positive.union(map(_neg, positive))
-    if len(roots) != expected:
-        raise InvalidType(f"{label}: got {len(roots)} roots, expected {expected}")
-    return tuple(sorted(roots, reverse=True))
+    codes = positive.union([2 * zero - code for code in positive])
+    if len(codes) != expected:
+        raise InvalidType(f"{label}: got {len(codes)} roots, expected {expected}")
+    codes = tuple(sorted(codes, reverse=True))
+    return _decode(codes, zero, dim), _Codes(zero, codes, len(set(norms)))
 
 
 def _requirement(kind: _Type) -> str:
@@ -172,8 +215,8 @@ def build(type_label: str, rank: int) -> RootSystem:
     expected = kind.count(rank)
     if expected > _ROOTS_MAX:
         raise InvalidType(f"{t}{rank} has {expected} roots, capped at {_ROOTS_MAX}")
-    roots = _closure(kind.simple(rank), expected, f"{t}{rank}")
-    return RootSystem(t, rank, roots, len(roots[0]))
+    roots, codes = _closure(kind.simple(rank), expected, f"{t}{rank}")
+    return RootSystem(t, rank, roots, len(roots[0]), codes)
 
 
 def _rank(vectors, enough=None) -> int:
@@ -203,9 +246,24 @@ def _members(mask: int):
         mask ^= low
 
 
+def _encoded(system: RootSystem) -> _Codes:
+    """The codes of a hand-built system's roots, with as many bytes a
+    coordinate as a sum of two roots needs; the number of root lengths is not
+    known."""
+    width = (2 * max([abs(a) for v in system.roots for a in v], default=0)).bit_length() // 8 + 1
+    zero = _zero(system.ambient_dim, width)
+    return _Codes(zero, tuple([_encode(v, zero, width) for v in system.roots]), None)
+
+
 def star_search(system: RootSystem) -> StarResult:
     """Search for rank-many pairwise-orthogonal roots whose pairwise sums and
     differences are not roots (a closed union of rank orthogonal A1's).
+
+    Two roots a != +-b are compatible exactly when neither a + b nor a - b is
+    a root: if <a, b> > 0 then a - b is a root, and if <a, b> < 0 then a + b
+    is (Humphreys, Introduction to Lie Algebras, 9.4), so no inner product is
+    taken.  On codes, that is two set lookups, of code(a) + code(b) - zero and
+    code(a) - code(b) + zero.
 
     Depth-first over positive roots in descending lexicographic order, each root
     followed only by later ones; the first complete set found is returned, so
@@ -222,28 +280,24 @@ def star_search(system: RootSystem) -> StarResult:
         least index in any set is therefore the first of its length, and the
         first level tries only those roots.
     """
-    rs = system._root_set
+    zero, codes, lengths = system._codes or _encoded(system)
     # the roots are sorted descending and closed under negation, so the first
     # half is exactly the v with v > -v
-    positive = system.roots[:system.count() // 2]
+    half = system.count() // 2
+    positive, positive_codes = system.roots[:half], codes[:half]
+    root_codes = set(codes)
     target = system.rank
-    norms = [_dot(alpha, alpha) for alpha in positive]
-    root_norms = set(norms)
     later = {}  # index -> bitmask of the later positive roots compatible with it
 
     def compatible_after(i: int) -> int:
         if i not in later:
-            alpha, aa = positive[i], norms[i]
-            mask = 0
-            for j in range(i + 1, len(positive)):
-                beta = positive[j]
-                # for orthogonal roots |a +- b|^2 = |a|^2 + |b|^2, so neither
-                # is a root unless that sum is a root norm (never in A, D, E)
-                if _dot(alpha, beta) == 0 and (
-                        aa + norms[j] not in root_norms
-                        or (_add(alpha, beta) not in rs and _sub(alpha, beta) not in rs)):
-                    mask |= 1 << j
-            later[i] = mask
+            a = positive_codes[i]
+            plus, minus = a - zero, a + zero
+            # one binary digit per later root, the last root's first, read as
+            # one int: OR-ing each bit into a growing mask is quadratic in the roots
+            digits = ["0" if plus + b in root_codes or minus - b in root_codes else "1"
+                      for b in positive_codes[:i:-1]]
+            later[i] = int("0" + "".join(digits), 2) << i + 1
         return later[i]
 
     chosen = []
@@ -264,9 +318,12 @@ def star_search(system: RootSystem) -> StarResult:
         failed.add((candidates, need))
         return False
 
+    # build knows how many root lengths there are, so its scan stops at the last
     first_of_length = {}
-    for i, aa in enumerate(norms):
-        first_of_length.setdefault(aa, i)
+    for i, alpha in enumerate(positive):
+        first_of_length.setdefault(_dot(alpha, alpha), i)
+        if len(first_of_length) == lengths:
+            break
     for i in sorted(first_of_length.values()):
         chosen.append(positive[i])
         if search(compatible_after(i)):

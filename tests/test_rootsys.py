@@ -157,22 +157,28 @@ def test_build_rejects_a_non_integral_cartan_integer(monkeypatch):
         build("B", 2)
 
 
+def _counted_images(monkeypatch):
+    """A one-item list that counts the reflection images build's walk forms:
+    it looks each one up once in the set of codes walked so far."""
+    images = [0]
+
+    class Walked(set):
+        def __contains__(self, code):
+            images[0] += 1
+            return set.__contains__(self, code)
+
+    monkeypatch.setattr(rootsys, "set", Walked, raising=False)
+    return images
+
+
 def test_build_stops_once_the_orbit_outgrows_the_count(monkeypatch):
-    # E8 with 10 roots expected: the walk stops at the 11th root, after forming
-    # at most 11 r images, each with its carried pairings, where the whole
-    # orbit forms r N = 1920
-    images = 0
-
-    def counting_sub(a, b):
-        nonlocal images
-        images += 1
-        return a - b
-
+    # E8 with 10 roots expected: the walk stops at its first new root, the 9th,
+    # well within 11 r images, where the whole walk forms 448
+    images = _counted_images(monkeypatch)
     _patched_type(monkeypatch, "E", lambda r: rootsys._E8[:r], lambda r: 10)
-    monkeypatch.setattr(rootsys, "sub", counting_sub)
     with pytest.raises(InvalidType, match="^E8: got more than 10 roots, expected 10$"):
         build("E", 8)
-    assert 0 < images <= 2 * 11 * 8 * 8  # two length-8 tuples per image
+    assert 0 < images[0] <= 11 * 8
     # too small an orbit gives the count it found
     _patched_type(monkeypatch, "A", lambda r: rootsys._chain(r + 1, r), lambda r: r * (r + 1) + 2)
     with pytest.raises(InvalidType, match="^A3: got 12 roots, expected 14$"):
@@ -180,18 +186,12 @@ def test_build_stops_once_the_orbit_outgrows_the_count(monkeypatch):
 
 
 def test_build_walks_only_the_positive_roots(monkeypatch):
-    # one sub per entry of a formed root or pairing tuple: walking all 240 roots
-    # of E8 took 9152, walking the 120 positive ones takes 4480
-    subs = 0
-
-    def counting_sub(a, b):
-        nonlocal subs
-        subs += 1
-        return a - b
-
-    monkeypatch.setattr(rootsys, "sub", counting_sub)
+    # one image per walked root b and simple root a_i != b of nonzero pairing:
+    # walking all 240 roots of E8 formed 912, walking the 120 positive ones
+    # forms 448
+    images = _counted_images(monkeypatch)
     system = build("E", 8)
-    assert subs < 5000
+    assert 0 < images[0] < 500
     assert set(system.roots) == set(explicit_roots("E", 8))
 
 
@@ -239,6 +239,66 @@ def test_build_takes_each_pairing_once(monkeypatch):
     system = build("E", 8)
     r, n = system.rank, system.count()
     assert calls <= r * n + n + r * r
+
+
+# ---------------------------------------------------------------------------
+# root codes: one byte per coordinate, big-endian, biased by 128
+
+
+def _code_oracle(v):
+    return sum((a + 128) << 8 * k for k, a in enumerate(reversed(v)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(st.data())
+def test_codes_round_trip_compare_as_tuples_and_add(data):
+    dim = data.draw(st.integers(1, 100))
+
+    def vector(lo, hi, size=dim):
+        return tuple(data.draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size)))
+
+    zero = rootsys._zero(dim)
+    assert zero == _code_oracle((0,) * dim)
+    w = vector(-128, 127)
+    assert rootsys._encode(w, zero) == _code_oracle(w)
+    assert rootsys._decode([_code_oracle(w)], zero, dim) == (w,)
+    # v shares a prefix of u, so the comparison reaches every byte
+    u = vector(-64, 63)
+    k = data.draw(st.integers(0, dim))
+    v = u[:k] + vector(-64, 63, dim - k)
+    cu, cv = rootsys._encode(u, zero), rootsys._encode(v, zero)
+    assert (cu < cv, cu == cv, cu > cv) == (u < v, u == v, u > v)
+    assert cu + cv - zero == _code_oracle(tuple(a + b for a, b in zip(u, v)))
+    assert cu - cv + zero == _code_oracle(_sub(u, v))
+    assert 2 * zero - cv == _code_oracle(tuple(-b for b in v))
+
+
+@pytest.mark.parametrize("label,rank", ORACLE_CELLS)
+def test_sums_of_two_roots_fit_a_signed_byte(label, rank):
+    # every type at its least rank, at rank 20 where it has one, and between
+    system = build(label, rank)
+    for column in zip(*system.roots):
+        assert -128 <= 2 * min(column) and 2 * max(column) <= 127
+    zero, codes, lengths = system._codes
+    assert codes == tuple(map(_code_oracle, system.roots))
+    assert lengths == len({sum(a * a for a in v) for v in system.roots})
+
+
+@pytest.mark.parametrize("label,rank", [(t, r) for t, r in ORACLE_CELLS if r <= 8]
+                         + [("B", 11), ("C", 11), ("D", 11)])
+def test_compatibility_on_codes_is_strong_orthogonality(label, rank):
+    # Humphreys 9.4: two roots a != +-b are orthogonal with a +- b not roots
+    # exactly when a + b and a - b are not roots
+    system = build(label, rank)
+    zero, codes, _ = system._codes
+    assert rootsys._encoded(system) == (zero, codes, None)  # as a hand-built system
+    roots, root_codes = set(system.roots), set(codes)
+    half = system.count() // 2
+    for (alpha, a), (beta, b) in combinations(zip(system.roots[:half], codes[:half]), 2):
+        by_dot = (sum(x * y for x, y in zip(alpha, beta)) == 0
+                  and tuple(x + y for x, y in zip(alpha, beta)) not in roots
+                  and _sub(alpha, beta) not in roots)
+        assert (a + b - zero not in root_codes and a - b + zero not in root_codes) == by_dot
 
 
 def test_positive_roots_are_the_first_half():
@@ -380,6 +440,10 @@ def test_orthogonal_roots_whose_sum_is_a_root_are_not_compatible():
     result = star_search(system)
     assert result == rootsys.StarResult(holds=True, witness=((2, 2), (2, -2)))
     assert verify_witness(system, result.witness)
+    # scaled by 50, a sum of two coordinates takes two bytes: a hand-built
+    # system encodes its roots that wide
+    wide = rootsys.RootSystem("B", 2, tuple(tuple(50 * a for a in v) for v in system.roots), 2)
+    assert star_search(wide) == rootsys.StarResult(holds=True, witness=((100, 100), (100, -100)))
 
 
 def _fraction_rank(rows):
